@@ -11,66 +11,50 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 
 	"insituviz"
-	"insituviz/internal/faults"
-	"insituviz/internal/livemodel"
+	"insituviz/internal/cliobs"
 	"insituviz/internal/pipeline"
 	"insituviz/internal/report"
 	"insituviz/internal/telemetry"
 	"insituviz/internal/trace"
-	"insituviz/internal/workpool"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("insituviz-run: ")
-
-	pipelineName := flag.String("pipeline", "insitu", "pipeline to run: insitu, post, or intransit")
-	stagingNodes := flag.Int("staging-nodes", 0, "staging partition size for -pipeline intransit (0 = default)")
-	samplingHours := flag.Float64("sampling-hours", 8, "output sampling interval in simulated hours")
-	months := flag.Float64("months", 6, "simulated duration in 30-day months")
-	gridKM := flag.Float64("grid-km", 60, "mesh resolution in km")
-	timestepMin := flag.Float64("timestep-min", 30, "simulation timestep in simulated minutes")
-	tracePath := flag.String("trace", "", "write a Chrome-tracing JSON of the run's phases (with power counter tracks) to this file")
-	httpAddr := flag.String("http", "", "serve /metrics and /trace on this address during the run (e.g. :8080; \":0\" picks a port)")
-	telemetryOut := flag.String("telemetry", "", "write the run's telemetry snapshot as JSON to this file (\"-\" for stdout, as text)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-	chaos := flag.String("chaos", "", fmt.Sprintf("arm deterministic storage fault injection: seed=N[,profile] (profiles: %s)",
-		strings.Join(faults.ProfileNames(), ", ")))
-	poolWorkers := flag.Int("pool-workers", 0, "cap the shared worker pool's width below GOMAXPROCS (0 = no cap)")
-	modelOn := flag.Bool("model", false, "fit the paper's cost model online during the run; adds /model to -http and a convergence table at exit")
-	modelWindow := flag.Int("model-window", 256, "observation window for the online model fit (0 = unbounded)")
-	energyBudget := flag.Float64("energy-budget", 0, "energy budget in joules; the model flags a budget anomaly when cumulative modeled energy crosses it (implies -model)")
-	modelLog := flag.String("model-log", "", "write the byte-stable model anomaly log to this file (\"-\" for stdout; implies -model)")
-	modelOut := flag.String("model-out", "", "write the final model snapshot (the /model JSON) to this file (implies -model)")
-	flag.Parse()
-
-	if *poolWorkers > 0 && !workpool.SetLimit(*poolWorkers) {
-		log.Fatal("-pool-workers: the shared worker pool already started")
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
 	}
+}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}()
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	pipelineName := fs.String("pipeline", "insitu", "pipeline to run: insitu, post, or intransit")
+	stagingNodes := fs.Int("staging-nodes", 0, "staging partition size for -pipeline intransit (0 = default)")
+	samplingHours := fs.Float64("sampling-hours", 8, "output sampling interval in simulated hours")
+	months := fs.Float64("months", 6, "simulated duration in 30-day months")
+	gridKM := fs.Float64("grid-km", 60, "mesh resolution in km")
+	timestepMin := fs.Float64("timestep-min", 30, "simulation timestep in simulated minutes")
+	obs := cliobs.Register(fs, cliobs.Usage{
+		Chaos: "arm deterministic storage fault injection",
+		Trace: "write a Chrome-tracing JSON of the run's phases (with power counter tracks) to this file",
+		HTTP:  "serve /metrics and /trace on this address during the run (e.g. :8080; \":0\" picks a port)",
+	})
+	fs.Parse(args) // ExitOnError: never returns an error
+
+	stopProfile, err := obs.Start()
+	if err != nil {
+		return err
 	}
+	defer func() {
+		if cerr := stopProfile(); err == nil {
+			err = cerr
+		}
+	}()
 
 	var kind insituviz.Kind
 	switch *pipelineName {
@@ -81,7 +65,7 @@ func main() {
 	case "intransit", "in-transit":
 		kind = insituviz.InTransit
 	default:
-		log.Fatalf("unknown pipeline %q (want insitu, post, or intransit)", *pipelineName)
+		return fmt.Errorf("unknown pipeline %q (want insitu, post, or intransit)", *pipelineName)
 	}
 
 	w := insituviz.ReferenceWorkload(insituviz.Hours(*samplingHours))
@@ -91,41 +75,23 @@ func main() {
 
 	platform := insituviz.CaddyPlatform()
 	platform.StagingNodes = *stagingNodes
-	if *chaos != "" {
-		plan, err := faults.ParseSpec(*chaos)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if platform.Faults, err = faults.New(plan); err != nil {
-			log.Fatal(err)
-		}
+	if platform.Faults, err = obs.Injector(); err != nil {
+		return err
 	}
-	var est *livemodel.Estimator
-	if *modelOn || *energyBudget > 0 || *modelLog != "" || *modelOut != "" {
-		est = livemodel.New(livemodel.Config{
-			Window:        *modelWindow,
-			Damping:       1e-9,
-			EnergyBudgetJ: *energyBudget,
-		})
-		platform.Model = est
-	}
+	est := obs.Estimator()
+	platform.Model = est
 	var reg *telemetry.Registry
-	if *telemetryOut != "" || *httpAddr != "" {
+	if obs.Telemetry != "" || obs.HTTP != "" {
 		reg = telemetry.NewRegistry()
 		platform.Telemetry = reg
 		est.SetTelemetry(reg)
 	}
-	var tracer *trace.Tracer
-	if *httpAddr != "" {
-		tracer = trace.New(trace.Options{})
+	if obs.HTTP != "" {
+		tracer := trace.New(trace.Options{})
 		platform.Tracer = tracer
-		var extras []trace.Endpoint
-		if est != nil {
-			extras = append(extras, trace.Endpoint{Path: "/model", Desc: "live cost-model fit (JSON)", H: est.Handler()})
-		}
-		addr, shutdown, err := trace.Serve(*httpAddr, trace.NewHandlerFrom(reg, tracer, extras...))
+		addr, shutdown, err := trace.Serve(obs.HTTP, trace.NewHandlerFrom(reg, tracer, cliobs.ModelEndpoints(est)...))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer shutdown()
 		endpoints := "/metrics, /trace"
@@ -136,21 +102,11 @@ func main() {
 	}
 	m, err := insituviz.RunPipeline(kind, w, platform)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runtime.GC() // settle the heap so the profile reflects live data
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+	if err := obs.WriteHeapProfile(); err != nil {
+		return err
 	}
 
 	tb := report.NewTable(fmt.Sprintf("%v pipeline — %g km grid, %g months, output every %g h",
@@ -168,80 +124,13 @@ func main() {
 	fmt.Print(tb.String())
 
 	if est != nil {
-		snap := est.Snapshot()
-		ref := livemodel.NodeCostModel()
-		mt := report.NewTable("live cost model — t = t_sim + α·S_io + β·N_viz",
-			"quantity", "fitted", "reference")
-		mt.AddRow("observations", fmt.Sprintf("%d (%d in fit window)", snap.Observations, snap.Included), "")
-		mt.AddRow("t_sim (s)", fmt.Sprintf("%.4g ± %.2g", snap.TSim, snap.TSimCI), "")
-		mt.AddRow("α (s/GB)", fmt.Sprintf("%.4g ± %.2g", snap.Alpha, snap.AlphaCI), fmt.Sprintf("%.4g", ref.AlphaSPerGB))
-		mt.AddRow("β (s/image-set)", fmt.Sprintf("%.4g ± %.2g", snap.Beta, snap.BetaCI), fmt.Sprintf("%.4g", ref.BetaSPerSet))
-		mt.AddRow("residual p50/p90/p99 (s)",
-			fmt.Sprintf("%.3g / %.3g / %.3g", snap.ResidualP50, snap.ResidualP90, snap.ResidualP99), "")
-		mt.AddRow("anomalies", fmt.Sprintf("%d io / %d viz / %d budget",
-			snap.AnomalyCounts.IO, snap.AnomalyCounts.Viz, snap.AnomalyCounts.Budget), "")
-		energy := fmt.Sprintf("%.4g J (burn %.4g W)", snap.EnergyJ, snap.BurnRateW)
-		if snap.BudgetJ > 0 {
-			energy += fmt.Sprintf(", budget %.4g J", snap.BudgetJ)
-		}
-		mt.AddRow("modeled energy", energy, "")
-		fmt.Print(mt.String())
-		verdict := "no"
-		switch {
-		case !snap.Converged || !snap.Identifiable:
-			verdict = "indeterminate" // α not constrained by this run's window
-		case livemodel.Contains(snap.Alpha, snap.AlphaCI, ref.AlphaSPerGB):
-			verdict = "yes"
-		}
-		fmt.Printf("model alpha contains-reference %s\n", verdict)
-
-		if *modelLog != "" {
-			w := os.Stdout
-			if *modelLog != "-" {
-				f, err := os.Create(*modelLog)
-				if err != nil {
-					log.Fatal(err)
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := snap.WriteLog(w); err != nil {
-				log.Fatal(err)
-			}
-			if *modelLog != "-" {
-				fmt.Printf("model anomaly log written to %s\n", *modelLog)
-			}
-		}
-		if *modelOut != "" {
-			f, err := os.Create(*modelOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := snap.WriteJSON(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("model snapshot written to %s\n", *modelOut)
+		if err := obs.ReportModel(est.Snapshot()); err != nil {
+			return err
 		}
 	}
+	cliobs.PrintAttribution(m.Attribution)
 
-	if m.Attribution != nil {
-		at := report.NewTable(fmt.Sprintf("phase-aligned energy attribution (%s meter)", m.Attribution.Meter),
-			"phase", "time", "energy", "avg power")
-		for _, p := range m.Attribution.Phases {
-			at.AddRow(p.Phase, p.Time.String(), p.Energy.String(), p.AvgPower.String())
-		}
-		at.AddRow("total", m.Attribution.Window.String(), m.Attribution.Total.String(), "")
-		fmt.Print(at.String())
-	}
-
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if obs.Trace != "" {
 		var counters []trace.CounterTrack
 		if m.ComputeProfile != nil {
 			counters = append(counters, trace.CounterTrack{Name: "compute power", Profile: m.ComputeProfile})
@@ -249,42 +138,16 @@ func main() {
 		if m.StorageProfile != nil {
 			counters = append(counters, trace.CounterTrack{Name: "storage power", Profile: m.StorageProfile})
 		}
-		if series := est.Series(); len(series) > 0 {
-			pred := trace.CounterTrack{Name: "model predicted step time", Unit: "s"}
-			act := trace.CounterTrack{Name: "model actual step time", Unit: "s"}
-			for _, p := range series {
-				pred.Points = append(pred.Points, trace.CounterPoint{TS: insituviz.Seconds(p.TS), Value: p.Predicted})
-				act.Points = append(act.Points, trace.CounterPoint{TS: insituviz.Seconds(p.TS), Value: p.Actual})
-			}
-			counters = append(counters, pred, act)
+		counters = append(counters, cliobs.ModelCounters(est)...)
+		if err := cliobs.WriteFile(obs.Trace, func(w io.Writer) error {
+			return pipeline.WriteChromeTrace(w, m.Phases, counters...)
+		}); err != nil {
+			return err
 		}
-		if err := pipeline.WriteChromeTrace(f, m.Phases, counters...); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("phase timeline written to %s (open in Perfetto or chrome://tracing)\n", *tracePath)
+		fmt.Printf("phase timeline written to %s (open in Perfetto or chrome://tracing)\n", obs.Trace)
 	}
 
-	if reg != nil {
-		snap := reg.Snapshot()
-		if *telemetryOut == "-" {
-			if err := snap.WriteText(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			f, err := os.Create(*telemetryOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := snap.WriteJSON(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("telemetry snapshot written to %s\n", *telemetryOut)
-		}
-	}
+	// The registry also exists for -http alone; the snapshot is written only
+	// when -telemetry names where.
+	return obs.WriteTelemetry(reg.Snapshot())
 }

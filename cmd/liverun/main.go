@@ -12,25 +12,22 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"insituviz"
 	"insituviz/internal/cinemaserve"
 	"insituviz/internal/cinemastore"
-	"insituviz/internal/faults"
-	"insituviz/internal/livemodel"
+	"insituviz/internal/cliobs"
 	"insituviz/internal/report"
 	"insituviz/internal/telemetry"
 	"insituviz/internal/trace"
 	"insituviz/internal/units"
-	"insituviz/internal/workpool"
 )
 
 // splitAddrs parses a comma-separated address list, dropping empties.
@@ -62,45 +59,27 @@ func main() {
 	transitCodec := flag.String("transit-codec", "", "on-wire codec for -transport tcp: flate (default) or raw")
 	workers := flag.Int("workers", 0, "solver worker count (0 = GOMAXPROCS, negative = serial)")
 	renderWorkers := flag.Int("render-workers", 0, "render fan-out budget in concurrent tiles per rasterizer (0 = GOMAXPROCS)")
-	poolWorkers := flag.Int("pool-workers", 0, "cap the shared worker pool's width below GOMAXPROCS (0 = no cap)")
 	out := flag.String("out", "", "output directory (default: temp dir)")
-	telemetryOut := flag.String("telemetry", "", "write the run's telemetry snapshot as JSON to this file (\"-\" for stdout, as text)")
-	traceOut := flag.String("trace", "", "write the run's timeline as Chrome trace-event JSON to this file (open in Perfetto)")
 	attribOut := flag.String("attrib", "", "write the per-phase energy attribution to this file (JSON, or CSV with a .csv suffix)")
-	httpAddr := flag.String("http", "", "serve /metrics, /trace, and /cinema/ on this address during the run (e.g. :8080; \":0\" picks a port)")
 	serveFor := flag.Duration("serve", 0, "after the run, keep serving the produced Cinema database under /cinema/ for this long (requires -http)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-	chaos := flag.String("chaos", "", fmt.Sprintf("arm deterministic fault injection: seed=N[,profile] (profiles: %s)",
-		strings.Join(faults.ProfileNames(), ", ")))
 	vizDeadline := flag.Float64("viz-deadline", 0, "per-sample visualization budget in seconds; injected stalls at or beyond it drop the sample's frames (0 = 0.5 s when -chaos is set)")
 	faultlog := flag.String("faultlog", "", "write the byte-stable injected-fault log to this file (\"-\" for stdout; requires -chaos)")
-	modelOn := flag.Bool("model", false, "fit the paper's cost model online during the run; adds /model to -http and a convergence table at exit")
-	modelWindow := flag.Int("model-window", 256, "observation window for the online model fit (0 = unbounded)")
-	energyBudget := flag.Float64("energy-budget", 0, "energy budget in joules; the model flags a budget anomaly when cumulative modeled energy crosses it (implies -model)")
-	modelLog := flag.String("model-log", "", "write the byte-stable model anomaly log to this file (\"-\" for stdout; implies -model)")
-	modelOut := flag.String("model-out", "", "write the final model snapshot (the /model JSON) to this file (implies -model)")
+	obs := cliobs.Register(flag.CommandLine, cliobs.Usage{
+		Chaos: "arm deterministic fault injection",
+		Trace: "write the run's timeline as Chrome trace-event JSON to this file (open in Perfetto)",
+		HTTP:  "serve /metrics, /trace, and /cinema/ on this address during the run (e.g. :8080; \":0\" picks a port)",
+	})
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
+	stopProfile, err := obs.Start()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
 			log.Fatal(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
-
-	if *poolWorkers > 0 && !workpool.SetLimit(*poolWorkers) {
-		log.Fatal("-pool-workers: the shared worker pool already started")
-	}
+	}()
 
 	var kind insituviz.Kind
 	switch *mode {
@@ -113,48 +92,33 @@ func main() {
 	}
 	dir := *out
 	if dir == "" {
-		var err error
 		if dir, err = os.MkdirTemp("", "insituviz-live-"); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	var injector *faults.Injector
-	if *chaos != "" {
-		plan, err := faults.ParseSpec(*chaos)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if injector, err = faults.New(plan); err != nil {
-			log.Fatal(err)
-		}
+	injector, err := obs.Injector()
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *faultlog != "" && injector == nil {
 		log.Fatal("-faultlog requires -chaos")
 	}
-
-	var est *livemodel.Estimator
-	if *modelOn || *energyBudget > 0 || *modelLog != "" || *modelOut != "" {
-		est = livemodel.New(livemodel.Config{
-			Window:        *modelWindow,
-			Damping:       1e-9,
-			EnergyBudgetJ: *energyBudget,
-		})
-	}
+	est := obs.Estimator()
 
 	// The tracer and (shared) registry exist whenever any observability
 	// flag asks for them; -http additionally exposes both live while the
 	// run executes.
 	var tracer *trace.Tracer
-	if *traceOut != "" || *attribOut != "" || *httpAddr != "" {
+	if obs.Trace != "" || *attribOut != "" || obs.HTTP != "" {
 		tracer = trace.New(trace.Options{})
 	}
-	if *serveFor > 0 && *httpAddr == "" {
+	if *serveFor > 0 && obs.HTTP == "" {
 		log.Fatal("-serve requires -http")
 	}
 	var reg *telemetry.Registry
 	var cinemaSrv *cinemaserve.Server
-	if *httpAddr != "" {
+	if obs.HTTP != "" {
 		reg = telemetry.NewRegistry()
 		// The Cinema query server shares the exposition: its registry is
 		// namespaced under "serve." next to the run's own metrics, and its
@@ -164,13 +128,9 @@ func main() {
 		cinemaSrv = cinemaserve.NewServer(cinemaserve.Config{Telemetry: serveReg, Tracer: tracer})
 		union := telemetry.NewUnion().Add("", reg).Add("serve.", serveReg)
 		mux := http.NewServeMux()
-		var extras []trace.Endpoint
-		if est != nil {
-			extras = append(extras, trace.Endpoint{Path: "/model", Desc: "live cost-model fit (JSON)", H: est.Handler()})
-		}
-		mux.Handle("/", trace.NewHandlerFrom(union, tracer, extras...))
+		mux.Handle("/", trace.NewHandlerFrom(union, tracer, cliobs.ModelEndpoints(est)...))
 		mux.Handle("/cinema/", http.StripPrefix("/cinema", cinemaSrv.Handler()))
-		addr, shutdown, err := trace.Serve(*httpAddr, mux)
+		addr, shutdown, err := trace.Serve(obs.HTTP, mux)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -219,18 +179,8 @@ func main() {
 		fmt.Printf("cinema database mounted at /cinema/run/ (%d frames)\n", st.Len())
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runtime.GC() // settle the heap so the profile reflects live data
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+	if err := obs.WriteHeapProfile(); err != nil {
+		log.Fatal(err)
 	}
 
 	tb := report.NewTable(fmt.Sprintf("live %v run — %d steps, sampled every %d", kind, res.Steps, *sample),
@@ -257,161 +207,46 @@ func main() {
 	fmt.Print(tb.String())
 
 	if *faultlog != "" {
-		w := os.Stdout
-		if *faultlog != "-" {
-			f, err := os.Create(*faultlog)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := injector.WriteLog(w); err != nil {
+		if err := cliobs.WriteLog(*faultlog, "fault log", injector.WriteLog); err != nil {
 			log.Fatal(err)
-		}
-		if *faultlog != "-" {
-			fmt.Printf("fault log written to %s\n", *faultlog)
 		}
 	}
 
-	if res.Model != nil {
-		snap := res.Model
-		ref := livemodel.NodeCostModel()
-		mt := report.NewTable("live cost model — t = t_sim + α·S_io + β·N_viz",
-			"quantity", "fitted", "reference")
-		mt.AddRow("observations", fmt.Sprintf("%d (%d in fit window)", snap.Observations, snap.Included), "")
-		mt.AddRow("t_sim (s)", fmt.Sprintf("%.4g ± %.2g", snap.TSim, snap.TSimCI), "")
-		mt.AddRow("α (s/GB)", fmt.Sprintf("%.4g ± %.2g", snap.Alpha, snap.AlphaCI), fmt.Sprintf("%.4g", ref.AlphaSPerGB))
-		mt.AddRow("β (s/image-set)", fmt.Sprintf("%.4g ± %.2g", snap.Beta, snap.BetaCI), fmt.Sprintf("%.4g", ref.BetaSPerSet))
-		mt.AddRow("residual p50/p90/p99 (s)",
-			fmt.Sprintf("%.3g / %.3g / %.3g", snap.ResidualP50, snap.ResidualP90, snap.ResidualP99), "")
-		mt.AddRow("anomalies", fmt.Sprintf("%d io / %d viz / %d budget",
-			snap.AnomalyCounts.IO, snap.AnomalyCounts.Viz, snap.AnomalyCounts.Budget), "")
-		energy := fmt.Sprintf("%.4g J (burn %.4g W)", snap.EnergyJ, snap.BurnRateW)
-		if snap.BudgetJ > 0 {
-			energy += fmt.Sprintf(", budget %.4g J", snap.BudgetJ)
-		}
-		mt.AddRow("modeled energy", energy, "")
-		fmt.Print(mt.String())
-		verdict := "no"
-		switch {
-		case !snap.Converged || !snap.Identifiable:
-			verdict = "indeterminate" // α not constrained by this run's window
-		case livemodel.Contains(snap.Alpha, snap.AlphaCI, ref.AlphaSPerGB):
-			verdict = "yes"
-		}
-		fmt.Printf("model alpha contains-reference %s\n", verdict)
+	if err := obs.ReportModel(res.Model); err != nil {
+		log.Fatal(err)
 	}
+	cliobs.PrintAttribution(res.PhaseEnergy)
 
-	if *modelLog != "" {
-		w := os.Stdout
-		if *modelLog != "-" {
-			f, err := os.Create(*modelLog)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := res.Model.WriteLog(w); err != nil {
-			log.Fatal(err)
-		}
-		if *modelLog != "-" {
-			fmt.Printf("model anomaly log written to %s\n", *modelLog)
-		}
-	}
-
-	if *modelOut != "" {
-		f, err := os.Create(*modelOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.Model.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("model snapshot written to %s\n", *modelOut)
-	}
-
-	if res.PhaseEnergy != nil {
-		at := report.NewTable(fmt.Sprintf("phase-aligned energy attribution (%s meter)", res.PhaseEnergy.Meter),
-			"phase", "time", "energy", "avg power")
-		for _, p := range res.PhaseEnergy.Phases {
-			at.AddRow(p.Phase, p.Time.String(), p.Energy.String(), p.AvgPower.String())
-		}
-		at.AddRow("total", res.PhaseEnergy.Window.String(), res.PhaseEnergy.Total.String(), "")
-		fmt.Print(at.String())
-	}
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if obs.Trace != "" {
 		var counters []trace.CounterTrack
 		if res.PowerProfile != nil {
 			counters = append(counters, trace.CounterTrack{Name: "node-model power", Profile: res.PowerProfile})
 		}
-		if series := est.Series(); len(series) > 0 {
-			pred := trace.CounterTrack{Name: "model predicted step time", Unit: "s"}
-			act := trace.CounterTrack{Name: "model actual step time", Unit: "s"}
-			for _, p := range series {
-				pred.Points = append(pred.Points, trace.CounterPoint{TS: units.Seconds(p.TS), Value: p.Predicted})
-				act.Points = append(act.Points, trace.CounterPoint{TS: units.Seconds(p.TS), Value: p.Actual})
-			}
-			counters = append(counters, pred, act)
-		}
-		if err := trace.WriteChrome(f, res.Timeline, counters...); err != nil {
+		counters = append(counters, cliobs.ModelCounters(est)...)
+		if err := cliobs.WriteFile(obs.Trace, func(w io.Writer) error {
+			return trace.WriteChrome(w, res.Timeline, counters...)
+		}); err != nil {
 			log.Fatal(err)
 		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("timeline written to %s (open in Perfetto or chrome://tracing)\n", *traceOut)
+		fmt.Printf("timeline written to %s (open in Perfetto or chrome://tracing)\n", obs.Trace)
 	}
 
 	if *attribOut != "" {
 		if res.PhaseEnergy == nil {
 			log.Fatal("-attrib: run produced no attribution (no driver spans recorded)")
 		}
-		f, err := os.Create(*attribOut)
-		if err != nil {
-			log.Fatal(err)
-		}
+		write := res.PhaseEnergy.WriteJSON
 		if strings.HasSuffix(*attribOut, ".csv") {
-			err = res.PhaseEnergy.WriteCSV(f)
-		} else {
-			err = res.PhaseEnergy.WriteJSON(f)
+			write = res.PhaseEnergy.WriteCSV
 		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := cliobs.WriteFile(*attribOut, write); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("attribution written to %s\n", *attribOut)
 	}
 
-	switch *telemetryOut {
-	case "":
-	case "-":
-		if err := res.Telemetry.WriteText(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		f, err := os.Create(*telemetryOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.Telemetry.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("telemetry snapshot written to %s\n", *telemetryOut)
+	if err := obs.WriteTelemetry(res.Telemetry); err != nil {
+		log.Fatal(err)
 	}
 
 	if *serveFor > 0 {

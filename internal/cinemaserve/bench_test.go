@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkCinemaServeHot is the serving hot path: a cached frame fetch.
-// The contract tracked by the BENCH_<n>.json trajectory is 0 allocs/op —
+// The contract is 0 allocs/op —
 // a hit costs map lookups, an LRU promotion, and the atomic telemetry,
 // nothing more.
 func BenchmarkCinemaServeHot(b *testing.B) {

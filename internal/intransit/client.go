@@ -4,20 +4,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"image/color"
-	"math"
 	"net"
 	"time"
 
 	"insituviz/internal/cinemastore"
 	"insituviz/internal/faults"
 	"insituviz/internal/mesh"
-	"insituviz/internal/ocean"
 	"insituviz/internal/render"
 	"insituviz/internal/telemetry"
 	"insituviz/internal/trace"
 	"insituviz/internal/units"
-	"insituviz/internal/vizpipe"
 )
 
 // ErrUnavailable reports a sample no worker could take: every worker in
@@ -43,8 +39,8 @@ type Options struct {
 	Config RunConfig
 	// Mesh is the simulation mesh. The client derives each sample's
 	// render-exact tables (color LUT, eddy-core selection) on it with the
-	// same code the in-process path runs, so the worker's frames come out
-	// byte-identical.
+	// render.SampleDeriver the in-process path runs, so the worker's frames
+	// come out byte-identical.
 	Mesh *mesh.Mesh
 	// Cells is the per-rank owned-cell list of the client's partition —
 	// the sharding map. Must have Config.RenderRanks entries.
@@ -137,9 +133,8 @@ type Client struct {
 	opts    Options
 	workers []*workerConn
 	seq     uint64
-	cm      *render.Colormap
-	colors  []color.RGBA // per-sample render-exact color LUT
-	core    []bool       // per-sample core selection; nil when absent
+	deriver *render.SampleDeriver
+	tables  render.SampleTables // the sample being sent
 
 	dropSite  *faults.Site
 	delaySite *faults.Site
@@ -179,8 +174,7 @@ func Dial(opts Options) (*Client, error) {
 	}
 	c := &Client{
 		opts:        opts,
-		cm:          render.OkuboWeissMap(),
-		colors:      make([]color.RGBA, opts.Mesh.NCells()),
+		deriver:     render.NewSampleDeriver(opts.Mesh, opts.Config.Fields[0], opts.Config.EddyCoreImages),
 		dropSite:    opts.Faults.Site("transit.drop"),
 		delaySite:   opts.Faults.Site("transit.delay"),
 		partSite:    opts.Faults.Site("transit.partition"),
@@ -296,7 +290,8 @@ func (c *Client) Close() error {
 func (c *Client) SendSample(simTime float64, field []float64) (SampleResult, error) {
 	seq := c.seq
 	c.seq++
-	if err := c.deriveTables(simTime, field); err != nil {
+	var err error
+	if c.tables, err = c.deriver.Derive(simTime, field); err != nil {
 		return SampleResult{}, err
 	}
 
@@ -345,49 +340,6 @@ func (c *Client) SendSample(simTime float64, field []float64) (SampleResult, err
 	return SampleResult{}, ErrUnavailable
 }
 
-// deriveTables computes the sample's render-exact tables from the field,
-// running the exact code the in-process visualize path runs — the same
-// symmetric normalization and colormap for the color LUT, the same
-// vizpipe threshold chain for the eddy-core selection — so rasterizing
-// them remotely reproduces the inproc frames byte for byte.
-func (c *Client) deriveTables(simTime float64, field []float64) error {
-	if len(field) != len(c.colors) {
-		return fmt.Errorf("intransit: field has %d cells, mesh has %d", len(field), len(c.colors))
-	}
-	norm := render.SymmetricRange(field)
-	for ci, v := range field {
-		c.colors[ci] = c.cm.At(norm.Normalize(v))
-	}
-	c.core = nil
-	if !c.opts.Config.EddyCoreImages {
-		return nil
-	}
-	th := ocean.OkuboWeissThreshold(field)
-	if th >= 0 {
-		return nil
-	}
-	ds, err := vizpipe.NewDataset(c.opts.Mesh, simTime)
-	if err != nil {
-		return err
-	}
-	fieldName := c.opts.Config.Fields[0]
-	if err := ds.AddField(fieldName, field); err != nil {
-		return err
-	}
-	chain := &vizpipe.Pipeline{}
-	if err := chain.Append(&vizpipe.Threshold{
-		Field: fieldName, Min: math.Inf(-1), Max: th,
-	}); err != nil {
-		return err
-	}
-	sel, err := chain.Execute(ds)
-	if err != nil {
-		return err
-	}
-	c.core = sel.Mask
-	return nil
-}
-
 // trySend delivers one sample to one worker, reconnecting and resending
 // within the retry budget. Any error invalidates the connection — after
 // a failure the two ends cannot agree on delta state, so the resend goes
@@ -416,14 +368,14 @@ func (c *Client) trySend(wc *workerConn, seq uint64, simTime float64, drop *bool
 }
 
 // sendOn performs one send attempt on a live connection, shipping the
-// sample's derived tables (c.colors, c.core) shard by shard.
+// sample's derived tables shard by shard.
 func (c *Client) sendOn(wc *workerConn, seq uint64, simTime float64, drop *bool) (SampleResult, error) {
 	var res SampleResult
 	wc.conn.SetDeadline(time.Now().Add(c.opts.IOTimeout))
 	wc.lane.Begin("transit.send")
 	defer wc.lane.End()
 	for r, cells := range c.opts.Cells {
-		payload, flags, rawLen := wc.senc.encode(uint32(r), 0, cells, c.colors, c.core)
+		payload, flags, rawLen := wc.senc.encode(uint32(r), 0, cells, c.tables.Colors, c.tables.Core)
 		if err := wc.enc.Encode(Frame{
 			Type: FrameShard, Flags: flags, Rank: uint32(r), Seq: seq, Payload: payload,
 		}); err != nil {

@@ -7,12 +7,12 @@ import (
 	"image/color"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
 	"insituviz/internal/cinemastore"
 	"insituviz/internal/mesh"
-	"insituviz/internal/partition"
 	"insituviz/internal/render"
 	"insituviz/internal/telemetry"
 	"insituviz/internal/trace"
@@ -55,21 +55,6 @@ func (c RunConfig) validate() error {
 	return nil
 }
 
-func sameConfig(a, b RunConfig) bool {
-	if len(a.Fields) != len(b.Fields) {
-		return false
-	}
-	for i := range a.Fields {
-		if a.Fields[i] != b.Fields[i] {
-			return false
-		}
-	}
-	return a.MeshSubdivisions == b.MeshSubdivisions &&
-		a.ImageWidth == b.ImageWidth && a.ImageHeight == b.ImageHeight &&
-		a.RenderRanks == b.RenderRanks && a.OrthoViews == b.OrthoViews &&
-		a.EddyCoreImages == b.EddyCoreImages
-}
-
 // The JSON message bodies riding on control frames.
 type helloMsg struct {
 	Codec  string    `json:"codec"`
@@ -110,7 +95,7 @@ type WorkerConfig struct {
 
 // Worker is the receiving end of the in-transit tier: it accepts client
 // connections, reassembles per-rank field shards into full samples,
-// renders them through the same render stack the in-process path uses,
+// renders them through the render.SampleRenderer the in-process path uses,
 // writes the frames into the shared store directory, and acks the store
 // entries back. Samples are deduplicated by sequence number, so a resend
 // after a reconnect is re-acked from cache instead of re-rendered.
@@ -119,7 +104,7 @@ type Worker struct {
 	cfg WorkerConfig
 
 	mu        sync.Mutex
-	st        *workerState
+	run       *workerRun
 	processed map[uint64][]byte // seq -> cached SampleAck payload
 	lastSeq   uint64
 	conns     map[net.Conn]bool
@@ -208,24 +193,17 @@ func (w *Worker) Close() error {
 	return err
 }
 
-// workerState is the render stack, built lazily at the first Hello (the
-// run configuration arrives there) and shared — mutex-serialized — by
-// every connection.
-type workerState struct {
-	cfg         RunConfig
-	msh         *mesh.Mesh
-	rast        *render.Rasterizer
-	masks       [][]bool
-	cells       [][]int
-	db          *render.CinemaDB
-	setRenderer *render.ImageSetRenderer
-	viewCams    []render.Camera
-	partials    []*image.RGBA
-	composited  *image.RGBA
-	coreFrame   *image.RGBA
+// workerRun is the run in progress — the shared sample renderer and the
+// store writer — built at the first Hello (the run configuration arrives
+// there) and shared, mutex-serialized, by every connection.
+type workerRun struct {
+	cfg    RunConfig
+	nCells int
+	sr     *render.SampleRenderer
+	db     *render.CinemaDB
 }
 
-func newWorkerState(rc RunConfig, wc WorkerConfig) (*workerState, error) {
+func newWorkerRun(rc RunConfig, wc WorkerConfig) (*workerRun, error) {
 	if err := rc.validate(); err != nil {
 		return nil, err
 	}
@@ -233,103 +211,24 @@ func newWorkerState(rc RunConfig, wc WorkerConfig) (*workerState, error) {
 	if err != nil {
 		return nil, err
 	}
-	rast, err := render.NewRasterizer(msh, rc.ImageWidth, rc.ImageHeight)
+	run := &workerRun{cfg: rc, nCells: msh.NCells()}
+	run.sr, err = render.NewSampleRenderer(msh, render.SampleConfig{
+		Field:      rc.Fields[0],
+		Width:      rc.ImageWidth,
+		Height:     rc.ImageHeight,
+		Ranks:      rc.RenderRanks,
+		OrthoViews: rc.OrthoViews,
+		Cores:      rc.EddyCoreImages,
+		Workers:    wc.RenderWorkers,
+	})
 	if err != nil {
 		return nil, err
 	}
-	rast.SetWorkers(wc.RenderWorkers)
-	part, err := partition.New(msh, rc.RenderRanks)
-	if err != nil {
+	if run.db, err = render.NewCinemaDB(wc.OutDir); err != nil {
 		return nil, err
 	}
-	st := &workerState{cfg: rc, msh: msh, rast: rast, masks: part.Masks()}
-	st.cells = make([][]int, rc.RenderRanks)
-	for r := range st.cells {
-		if st.cells[r], err = part.Cells(r); err != nil {
-			return nil, err
-		}
-	}
-	if st.db, err = render.NewCinemaDB(wc.OutDir); err != nil {
-		return nil, err
-	}
-	st.db.SetTelemetry(wc.Telemetry)
-	if rc.OrthoViews > 0 {
-		rig := render.DefaultCameraSet()
-		if rc.OrthoViews < len(rig) {
-			rig = rig[:rc.OrthoViews]
-		}
-		st.viewCams = rig
-		if st.setRenderer, err = render.NewImageSetRenderer(msh, rc.ImageHeight, rc.ImageHeight, rig); err != nil {
-			return nil, err
-		}
-		st.setRenderer.SetWorkers(wc.RenderWorkers)
-	}
-	st.partials = make([]*image.RGBA, len(st.masks))
-	for i := range st.partials {
-		st.partials[i] = rast.NewFrame()
-	}
-	st.composited = rast.NewFrame()
-	return st, nil
-}
-
-// renderSample mirrors the in-process visualize path exactly — same
-// rasterizers, same compositing, same frame order, same store writes —
-// from the render-exact tables the client shipped: the per-cell color
-// LUT the in-process renderer would derive, and (when core is non-nil)
-// the eddy-core selection mask. The frame bytes it produces are
-// identical to an inproc run's by construction.
-func (st *workerState) renderSample(simTime float64, colors []color.RGBA, core []bool) (sampleAckMsg, error) {
-	var ack sampleAckMsg
-	for i, mask := range st.masks {
-		if err := st.rast.RenderColorsOwnedInto(st.partials[i], colors, mask); err != nil {
-			return ack, err
-		}
-	}
-	if err := render.CompositeInto(st.composited, st.partials); err != nil {
-		return ack, err
-	}
-	if !render.FullyOpaque(st.composited) {
-		return ack, fmt.Errorf("intransit: composited image has holes")
-	}
-	fieldName := st.cfg.Fields[0]
-	store := func(img *image.RGBA, phi, theta float64, variable string) error {
-		e, err := st.db.AddImageEntry(img, simTime, phi, theta, variable)
-		if err != nil {
-			return err
-		}
-		ack.Entries = append(ack.Entries, e)
-		ack.Frames++
-		ack.Bytes += e.Bytes
-		return nil
-	}
-	if err := store(st.composited, 0, 0, fieldName); err != nil {
-		return ack, err
-	}
-	if st.setRenderer != nil {
-		views, err := st.setRenderer.RenderColorsFrames(colors)
-		if err != nil {
-			return ack, err
-		}
-		for v, img := range views {
-			if err := store(img, st.viewCams[v].Lon, st.viewCams[v].Lat,
-				fmt.Sprintf("%s_view%d", fieldName, v)); err != nil {
-				return ack, err
-			}
-		}
-	}
-	if core != nil {
-		if st.coreFrame == nil {
-			st.coreFrame = st.rast.NewFrame()
-		}
-		if err := st.rast.RenderColorsOwnedInto(st.coreFrame, colors, core); err != nil {
-			return ack, err
-		}
-		render.FillTransparent(st.coreFrame, render.Background)
-		if err := store(st.coreFrame, 0, 0, fieldName+"_cores"); err != nil {
-			return ack, err
-		}
-	}
-	return ack, nil
+	run.db.SetTelemetry(wc.Telemetry)
+	return run, nil
 }
 
 // handleSample renders (or re-acks) one complete sample under the worker
@@ -344,13 +243,26 @@ func (w *Worker) handleSample(seq uint64, simTime float64, colors []color.RGBA, 
 		w.mReacks.Inc()
 		return payload, nil
 	}
+	// The shipped tables go through the same SampleRenderer an inproc run
+	// renders with, so the stored frames are that run's bytes; the ack
+	// carries the store entries in emit order.
+	ack := sampleAckMsg{Seq: seq}
 	w.lane.Begin("transit.render")
-	ack, err := w.st.renderSample(simTime, colors, core)
+	err := w.run.sr.Render(render.SampleTables{Colors: colors, Core: core}, simTime,
+		func(img *image.RGBA, simTime, phi, theta float64, name string) error {
+			e, err := w.run.db.AddImageEntry(img, simTime, phi, theta, name)
+			if err != nil {
+				return err
+			}
+			ack.Entries = append(ack.Entries, e)
+			ack.Frames++
+			ack.Bytes += e.Bytes
+			return nil
+		})
 	w.lane.End()
 	if err != nil {
 		return nil, err
 	}
-	ack.Seq = seq
 	payload, err := json.Marshal(ack)
 	if err != nil {
 		return nil, err
@@ -406,21 +318,22 @@ func (w *Worker) serveConn(conn net.Conn) {
 		return
 	}
 	w.mu.Lock()
-	if w.st == nil {
-		w.st, err = newWorkerState(hello.Config, w.cfg)
-	} else if !sameConfig(w.st.cfg, hello.Config) {
+	if w.run == nil {
+		w.run, err = newWorkerRun(hello.Config, w.cfg)
+	} else if !reflect.DeepEqual(w.run.cfg, hello.Config) {
 		err = fmt.Errorf("intransit: hello config %+v conflicts with the run in progress", hello.Config)
 	}
-	st, lastSeq := w.st, w.lastSeq
+	run, lastSeq := w.run, w.lastSeq
 	w.mu.Unlock()
 	if err != nil {
 		w.fail(s, "%v", err)
 		return
 	}
 	s.sdec = newShardDecoder(codec)
-	s.colors = make([]color.RGBA, st.msh.NCells())
-	s.core = make([]bool, st.msh.NCells())
-	s.got = make([]bool, len(st.cells))
+	rankCells := run.sr.Cells()
+	s.colors = make([]color.RGBA, run.nCells)
+	s.core = make([]bool, run.nCells)
+	s.got = make([]bool, len(rankCells))
 	ackPayload, _ := json.Marshal(helloAckMsg{Codec: codec.Name(), LastSeq: lastSeq})
 	if err := s.enc.Encode(Frame{Type: FrameHelloAck, Payload: ackPayload}); err != nil {
 		return
@@ -445,8 +358,8 @@ func (w *Worker) serveConn(conn net.Conn) {
 				w.fail(s, "intransit: shard for sample %d while sample %d is staging", f.Seq, s.curSeq)
 				return
 			}
-			if int(f.Rank) >= len(st.cells) {
-				w.fail(s, "intransit: shard for rank %d of %d", f.Rank, len(st.cells))
+			if int(f.Rank) >= len(rankCells) {
+				w.fail(s, "intransit: shard for rank %d of %d", f.Rank, len(rankCells))
 				return
 			}
 			if f.Field != 0 {
@@ -464,7 +377,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 				w.fail(s, "intransit: rank %d shard core flag disagrees within sample %d", f.Rank, f.Seq)
 				return
 			}
-			cells := st.cells[f.Rank]
+			cells := rankCells[f.Rank]
 			v, err := s.sdec.decode(f.Rank, f.Field, f.Flags, f.Payload, len(cells))
 			if err != nil {
 				w.fail(s, "%v", err)

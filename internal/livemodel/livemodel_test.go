@@ -387,7 +387,7 @@ func TestSolve3Singular(t *testing.T) {
 	}
 }
 
-// BenchmarkLiveModelObserve is the benchsnap-tracked hot path: one
+// BenchmarkLiveModelObserve is the estimator's hot path: one
 // observation through the windowed estimator, telemetry attached.
 func BenchmarkLiveModelObserve(b *testing.B) {
 	reg := telemetry.NewRegistry()

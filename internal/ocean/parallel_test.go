@@ -125,8 +125,8 @@ func TestParallelForCoversRange(t *testing.T) {
 }
 
 func BenchmarkStepParallel10242Cells(b *testing.B) {
-	// The scaling matrix scripts/bench.sh records as BENCH_5: serial plus
-	// pooled runs at 1, 2, 4, and 8 workers.
+	// The solver scaling matrix: serial plus pooled runs at 1, 2, 4, and 8
+	// workers.
 	for _, workers := range []int{-1, 1, 2, 4, 8} {
 		name := map[int]string{-1: "serial", 1: "workers1", 2: "workers2", 4: "workers4", 8: "workers8"}[workers]
 		b.Run(name, func(b *testing.B) {

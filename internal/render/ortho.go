@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"insituviz/internal/mesh"
-	"insituviz/internal/workpool"
 )
 
 // Camera is a viewpoint for orthographic globe rendering, given as the
@@ -32,168 +31,27 @@ func DefaultCameraSet() []Camera {
 	}
 }
 
-// OrthoRasterizer draws the visible hemisphere of a spherical mesh as an
-// orthographic globe, the way an interactive viewer presents Cinema
-// imagery. The pixel-to-cell mapping is precomputed per (mesh, size,
-// camera). Like Rasterizer, it owns reusable scratch and must be used from
-// one goroutine at a time.
-type OrthoRasterizer struct {
-	Mesh   *mesh.Mesh
-	Width  int
-	Height int
-	View   Camera
-
-	workers int // fan-out budget; 0 = GOMAXPROCS
-
-	pixelCell []int // cell per pixel; -1 = background (off-globe)
-
-	colors  []color.RGBA // per-cell color LUT, reused across frames
-	envImg  *image.RGBA
-	rowLoop func(y0, y1 int)
-}
-
 // Background is the color drawn outside the globe's disk.
 var Background = color.RGBA{R: 12, G: 12, B: 16, A: 255}
 
-// NewOrthoRasterizer builds an orthographic rasterizer for the given
-// camera.
-func NewOrthoRasterizer(m *mesh.Mesh, width, height int, view Camera) (*OrthoRasterizer, error) {
-	if m == nil || m.NCells() == 0 {
-		return nil, fmt.Errorf("render: nil or empty mesh")
-	}
-	if width < 2 || height < 2 {
-		return nil, fmt.Errorf("render: image size %dx%d too small", width, height)
-	}
-	if width*height > 64<<20 {
-		return nil, fmt.Errorf("render: image size %dx%d too large", width, height)
-	}
-	r := &OrthoRasterizer{Mesh: m, Width: width, Height: height, View: view}
-	r.pixelCell = make([]int, width*height)
-
+// NewOrthoRasterizer builds a rasterizer that draws the visible hemisphere
+// of a spherical mesh as an orthographic globe seen from view, the way an
+// interactive viewer presents Cinema imagery, with Background outside the
+// globe's disk.
+func NewOrthoRasterizer(m *mesh.Mesh, width, height int, view Camera) (*Rasterizer, error) {
 	dir := mesh.FromLatLon(view.Lat, view.Lon)
 	east, north := mesh.TangentBasis(dir)
-	half := float64(minInt(width, height)) / 2
-
-	workpool.Run(height, tileChunks(height, 0), func(y0, y1 int) {
-		last := 0
-		for y := y0; y < y1; y++ {
-			py := (float64(height)/2 - (float64(y) + 0.5)) / half
-			for x := 0; x < width; x++ {
-				px := ((float64(x) + 0.5) - float64(width)/2) / half
-				rr := px*px + py*py
-				idx := y*width + x
-				if rr > 1 {
-					r.pixelCell[idx] = -1
-					continue
-				}
-				z := math.Sqrt(1 - rr)
-				p := east.Scale(px).Add(north.Scale(py)).Add(dir.Scale(z))
-				last = m.NearestCell(p, last)
-				r.pixelCell[idx] = last
-			}
+	half := float64(min(width, height)) / 2
+	return newRasterizer(m, width, height, func(x, y int) (mesh.Vec3, bool) {
+		py := (float64(height)/2 - (float64(y) + 0.5)) / half
+		px := ((float64(x) + 0.5) - float64(width)/2) / half
+		rr := px*px + py*py
+		if rr > 1 {
+			return mesh.Vec3{}, false
 		}
+		z := math.Sqrt(1 - rr)
+		return east.Scale(px).Add(north.Scale(py)).Add(dir.Scale(z)), true
 	})
-
-	r.rowLoop = func(y0, y1 int) {
-		img := r.envImg
-		for y := y0; y < y1; y++ {
-			row := img.Pix[y*img.Stride : y*img.Stride+4*r.Width]
-			for x := 0; x < r.Width; x++ {
-				c := Background
-				if ci := r.pixelCell[y*r.Width+x]; ci >= 0 {
-					c = r.colors[ci]
-				}
-				o := 4 * x
-				row[o] = c.R
-				row[o+1] = c.G
-				row[o+2] = c.B
-				row[o+3] = c.A
-			}
-		}
-	}
-	return r, nil
-}
-
-// SetWorkers caps the render fan-out at n concurrent tiles (0 restores the
-// GOMAXPROCS default); see Rasterizer.SetWorkers.
-func (r *OrthoRasterizer) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.workers = n
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// NewFrame allocates an RGBA frame sized for the rasterizer, for reuse
-// with RenderInto.
-func (r *OrthoRasterizer) NewFrame() *image.RGBA {
-	return image.NewRGBA(image.Rect(0, 0, r.Width, r.Height))
-}
-
-// CellForPixel returns the mesh cell at pixel (x, y), or -1 for
-// background.
-func (r *OrthoRasterizer) CellForPixel(x, y int) (int, error) {
-	if x < 0 || x >= r.Width || y < 0 || y >= r.Height {
-		return 0, fmt.Errorf("render: pixel (%d,%d) outside %dx%d", x, y, r.Width, r.Height)
-	}
-	return r.pixelCell[y*r.Width+x], nil
-}
-
-// Render draws the field as an orthographic globe into a new image.
-func (r *OrthoRasterizer) Render(field []float64, cm *Colormap, n Normalizer) (*image.RGBA, error) {
-	img := r.NewFrame()
-	if err := r.RenderInto(img, field, cm, n); err != nil {
-		return nil, err
-	}
-	return img, nil
-}
-
-// RenderInto draws the field into img, a frame from NewFrame (or any RGBA
-// image of the rasterizer's exact size), overwriting every pixel.
-func (r *OrthoRasterizer) RenderInto(img *image.RGBA, field []float64, cm *Colormap, n Normalizer) error {
-	if len(field) != r.Mesh.NCells() {
-		return fmt.Errorf("render: field has %d cells, want %d", len(field), r.Mesh.NCells())
-	}
-	if cm == nil {
-		return fmt.Errorf("render: nil colormap")
-	}
-	if img == nil || img.Bounds() != image.Rect(0, 0, r.Width, r.Height) {
-		return fmt.Errorf("render: frame must be %dx%d at the origin", r.Width, r.Height)
-	}
-	if len(r.colors) != len(field) {
-		r.colors = make([]color.RGBA, len(field))
-	}
-	for ci, v := range field {
-		r.colors[ci] = cm.At(n.Normalize(v))
-	}
-	r.envImg = img
-	workpool.Run(r.Height, tileChunks(r.Height, r.workers), r.rowLoop)
-	return nil
-}
-
-// RenderColorsInto is RenderInto with the per-cell color table
-// precomputed by the caller instead of derived from a field — the
-// in-transit tier's entry point; see Rasterizer.RenderColorsOwnedInto.
-func (r *OrthoRasterizer) RenderColorsInto(img *image.RGBA, colors []color.RGBA) error {
-	if len(colors) != r.Mesh.NCells() {
-		return fmt.Errorf("render: color table has %d cells, want %d", len(colors), r.Mesh.NCells())
-	}
-	if img == nil || img.Bounds() != image.Rect(0, 0, r.Width, r.Height) {
-		return fmt.Errorf("render: frame must be %dx%d at the origin", r.Width, r.Height)
-	}
-	if len(r.colors) != len(colors) {
-		r.colors = make([]color.RGBA, len(colors))
-	}
-	copy(r.colors, colors)
-	r.envImg = img
-	workpool.Run(r.Height, tileChunks(r.Height, r.workers), r.rowLoop)
-	return nil
 }
 
 // ImageSet renders one field from every camera of a rig — the "set of
@@ -212,8 +70,9 @@ func ImageSet(m *mesh.Mesh, field []float64, cm *Colormap, n Normalizer,
 // ImageSetRenderer holds per-camera rasterizers (and reusable frames) for
 // repeated image-set rendering.
 type ImageSetRenderer struct {
-	rasters []*OrthoRasterizer
+	rasters []*Rasterizer
 	frames  []*image.RGBA
+	colors  []color.RGBA // per-cell color LUT of RenderFrames, reused across calls
 }
 
 // NewImageSetRenderer precomputes rasterizers for every camera.
@@ -257,27 +116,22 @@ func (sr *ImageSetRenderer) Render(field []float64, cm *Colormap, n Normalizer) 
 }
 
 // RenderFrames draws the field from every camera into the renderer's
-// internal frames and returns them. The frames are reused: they are valid
-// only until the next RenderFrames call, which makes steady-state
-// multi-view rendering allocation-free.
+// internal frames and returns them: the colors are derived once, then every
+// camera takes the color path. The frames are reused: they are valid only
+// until the next RenderFrames call, which makes steady-state multi-view
+// rendering allocation-free.
 func (sr *ImageSetRenderer) RenderFrames(field []float64, cm *Colormap, n Normalizer) ([]*image.RGBA, error) {
-	if sr.frames == nil {
-		sr.frames = make([]*image.RGBA, len(sr.rasters))
-		for i, r := range sr.rasters {
-			sr.frames[i] = r.NewFrame()
-		}
+	colors, err := fieldColors(sr.colors, sr.rasters[0].Mesh.NCells(), field, cm, n)
+	if err != nil {
+		return nil, err
 	}
-	for i, r := range sr.rasters {
-		if err := r.RenderInto(sr.frames[i], field, cm, n); err != nil {
-			return nil, err
-		}
-	}
-	return sr.frames, nil
+	sr.colors = colors
+	return sr.RenderColorsFrames(colors)
 }
 
 // RenderColorsFrames is RenderFrames with the per-cell color table
-// precomputed by the caller — the in-transit tier's entry point. The
-// frames are reused and valid only until the next render call.
+// precomputed by the caller. The frames are reused and valid only until
+// the next render call.
 func (sr *ImageSetRenderer) RenderColorsFrames(colors []color.RGBA) ([]*image.RGBA, error) {
 	if sr.frames == nil {
 		sr.frames = make([]*image.RGBA, len(sr.rasters))
@@ -286,7 +140,7 @@ func (sr *ImageSetRenderer) RenderColorsFrames(colors []color.RGBA) ([]*image.RG
 		}
 	}
 	for i, r := range sr.rasters {
-		if err := r.RenderColorsInto(sr.frames[i], colors); err != nil {
+		if err := r.RenderColorsOwnedInto(sr.frames[i], colors, nil); err != nil {
 			return nil, err
 		}
 	}

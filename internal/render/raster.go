@@ -11,10 +11,11 @@ import (
 	"insituviz/internal/workpool"
 )
 
-// Rasterizer draws cell-centered fields of a spherical mesh onto an
-// equirectangular (longitude-latitude) image, the projection the paper's
-// Fig. 2 uses. The pixel-to-cell mapping is precomputed once per
-// (mesh, size) pair since it depends only on geometry.
+// Rasterizer draws cell-centered fields of a spherical mesh onto an image
+// through a precomputed pixel-to-cell mapping, which depends only on
+// geometry: NewRasterizer maps an equirectangular (longitude-latitude)
+// image, the projection the paper's Fig. 2 uses; NewOrthoRasterizer maps an
+// orthographic globe.
 //
 // A Rasterizer owns scratch buffers (the per-cell color table and the bound
 // row loop of the Into variants), so it must be used from one goroutine at
@@ -27,18 +28,28 @@ type Rasterizer struct {
 
 	workers int // fan-out budget; 0 = GOMAXPROCS
 
-	pixelCell []int // cell index per pixel, row-major
+	pixelCell []int // color-table index per pixel, row-major: the cell, or NCells off the globe
 
-	colors   []color.RGBA // per-cell color LUT, reused across frames
+	colors   []color.RGBA // per-cell color LUT reused across frames, plus Background at NCells
 	envImg   *image.RGBA  // operands of the bound row loop
 	envOwned []bool
 	rowLoop  func(y0, y1 int)
 }
 
-// NewRasterizer builds a rasterizer of the given image size. Typical sizes
-// are small — Cinema-style image databases trade resolution for
-// interactivity — so a few hundred pixels across is the norm.
+// NewRasterizer builds an equirectangular rasterizer of the given image
+// size. Typical sizes are small — Cinema-style image databases trade
+// resolution for interactivity — so a few hundred pixels across is the norm.
 func NewRasterizer(m *mesh.Mesh, width, height int) (*Rasterizer, error) {
+	return newRasterizer(m, width, height, func(x, y int) (mesh.Vec3, bool) {
+		lat := math.Pi/2 - (float64(y)+0.5)/float64(height)*math.Pi
+		lon := -math.Pi + (float64(x)+0.5)/float64(width)*2*math.Pi
+		return mesh.FromLatLon(lat, lon), true
+	})
+}
+
+// newRasterizer precomputes the pixel-to-cell mapping under project, which
+// returns the unit-sphere point a pixel shows, or false off the globe.
+func newRasterizer(m *mesh.Mesh, width, height int, project func(x, y int) (mesh.Vec3, bool)) (*Rasterizer, error) {
 	if m == nil || m.NCells() == 0 {
 		return nil, fmt.Errorf("render: nil or empty mesh")
 	}
@@ -50,6 +61,9 @@ func NewRasterizer(m *mesh.Mesh, width, height int) (*Rasterizer, error) {
 	}
 	r := &Rasterizer{Mesh: m, Width: width, Height: height}
 	r.pixelCell = make([]int, width*height)
+	offGlobe := m.NCells()
+	r.colors = make([]color.RGBA, offGlobe+1)
+	r.colors[offGlobe] = Background
 
 	// Precompute the mapping in parallel row bands. Within a row the walk
 	// search starts from the previous pixel's cell, so lookups are O(1)
@@ -57,10 +71,13 @@ func NewRasterizer(m *mesh.Mesh, width, height int) (*Rasterizer, error) {
 	workpool.Run(height, tileChunks(height, 0), func(y0, y1 int) {
 		last := 0
 		for y := y0; y < y1; y++ {
-			lat := math.Pi/2 - (float64(y)+0.5)/float64(height)*math.Pi
 			for x := 0; x < width; x++ {
-				lon := -math.Pi + (float64(x)+0.5)/float64(width)*2*math.Pi
-				last = m.NearestCell(mesh.FromLatLon(lat, lon), last)
+				p, ok := project(x, y)
+				if !ok {
+					r.pixelCell[y*width+x] = offGlobe
+					continue
+				}
+				last = m.NearestCell(p, last)
 				r.pixelCell[y*width+x] = last
 			}
 		}
@@ -75,9 +92,10 @@ func NewRasterizer(m *mesh.Mesh, width, height int) (*Rasterizer, error) {
 			for x := 0; x < r.Width; x++ {
 				ci := r.pixelCell[y*r.Width+x]
 				o := 4 * x
-				if owned != nil && !owned[ci] {
+				if owned != nil && ci < len(owned) && !owned[ci] {
 					// Explicitly transparent, so reused frames carry no
-					// stale pixels from the previous mask.
+					// stale pixels from the previous mask. Off-globe pixels
+					// belong to no cell and stay Background under any mask.
 					row[o] = 0
 					row[o+1] = 0
 					row[o+2] = 0
@@ -130,12 +148,16 @@ func (r *Rasterizer) NewFrame() *image.RGBA {
 	return image.NewRGBA(image.Rect(0, 0, r.Width, r.Height))
 }
 
-// CellForPixel returns the mesh cell rendered at pixel (x, y).
+// CellForPixel returns the mesh cell rendered at pixel (x, y), or -1 for
+// background.
 func (r *Rasterizer) CellForPixel(x, y int) (int, error) {
 	if x < 0 || x >= r.Width || y < 0 || y >= r.Height {
 		return 0, fmt.Errorf("render: pixel (%d,%d) outside %dx%d", x, y, r.Width, r.Height)
 	}
-	return r.pixelCell[y*r.Width+x], nil
+	if ci := r.pixelCell[y*r.Width+x]; ci < r.Mesh.NCells() {
+		return ci, nil
+	}
+	return -1, nil
 }
 
 // Render draws the field with the given colormap and normalization into a
@@ -177,10 +199,10 @@ func (r *Rasterizer) RenderOwnedInto(img *image.RGBA, field []float64, cm *Color
 }
 
 // RenderColorsOwnedInto is RenderOwnedInto with the per-cell color table
-// precomputed by the caller instead of derived from a field. This is the
-// in-transit tier's entry point: the sim ships the exact colors its own
-// renderer would derive, so a worker rasterizing them produces
-// byte-identical frames. owned may be nil to draw every cell.
+// precomputed by the caller instead of derived from a field — the path
+// every sample frame takes (see SampleRenderer): the sim derives the table
+// once and any process rasterizing it produces byte-identical frames.
+// owned may be nil to draw every cell.
 func (r *Rasterizer) RenderColorsOwnedInto(img *image.RGBA, colors []color.RGBA, owned []bool) error {
 	if len(colors) != r.Mesh.NCells() {
 		return fmt.Errorf("render: color table has %d cells, want %d", len(colors), r.Mesh.NCells())
@@ -191,36 +213,37 @@ func (r *Rasterizer) RenderColorsOwnedInto(img *image.RGBA, colors []color.RGBA,
 	if img == nil || img.Bounds() != image.Rect(0, 0, r.Width, r.Height) {
 		return fmt.Errorf("render: frame must be %dx%d at the origin", r.Width, r.Height)
 	}
-	if len(r.colors) != len(colors) {
-		r.colors = make([]color.RGBA, len(colors))
-	}
 	copy(r.colors, colors)
 	r.envImg, r.envOwned = img, owned
 	workpool.Run(r.Height, tileChunks(r.Height, r.workers), r.rowLoop)
 	return nil
 }
 
+// renderOwnedInto is the field entry points' body: derive the colors, then
+// the color path.
 func (r *Rasterizer) renderOwnedInto(img *image.RGBA, field []float64, cm *Colormap, n Normalizer, owned []bool) error {
-	if len(field) != r.Mesh.NCells() {
-		return fmt.Errorf("render: field has %d cells, want %d", len(field), r.Mesh.NCells())
+	colors, err := fieldColors(r.colors[:r.Mesh.NCells()], r.Mesh.NCells(), field, cm, n)
+	if err != nil {
+		return err
+	}
+	return r.RenderColorsOwnedInto(img, colors, owned)
+}
+
+// fieldColors fills buf (reallocated when its size differs) with each
+// cell's color under cm and n. Color lookup is per cell, not per pixel, so
+// every renderer computes the table once and rasterizes from it.
+func fieldColors(buf []color.RGBA, nCells int, field []float64, cm *Colormap, n Normalizer) ([]color.RGBA, error) {
+	if len(field) != nCells {
+		return nil, fmt.Errorf("render: field has %d cells, want %d", len(field), nCells)
 	}
 	if cm == nil {
-		return fmt.Errorf("render: nil colormap")
+		return nil, fmt.Errorf("render: nil colormap")
 	}
-	if img == nil || img.Bounds() != image.Rect(0, 0, r.Width, r.Height) {
-		return fmt.Errorf("render: frame must be %dx%d at the origin", r.Width, r.Height)
-	}
-
-	// Color lookup is per cell, not per pixel: compute each cell's color
-	// once into the reused table.
-	if len(r.colors) != len(field) {
-		r.colors = make([]color.RGBA, len(field))
+	if len(buf) != nCells {
+		buf = make([]color.RGBA, nCells)
 	}
 	for ci, v := range field {
-		r.colors[ci] = cm.At(n.Normalize(v))
+		buf[ci] = cm.At(n.Normalize(v))
 	}
-
-	r.envImg, r.envOwned = img, owned
-	workpool.Run(r.Height, tileChunks(r.Height, r.workers), r.rowLoop)
-	return nil
+	return buf, nil
 }

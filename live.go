@@ -3,8 +3,6 @@ package insituviz
 import (
 	"errors"
 	"fmt"
-	"image"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -17,7 +15,6 @@ import (
 	"insituviz/internal/mesh"
 	"insituviz/internal/ncfile"
 	"insituviz/internal/ocean"
-	"insituviz/internal/partition"
 	"insituviz/internal/pio"
 	"insituviz/internal/power"
 	"insituviz/internal/provenance"
@@ -25,7 +22,6 @@ import (
 	"insituviz/internal/telemetry"
 	"insituviz/internal/trace"
 	"insituviz/internal/units"
-	"insituviz/internal/vizpipe"
 	"insituviz/internal/workpool"
 )
 
@@ -306,18 +302,21 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	}
 	dt := model.SuggestedTimestep(meanDepth)
 
-	rast, err := render.NewRasterizer(msh, cfg.ImageWidth, cfg.ImageHeight)
+	// One sample renderer defines a sample's image set for either transport:
+	// in-process it rasterizes; in transit the workers hold its twin and
+	// this one supplies the sharding map and the frame count.
+	sr, err := render.NewSampleRenderer(msh, render.SampleConfig{
+		Field:      "okubo_weiss",
+		Width:      cfg.ImageWidth,
+		Height:     cfg.ImageHeight,
+		Ranks:      cfg.RenderRanks,
+		OrthoViews: cfg.OrthoViews,
+		Cores:      cfg.EddyCoreImages,
+		Workers:    cfg.RenderWorkers,
+	})
 	if err != nil {
 		return nil, err
 	}
-	rast.SetWorkers(cfg.RenderWorkers)
-	// Rendering ranks own spatially compact RCB blocks, as MPAS ranks do;
-	// the partition also yields the per-step halo-exchange volume.
-	part, err := partition.New(msh, cfg.RenderRanks)
-	if err != nil {
-		return nil, err
-	}
-	masks := part.Masks()
 	db, err := render.NewCinemaDB(filepath.Join(cfg.OutputDir, "cinema"))
 	if err != nil {
 		return nil, err
@@ -328,38 +327,51 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var setRenderer *render.ImageSetRenderer
-	var viewCams []render.Camera // the rig, for the database's camera axes
-	if cfg.OrthoViews > 0 {
-		rig := render.DefaultCameraSet()
-		if cfg.OrthoViews < len(rig) {
-			rig = rig[:cfg.OrthoViews]
-		}
-		viewCams = rig
-		if setRenderer, err = render.NewImageSetRenderer(msh, cfg.ImageHeight, cfg.ImageHeight, rig); err != nil {
-			return nil, err
-		}
-		setRenderer.SetWorkers(cfg.RenderWorkers)
-	}
 
-	// In-transit tier: with the "tcp" transport each sample's field is
-	// sharded by the same partition and shipped to the viz workers, which
-	// render and store the frames into this run's cinema directory; the
-	// sim adopts their entries and commits the one index over them.
-	var tc *intransit.Client
+	res := &LiveResult{OutputDir: cfg.OutputDir}
+	res.HaloBytesPerField = Bytes(sr.Exchange().BytesPerField)
+	mCrashes := reg.Counter("render.rank.crashes")
+	mFailover := reg.Counter("render.failover")
+
+	// The render step is picked once: either transport turns one sampled
+	// field into committed frames and reports what that cost. closeViz
+	// releases the step (idempotent) and surfaces any write error a sample
+	// did not live to collect.
+	var renderStep func(simTime float64, field []float64) (sampleCost, error)
+	var closeViz func() error
 	switch cfg.Transport {
 	case "", "inproc":
+		lv := &localViz{
+			sr: sr,
+			// The encode+store stage runs behind the renders: Submit stages
+			// a copy and the encoder goroutine drains in order, so each
+			// frame's PNG encode overlaps the next frame's rasterization.
+			pw:         render.NewPipelinedCinemaWriter(db, 4),
+			res:        res,
+			rankSite:   cfg.Faults.Site("render.rank"),
+			rankLanes:  make([]*trace.Lane, cfg.RenderRanks),
+			alive:      make([]bool, cfg.RenderRanks),
+			aliveCount: cfg.RenderRanks,
+			mCrashes:   mCrashes,
+			mFailover:  mFailover,
+		}
+		// Each rendering rank gets its own timeline lane (nil-safe: a nil
+		// tracer yields nil lanes, which no-op) so the Perfetto view shows
+		// the partial renders side by side.
+		for i := range lv.alive {
+			lv.rankLanes[i] = cfg.Tracer.Lane(fmt.Sprintf("render.rank%d", i))
+			lv.alive[i] = true
+		}
+		renderStep, closeViz = lv.render, lv.pw.Close
 	case "tcp":
+		// In-transit tier: each sample's tables are sharded by the same
+		// partition and shipped to the viz workers, which render and store
+		// the frames into this run's cinema directory; the sim adopts their
+		// entries and commits the one index over them.
 		if len(cfg.VizWorkers) == 0 {
 			return nil, fmt.Errorf("insituviz: transport tcp needs LiveConfig.VizWorkers")
 		}
-		cells := make([][]int, len(masks))
-		for r := range cells {
-			if cells[r], err = part.Cells(r); err != nil {
-				return nil, err
-			}
-		}
-		tc, err = intransit.Dial(intransit.Options{
+		tc, err := intransit.Dial(intransit.Options{
 			Workers: cfg.VizWorkers,
 			Codec:   cfg.TransitCodec,
 			Config: intransit.RunConfig{
@@ -372,7 +384,7 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 				Fields:           []string{"okubo_weiss"},
 			},
 			Mesh:      msh,
-			Cells:     cells,
+			Cells:     sr.Cells(),
 			Telemetry: reg,
 			Tracer:    cfg.Tracer,
 			Faults:    cfg.Faults,
@@ -380,67 +392,42 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer tc.Close()
+		// Transport faults reconnect-and-resume inside SendSample; only a
+		// fully exhausted worker ring surfaces (as ErrUnavailable). S_io is
+		// the measured wire volume — the real network cost the in-transit
+		// tier exists to expose to the fit.
+		renderStep = func(simTime float64, field []float64) (sampleCost, error) {
+			sres, err := tc.SendSample(simTime, field)
+			if err != nil {
+				return sampleCost{}, err
+			}
+			for _, e := range sres.Entries {
+				if err := db.Adopt(e); err != nil {
+					return sampleCost{}, err
+				}
+			}
+			return sampleCost{frames: sres.Frames, bytes: sres.Bytes,
+				sioBytes: sres.WireBytes, ioStall: float64(sres.Stall)}, nil
+		}
+		closeViz = tc.Close
 	default:
 		return nil, fmt.Errorf("insituviz: unknown transport %q (want inproc or tcp)", cfg.Transport)
 	}
-
-	// The encode+store stage runs behind the renders: Submit stages a copy
-	// and the encoder goroutine drains in order, so each frame's PNG encode
-	// overlaps the next frame's rasterization. Every sample flushes before
-	// returning, which is when the frame/byte accounting lands.
-	pw := render.NewPipelinedCinemaWriter(db, 4)
-	defer pw.Close()
-
-	res := &LiveResult{OutputDir: cfg.OutputDir}
-	res.HaloBytesPerField = Bytes(part.Exchange().BytesPerField)
-
-	// Steady-state buffers, allocated once and reused every sample: the
-	// per-rank partial frames, the composite destination, and (lazily) the
-	// eddy-core frame. Everything the per-sample loop writes lands in one
-	// of these or in the Cinema encoder's reused buffer.
-	partials := make([]*image.RGBA, len(masks))
-	for i := range partials {
-		partials[i] = rast.NewFrame()
-	}
-	composited := rast.NewFrame()
-	var coreFrame *image.RGBA
+	defer closeViz()
 
 	// Sampling points are rare (a handful per run), so the per-sample
 	// visualization span times every entry rather than sampling.
 	sampleSpan := reg.Span("live.sample.time", 1)
 
-	// Timeline lanes (nil-safe: a nil tracer yields nil lanes, which
-	// no-op). The driver lane carries the phase step function the
-	// attribution consumes; each rendering rank gets its own lane so the
-	// Perfetto view shows the partial renders side by side.
+	// The driver lane carries the phase step function the attribution
+	// consumes.
 	drv := cfg.Tracer.Lane("driver")
-	rankLanes := make([]*trace.Lane, len(masks))
-	for i := range rankLanes {
-		rankLanes[i] = cfg.Tracer.Lane(fmt.Sprintf("render.rank%d", i))
-	}
 
-	// Chaos state: the fault sites the sampling path consults and the
-	// liveness of each render rank. A nil injector yields nil sites, so a
-	// fault-free run pays one pointer test per consult.
+	// Chaos state: a nil injector yields nil sites, so a fault-free run
+	// pays one pointer test per consult.
 	vizSite := cfg.Faults.Site("viz.sample")
-	rankSite := cfg.Faults.Site("render.rank")
-	alive := make([]bool, len(masks))
-	for i := range alive {
-		alive[i] = true
-	}
-	aliveCount := len(masks)
-	mCrashes := reg.Counter("render.rank.crashes")
-	mFailover := reg.Counter("render.failover")
 	mDroppedSamples := reg.Counter("live.samples.dropped")
 	mDroppedFrames := reg.Counter("live.frames.dropped")
-	// framesPerSample is how many frames one sample commits to the
-	// database — the equirectangular map, the ortho views, and the eddy-
-	// core image when enabled — i.e. what a dropped sample costs.
-	framesPerSample := 1 + len(viewCams)
-	if cfg.EddyCoreImages {
-		framesPerSample++
-	}
 	// Live-model wiring: the estimator publishes model.* metrics into
 	// this run's registry and announces anomalies as driver-lane Instant
 	// events. Observations are synthesized through the deterministic
@@ -460,61 +447,60 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		})
 	}
 
-	// standIn returns the surviving rank that renders dead rank i's
-	// block, walking the ring to the next alive rank.
-	standIn := func(i int) int {
-		for j := (i + 1) % len(masks); j != i; j = (j + 1) % len(masks) {
-			if alive[j] {
-				return j
-			}
+	// settle is the tail every sample ends in — account, observe, track.
+	// A dropped sample (blown viz deadline, exhausted in-transit worker
+	// ring) degrades gracefully: its frames are accounted as dropped,
+	// recorded as a "degraded" phase on the driver lane, and the tracker
+	// advances empty; it commits nothing but still burns its simulated
+	// window plus any injected stall — the excess the viz-overload
+	// detector exists to catch.
+	settle := func(simTime float64, c sampleCost, eddies []eddy.Eddy, dropped bool) error {
+		if dropped {
+			drv.Begin("degraded")
+			drv.End()
+			mDroppedSamples.Inc()
+			mDroppedFrames.Add(int64(sr.FramesPerSample()))
+			res.DroppedSamples++
+			res.DroppedFrames += sr.FramesPerSample()
 		}
-		return i
-	}
-
-	// dropSample is the graceful-degradation path shared by a blown viz
-	// deadline and an exhausted in-transit worker ring: the sample's
-	// frames are dropped and accounted — recorded as a "degraded" phase
-	// on the driver lane — and the tracker advances empty. stall is the
-	// injected delay the dropped sample still burned.
-	dropSample := func(simTime, stall float64) error {
-		drv.Begin("degraded")
-		drv.End()
-		mDroppedSamples.Inc()
-		mDroppedFrames.Add(int64(framesPerSample))
-		res.DroppedSamples++
-		res.DroppedFrames += framesPerSample
-		res.EddiesPerSample = append(res.EddiesPerSample, 0)
+		res.Images += c.frames
+		res.ImageBytes += Bytes(c.bytes)
+		res.EddiesPerSample = append(res.EddiesPerSample, len(eddies))
 		if cfg.Model != nil {
-			// A dropped sample commits nothing but still burns its
-			// simulated window plus the injected stall — the excess
-			// the viz-overload detector exists to catch.
-			obs := costRef.Observation(simTime-lastModelSim, 0, 0, 0, stall)
+			if !dropped {
+				if f, ok := ioSite.Next(); ok && f.Kind == faults.KindStall {
+					c.ioStall += float64(f.Stall)
+				}
+			}
+			obs := costRef.Observation(simTime-lastModelSim,
+				float64(c.sioBytes)/1e9, float64(c.frames), c.ioStall, c.vizStall)
 			obs.TS = float64(cfg.Tracer.Now()) / 1e9
 			lastModelSim = simTime
 			cfg.Model.Observe(obs)
 		}
-		return tracker.Advance(simTime, nil)
+		return tracker.Advance(simTime, eddies)
 	}
 
 	// detect runs the sim-side analysis of one sampled field: the Okubo-
-	// Weiss threshold, eddy detection, and the spin census. Shared by
-	// both transports — detection and tracking stay on the sim even when
-	// rendering is remote, because the tracker's state must see every
-	// sample in order.
-	detect := func(field, cellVort []float64) (eddies []eddy.Eddy, th float64, err error) {
-		th = ocean.OkuboWeissThreshold(field)
+	// Weiss threshold, eddy detection, and the spin census. Detection and
+	// tracking stay on the sim even when rendering is remote, because the
+	// tracker's state must see every sample in order. cellVort, when
+	// non-nil, is the cell vorticity derived from the same diagnostics
+	// evaluation as the field and classifies eddy rotation sense.
+	detect := func(field, cellVort []float64) (eddies []eddy.Eddy, err error) {
+		th := ocean.OkuboWeissThreshold(field)
 		drv.Begin("viz.detect")
 		defer drv.End()
 		if th < 0 {
 			if eddies, err = eddy.Detect(msh, field, th, 2); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 		if cellVort != nil {
 			for i := range eddies {
 				spin, err := eddy.ClassifySpin(msh, eddies[i], cellVort)
 				if err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 				switch spin {
 				case eddy.SpinCyclonic:
@@ -524,196 +510,37 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 				}
 			}
 		}
-		return eddies, th, nil
+		return eddies, nil
 	}
 
-	// visualize renders one Okubo-Weiss snapshot with the parallel
-	// rank-partitioned renderer, stores it in the Cinema database, and
-	// feeds the eddy tracker. cellVort, when non-nil, is the cell
-	// vorticity derived from the same diagnostics evaluation as the field
-	// and is used to classify eddy rotation sense.
+	// visualize is the one sampling path: deadline, render, detect, then
+	// the settle tail.
 	visualize := func(simTime float64, field, cellVort []float64) error {
 		tm := sampleSpan.Start()
 		defer tm.End()
 		// Deadline check first: an injected stall at or beyond the budget
-		// means this sample's visualization would not finish in time. The
-		// degraded path drops the sample's frames — recorded as a
-		// "degraded" phase on the driver lane — rather than stalling the
-		// solver behind it.
+		// means this sample's visualization would not finish in time, and
+		// it is dropped rather than stalling the solver behind it.
 		if f, ok := vizSite.Next(); ok && f.Kind == faults.KindStall &&
 			cfg.VizDeadline > 0 && f.Stall >= cfg.VizDeadline {
-			return dropSample(simTime, float64(f.Stall))
+			return settle(simTime, sampleCost{vizStall: float64(f.Stall)}, nil, true)
 		}
 		drv.Begin("viz.sample")
 		defer drv.End()
-
-		if tc != nil {
-			// In-transit path: ship the shards, adopt the frames the
-			// worker stored, and keep detection local. Transport faults
-			// reconnect-and-resume inside SendSample; only a fully
-			// exhausted worker ring degrades, with accounting identical
-			// to the rank-crash path.
-			drv.Begin("viz.render")
-			sres, err := tc.SendSample(simTime, field)
-			drv.End()
-			if err != nil {
-				if !errors.Is(err, intransit.ErrUnavailable) {
-					return err
-				}
-				return dropSample(simTime, 0)
-			}
-			for _, e := range sres.Entries {
-				if err := db.Adopt(e); err != nil {
-					return err
-				}
-			}
-			res.Images += sres.Frames
-			res.ImageBytes += Bytes(sres.Bytes)
-			eddies, _, err := detect(field, cellVort)
-			if err != nil {
-				return err
-			}
-			res.EddiesPerSample = append(res.EddiesPerSample, len(eddies))
-			if cfg.Model != nil {
-				var ioStall float64
-				if f, ok := ioSite.Next(); ok && f.Kind == faults.KindStall {
-					ioStall = float64(f.Stall)
-				}
-				// S_io is the measured wire volume — the real network
-				// cost the in-transit tier exists to expose to the fit.
-				obs := costRef.Observation(simTime-lastModelSim,
-					float64(sres.WireBytes)/1e9, float64(sres.Frames),
-					ioStall+float64(sres.Stall), 0)
-				obs.TS = float64(cfg.Tracer.Now()) / 1e9
-				lastModelSim = simTime
-				cfg.Model.Observe(obs)
-			}
-			return tracker.Advance(simTime, eddies)
-		}
-		// Crash roulette: each still-alive rank consults the injector
-		// once per sample. A crash kills the rank for the rest of the
-		// run; its blocks fail over below. The last survivor is immune —
-		// total loss is a run failure, not graceful degradation.
-		for i := range masks {
-			if !alive[i] || aliveCount <= 1 {
-				continue
-			}
-			if f, ok := rankSite.Next(); ok && f.Kind == faults.KindCrash {
-				alive[i] = false
-				aliveCount--
-				mCrashes.Inc()
-				res.RankCrashes++
-				rankLanes[i].Instant("rank.crash")
-			}
-		}
-		norm := render.SymmetricRange(field)
-		cm := render.OkuboWeissMap()
 		drv.Begin("viz.render")
-		for i, mask := range masks {
-			owner := i
-			if !alive[i] {
-				owner = standIn(i)
-				mFailover.Inc()
-				res.Failovers++
-			}
-			rankLanes[owner].Begin("render.rank")
-			err := rast.RenderOwnedInto(partials[i], field, cm, norm, mask)
-			rankLanes[owner].End()
-			if err != nil {
-				return err
-			}
-		}
-		err := render.CompositeInto(composited, partials)
+		cost, err := renderStep(simTime, field)
 		drv.End()
+		if errors.Is(err, intransit.ErrUnavailable) {
+			return settle(simTime, sampleCost{}, nil, true)
+		}
 		if err != nil {
 			return err
 		}
-		if !render.FullyOpaque(composited) {
-			return fmt.Errorf("insituviz: composited image has holes")
-		}
-		if err := pw.Submit(composited, simTime, 0, 0, "okubo_weiss"); err != nil {
-			return err
-		}
-
-		if setRenderer != nil {
-			views, err := setRenderer.RenderFrames(field, cm, norm)
-			if err != nil {
-				return err
-			}
-			for v, img := range views {
-				// Each view is owned round-robin by a render rank; a dead
-				// owner's view fails over to a survivor like its blocks do.
-				if !alive[v%len(masks)] {
-					mFailover.Inc()
-					res.Failovers++
-				}
-				// The camera direction rides on the database axes: phi is
-				// the rig longitude, theta the latitude, so the query server
-				// can resolve nearest-viewpoint requests.
-				if err := pw.Submit(img, simTime, viewCams[v].Lon, viewCams[v].Lat,
-					fmt.Sprintf("okubo_weiss_view%d", v)); err != nil {
-					return err
-				}
-			}
-		}
-
-		eddies, th, err := detect(field, cellVort)
+		eddies, err := detect(field, cellVort)
 		if err != nil {
 			return err
 		}
-		if cfg.EddyCoreImages && th < 0 {
-			// The paper's selection as a vizpipe filter chain: threshold
-			// the rotation-dominated tail and render only those cells.
-			ds, err := vizpipe.NewDataset(msh, simTime)
-			if err != nil {
-				return err
-			}
-			if err := ds.AddField("okubo_weiss", field); err != nil {
-				return err
-			}
-			chain := &vizpipe.Pipeline{}
-			if err := chain.Append(&vizpipe.Threshold{
-				Field: "okubo_weiss", Min: math.Inf(-1), Max: th,
-			}); err != nil {
-				return err
-			}
-			sel, err := chain.Execute(ds)
-			if err != nil {
-				return err
-			}
-			if coreFrame == nil {
-				coreFrame = rast.NewFrame()
-			}
-			if err := rast.RenderOwnedInto(coreFrame, field, cm, norm, sel.Mask); err != nil {
-				return err
-			}
-			render.FillTransparent(coreFrame, render.Background)
-			if err := pw.Submit(coreFrame, simTime, 0, 0, "okubo_weiss_cores"); err != nil {
-				return err
-			}
-		}
-		// Per-sample accounting barrier: wait for the encoder to finish this
-		// sample's frames so Images/ImageBytes count only committed frames
-		// and a write failure aborts at the sample that caused it.
-		frames, bytes, err := pw.Flush()
-		if err != nil {
-			return err
-		}
-		res.Images += frames
-		res.ImageBytes += Bytes(bytes)
-		res.EddiesPerSample = append(res.EddiesPerSample, len(eddies))
-		if cfg.Model != nil {
-			var ioStall float64
-			if f, ok := ioSite.Next(); ok && f.Kind == faults.KindStall {
-				ioStall = float64(f.Stall)
-			}
-			obs := costRef.Observation(simTime-lastModelSim,
-				float64(bytes)/1e9, float64(frames), ioStall, 0)
-			obs.TS = float64(cfg.Tracer.Now()) / 1e9
-			lastModelSim = simTime
-			cfg.Model.Observe(obs)
-		}
-		return tracker.Advance(simTime, eddies)
+		return settle(simTime, cost, eddies, false)
 	}
 
 	switch cfg.Mode {
@@ -731,10 +558,8 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		return nil, fmt.Errorf("insituviz: unknown mode %v", cfg.Mode)
 	}
 
-	// Release the encode stage before committing the index: Close drains
-	// the queue and surfaces any write error a sampling path did not live
-	// to collect.
-	if err := pw.Close(); err != nil {
+	// Release the render step before committing the index.
+	if err := closeViz(); err != nil {
 		return nil, err
 	}
 
@@ -813,6 +638,114 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	return res, nil
 }
 
+// sampleCost is what one visualized sample cost, as either render step
+// reports it and the live model consumes it.
+type sampleCost struct {
+	frames int
+	bytes  int64 // committed to the store
+	// sioBytes is the model's S_io: the committed bytes in-process, the
+	// measured wire bytes in transit.
+	sioBytes int64
+	// ioStall and vizStall are injected stall seconds.
+	ioStall, vizStall float64
+}
+
+// localViz is the in-process render step: crash roulette over the render
+// ranks, then the shared sample renderer feeding the pipelined encoder.
+type localViz struct {
+	sr  *render.SampleRenderer
+	pw  *render.PipelinedCinemaWriter
+	res *LiveResult
+
+	rankSite   *faults.Site
+	rankLanes  []*trace.Lane
+	alive      []bool
+	aliveCount int
+	mCrashes   *telemetry.Counter
+	mFailover  *telemetry.Counter
+}
+
+// standIn returns the surviving rank that renders dead rank i's block,
+// walking the ring to the next alive rank.
+func (lv *localViz) standIn(i int) int {
+	n := len(lv.alive)
+	for j := (i + 1) % n; j != i; j = (j + 1) % n {
+		if lv.alive[j] {
+			return j
+		}
+	}
+	return i
+}
+
+// failover accounts one block or view a survivor renders for a dead owner.
+func (lv *localViz) failover() {
+	lv.mFailover.Inc()
+	lv.res.Failovers++
+}
+
+func (lv *localViz) render(simTime float64, field []float64) (sampleCost, error) {
+	// Crash roulette: each still-alive rank consults the injector once per
+	// sample. A crash kills the rank for the rest of the run. The last
+	// survivor is immune — total loss is a run failure, not graceful
+	// degradation.
+	n := len(lv.alive)
+	for i := range lv.alive {
+		if !lv.alive[i] || lv.aliveCount <= 1 {
+			continue
+		}
+		if f, ok := lv.rankSite.Next(); ok && f.Kind == faults.KindCrash {
+			lv.alive[i] = false
+			lv.aliveCount--
+			lv.mCrashes.Inc()
+			lv.res.RankCrashes++
+			lv.rankLanes[i].Instant("rank.crash")
+		}
+	}
+	// A dead rank's blocks fail over to the next survivor, whose lane shows
+	// the render; each ortho view is owned round-robin by a rank and fails
+	// over the same way.
+	for i := range lv.alive {
+		owner := i
+		if !lv.alive[i] {
+			owner = lv.standIn(i)
+			lv.failover()
+		}
+		lv.sr.SetLane(i, lv.rankLanes[owner])
+	}
+	for v := 0; v < lv.sr.Views(); v++ {
+		if !lv.alive[v%n] {
+			lv.failover()
+		}
+	}
+	tables, err := lv.sr.Derive(simTime, field)
+	if err != nil {
+		return sampleCost{}, err
+	}
+	if err := lv.sr.Render(tables, simTime, lv.pw.Submit); err != nil {
+		return sampleCost{}, err
+	}
+	// Per-sample accounting barrier: wait for the encoder to finish this
+	// sample's frames so only committed frames are counted and a write
+	// failure aborts at the sample that caused it.
+	frames, bytes, err := lv.pw.Flush()
+	return sampleCost{frames: frames, bytes: int64(bytes), sioBytes: int64(bytes)}, err
+}
+
+// advanceStep integrates one solver step under the driver lane's
+// "sim.step" span and rejects a non-finite state.
+func advanceStep(drv *trace.Lane, model *ocean.Model, state *ocean.State, dt float64, step int) error {
+	drv.Begin("sim.step")
+	err := model.Step(state, dt)
+	drv.End()
+	if err != nil {
+		return err
+	}
+	if err := state.CheckFinite(); err != nil {
+		return fmt.Errorf("insituviz: step %d: %w", step, err)
+	}
+	return nil
+}
+
 // runLiveInSitu advances the solver, co-processing through a Catalyst
 // adaptor at the sampling period. The sampling path reuses one diagnostics
 // evaluation per sample for both the Okubo-Weiss field and the spin
@@ -839,14 +772,8 @@ func runLiveInSitu(cfg LiveConfig, model *ocean.Model, state *ocean.State, dt fl
 	}
 	drv := cfg.Tracer.Lane("driver")
 	for step := 1; step <= cfg.Steps; step++ {
-		drv.Begin("sim.step")
-		err := model.Step(state, dt)
-		drv.End()
-		if err != nil {
+		if err := advanceStep(drv, model, state, dt, step); err != nil {
 			return err
-		}
-		if err := state.CheckFinite(); err != nil {
-			return fmt.Errorf("insituviz: step %d: %w", step, err)
 		}
 		if adaptor.ShouldProcess(step) {
 			// One shared diagnostics evaluation feeds both derived fields.
@@ -906,14 +833,8 @@ func runLivePost(cfg LiveConfig, msh *mesh.Mesh, model *ocean.Model, state *ocea
 	ow := make([]float64, msh.NCells()) // reused across samples
 	drv := cfg.Tracer.Lane("driver")
 	for step := 1; step <= cfg.Steps; step++ {
-		drv.Begin("sim.step")
-		err := model.Step(state, dt)
-		drv.End()
-		if err != nil {
+		if err := advanceStep(drv, model, state, dt, step); err != nil {
 			return 0, err
-		}
-		if err := state.CheckFinite(); err != nil {
-			return 0, fmt.Errorf("insituviz: step %d: %w", step, err)
 		}
 		if step%cfg.SampleEverySteps != 0 {
 			continue

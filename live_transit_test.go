@@ -2,6 +2,7 @@ package insituviz
 
 import (
 	"bytes"
+	"fmt"
 	"io/fs"
 	"net"
 	"os"
@@ -128,49 +129,64 @@ func requireIdenticalStores(t *testing.T, inprocDir, tcpDir string) {
 
 // TestLiveTransitByteIdentity runs the same seeded configuration through
 // the in-process renderer and through two TCP viz workers, and requires
-// the two committed stores to be byte-identical. It also pins the
-// acceptance bound on wire compression: the shipped bytes must be at
-// most 70% of the float64 field volume they stand in for.
+// the two committed stores to be byte-identical — for both pipelines and
+// every combination of frame kinds, since all of them go through the one
+// shared sample renderer. It also pins the acceptance bound on wire
+// compression: the shipped bytes must be at most 70% of the float64 field
+// volume they stand in for.
 func TestLiveTransitByteIdentity(t *testing.T) {
-	defer leakcheck.Check(t)()
+	for _, mode := range []Kind{InSitu, PostProcessing} {
+		for _, frames := range []struct {
+			ortho int
+			cores bool
+		}{{0, false}, {2, false}, {0, true}, {2, true}} {
+			t.Run(fmt.Sprintf("%v/ortho%d/cores=%v", mode, frames.ortho, frames.cores), func(t *testing.T) {
+				defer leakcheck.Check(t)()
+				shape := func(dir string, reg *telemetry.Registry) LiveConfig {
+					cfg := transitLiveConfig(dir, reg)
+					cfg.Mode, cfg.OrthoViews, cfg.EddyCoreImages = mode, frames.ortho, frames.cores
+					return cfg
+				}
 
-	inprocDir := t.TempDir()
-	inprocReg := telemetry.NewRegistry()
-	if _, err := LiveRun(transitLiveConfig(inprocDir, inprocReg)); err != nil {
-		t.Fatalf("inproc run: %v", err)
-	}
+				inprocDir := t.TempDir()
+				if _, err := LiveRun(shape(inprocDir, telemetry.NewRegistry())); err != nil {
+					t.Fatalf("inproc run: %v", err)
+				}
 
-	tcpDir := t.TempDir()
-	tcpReg := telemetry.NewRegistry()
-	cfg := transitLiveConfig(tcpDir, tcpReg)
-	cfg.Transport = "tcp"
-	var closeWorkers func()
-	cfg.VizWorkers, closeWorkers = startTransitWorkers(t, 2, tcpDir)
-	defer closeWorkers()
-	res, err := LiveRun(cfg)
-	if err != nil {
-		t.Fatalf("tcp run: %v", err)
-	}
-	if res.Images == 0 {
-		t.Fatal("tcp run committed no images")
-	}
-	if res.DroppedSamples != 0 {
-		t.Fatalf("clean tcp run dropped %d samples", res.DroppedSamples)
-	}
+				tcpDir := t.TempDir()
+				tcpReg := telemetry.NewRegistry()
+				cfg := shape(tcpDir, tcpReg)
+				cfg.Transport = "tcp"
+				var closeWorkers func()
+				cfg.VizWorkers, closeWorkers = startTransitWorkers(t, 2, tcpDir)
+				defer closeWorkers()
+				res, err := LiveRun(cfg)
+				if err != nil {
+					t.Fatalf("tcp run: %v", err)
+				}
+				if res.Images == 0 {
+					t.Fatal("tcp run committed no images")
+				}
+				if res.DroppedSamples != 0 {
+					t.Fatalf("clean tcp run dropped %d samples", res.DroppedSamples)
+				}
 
-	requireIdenticalStores(t, inprocDir, tcpDir)
+				requireIdenticalStores(t, inprocDir, tcpDir)
 
-	raw := tcpReg.Counter("transit.bytes.raw").Value()
-	wire := tcpReg.Counter("transit.bytes.wire").Value()
-	if raw == 0 || wire == 0 {
-		t.Fatalf("byte counters not populated: raw=%d wire=%d", raw, wire)
-	}
-	ratio := tcpReg.FloatGauge("transit.compression.ratio").Value()
-	if ratio <= 0 || ratio > 0.7 {
-		t.Errorf("compression ratio %.3f, want in (0, 0.7]", ratio)
-	}
-	if got := float64(wire) / float64(raw); got > 0.7 {
-		t.Errorf("wire/raw = %.3f, want <= 0.7", got)
+				raw := tcpReg.Counter("transit.bytes.raw").Value()
+				wire := tcpReg.Counter("transit.bytes.wire").Value()
+				if raw == 0 || wire == 0 {
+					t.Fatalf("byte counters not populated: raw=%d wire=%d", raw, wire)
+				}
+				ratio := tcpReg.FloatGauge("transit.compression.ratio").Value()
+				if ratio <= 0 || ratio > 0.7 {
+					t.Errorf("compression ratio %.3f, want in (0, 0.7]", ratio)
+				}
+				if got := float64(wire) / float64(raw); got > 0.7 {
+					t.Errorf("wire/raw = %.3f, want <= 0.7", got)
+				}
+			})
+		}
 	}
 }
 
