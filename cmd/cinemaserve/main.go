@@ -47,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -116,8 +117,19 @@ func main() {
 		strings.Join(faults.ProfileNames(), ", ")))
 	flag.Parse()
 
+	var injector *faults.Injector
+	if *chaos != "" {
+		plan, err := faults.ParseSpec(*chaos)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if injector, err = faults.New(plan); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	if *cluster {
-		runGateway(*httpAddr, *peers, *replicas, *cacheBytes, *retryAfter, *chaos, repairDirs.m, dbs)
+		runGateway(*httpAddr, *peers, *replicas, *cacheBytes, *retryAfter, injector, repairDirs.m, dbs)
 		return
 	}
 	if len(repairDirs.m) > 0 {
@@ -128,17 +140,6 @@ func main() {
 	}
 	if len(dbs) == 0 {
 		log.Fatal("no databases: pass at least one -db DIR (or NAME=DIR)")
-	}
-
-	var injector *faults.Injector
-	if *chaos != "" {
-		plan, err := faults.ParseSpec(*chaos)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if injector, err = faults.New(plan); err != nil {
-			log.Fatal(err)
-		}
 	}
 
 	reg := telemetry.NewRegistry()
@@ -209,12 +210,20 @@ func main() {
 	mux.Handle("/", trace.NewHandlerFrom(union, tracer))
 	mux.Handle("/cinema/", http.StripPrefix("/cinema", srv.Handler()))
 
-	addr, shutdown, err := trace.Serve(*httpAddr, mux)
+	serve(*httpAddr, mux, func(addr net.Addr) {
+		fmt.Printf("serving on http://%s/ (/cinema/, /metrics, /trace)\n", addr)
+	})
+}
+
+// serve listens on httpAddr, prints the mode's banner for the bound
+// address, and blocks until interrupted.
+func serve(httpAddr string, mux *http.ServeMux, banner func(addr net.Addr)) {
+	addr, shutdown, err := trace.Serve(httpAddr, mux)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer shutdown()
-	fmt.Printf("serving on http://%s/ (/cinema/, /metrics, /trace)\n", addr)
+	banner(addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
@@ -226,7 +235,7 @@ func main() {
 
 // runGateway is cluster mode: the same routes, served by hash-routing
 // across the peer fleet instead of reading local databases.
-func runGateway(httpAddr, peers string, replicas int, cacheBytes int64, retryAfter time.Duration, chaos string, repairDirs map[string]string, dbs dbFlags) {
+func runGateway(httpAddr, peers string, replicas int, cacheBytes int64, retryAfter time.Duration, injector *faults.Injector, repairDirs map[string]string, dbs dbFlags) {
 	if len(dbs) > 0 {
 		log.Fatal("cluster mode routes to -peers; it does not mount -db databases")
 	}
@@ -238,17 +247,6 @@ func runGateway(httpAddr, peers string, replicas int, cacheBytes int64, retryAft
 	}
 	if len(list) == 0 {
 		log.Fatal("cluster mode needs -peers URL[,URL...]")
-	}
-
-	var injector *faults.Injector
-	if chaos != "" {
-		plan, err := faults.ParseSpec(chaos)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if injector, err = faults.New(plan); err != nil {
-			log.Fatal(err)
-		}
 	}
 
 	reg := telemetry.NewRegistry()
@@ -275,20 +273,11 @@ func runGateway(httpAddr, peers string, replicas int, cacheBytes int64, retryAft
 	mux.HandleFunc("/metrics", gw.ServeMetrics)
 	mux.Handle("/cinema/", http.StripPrefix("/cinema", gw.Handler()))
 
-	addr, shutdown, err := trace.Serve(httpAddr, mux)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer shutdown()
-	fmt.Printf("gateway over %d nodes (R=%d) on http://%s/ (/cinema/, /metrics, /trace)\n",
-		len(list), replicas, addr)
-	for i, p := range list {
-		fmt.Printf("  node%d = %s\n", i, p)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-	fmt.Println("shutting down")
-	time.Sleep(50 * time.Millisecond)
+	serve(httpAddr, mux, func(addr net.Addr) {
+		fmt.Printf("gateway over %d nodes (R=%d) on http://%s/ (/cinema/, /metrics, /trace)\n",
+			len(list), replicas, addr)
+		for i, p := range list {
+			fmt.Printf("  node%d = %s\n", i, p)
+		}
+	})
 }

@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,11 +107,14 @@ type Gateway struct {
 	peers  []*peerNode
 	byName map[string]*peerNode
 	client *http.Client
-	cache  *byteLRU
+	cache  *cinemaserve.Cache[frameID]
 	lane   *trace.Lane
 
 	peerSite *faults.Site
 	rr       atomic.Uint64 // round-robin cursor for hashless routes
+	// maxBody bounds a relayed peer response (maxFrameBytes; tests shrink
+	// it to exercise the bound without a 64 MiB body).
+	maxBody int64
 
 	mRequests    *telemetry.Counter
 	mErrors      *telemetry.Counter
@@ -168,6 +172,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		client:   cfg.Client,
 		lane:     cfg.Tracer.Lane("cluster.gateway"),
 		peerSite: cfg.Faults.Site("cluster.peer"),
+		maxBody:  maxFrameBytes,
 
 		mRequests:    reg.Counter("requests"),
 		mErrors:      reg.Counter("errors"),
@@ -183,7 +188,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		mRepairs:     reg.Counter("repairs"),
 		mRepairErrs:  reg.Counter("repair.errors"),
 	}
-	g.cache = newByteLRU(cfg.CacheBytes, reg.Counter("cache.evictions"), reg.Gauge("cache.used.bytes"))
+	g.cache = cinemaserve.NewCache[frameID](cfg.CacheBytes, reg.Counter("cache.evictions"), reg.Gauge("cache.used.bytes"))
 	reg.Gauge("replicas").Set(int64(cfg.Replicas))
 	reg.Gauge("nodes").Set(int64(len(cfg.Peers)))
 	for i, base := range cfg.Peers {
@@ -246,63 +251,30 @@ func (g *Gateway) Handler() http.Handler {
 		g.mRequests.Inc()
 		path := strings.TrimPrefix(r.URL.Path, "/")
 		store, rest, _ := strings.Cut(path, "/")
+		q, ok, err := cinemaserve.ParseFrameQuery(rest, r.URL.RawQuery)
 		switch {
-		case rest == "frame":
-			g.serveFrame(w, r, store)
-		case strings.HasPrefix(rest, "file/"):
-			g.serveFile(w, r, store, strings.TrimPrefix(rest, "file/"))
-		default:
+		case !ok:
 			// Listing, store info, index.json: identical on every node
 			// (shared storage), so any healthy one may answer.
 			g.relayAny(w, r)
+		case err != nil:
+			// The node's own parser, so the node's own 400 — answered
+			// here, before any peer is contacted or struck.
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		default:
+			g.fetchTiered(w, r, store, q)
 		}
 	})
 }
 
-// serveFrame hash-routes a frame query. The routing key is the parsed
-// (store, variable, time, phi, theta) tuple — parsed, not the raw query
-// string, so gateways and direct clients that encode the same point
-// differently still route identically.
-func (g *Gateway) serveFrame(w http.ResponseWriter, r *http.Request, store string) {
-	q := r.URL.Query()
-	key := cinemastore.Key{Variable: q.Get("var")}
-	if key.Variable == "" {
-		http.Error(w, "missing var parameter", http.StatusBadRequest)
-		return
-	}
-	for _, p := range [...]struct {
-		name string
-		dst  *float64
-	}{{"time", &key.Time}, {"phi", &key.Phi}, {"theta", &key.Theta}} {
-		if v := q.Get(p.name); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad %s parameter: %v", p.name, err), http.StatusBadRequest)
-				return
-			}
-			*p.dst = f
-		}
-	}
-	if err := key.Validate(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	g.fetchTiered(w, r, store, HashKey(store, key), cacheID(store, r.URL.RawQuery))
+// frameID is the gateway cache key: the store plus the parsed request —
+// not the raw query string — so time=1, time=1.0 and reordered
+// parameters are one entry, while exact and nearest requests for one
+// point, which may resolve to different frames, stay distinct.
+type frameID struct {
+	store string
+	q     cinemaserve.FrameQuery // CacheOnly always false
 }
-
-func (g *Gateway) serveFile(w http.ResponseWriter, r *http.Request, store, file string) {
-	if file == "" {
-		http.Error(w, "missing file name", http.StatusBadRequest)
-		return
-	}
-	g.fetchTiered(w, r, store, HashFile(store, file), cacheID(store, "file/"+file))
-}
-
-// cacheID builds the gateway cache key. The raw query participates (two
-// textual encodings of one axis point cache separately), which trades a
-// little duplication for never conflating distinct nearest-mode
-// requests.
-func cacheID(store, rest string) string { return store + "\x00" + rest }
 
 // repairTarget remembers a replica that reported a corrupt copy of a
 // frame during the failover walk, so good bytes found later in the same
@@ -318,95 +290,88 @@ type repairTarget struct {
 // shared storage makes safe. A node answering 500 + X-Cinema-Corrupt is
 // alive but holds a rotten replica: the walk continues (no breaker
 // strike — integrity is not availability), and once a healthy candidate
-// supplies verified bytes the corrupt replica is repaired in place.
-func (g *Gateway) fetchTiered(w http.ResponseWriter, r *http.Request, store string, hash uint64, id string) {
-	if data, file, ok := g.cache.get(id); ok {
+// supplies verified bytes the corrupt replica is repaired in place. The
+// frame is routed, cached and forwarded as the parsed request, so every
+// spelling of one point shares owners, cache entry and peer URL. A
+// client's own cacheonly request ends after the memory tiers, in 204.
+func (g *Gateway) fetchTiered(w http.ResponseWriter, r *http.Request, store string, q cinemaserve.FrameQuery) {
+	cacheOnly := q.CacheOnly
+	q.CacheOnly = false
+	id := frameID{store: store, q: q}
+	if data, file, ok := g.cache.Get(id); ok {
 		g.mCacheHits.Inc()
 		g.writeFrame(w, data, file, "")
 		return
 	}
 	g.mCacheMisses.Inc()
 
+	hash := HashKey(store, q.Key)
+	if q.File != "" {
+		hash = HashFile(store, q.File)
+	}
 	owners := g.ring.Owners(hash, g.cfg.Replicas, make([]string, 0, g.cfg.Replicas))
+	storePath := "/cinema/" + url.PathEscape(store) + "/"
 
 	// Tier 2: probe the owning peers' caches. A probe never costs a
 	// peer a disk read, so trying every owner is cheap; the first
 	// resident copy wins. A cacheonly probe can never report corruption
 	// — only verified frames enter a node's cache.
+	probe := q
+	probe.CacheOnly = true
+	probeRoute := storePath + probe.Route()
 	for _, name := range owners {
 		p := g.byName[name]
 		if p == nil || !g.admit(p) {
 			continue
 		}
 		g.mPeerProbes.Inc()
-		data, file, _, status, err := g.peerFetch(r.Context(), p, peerURL(p, r, true))
-		switch {
-		case err != nil:
-			g.fail(p, err)
-		case status == http.StatusOK:
-			p.brk.OnSuccess()
-			p.mOK.Inc()
+		data, status, header := g.peerFetch(r.Context(), p, p.base+probeRoute)
+		if status == http.StatusOK {
 			g.mPeerHits.Inc()
-			g.cache.put(id, data, file)
+			file := header.Get("X-Cinema-File")
+			g.cache.Put(id, data, file)
 			g.writeFrame(w, data, file, p.name)
 			return
-		case status == http.StatusNoContent:
-			p.brk.OnSuccess()
-			p.mOK.Inc()
-		case status == http.StatusServiceUnavailable:
-			// Shedding is load, not sickness: no breaker strike.
-			p.mSheds.Inc()
-		default:
-			g.fail(p, fmt.Errorf("probe status %d", status))
 		}
+	}
+	if cacheOnly {
+		w.WriteHeader(http.StatusNoContent)
+		return
 	}
 
 	// Tier 3: a real read. Owners first (their cache fills where the
 	// hash says the frame lives), then everyone else as a last resort.
 	sawShed := false
 	var corrupt []repairTarget
-	tried := map[string]bool{}
-	candidates := append(owners, g.ring.Nodes()...)
-	for _, name := range candidates {
-		if tried[name] {
-			continue
+	readRoute := storePath + q.Route()
+	for i, name := range append(owners, g.ring.Nodes()...) {
+		if i >= len(owners) && slices.Contains(owners, name) {
+			continue // an owner, already asked
 		}
-		tried[name] = true
 		p := g.byName[name]
 		if p == nil || !g.admit(p) {
 			continue
 		}
-		data, file, corruptFile, status, err := g.peerFetch(r.Context(), p, peerURL(p, r, false))
-		switch {
-		case err != nil:
-			g.fail(p, err)
-		case status == http.StatusOK:
-			p.brk.OnSuccess()
-			p.mOK.Inc()
-			g.cache.put(id, data, file)
+		data, status, header := g.peerFetch(r.Context(), p, p.base+readRoute)
+		switch status {
+		case http.StatusOK:
+			file := header.Get("X-Cinema-File")
+			g.cache.Put(id, data, file)
 			g.writeFrame(w, data, file, p.name)
 			g.repair(store, corrupt, file, data)
 			return
-		case status == http.StatusNotFound:
+		case http.StatusNotFound:
 			// The index is shared: a healthy node's 404 is the cluster's
 			// 404. Relay it rather than hunting for a different answer.
-			p.brk.OnSuccess()
-			p.mOK.Inc()
 			http.Error(w, "not found", http.StatusNotFound)
 			return
-		case status == http.StatusInternalServerError && corruptFile != "":
-			// The node detected and quarantined a corrupt replica. It is
-			// responsive and honest — that is a successful health probe,
-			// not a strike — and the walk goes on to a healthy copy.
-			p.brk.OnSuccess()
+		case http.StatusInternalServerError:
+			// Only a corrupt replica's 500 comes back from peerFetch.
 			g.mCorrupt.Inc()
 			g.lane.Instant("corrupt." + p.name)
-			corrupt = append(corrupt, repairTarget{node: p.name, file: corruptFile})
-		case status == http.StatusServiceUnavailable:
-			p.mSheds.Inc()
+			corrupt = append(corrupt, repairTarget{node: p.name, file: header.Get("X-Cinema-Corrupt")})
+		case http.StatusServiceUnavailable:
 			sawShed = true
-		default:
-			g.fail(p, fmt.Errorf("fetch status %d", status))
 		}
 	}
 	g.exhausted(w, sawShed)
@@ -456,23 +421,12 @@ func (g *Gateway) admit(p *peerNode) bool {
 	return false
 }
 
-// fail records a peer fetch failure: breaker strike, failover counters,
-// timeline instant. The caller moves on to the next candidate — that
-// move is what cluster.failover counts.
-func (g *Gateway) fail(p *peerNode, err error) {
-	p.brk.OnFailure()
-	p.mFailures.Inc()
-	g.mFailover.Inc()
-	g.lane.Instant("failover." + p.name)
-}
-
 // exhausted answers a request every candidate failed or shed: 503 when
 // at least one node was merely shedding (the cluster is overloaded, not
 // broken), 502 otherwise.
 func (g *Gateway) exhausted(w http.ResponseWriter, sawShed bool) {
 	if sawShed {
-		secs := int((g.cfg.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		cinemaserve.SetRetryAfter(w, g.cfg.RetryAfter)
 		http.Error(w, "cluster overloaded, retry later", http.StatusServiceUnavailable)
 		return
 	}
@@ -492,18 +446,12 @@ func (g *Gateway) relayAny(w http.ResponseWriter, r *http.Request) {
 		if !g.admit(p) {
 			continue
 		}
-		data, status, header, err := g.peerGet(r.Context(), p, peerURL(p, r, false))
-		switch {
-		case err != nil:
-			g.fail(p, err)
-		case status == http.StatusServiceUnavailable:
-			p.mSheds.Inc()
+		data, status, header := g.peerFetch(r.Context(), p, p.base+"/cinema"+r.URL.RequestURI())
+		switch status {
+		case 0: // struck; on to the next node
+		case http.StatusServiceUnavailable:
 			sawShed = true
-		case status >= 500:
-			g.fail(p, fmt.Errorf("relay status %d", status))
 		default:
-			p.brk.OnSuccess()
-			p.mOK.Inc()
 			if ct := header.Get("Content-Type"); ct != "" {
 				w.Header().Set("Content-Type", ct)
 			}
@@ -516,44 +464,47 @@ func (g *Gateway) relayAny(w http.ResponseWriter, r *http.Request) {
 	g.exhausted(w, sawShed)
 }
 
-// peerURL rebuilds the request against p's base URL, optionally forcing
-// the cacheonly probe form.
-func peerURL(p *peerNode, r *http.Request, cacheonly bool) string {
-	u := p.base + "/cinema" + r.URL.EscapedPath()
-	q := r.URL.RawQuery
-	if cacheonly {
-		if q != "" {
-			q += "&"
-		}
-		q += "cacheonly=1"
-	}
-	if q != "" {
-		u += "?" + q
-	}
-	return u
-}
-
-// peerFetch performs one frame fetch against a peer and returns the
-// body, the served file name, the corrupt-replica file name (from
-// X-Cinema-Corrupt, empty for healthy responses), and the status. The
-// "cluster.peer" fault site is consulted first: an injected error fails
-// the fetch without touching the network, exactly as a dropped
-// connection would.
-func (g *Gateway) peerFetch(ctx context.Context, p *peerNode, url string) (data []byte, file, corrupt string, status int, err error) {
-	body, st, header, err := g.peerGet(ctx, p, url)
-	if err != nil {
-		return nil, "", "", 0, err
-	}
-	return body, header.Get("X-Cinema-File"), header.Get("X-Cinema-Corrupt"), st, nil
-}
-
-func (g *Gateway) peerGet(ctx context.Context, p *peerNode, url string) ([]byte, int, http.Header, error) {
+// peerFetch performs one GET against p and settles what the answer
+// means for the node's health. The "cluster.peer" fault site is consulted
+// first: an injected error fails the fetch without touching the network,
+// exactly as a dropped connection would. 200, 204 (not resident) and 404
+// are a healthy node answering; so is 500 + X-Cinema-Corrupt — the node
+// detected and quarantined a corrupt replica, which is honest, not sick;
+// 503 is shedding — load, not sickness. Anything else, transport errors
+// included, is a breaker strike and comes back as status 0: the caller
+// moves on to the next candidate, which is what cluster.failover counts.
+func (g *Gateway) peerFetch(ctx context.Context, p *peerNode, rawURL string) (data []byte, status int, header http.Header) {
 	p.mRequests.Inc()
+	var err error
 	if f, ok := g.peerSite.Next(); ok && f.Kind == faults.KindError {
 		g.mInjected.Inc()
-		return nil, 0, nil, fmt.Errorf("cinemacluster: injected peer failure (fault #%d)", f.Seq)
+		err = fmt.Errorf("cinemacluster: injected peer failure (fault #%d)", f.Seq)
+	} else {
+		data, status, header, err = g.get(ctx, rawURL)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	healthy := status == http.StatusOK || status == http.StatusNoContent || status == http.StatusNotFound
+	switch {
+	case err == nil && healthy:
+		p.brk.OnSuccess()
+		p.mOK.Inc()
+	case err == nil && status == http.StatusInternalServerError && header.Get("X-Cinema-Corrupt") != "":
+		p.brk.OnSuccess()
+	case err == nil && status == http.StatusServiceUnavailable:
+		p.mSheds.Inc()
+	default:
+		p.brk.OnFailure()
+		p.mFailures.Inc()
+		g.mFailover.Inc()
+		g.lane.Instant("failover." + p.name)
+		return nil, 0, nil
+	}
+	return data, status, header
+}
+
+// get reads one response whole. A body beyond maxBody is an error, not a
+// truncation: a cut-off frame must never reach a client or the cache.
+func (g *Gateway) get(ctx context.Context, rawURL string) ([]byte, int, http.Header, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawURL, nil)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -562,9 +513,12 @@ func (g *Gateway) peerGet(ctx context.Context, p *peerNode, url string) ([]byte,
 		return nil, 0, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxFrameBytes))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, g.maxBody+1))
 	if err != nil {
 		return nil, 0, nil, err
+	}
+	if int64(len(body)) > g.maxBody {
+		return nil, 0, nil, fmt.Errorf("cinemacluster: %s: body exceeds %d bytes", rawURL, g.maxBody)
 	}
 	return body, resp.StatusCode, resp.Header, nil
 }
@@ -573,15 +527,7 @@ func (g *Gateway) peerGet(ctx context.Context, p *peerNode, url string) ([]byte,
 // the peer that actually served the bytes (X-Cinema-Node) — gateway
 // cache hits omit it, since the origin is no longer known.
 func (g *Gateway) writeFrame(w http.ResponseWriter, data []byte, file, node string) {
-	w.Header().Set("Content-Type", "image/png")
-	if file != "" {
-		w.Header().Set("X-Cinema-File", file)
-	}
-	if node != "" {
-		w.Header().Set("X-Cinema-Node", node)
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
+	cinemaserve.WriteFrame(w, data, file, node)
 	g.mBytesOut.Add(int64(len(data)))
 }
 
@@ -600,23 +546,9 @@ func (g *Gateway) ServeMetrics(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(r.Context(), g.cfg.ScrapeTimeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.base+"/metrics", nil)
-			if err != nil {
-				return
+			if body, status, _, err := g.get(ctx, p.base+"/metrics"); err == nil && status == http.StatusOK {
+				bodies[i] = body
 			}
-			resp, err := g.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			body, err := io.ReadAll(io.LimitReader(resp.Body, maxFrameBytes))
-			if err != nil {
-				return
-			}
-			bodies[i] = body
 		}(i, p)
 	}
 	wg.Wait()

@@ -243,7 +243,7 @@ func TestGatewayFailoverOnDeadNode(t *testing.T) {
 	c.nodes[1].http.Close()
 	// A fresh gateway cache so every post-kill request re-routes instead
 	// of answering from gateway memory.
-	c.gw.cache = newByteLRU(-1, c.reg.Counter("cache.evictions2"), c.reg.Gauge("cache.used.bytes2"))
+	c.gw.cache = cinemaserve.NewCache[frameID](-1, c.reg.Counter("cache.evictions2"), c.reg.Gauge("cache.used.bytes2"))
 
 	for i, e := range entries {
 		w, body := c.get(t, frameQuery(e))

@@ -6,10 +6,10 @@ import (
 	"insituviz/internal/telemetry"
 )
 
-// cacheKey addresses one cached frame: the mount's ID plus the entry's
-// canonical index in that mount's store. Both are small ints, so the key
-// is a comparable value type and map operations on it never allocate —
-// the property the 0 allocs/op hit path depends on.
+// cacheKey addresses one cached frame on a node: the mount's ID plus the
+// entry's canonical index in that mount's store. Both are small ints, so
+// the key is a comparable value type and map operations on it never
+// allocate — the property the 0 allocs/op hit path depends on.
 type cacheKey struct {
 	mount int32
 	entry int32
@@ -18,54 +18,61 @@ type cacheKey struct {
 // centry is one resident frame. The LRU list is intrusive (prev/next
 // pointers inside the entry), so a hit moves a node with pointer surgery
 // alone — no container/list allocation per operation.
-type centry struct {
-	key        cacheKey
+type centry[K comparable] struct {
+	key        K
 	data       []byte
-	prev, next *centry
+	file       string
+	prev, next *centry[K]
 }
 
-// lruCache is a byte-budgeted LRU over encoded frames. The budget counts
-// frame bytes only (the small per-entry bookkeeping rides free), which
-// keeps the accounting identical to what the exposition reports. All
-// methods are safe for concurrent use; a hit costs one mutex round trip
-// and allocates nothing.
-type lruCache struct {
+// Cache is the serving stack's one frame cache: a byte-budgeted LRU over
+// encoded frames. A node keys it by (mount, entry); a cluster gateway,
+// which has no index to resolve against, keys it by the parsed request
+// and keeps the served file name next to the bytes. The budget is a hard
+// ceiling on frame bytes only (the small per-entry bookkeeping rides
+// free), which keeps the accounting identical to what the exposition
+// reports; a negative budget disables the cache. All methods are safe for
+// concurrent use; a hit costs one mutex round trip and allocates nothing.
+type Cache[K comparable] struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64
-	m      map[cacheKey]*centry
-	head   *centry // most recently used
-	tail   *centry // least recently used; next eviction victim
+	m      map[K]*centry[K]
+	head   *centry[K] // most recently used
+	tail   *centry[K] // least recently used; next eviction victim
 
 	evictions *telemetry.Counter
 	usedGauge *telemetry.Gauge
 }
 
-func newLRUCache(budget int64, evictions *telemetry.Counter, used *telemetry.Gauge) *lruCache {
-	return &lruCache{budget: budget, m: map[cacheKey]*centry{}, evictions: evictions, usedGauge: used}
+// NewCache returns an empty cache holding at most budget frame bytes;
+// evictions and used receive its eviction count and resident bytes.
+func NewCache[K comparable](budget int64, evictions *telemetry.Counter, used *telemetry.Gauge) *Cache[K] {
+	return &Cache[K]{budget: budget, m: map[K]*centry[K]{}, evictions: evictions, usedGauge: used}
 }
 
-// get returns the cached bytes for k, promoting the entry to most
-// recently used. The returned slice is shared — callers must not modify
-// it.
-func (c *lruCache) get(k cacheKey) ([]byte, bool) {
+// Get returns the cached bytes and file name for k, promoting the entry
+// to most recently used. The returned slice is shared — callers must not
+// modify it.
+func (c *Cache[K]) Get(k K) ([]byte, string, bool) {
 	c.mu.Lock()
 	e, ok := c.m[k]
 	if !ok {
 		c.mu.Unlock()
-		return nil, false
+		return nil, "", false
 	}
 	c.moveToFront(e)
-	data := e.data
+	data, file := e.data, e.file
 	c.mu.Unlock()
-	return data, true
+	return data, file, true
 }
 
-// put inserts data under k, evicting from the LRU tail until the budget
-// holds. A frame larger than the whole budget is not cached at all (it
-// would evict everything and then be evicted by the next insert anyway).
-// Re-putting an existing key refreshes its position and bytes.
-func (c *lruCache) put(k cacheKey, data []byte) {
+// Put inserts data (and the file name it was served under) for k,
+// evicting from the LRU tail until the budget holds. An empty frame is
+// not cached, nor is one larger than the whole budget (it would evict
+// everything and then be evicted by the next insert anyway). Re-putting
+// an existing key refreshes its position and bytes.
+func (c *Cache[K]) Put(k K, data []byte, file string) {
 	size := int64(len(data))
 	if size == 0 || size > c.budget {
 		return
@@ -73,10 +80,10 @@ func (c *lruCache) put(k cacheKey, data []byte) {
 	c.mu.Lock()
 	if e, ok := c.m[k]; ok {
 		c.used += size - int64(len(e.data))
-		e.data = data
+		e.data, e.file = data, file
 		c.moveToFront(e)
 	} else {
-		e := &centry{key: k, data: data}
+		e := &centry[K]{key: k, data: data, file: file}
 		c.m[k] = e
 		c.used += size
 		c.pushFront(e)
@@ -88,25 +95,25 @@ func (c *lruCache) put(k cacheKey, data []byte) {
 	c.mu.Unlock()
 }
 
-// contains reports residency without promoting the entry — the scrubber
+// Contains reports residency without promoting the entry — the scrubber
 // uses it to decide whether a frame is "cold", and a scrub probe must
 // not perturb the LRU order real traffic established.
-func (c *lruCache) contains(k cacheKey) bool {
+func (c *Cache[K]) Contains(k K) bool {
 	c.mu.Lock()
 	_, ok := c.m[k]
 	c.mu.Unlock()
 	return ok
 }
 
-// bytes returns the current resident frame bytes.
-func (c *lruCache) bytes() int64 {
+// Bytes returns the current resident frame bytes.
+func (c *Cache[K]) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.used
 }
 
-// len returns the resident entry count.
-func (c *lruCache) len() int {
+// Len returns the resident entry count.
+func (c *Cache[K]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
@@ -114,7 +121,7 @@ func (c *lruCache) len() int {
 
 // Callers hold c.mu for the list operations below.
 
-func (c *lruCache) pushFront(e *centry) {
+func (c *Cache[K]) pushFront(e *centry[K]) {
 	e.prev = nil
 	e.next = c.head
 	if c.head != nil {
@@ -126,7 +133,7 @@ func (c *lruCache) pushFront(e *centry) {
 	}
 }
 
-func (c *lruCache) unlink(e *centry) {
+func (c *Cache[K]) unlink(e *centry[K]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -140,7 +147,7 @@ func (c *lruCache) unlink(e *centry) {
 	e.prev, e.next = nil, nil
 }
 
-func (c *lruCache) moveToFront(e *centry) {
+func (c *Cache[K]) moveToFront(e *centry[K]) {
 	if c.head == e {
 		return
 	}
@@ -148,7 +155,7 @@ func (c *lruCache) moveToFront(e *centry) {
 	c.pushFront(e)
 }
 
-func (c *lruCache) evict(e *centry) {
+func (c *Cache[K]) evict(e *centry[K]) {
 	c.unlink(e)
 	delete(c.m, e.key)
 	c.used -= int64(len(e.data))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -44,9 +45,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		slot, lane, ok := s.acquireSlot()
 		if !ok {
-			// Retry-After wants integral seconds, rounded up.
-			secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			SetRetryAfter(w, s.cfg.RetryAfter)
 			http.Error(w, ErrOverloaded.Error(), http.StatusServiceUnavailable)
 			return
 		}
@@ -64,17 +63,19 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request, lane *trace.Lane)
 		return
 	}
 	store, rest, _ := strings.Cut(path, "/")
+	q, isFrame, err := ParseFrameQuery(rest, r.URL.RawQuery)
 	switch {
 	case rest == "":
 		s.serveStoreInfo(w, store)
 	case rest == "index.json":
 		s.serveIndex(w, store)
-	case rest == "frame":
-		s.serveFrame(w, r, store, lane)
-	case strings.HasPrefix(rest, "file/"):
-		s.serveFile(w, r, store, strings.TrimPrefix(rest, "file/"), lane)
-	default:
+	case !isFrame:
 		http.NotFound(w, r)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	default:
+		data, entry, err := s.fetch(r.Context(), store, q, lane)
+		s.writeFrame(w, data, entry, err)
 	}
 }
 
@@ -140,96 +141,115 @@ func (s *Server) serveIndex(w http.ResponseWriter, name string) {
 	_, _ = w.Write(data)
 }
 
-func (s *Server) serveFrame(w http.ResponseWriter, r *http.Request, store string, lane *trace.Lane) {
-	q := r.URL.Query()
-	key := cinemastore.Key{Variable: q.Get("var")}
-	if key.Variable == "" {
-		http.Error(w, "missing var parameter", http.StatusBadRequest)
-		return
+// ParseFrameQuery parses a frame request from the path below the store
+// name and the raw query string. A node's handler and a cluster
+// gateway's both call it, so the two accept and reject exactly the same
+// requests. ok is false when route is neither "frame" nor "file/<name>";
+// a non-nil error is the client's (400).
+func ParseFrameQuery(route, rawQuery string) (q FrameQuery, ok bool, err error) {
+	file, byFile := strings.CutPrefix(route, "file/")
+	if !byFile && route != "frame" {
+		return q, false, nil
 	}
-	var err error
+	// Like (*url.URL).Query: malformed pairs are dropped, not fatal.
+	v, _ := url.ParseQuery(rawQuery)
+	// cacheonly is a peer-protocol hint, not user input worth a 400:
+	// unparsable values count as false.
+	q.CacheOnly, _ = strconv.ParseBool(v.Get("cacheonly"))
+	if byFile {
+		if file == "" {
+			return q, true, errors.New("missing file name")
+		}
+		q.File = file
+		return q, true, nil
+	}
+	if q.Key.Variable = v.Get("var"); q.Key.Variable == "" {
+		return q, true, errors.New("missing var parameter")
+	}
 	for _, p := range [...]struct {
 		name string
 		dst  *float64
-	}{{"time", &key.Time}, {"phi", &key.Phi}, {"theta", &key.Theta}} {
-		if v := q.Get(p.name); v != "" {
-			if *p.dst, err = strconv.ParseFloat(v, 64); err != nil {
-				http.Error(w, fmt.Sprintf("bad %s parameter: %v", p.name, err), http.StatusBadRequest)
-				return
+	}{{"time", &q.Key.Time}, {"phi", &q.Key.Phi}, {"theta", &q.Key.Theta}} {
+		if s := v.Get(p.name); s != "" {
+			if *p.dst, err = strconv.ParseFloat(s, 64); err != nil {
+				return q, true, fmt.Errorf("bad %s parameter: %v", p.name, err)
 			}
 		}
 	}
-	if err := key.Validate(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	if err := q.Key.Validate(); err != nil {
+		return q, true, err
 	}
-	nearest := false
-	if v := q.Get("nearest"); v != "" {
-		if nearest, err = strconv.ParseBool(v); err != nil {
-			http.Error(w, "bad nearest parameter", http.StatusBadRequest)
-			return
+	if s := v.Get("nearest"); s != "" {
+		if q.Nearest, err = strconv.ParseBool(s); err != nil {
+			return q, true, errors.New("bad nearest parameter")
 		}
 	}
-	if boolParam(q.Get("cacheonly")) {
-		data, entry, ok := s.FrameCached(store, key, nearest)
-		s.writeCachedFrame(w, data, entry, ok)
-		return
-	}
-	data, entry, err := s.frame(r.Context(), store, key, nearest, lane)
-	s.writeFrame(w, data, entry, err)
+	return q, true, nil
 }
 
-// boolParam reads an optional boolean query parameter; unparsable values
-// count as false (the parameter is a peer-protocol hint, not user input
-// worth a 400).
-func boolParam(v string) bool {
-	if v == "" {
-		return false
+// Route renders q as the path below the store name plus query string
+// that ParseFrameQuery reads back to q — the canonical spelling a
+// gateway forwards to its peers, whatever the client wrote.
+func (q FrameQuery) Route() string {
+	v := url.Values{}
+	route := "frame"
+	if q.File != "" {
+		route = "file/" + url.PathEscape(q.File)
+	} else {
+		v.Set("var", q.Key.Variable)
+		for name, val := range map[string]float64{"time": q.Key.Time, "phi": q.Key.Phi, "theta": q.Key.Theta} {
+			v.Set(name, strconv.FormatFloat(val, 'g', -1, 64))
+		}
+		if q.Nearest {
+			v.Set("nearest", "1")
+		}
 	}
-	b, err := strconv.ParseBool(v)
-	return err == nil && b
+	if q.CacheOnly {
+		v.Set("cacheonly", "1")
+	}
+	if len(v) == 0 {
+		return route
+	}
+	return route + "?" + v.Encode()
 }
 
-func (s *Server) serveFile(w http.ResponseWriter, r *http.Request, store, file string, lane *trace.Lane) {
-	if file == "" {
-		http.Error(w, "missing file name", http.StatusBadRequest)
-		return
-	}
-	if boolParam(r.URL.Query().Get("cacheonly")) {
-		data, entry, ok := s.FrameFileCached(store, file)
-		s.writeCachedFrame(w, data, entry, ok)
-		return
-	}
-	data, entry, err := s.frameByFile(r.Context(), store, file, lane)
-	s.writeFrame(w, data, entry, err)
-}
-
-// writeCachedFrame answers a cacheonly probe: 200 with the frame when it
-// was resident, 204 No Content when it was not. 204 — not 404 — because
-// "not in memory" is a normal answer the cluster gateway acts on, not an
-// error about the request.
-func (s *Server) writeCachedFrame(w http.ResponseWriter, data []byte, entry cinemastore.Entry, ok bool) {
-	if !ok {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
+// WriteFrame writes one frame response: the PNG bytes under the file
+// name they are stored as and, from a gateway, the node that served
+// them. Empty names are omitted.
+func WriteFrame(w http.ResponseWriter, data []byte, file, node string) {
 	w.Header().Set("Content-Type", "image/png")
-	w.Header().Set("X-Cinema-File", entry.File)
+	if file != "" {
+		w.Header().Set("X-Cinema-File", file)
+	}
+	if node != "" {
+		w.Header().Set("X-Cinema-Node", node)
+	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 }
 
+// SetRetryAfter advertises backoff d on a 503: Retry-After wants
+// integral seconds, rounded up.
+func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
+	w.Header().Set("Retry-After", strconv.Itoa(int((d+time.Second-1)/time.Second)))
+}
+
 func (s *Server) writeFrame(w http.ResponseWriter, data []byte, entry cinemastore.Entry, err error) {
 	switch {
+	case err == nil:
+		WriteFrame(w, data, entry.File, "")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The client went away; there is no one to write to.
+	case err == errNotResident:
+		// 204 — not 404 — because "not in memory" is a normal answer the
+		// cluster gateway acts on, not an error about the request.
+		w.WriteHeader(http.StatusNoContent)
 	case err == ErrNotFound:
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case errors.Is(err, ErrUnavailable):
-		secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		SetRetryAfter(w, s.cfg.RetryAfter)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case err != nil:
+	default:
 		// A quarantined frame names itself in a header so a cluster
 		// gateway can distinguish "this replica's copy is rotten" (fail
 		// over and repair it) from an opaque server error (strike the
@@ -239,10 +259,5 @@ func (s *Server) writeFrame(w http.ResponseWriter, data []byte, entry cinemastor
 			w.Header().Set("X-Cinema-Corrupt", corrupt.File)
 		}
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-	default:
-		w.Header().Set("Content-Type", "image/png")
-		w.Header().Set("X-Cinema-File", entry.File)
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		_, _ = w.Write(data)
 	}
 }

@@ -52,12 +52,6 @@ func (sc *scrubState) init(reg *telemetry.Registry) {
 	sc.mErrors = reg.Counter("scrub.errors")
 }
 
-// scrubItem is one frame selected for verification.
-type scrubItem struct {
-	m   *mount
-	idx int32
-}
-
 // ScrubOnce runs one bounded scrub sweep: starting from the persistent
 // cursor it walks the mounted stores in canonical order, selects frames
 // that are not cache-resident (a resident frame was verified when it was
@@ -95,7 +89,7 @@ func (s *Server) ScrubOnce(budget int64) ScrubStats {
 	}
 
 	var (
-		batch []scrubItem
+		batch []cacheKey // mount IDs index mounts: Mount only appends
 		cost  int64
 	)
 	for visited := 0; visited < total && cost < budget; visited++ {
@@ -109,46 +103,41 @@ func (s *Server) ScrubOnce(budget int64) ScrubStats {
 		idx := sc.entry
 		sc.entry++
 		e := m.store.EntryAt(idx)
-		if s.cache.contains(cacheKey{mount: m.id, entry: int32(idx)}) {
+		ck := cacheKey{mount: m.id, entry: int32(idx)}
+		if s.cache.Contains(ck) {
 			continue
 		}
-		batch = append(batch, scrubItem{m: m, idx: int32(idx)})
+		batch = append(batch, ck)
 		cost += e.Bytes
 	}
 	if len(batch) == 0 {
 		return ScrubStats{}
 	}
 
-	var frames, quarantined, errors int64
+	var frames, quarantined, readErrs int64
 	var bytesRead int64
 	workpool.Run(len(batch), len(batch), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			it := batch[i]
-			e := it.m.store.EntryAt(int(it.idx))
-			data, err := it.m.store.ReadFrameAt(int(it.idx))
-			if err != nil {
-				atomic.AddInt64(&errors, 1)
+			_, n, err := s.readVerified(mounts[batch[i].mount], int(batch[i].entry), nil)
+			switch {
+			case isCorrupt(err):
+				atomic.AddInt64(&quarantined, 1)
+			case err != nil:
+				atomic.AddInt64(&readErrs, 1)
 				continue
 			}
 			atomic.AddInt64(&frames, 1)
-			atomic.AddInt64(&bytesRead, int64(len(data)))
-			if verr := e.VerifyFrame(data); verr != nil {
-				atomic.AddInt64(&quarantined, 1)
-				s.mCorrupt.Inc()
-				s.gQuar.Add(it.m.setQuarantined(it.idx, true))
-				continue
-			}
-			s.gQuar.Add(it.m.setQuarantined(it.idx, false))
+			atomic.AddInt64(&bytesRead, int64(n))
 		}
 	})
 
 	sc.mFrames.Add(frames)
 	sc.mBytes.Add(bytesRead)
 	sc.mQuar.Add(quarantined)
-	sc.mErrors.Add(errors)
+	sc.mErrors.Add(readErrs)
 	return ScrubStats{
 		Frames: int(frames), Bytes: bytesRead,
-		Quarantined: int(quarantined), Errors: int(errors),
+		Quarantined: int(quarantined), Errors: int(readErrs),
 	}
 }
 

@@ -135,6 +135,11 @@ func (e *CorruptFrameError) Error() string {
 
 func (e *CorruptFrameError) Unwrap() error { return e.Cause }
 
+func isCorrupt(err error) bool {
+	var corrupt *CorruptFrameError
+	return errors.As(err, &corrupt)
+}
+
 // mount is one served store.
 type mount struct {
 	name  string
@@ -183,7 +188,7 @@ func (m *mount) setQuarantined(idx int32, bad bool) int64 {
 // use.
 type Server struct {
 	cfg   Config
-	cache *lruCache
+	cache *Cache[cacheKey]
 
 	mu      sync.RWMutex
 	mounts  []*mount
@@ -258,7 +263,7 @@ func NewServer(cfg Config) *Server {
 		hRespBytes:  reg.Histogram("response.bytes", ResponseSizeBuckets),
 	}
 	s.scrub.init(reg)
-	s.cache = newLRUCache(cfg.CacheBytes, reg.Counter("cache.evictions"), reg.Gauge("cache.used.bytes"))
+	s.cache = NewCache[cacheKey](cfg.CacheBytes, reg.Counter("cache.evictions"), reg.Gauge("cache.used.bytes"))
 	reg.Gauge("cache.budget.bytes").Set(cfg.CacheBytes)
 	reg.Gauge("slots").Set(int64(cfg.MaxInflight))
 
@@ -332,6 +337,29 @@ func (s *Server) lookupMount(name string) *mount {
 	return m
 }
 
+// FrameQuery is one parsed frame request. It is a comparable value: a
+// node resolves it to a (mount, entry) pair, a cluster gateway routes on
+// it and keys its memory tier by it.
+type FrameQuery struct {
+	// Key is the requested axis point; unused when File is set.
+	Key cinemastore.Key
+	// File, when non-empty, addresses the frame by stored file name
+	// instead, for clients that walk the index and fetch files directly.
+	File string
+	// Nearest snaps Key to the closest stored frame instead of requiring
+	// an exact match.
+	Nearest bool
+	// CacheOnly answers from the in-memory cache alone: the fetch never
+	// touches the store, never strikes the breaker, and never starts a
+	// flight. It is the peer-cache tier of cluster mode — a gateway
+	// probes the owning nodes' caches with it before paying a disk read
+	// anywhere — so a miss must stay cheap and side-effect free.
+	CacheOnly bool
+}
+
+// errNotResident answers a CacheOnly fetch whose frame is not in memory.
+var errNotResident = errors.New("cinemaserve: frame not resident")
+
 // Frame resolves key in the named store — exactly, or to the nearest
 // stored frame when nearest is true — and returns the encoded frame
 // bytes plus the entry they came from. The returned slice is shared with
@@ -342,114 +370,68 @@ func (s *Server) Frame(store string, key cinemastore.Key, nearest bool) ([]byte,
 }
 
 func (s *Server) frame(ctx context.Context, store string, key cinemastore.Key, nearest bool, lane *trace.Lane) ([]byte, cinemastore.Entry, error) {
-	start := time.Now()
-	s.mRequests.Inc()
-	m := s.lookupMount(store)
-	if m == nil {
-		s.mErrors.Inc()
-		return nil, cinemastore.Entry{}, ErrNotFound
-	}
-	var idx int
-	var ok bool
-	if nearest {
-		idx, ok = m.store.NearestIndex(key)
-	} else {
-		idx, ok = m.store.LookupIndex(key)
-	}
-	if !ok {
-		s.mErrors.Inc()
-		return nil, cinemastore.Entry{}, ErrNotFound
-	}
-	data, err := s.frameAt(ctx, m, idx, lane)
-	if err != nil {
-		s.countFetchError(err)
-		return nil, cinemastore.Entry{}, err
-	}
-	s.observe(start, len(data))
-	return data, m.store.EntryAt(idx), nil
-}
-
-// FrameCached resolves key like Frame but answers from the in-memory
-// cache alone: it never touches the store, never strikes the breaker,
-// and never starts a flight. It is the peer-cache tier of cluster mode —
-// a gateway probes the owning nodes' caches with it before paying a disk
-// read anywhere — so a miss must stay cheap and side-effect free. The
-// bool reports whether the frame was resident.
-func (s *Server) FrameCached(store string, key cinemastore.Key, nearest bool) ([]byte, cinemastore.Entry, bool) {
-	s.mRequests.Inc()
-	m := s.lookupMount(store)
-	if m == nil {
-		s.mPeekMiss.Inc()
-		return nil, cinemastore.Entry{}, false
-	}
-	var idx int
-	var ok bool
-	if nearest {
-		idx, ok = m.store.NearestIndex(key)
-	} else {
-		idx, ok = m.store.LookupIndex(key)
-	}
-	if !ok {
-		s.mPeekMiss.Inc()
-		return nil, cinemastore.Entry{}, false
-	}
-	return s.frameCachedAt(m, idx)
-}
-
-// FrameFileCached is FrameCached addressed by stored file name.
-func (s *Server) FrameFileCached(store, file string) ([]byte, cinemastore.Entry, bool) {
-	s.mRequests.Inc()
-	m := s.lookupMount(store)
-	if m == nil {
-		s.mPeekMiss.Inc()
-		return nil, cinemastore.Entry{}, false
-	}
-	idx, ok := m.store.LookupFileIndex(file)
-	if !ok {
-		s.mPeekMiss.Inc()
-		return nil, cinemastore.Entry{}, false
-	}
-	return s.frameCachedAt(m, idx)
-}
-
-func (s *Server) frameCachedAt(m *mount, idx int) ([]byte, cinemastore.Entry, bool) {
-	start := time.Now()
-	data, ok := s.cache.get(cacheKey{mount: m.id, entry: int32(idx)})
-	if !ok {
-		s.mPeekMiss.Inc()
-		return nil, cinemastore.Entry{}, false
-	}
-	s.mHits.Inc()
-	s.observe(start, len(data))
-	return data, m.store.EntryAt(idx), true
+	return s.fetch(ctx, store, FrameQuery{Key: key, Nearest: nearest}, lane)
 }
 
 // FrameByFile resolves a stored file name in the named store through the
-// same cache, for clients that walk the index and fetch files directly.
+// same cache.
 func (s *Server) FrameByFile(store, file string) ([]byte, cinemastore.Entry, error) {
-	return s.frameByFile(nil, store, file, nil)
+	return s.fetch(nil, store, FrameQuery{File: file}, nil)
 }
 
-func (s *Server) frameByFile(ctx context.Context, store, file string, lane *trace.Lane) ([]byte, cinemastore.Entry, error) {
+// fetch is the one frame path behind Frame, FrameByFile and both HTTP
+// routes: resolve the request to an entry, get its bytes from the cache
+// or the store, account for the outcome.
+func (s *Server) fetch(ctx context.Context, store string, q FrameQuery, lane *trace.Lane) ([]byte, cinemastore.Entry, error) {
 	start := time.Now()
 	s.mRequests.Inc()
-	m := s.lookupMount(store)
-	if m == nil {
-		s.mErrors.Inc()
-		return nil, cinemastore.Entry{}, ErrNotFound
+	var data []byte
+	var err error
+	m, idx, ok := s.resolve(store, q)
+	switch {
+	case ok && q.CacheOnly:
+		data, err = s.frameCachedAt(m, idx)
+	case ok:
+		data, err = s.frameAt(ctx, m, idx, lane)
+	case q.CacheOnly:
+		// A probe does not tell "no such frame" from "not in memory".
+		err = errNotResident
+	default:
+		err = ErrNotFound
 	}
-	idx, ok := m.store.LookupFileIndex(file)
-	if !ok {
-		s.mErrors.Inc()
-		return nil, cinemastore.Entry{}, ErrNotFound
-	}
-	data, err := s.frameAt(ctx, m, idx, lane)
 	if err != nil {
 		s.countFetchError(err)
 		return nil, cinemastore.Entry{}, err
 	}
 	s.observe(start, len(data))
 	return data, m.store.EntryAt(idx), nil
+}
+
+// resolve maps a request onto the mount and canonical entry index it
+// names; ok is false for an unknown store, variable, file or — for exact
+// lookups — axis point.
+func (s *Server) resolve(store string, q FrameQuery) (m *mount, idx int, ok bool) {
+	if m = s.lookupMount(store); m == nil {
+		return nil, 0, false
+	}
+	switch {
+	case q.File != "":
+		idx, ok = m.store.LookupFileIndex(q.File)
+	case q.Nearest:
+		idx, ok = m.store.NearestIndex(q.Key)
+	default:
+		idx, ok = m.store.LookupIndex(q.Key)
+	}
+	return m, idx, ok
+}
+
+func (s *Server) frameCachedAt(m *mount, idx int) ([]byte, error) {
+	data, _, ok := s.cache.Get(cacheKey{mount: m.id, entry: int32(idx)})
+	if !ok {
+		return nil, errNotResident
+	}
+	s.mHits.Inc()
+	return data, nil
 }
 
 // countFetchError classifies a failed fetch: a client that went away is
@@ -457,14 +439,16 @@ func (s *Server) frameByFile(ctx context.Context, store, file string, lane *trac
 // read keeps running for the peers that stayed), a breaker rejection is
 // already counted by the breaker, a corrupt frame is already counted
 // (once per verification, not per coalesced waiter) under serve.corrupt,
-// and everything else is a serve error.
+// a cacheonly probe that found nothing is a peek miss, and everything
+// else — not found included — is a serve error.
 func (s *Server) countFetchError(err error) {
-	var corrupt *CorruptFrameError
 	switch {
+	case err == errNotResident:
+		s.mPeekMiss.Inc()
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.mCanceled.Inc()
 	case errors.Is(err, ErrUnavailable):
-	case errors.As(err, &corrupt):
+	case isCorrupt(err):
 	default:
 		s.mErrors.Inc()
 	}
@@ -484,7 +468,7 @@ func (s *Server) observe(start time.Time, n int) {
 // result its coalesced peers are still waiting for.
 func (s *Server) frameAt(ctx context.Context, m *mount, idx int, lane *trace.Lane) ([]byte, error) {
 	ck := cacheKey{mount: m.id, entry: int32(idx)}
-	if data, ok := s.cache.get(ck); ok {
+	if data, _, ok := s.cache.Get(ck); ok {
 		s.mHits.Inc()
 		return data, nil
 	}
@@ -492,7 +476,7 @@ func (s *Server) frameAt(ctx context.Context, m *mount, idx int, lane *trace.Lan
 	return s.flights.do(ctx, ck, func() ([]byte, error) {
 		// A concurrent flight may have filled the cache between our miss
 		// and this flight starting; re-check before touching the store.
-		if data, ok := s.cache.get(ck); ok {
+		if data, _, ok := s.cache.Get(ck); ok {
 			return data, nil
 		}
 		if !m.brk.Allow() {
@@ -507,30 +491,48 @@ func (s *Server) frameAt(ctx context.Context, m *mount, idx int, lane *trace.Lan
 			return nil, &InjectedReadError{Seq: f.Seq}
 		}
 		s.mStoreReads.Inc()
-		lane.Begin("store.read")
-		data, err := m.store.ReadFrameAt(idx)
-		lane.End()
-		if err != nil {
+		data, _, err := s.readVerified(m, idx, lane)
+		switch {
+		case err == nil:
+			m.brk.OnSuccess()
+			// The node has the index, so it keeps no file name in the cache.
+			s.cache.Put(ck, data, "")
+		case isCorrupt(err):
+			// The disk answered; the question is integrity, not
+			// availability, so the breaker sees a success.
+			m.brk.OnSuccess()
+		default:
 			m.brk.OnFailure()
-			return nil, err
 		}
-		// The disk answered; from here on the question is integrity, not
-		// availability, so the breaker sees a success either way. Length
-		// is checked before the digest — a frame truncated mid-read must
-		// never be cached, and the cheap check catches it even on pre-v3
-		// entries that carry no content address.
-		m.brk.OnSuccess()
-		e := m.store.EntryAt(idx)
-		if verr := e.VerifyFrame(data); verr != nil {
-			s.mCorrupt.Inc()
-			s.gQuar.Add(m.setQuarantined(ck.entry, true))
-			lane.Instant("corrupt")
-			return nil, &CorruptFrameError{Store: m.name, File: e.File, Cause: verr}
-		}
-		s.gQuar.Add(m.setQuarantined(ck.entry, false))
-		s.cache.put(ck, data)
-		return data, nil
+		return data, err
 	})
+}
+
+// readVerified is the one place frame bytes come off disk, for cache
+// fills and scrub sweeps alike: read entry idx of m (a "store.read" span
+// on lane), verify it, and keep the mount's quarantine in step. Length is
+// checked before the digest — a frame truncated mid-read must never be
+// cached, and the cheap check catches it even on pre-v3 entries that
+// carry no content address. A divergent frame is counted, quarantined
+// and returned as a *CorruptFrameError without its bytes; a clean one
+// clears any earlier quarantine. Any other error is the store's read
+// failure. read is the byte count the disk returned, verified or not.
+func (s *Server) readVerified(m *mount, idx int, lane *trace.Lane) (data []byte, read int, err error) {
+	lane.Begin("store.read")
+	data, err = m.store.ReadFrameAt(idx)
+	lane.End()
+	if err != nil {
+		return nil, 0, err
+	}
+	e := m.store.EntryAt(idx)
+	if verr := e.VerifyFrame(data); verr != nil {
+		s.mCorrupt.Inc()
+		s.gQuar.Add(m.setQuarantined(int32(idx), true))
+		lane.Instant("corrupt")
+		return nil, len(data), &CorruptFrameError{Store: m.name, File: e.File, Cause: verr}
+	}
+	s.gQuar.Add(m.setQuarantined(int32(idx), false))
+	return data, len(data), nil
 }
 
 // flight is one in-progress store read; latecomers block on done and
@@ -617,7 +619,7 @@ func (s *Server) QuarantinedFiles(store string) []string {
 }
 
 // CacheBytes reports the currently resident frame bytes.
-func (s *Server) CacheBytes() int64 { return s.cache.bytes() }
+func (s *Server) CacheBytes() int64 { return s.cache.Bytes() }
 
 // CacheLen reports the currently resident frame count.
-func (s *Server) CacheLen() int { return s.cache.len() }
+func (s *Server) CacheLen() int { return s.cache.Len() }

@@ -538,7 +538,8 @@ func TestCIWorkflowIsValid(t *testing.T) {
 	}
 
 	// The cluster-smoke job is the kill-a-node drill: a 3-node fleet plus
-	// gateway, a mid-burst SIGKILL, byte-identical frames after failover,
+	// gateway, a parsed-request cache-key and 400 check while the fleet is
+	// whole, a mid-burst SIGKILL, byte-identical frames after failover,
 	// a rebalance check across the survivors, and a direct multi-target
 	// balance gate. It depends on serve-smoke and carries a timeout so a
 	// wedged fleet cannot hang the pipeline.
@@ -549,8 +550,17 @@ func TestCIWorkflowIsValid(t *testing.T) {
 	if clusterJob.TimeoutMinutes <= 0 {
 		t.Error("cluster-smoke must set timeout-minutes")
 	}
-	var clusterFleet, clusterKill, clusterCmp, clusterRebalance, clusterAsserts, clusterBalance, clusterUpload bool
+	var clusterFleet, clusterQuery, clusterKill, clusterCmp, clusterRebalance, clusterAsserts, clusterBalance, clusterUpload bool
 	for _, st := range clusterJob.Steps {
+		// Before any failure: two spellings of one point are one gateway
+		// cache miss, and a malformed query is a 400 that costs no
+		// failover.
+		if strings.Contains(st.Run, "time=$T&") && strings.Contains(st.Run, "time=$T.0&") &&
+			strings.Contains(st.Run, "nearest=maybe") && strings.Contains(st.Run, `"$code" = 400`) &&
+			strings.Contains(st.Run, "cluster.cache.misses") && strings.Contains(st.Run, "misses_before + 1") &&
+			strings.Contains(st.Run, `cluster\.failover 0$`) {
+			clusterQuery = true
+		}
 		if strings.Contains(st.Run, "-cluster") && strings.Contains(st.Run, "-peers") &&
 			strings.Contains(st.Run, "-replicas") {
 			clusterFleet = true
@@ -581,9 +591,9 @@ func TestCIWorkflowIsValid(t *testing.T) {
 			}
 		}
 	}
-	if !clusterFleet || !clusterKill || !clusterCmp || !clusterRebalance || !clusterAsserts || !clusterBalance || !clusterUpload {
-		t.Errorf("cluster-smoke coverage: fleet=%v kill=%v cmp=%v rebalance=%v asserts=%v balance=%v upload=%v",
-			clusterFleet, clusterKill, clusterCmp, clusterRebalance, clusterAsserts, clusterBalance, clusterUpload)
+	if !clusterFleet || !clusterQuery || !clusterKill || !clusterCmp || !clusterRebalance || !clusterAsserts || !clusterBalance || !clusterUpload {
+		t.Errorf("cluster-smoke coverage: fleet=%v query=%v kill=%v cmp=%v rebalance=%v asserts=%v balance=%v upload=%v",
+			clusterFleet, clusterQuery, clusterKill, clusterCmp, clusterRebalance, clusterAsserts, clusterBalance, clusterUpload)
 	}
 
 	// The integrity-smoke job is the bit-rot drill: independent replicas
