@@ -41,6 +41,7 @@ import (
 	"sync"
 
 	"insituviz/internal/cinemastore"
+	"insituviz/internal/faults"
 )
 
 // DefaultVirtualNodes is the ring points each member contributes. 128
@@ -116,7 +117,7 @@ func (r *Ring) rebuild() {
 			buf = append(buf, m...)
 			buf = append(buf, '#')
 			buf = strconv.AppendInt(buf, int64(v), 10)
-			r.points = append(r.points, point{hash: fnv64a(buf), node: int32(idx)})
+			r.points = append(r.points, point{hash: hashBytes(buf), node: int32(idx)})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -185,7 +186,7 @@ func HashKey(store string, key cinemastore.Key) uint64 {
 	buf = append(buf, store...)
 	buf = append(buf, '/')
 	buf = key.AppendCanonical(buf)
-	return fnv64a(buf)
+	return hashBytes(buf)
 }
 
 // HashFile maps a (store, file) address onto the keyspace, for clients
@@ -195,25 +196,13 @@ func HashFile(store, file string) uint64 {
 	buf = append(buf, store...)
 	buf = append(buf, '/')
 	buf = append(buf, file...)
-	return fnv64a(buf)
+	return hashBytes(buf)
 }
 
-// fnv64a is the 64-bit FNV-1a hash of b passed through a splitmix64
-// finalizer. FNV alone leaves the high bits of short, similar inputs
-// (vnode labels differ by a digit or two) correlated enough to skew ring
-// shares past 2x fair; the avalanche step spreads them. Both stages are
-// endian- and architecture-independent, which placement determinism
-// requires.
-func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
+// hashBytes is FNV-1a passed through the splitmix64 finalizer. FNV alone
+// leaves the high bits of short, similar inputs (vnode labels differ by
+// a digit or two) correlated enough to skew ring shares past 2x fair;
+// the avalanche step spreads them.
+func hashBytes(b []byte) uint64 {
+	return faults.Mix64(faults.FNV64a(b))
 }

@@ -286,7 +286,7 @@ func (in *Injector) Uniform(name string, n uint64) float64 {
 	if in == nil {
 		return 0
 	}
-	return uniform(in.seed, fnv64(name), 1<<62, n)
+	return uniform(in.seed, FNV64a(name), 1<<62, n)
 }
 
 // siteRule is one rule bound to a site, with its fire-count state.
@@ -350,23 +350,30 @@ func (sr *siteRule) matches(seed uint64, site string, n uint64) bool {
 	if sr.at != nil && sr.at[n] {
 		return true
 	}
-	return sr.rule.Prob > 0 && uniform(seed, fnv64(site), sr.salt, n) < sr.rule.Prob
+	return sr.rule.Prob > 0 && uniform(seed, FNV64a(site), sr.salt, n) < sr.rule.Prob
 }
 
-// uniform maps (seed, site hash, salt, n) onto [0, 1) with a splitmix64
-// finalizer — a keyed hash, not a stream, so draws are order-free.
+// uniform maps (seed, site hash, salt, n) onto [0, 1) — a keyed hash,
+// not a stream, so draws are order-free.
 func uniform(seed, siteHash, salt, n uint64) float64 {
-	x := seed ^ siteHash ^ (salt * 0xbf58476d1ce4e5b9) ^ (n * 0x9e3779b97f4a7c15)
+	x := Mix64(seed ^ siteHash ^ (salt * 0xbf58476d1ce4e5b9) ^ (n * 0x9e3779b97f4a7c15))
+	return float64(x>>11) / (1 << 53)
+}
+
+// Mix64 is the splitmix64 finalizer: an avalanche step that spreads
+// every input bit over the whole word. Endian- and architecture-
+// independent, which fault-plan and ring-placement determinism require.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+	return x
 }
 
-// fnv64 is the FNV-1a hash of s.
-func fnv64(s string) uint64 {
+// FNV64a is the 64-bit FNV-1a hash of s.
+func FNV64a[T string | []byte](s T) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
