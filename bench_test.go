@@ -29,7 +29,7 @@ import (
 	"testing"
 
 	"insituviz/internal/catalyst"
-	"insituviz/internal/costmodel"
+	"insituviz/internal/core"
 	"insituviz/internal/livemodel"
 	"insituviz/internal/lustre"
 	"insituviz/internal/mesh"
@@ -37,7 +37,6 @@ import (
 	"insituviz/internal/pipeline"
 	"insituviz/internal/render"
 	"insituviz/internal/report"
-	"insituviz/internal/tempsample"
 	"insituviz/internal/trace"
 	"insituviz/internal/units"
 )
@@ -469,11 +468,11 @@ func BenchmarkExtensionInTransitSweep(b *testing.B) {
 // sampling interval, and prices meeting it with each pipeline.
 func BenchmarkExtensionSamplingAdequacy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		lifetimes, err := tempsample.SyntheticLifetimes(5000, 120*86400, 42)
+		lifetimes, err := core.SyntheticLifetimes(5000, 120*86400, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sums, err := tempsample.Sweep(lifetimes,
+		sums, err := core.SweepSampling(lifetimes,
 			[]float64{3600, 86400, 8 * 86400, 30 * 86400}, 100)
 		if err != nil {
 			b.Fatal(err)
@@ -485,8 +484,8 @@ func BenchmarkExtensionSamplingAdequacy(b *testing.B) {
 				fmt.Sprintf("%.0f", s.MeanObservations),
 				report.Pct(s.MissedFraction))
 		}
-		req := tempsample.Requirement{MinObservations: 100, Coverage: 0.9}
-		iv, err := tempsample.CoarsestInterval(lifetimes, req)
+		req := core.Requirement{MinObservations: 100, Coverage: 0.9}
+		iv, err := core.CoarsestInterval(lifetimes, req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -512,7 +511,7 @@ func BenchmarkExtensionSamplingAdequacy(b *testing.B) {
 func BenchmarkExtensionEnergyEconomics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, m := reproduceModel(b)
-		assume := costmodel.Default()
+		assume := core.DefaultCostAssumptions()
 		century := Years(100)
 		ts := Minutes(30)
 		tb := report.NewTable("Extension — energy economics of a 100-year campaign ($1M/MW-year)",
@@ -555,11 +554,11 @@ func BenchmarkFinding3TrappedCapacity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			u, err := costmodel.PowerUtilization(m.AvgTotalPower, budget)
+			u, err := core.PowerUtilization(m.AvgTotalPower, budget)
 			if err != nil {
 				b.Fatal(err)
 			}
-			tc, err := costmodel.TrappedCapacity(m.AvgTotalPower, budget)
+			tc, err := core.TrappedCapacity(m.AvgTotalPower, budget)
 			if err != nil {
 				b.Fatal(err)
 			}

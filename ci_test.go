@@ -1,6 +1,9 @@
 package insituviz
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -75,6 +78,45 @@ func TestCIRunsTheSmokeScripts(t *testing.T) {
 	for _, s := range []string{"scripts/smoke/selftest.sh", "scripts/smoke/trace.sh"} {
 		if out, err := exec.Command(s).CombinedOutput(); err != nil {
 			t.Errorf("%s: %v\n%s", s, err, out)
+		}
+	}
+}
+
+// TestEveryInternalPackageHasAProductionImporter keeps internal/ free of
+// packages only their own tests reach: each directory under internal/ must
+// be imported by at least one non-test file outside itself (root, cmd/,
+// internal/ or bench/). leakcheck is test support by design.
+func TestEveryInternalPackageHasAProductionImporter(t *testing.T) {
+	imported := map[string]bool{"insituviz/internal/leakcheck": true}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if d != nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return fs.SkipDir // .git, .bench_build (a Go build cache)
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		self := "insituviz/" + filepath.ToSlash(filepath.Dir(path))
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); p != self {
+				imported[p] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if p := "insituviz/internal/" + d.Name(); d.IsDir() && !imported[p] {
+			t.Errorf("%s is imported by no non-test file outside itself: give it a caller or delete it", p)
 		}
 	}
 }

@@ -53,6 +53,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"insituviz/internal/cinemacluster"
@@ -216,7 +217,7 @@ func main() {
 }
 
 // serve listens on httpAddr, prints the mode's banner for the bound
-// address, and blocks until interrupted.
+// address, and blocks until SIGINT or SIGTERM.
 func serve(httpAddr string, mux *http.ServeMux, banner func(addr net.Addr)) {
 	addr, shutdown, err := trace.Serve(httpAddr, mux)
 	if err != nil {
@@ -226,7 +227,7 @@ func serve(httpAddr string, mux *http.ServeMux, banner func(addr net.Addr)) {
 	banner(addr)
 
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
 	// Give in-flight responses a moment to drain before the listener dies.

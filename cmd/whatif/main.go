@@ -10,8 +10,8 @@ import (
 	"log"
 
 	"insituviz"
+	"insituviz/internal/core"
 	"insituviz/internal/report"
-	"insituviz/internal/tempsample"
 )
 
 func main() {
@@ -66,12 +66,12 @@ func main() {
 	}
 
 	if *eddyMeanDays > 0 {
-		lifetimes, err := tempsample.SyntheticLifetimes(5000, *eddyMeanDays*86400, 42)
+		lifetimes, err := core.SyntheticLifetimes(5000, *eddyMeanDays*86400, 42)
 		if err != nil {
 			log.Fatal(err)
 		}
-		req := tempsample.Requirement{MinObservations: *minObs, Coverage: *coverage}
-		iv, err := tempsample.CoarsestInterval(lifetimes, req)
+		req := core.Requirement{MinObservations: *minObs, Coverage: *coverage}
+		iv, err := core.CoarsestInterval(lifetimes, req)
 		if err != nil {
 			log.Fatalf("science requirement infeasible: %v", err)
 		}

@@ -29,7 +29,6 @@
 package insituviz
 
 import (
-	"insituviz/internal/advisor"
 	"insituviz/internal/core"
 	"insituviz/internal/pipeline"
 	"insituviz/internal/units"
@@ -160,9 +159,9 @@ func ReproduceStudy(p Platform) (*Study, error) {
 // envisions at the end of Section VII.
 type (
 	// Constraints bounds a planned campaign for the advisor.
-	Constraints = advisor.Constraints
+	Constraints = core.Constraints
 	// Recommendation is the advisor's pipeline and sampling-rate decision.
-	Recommendation = advisor.Recommendation
+	Recommendation = core.Recommendation
 )
 
 // Recommend selects the pipeline and sampling interval for a campaign of
@@ -171,5 +170,5 @@ type (
 // rate and the pipeline automatically depending on a given set of
 // constraints" (Section VII).
 func Recommend(m *Model, simDuration, timestep Seconds, c Constraints) (Recommendation, error) {
-	return advisor.Recommend(m, simDuration, timestep, c)
+	return core.Recommend(m, simDuration, timestep, c)
 }

@@ -6,8 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"insituviz/internal/cinemastore"
 	"insituviz/internal/ncfile"
-	"insituviz/internal/render"
+	"insituviz/internal/provenance"
 )
 
 func TestReproduceStudy(t *testing.T) {
@@ -67,6 +68,44 @@ func TestFacadeHelpers(t *testing.T) {
 	}
 }
 
+// TestLiveRunReleasesManifestDescriptor pins that a finished LiveRun holds
+// no descriptor on its provenance ledger: the first index commit opens
+// manifest.log, and only CinemaDB.Close releases it.
+func TestLiveRunReleasesManifestDescriptor(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd:", err)
+	}
+	dir, err := filepath.EvalSymlinks(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LiveRun(LiveConfig{
+		Mode:             InSitu,
+		MeshSubdivisions: 2,
+		Steps:            16,
+		SampleEverySteps: 8,
+		OutputDir:        dir,
+		ImageWidth:       64,
+		ImageHeight:      32,
+		RenderRanks:      2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "cinema", provenance.ManifestFile)
+	if _, err := os.Stat(manifest); err != nil {
+		t.Fatalf("the run committed no ledger: %v", err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == manifest {
+			t.Errorf("fd %s still open on %s after LiveRun returned", fd.Name(), manifest)
+		}
+	}
+}
+
 func TestLiveRunValidation(t *testing.T) {
 	if _, err := LiveRun(LiveConfig{}); err == nil {
 		t.Error("missing output dir accepted")
@@ -107,10 +146,11 @@ func TestLiveRunInSitu(t *testing.T) {
 		t.Errorf("max velocity = %v", res.MaxVelocity)
 	}
 	// The Cinema database must exist and index all images.
-	entries, err := render.ReadCinemaIndex(filepath.Join(dir, "cinema"))
+	st, err := cinemastore.Open(filepath.Join(dir, "cinema"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	entries := st.Entries()
 	if len(entries) != 3 {
 		t.Errorf("cinema index has %d entries", len(entries))
 	}
@@ -190,10 +230,11 @@ func TestLiveRunModesProduceSameImages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries, err := render.ReadCinemaIndex(filepath.Join(dir, "cinema"))
-		if err != nil || len(entries) != 1 {
-			t.Fatalf("index = %v (%v)", entries, err)
+		st, err := cinemastore.Open(filepath.Join(dir, "cinema"))
+		if err != nil || st.Len() != 1 {
+			t.Fatalf("index = %v (%v)", st, err)
 		}
+		entries := st.Entries()
 		data, err := os.ReadFile(filepath.Join(dir, "cinema", entries[0].File))
 		if err != nil {
 			t.Fatal(err)
@@ -232,13 +273,14 @@ func TestLiveRunOrthoViews(t *testing.T) {
 	if res.Images != 4 {
 		t.Errorf("images = %d, want 4 (1 map + 3 views)", res.Images)
 	}
-	entries, err := render.ReadCinemaIndex(filepath.Join(dir, "cinema"))
+	st, err := cinemastore.Open(filepath.Join(dir, "cinema"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	entries := st.Entries()
 	fields := map[string]int{}
 	for _, e := range entries {
-		fields[e.Field]++
+		fields[e.Variable]++
 	}
 	if fields["okubo_weiss"] != 1 || fields["okubo_weiss_view0"] != 1 || fields["okubo_weiss_view2"] != 1 {
 		t.Errorf("cinema fields = %v", fields)
@@ -261,13 +303,14 @@ func TestLiveRunEddyCoreImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := render.ReadCinemaIndex(filepath.Join(dir, "cinema"))
+	st, err := cinemastore.Open(filepath.Join(dir, "cinema"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	entries := st.Entries()
 	fields := map[string]int{}
 	for _, e := range entries {
-		fields[e.Field]++
+		fields[e.Variable]++
 	}
 	if fields["okubo_weiss"] != 2 {
 		t.Errorf("base images = %d, want 2", fields["okubo_weiss"])

@@ -82,9 +82,6 @@ func (a *Adaptor) AddPipeline(p Pipeline) error {
 	return nil
 }
 
-// Pipelines returns the number of registered pipelines.
-func (a *Adaptor) Pipelines() int { return len(a.pipelines) }
-
 // SetReuse selects the snapshot ownership contract. With reuse off (the
 // default) every invocation allocates a fresh FieldData that pipelines may
 // retain. With reuse on, the adaptor deep-copies into one retained
@@ -158,12 +155,3 @@ func (a *Adaptor) BytesCopied() units.Bytes { return a.copied }
 
 // Invocations returns how many times co-processing fired.
 func (a *Adaptor) Invocations() int { return a.invocations }
-
-// ExpectedInvocations returns how many times the trigger fires over a run
-// of totalSteps steps.
-func (a *Adaptor) ExpectedInvocations(totalSteps int) int {
-	if totalSteps < 0 {
-		return 0
-	}
-	return totalSteps / a.everySteps
-}

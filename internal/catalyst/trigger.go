@@ -5,36 +5,26 @@ import (
 	"math"
 )
 
-// Trigger decides at which steps co-processing fires. Beyond the paper's
-// fixed sampling rates, data-driven triggers are the natural next step for
-// the automated framework Section VII envisions: sample densely while the
-// flow changes and sparsely while it is quiescent.
-type Trigger interface {
-	// ShouldFire inspects the current step and field and decides whether
-	// to co-process. Implementations may keep state (the last fired
-	// field).
-	ShouldFire(step int, field []float64) bool
-	// Name identifies the trigger in logs.
-	Name() string
-}
-
 // PeriodicTrigger fires every Every steps (step 0 never fires) — the
 // paper's fixed output sampling rate.
 type PeriodicTrigger struct {
 	Every int
 }
 
-// Name implements Trigger.
+// Name identifies the trigger and its period.
 func (p *PeriodicTrigger) Name() string { return fmt.Sprintf("periodic(%d)", p.Every) }
 
-// ShouldFire implements Trigger.
+// ShouldFire reports whether step is a positive multiple of Every.
 func (p *PeriodicTrigger) ShouldFire(step int, _ []float64) bool {
 	return p.Every > 0 && step > 0 && step%p.Every == 0
 }
 
 // AdaptiveTrigger fires when the field has drifted by more than RelChange
 // (relative L2 norm) since the last fired snapshot, but never more often
-// than MinInterval steps nor less often than MaxInterval steps.
+// than MinInterval steps nor less often than MaxInterval steps. Beyond the
+// paper's fixed sampling rates, a data-driven trigger is the natural next
+// step for the automated framework Section VII envisions: sample densely
+// while the flow changes and sparsely while it is quiescent.
 type AdaptiveTrigger struct {
 	// MinInterval is the minimum number of steps between firings (>= 1).
 	MinInterval int
@@ -63,13 +53,13 @@ func NewAdaptiveTrigger(minInterval, maxInterval int, relChange float64) (*Adapt
 	return &AdaptiveTrigger{MinInterval: minInterval, MaxInterval: maxInterval, RelChange: relChange}, nil
 }
 
-// Name implements Trigger.
+// Name identifies the trigger and its parameters.
 func (a *AdaptiveTrigger) Name() string {
 	return fmt.Sprintf("adaptive(%d..%d, %.2g)", a.MinInterval, a.MaxInterval, a.RelChange)
 }
 
-// ShouldFire implements Trigger. A positive decision records the field as
-// the new reference snapshot.
+// ShouldFire decides whether to co-process at step. A positive decision
+// records the field as the new reference snapshot.
 func (a *AdaptiveTrigger) ShouldFire(step int, field []float64) bool {
 	if step <= 0 || len(field) == 0 {
 		return false
@@ -120,53 +110,3 @@ func (a *AdaptiveTrigger) remember(step int, field []float64) {
 	a.fired = true
 	a.lastField = append(a.lastField[:0], field...)
 }
-
-// TriggeredAdaptor couples a Trigger with co-processing pipelines; unlike
-// the fixed-rate Adaptor it inspects the field at every step.
-type TriggeredAdaptor struct {
-	trigger   Trigger
-	pipelines []Pipeline
-
-	copied      int64
-	invocations int
-}
-
-// NewTriggeredAdaptor builds an adaptor around a trigger.
-func NewTriggeredAdaptor(tr Trigger) (*TriggeredAdaptor, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("catalyst: nil trigger")
-	}
-	return &TriggeredAdaptor{trigger: tr}, nil
-}
-
-// AddPipeline registers a co-processing pipeline.
-func (a *TriggeredAdaptor) AddPipeline(p Pipeline) error {
-	if p == nil {
-		return fmt.Errorf("catalyst: nil pipeline")
-	}
-	a.pipelines = append(a.pipelines, p)
-	return nil
-}
-
-// CoProcess offers the field at one step; when the trigger fires, a deep
-// copy is dispatched to every pipeline. Returns whether it fired.
-func (a *TriggeredAdaptor) CoProcess(step int, simTime float64, name string, simValues []float64) (bool, error) {
-	if len(simValues) == 0 {
-		return false, fmt.Errorf("catalyst: empty field %q at step %d", name, step)
-	}
-	if !a.trigger.ShouldFire(step, simValues) {
-		return false, nil
-	}
-	fd := &FieldData{Name: name, Step: step, Time: simTime, Values: append([]float64(nil), simValues...)}
-	a.copied += int64(fd.Bytes())
-	a.invocations++
-	for i, p := range a.pipelines {
-		if err := p.CoProcess(fd); err != nil {
-			return true, fmt.Errorf("catalyst: pipeline %d at step %d: %w", i, step, err)
-		}
-	}
-	return true, nil
-}
-
-// Invocations returns how many times the trigger fired.
-func (a *TriggeredAdaptor) Invocations() int { return a.invocations }

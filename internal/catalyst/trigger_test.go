@@ -122,46 +122,6 @@ func TestAdaptiveTriggerEdgeCases(t *testing.T) {
 	}
 }
 
-func TestTriggeredAdaptor(t *testing.T) {
-	if _, err := NewTriggeredAdaptor(nil); err == nil {
-		t.Error("nil trigger accepted")
-	}
-	tr, _ := NewAdaptiveTrigger(1, 10, 0.05)
-	ad, err := NewTriggeredAdaptor(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ad.AddPipeline(nil); err == nil {
-		t.Error("nil pipeline accepted")
-	}
-	var got []*FieldData
-	ad.AddPipeline(PipelineFunc(func(fd *FieldData) error {
-		got = append(got, fd)
-		return nil
-	}))
-	field := []float64{1, 1}
-	fired, err := ad.CoProcess(1, 100, "w", field)
-	if err != nil || !fired {
-		t.Fatalf("initial fire: %v %v", fired, err)
-	}
-	// Deep copy guaranteed.
-	field[0] = 99
-	if got[0].Values[0] != 1 {
-		t.Error("triggered adaptor did not deep-copy")
-	}
-	// Quiescent step does not fire.
-	fired, err = ad.CoProcess(2, 200, "w", []float64{1, 1})
-	if err != nil || fired {
-		t.Fatalf("quiescent fire: %v %v", fired, err)
-	}
-	if ad.Invocations() != 1 {
-		t.Errorf("invocations = %d", ad.Invocations())
-	}
-	if _, err := ad.CoProcess(3, 300, "w", nil); err == nil {
-		t.Error("empty field accepted")
-	}
-}
-
 func TestAdaptiveSamplingReducesOutputsOnDecayingFlow(t *testing.T) {
 	// Synthetic "simulation": a field that changes quickly at first and
 	// then settles. Periodic sampling keeps writing; adaptive sampling

@@ -136,7 +136,7 @@ func TestGatewayRepairsCorruptReplica(t *testing.T) {
 
 	// And the victim heals without coordination: its next direct read
 	// verifies clean and lifts the in-memory quarantine.
-	data, _, err := nodes[vi].srv.FrameByFile("run", e.File)
+	data, _, err := nodes[vi].srv.Frame("run", e.Key, false)
 	if err != nil || !bytes.Equal(data, orig) {
 		t.Fatalf("victim read after repair: %v", err)
 	}

@@ -88,7 +88,7 @@ func TestTruncatedFrameNeverCachedWithoutDigest(t *testing.T) {
 	if err := s.Mount("run", st); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = s.FrameByFile("run", e.File)
+	_, _, err = s.Frame("run", e.Key, false)
 	var corrupt *CorruptFrameError
 	if !errors.As(err, &corrupt) {
 		t.Fatalf("truncated frame read: err = %v, want CorruptFrameError", err)
@@ -123,7 +123,7 @@ func TestCorruptFrameQuarantinedThenHeals(t *testing.T) {
 	// must fail as corrupt, nothing may be cached, and the breaker must
 	// stay closed — integrity failures are not availability failures.
 	for i := 0; i < 6; i++ {
-		_, _, err := s.FrameByFile("run", e.File)
+		_, _, err := s.Frame("run", e.Key, false)
 		var corrupt *CorruptFrameError
 		if !errors.As(err, &corrupt) || corrupt.File != e.File {
 			t.Fatalf("read %d: err = %v, want CorruptFrameError for %s", i, err, e.File)
@@ -150,7 +150,7 @@ func TestCorruptFrameQuarantinedThenHeals(t *testing.T) {
 	if err := os.WriteFile(path, orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := s.FrameByFile("run", e.File)
+	data, _, err := s.Frame("run", e.Key, false)
 	if err != nil {
 		t.Fatalf("read after repair: %v", err)
 	}
@@ -238,7 +238,7 @@ func storageChaosRun(t *testing.T, seed uint64) (faultLog string, corrupt, scrub
 		t.Fatal(err)
 	}
 	for i := 0; i < st.Len(); i++ {
-		if _, _, err := s.FrameByFile("run", st.EntryAt(i).File); err != nil {
+		if _, _, err := s.Frame("run", st.EntryAt(i).Key, false); err != nil {
 			var cfe *CorruptFrameError
 			if !errors.As(err, &cfe) {
 				t.Fatalf("frame %d: unexpected error kind: %v", i, err)

@@ -373,13 +373,7 @@ func (s *Server) frame(ctx context.Context, store string, key cinemastore.Key, n
 	return s.fetch(ctx, store, FrameQuery{Key: key, Nearest: nearest}, lane)
 }
 
-// FrameByFile resolves a stored file name in the named store through the
-// same cache.
-func (s *Server) FrameByFile(store, file string) ([]byte, cinemastore.Entry, error) {
-	return s.fetch(nil, store, FrameQuery{File: file}, nil)
-}
-
-// fetch is the one frame path behind Frame, FrameByFile and both HTTP
+// fetch is the one frame path behind Frame and both HTTP
 // routes: resolve the request to an entry, get its bytes from the cache
 // or the store, account for the outcome.
 func (s *Server) fetch(ctx context.Context, store string, q FrameQuery, lane *trace.Lane) ([]byte, cinemastore.Entry, error) {

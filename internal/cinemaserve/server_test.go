@@ -92,7 +92,7 @@ func TestFrameExactNearestAndByFile(t *testing.T) {
 	}
 
 	// By file name, through the same cache.
-	data2, entry2, err := s.FrameByFile("run", entry.File)
+	data2, entry2, err := s.fetch(nil, "run", FrameQuery{File: entry.File}, nil)
 	if err != nil {
 		t.Fatalf("by file: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestFrameExactNearestAndByFile(t *testing.T) {
 	if _, _, err := s.Frame("run", cinemastore.Key{Time: 99, Variable: "var0"}, false); err != ErrNotFound {
 		t.Errorf("exact miss: %v", err)
 	}
-	if _, _, err := s.FrameByFile("run", "absent.png"); err != ErrNotFound {
+	if _, _, err := s.fetch(nil, "run", FrameQuery{File: "absent.png"}, nil); err != ErrNotFound {
 		t.Errorf("file miss: %v", err)
 	}
 }

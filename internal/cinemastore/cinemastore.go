@@ -89,9 +89,6 @@ func (k Key) AppendCanonical(dst []byte) []byte {
 	return dst
 }
 
-// Canonical returns AppendCanonical as a string.
-func (k Key) Canonical() string { return string(k.AppendCanonical(nil)) }
-
 // Validate rejects keys that cannot live on the axes: non-finite
 // coordinates (NaN would also poison map lookups) and empty variables.
 func (k Key) Validate() error {
@@ -342,9 +339,6 @@ func Create(dir string) (*Writer, error) {
 	}
 	return &Writer{dir: dir, byKey: map[Key]int{}, files: map[string]bool{}, ledger: ledger}, nil
 }
-
-// Dir returns the database directory.
-func (w *Writer) Dir() string { return w.dir }
 
 // fileName derives a readable, collision-free frame file name from a key.
 func (w *Writer) fileName(k Key) string {

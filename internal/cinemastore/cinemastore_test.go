@@ -62,10 +62,11 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 	var total int64
 	for _, e := range wrote {
 		total += e.Bytes
-		got, ok := s.Lookup(e.Key)
+		i, ok := s.LookupIndex(e.Key)
 		if !ok {
 			t.Fatalf("Lookup(%+v) missed", e.Key)
 		}
+		got := s.EntryAt(i)
 		if got != e {
 			t.Errorf("Lookup(%+v) = %+v, want %+v", e.Key, got, e)
 		}
@@ -83,12 +84,6 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 	if got := s.Variables(); len(got) != 2 || got[0] != "okubo_weiss" || got[1] != "vorticity" {
 		t.Errorf("Variables = %v", got)
 	}
-	if cams := s.Cameras("okubo_weiss"); len(cams) != 2 {
-		t.Errorf("Cameras = %v", cams)
-	}
-	if times := s.Times("okubo_weiss", 0, 0); len(times) != 3 || times[0] != 3600 {
-		t.Errorf("Times = %v", times)
-	}
 }
 
 func TestScanCanonicalOrder(t *testing.T) {
@@ -98,13 +93,7 @@ func TestScanCanonicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seen []Entry
-	if err := s.Scan(func(e Entry) error {
-		seen = append(seen, e)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	seen := s.Entries()
 	if len(seen) != s.Len() {
 		t.Fatalf("scanned %d of %d", len(seen), s.Len())
 	}
@@ -116,14 +105,6 @@ func TestScanCanonicalOrder(t *testing.T) {
 		if a.Variable == b.Variable && a.Time > b.Time {
 			t.Fatalf("time order broken at %d", i)
 		}
-	}
-	wantErr := fmt.Errorf("stop")
-	n := 0
-	if err := s.Scan(func(Entry) error { n++; return wantErr }); err != wantErr {
-		t.Errorf("Scan error = %v", err)
-	}
-	if n != 1 {
-		t.Errorf("Scan continued after error: %d calls", n)
 	}
 }
 
@@ -153,16 +134,16 @@ func TestNearestLookup(t *testing.T) {
 			Key{Time: 3600, Phi: math.Pi / 2, Theta: 0.1, Variable: "okubo_weiss"}},
 	}
 	for _, tc := range cases {
-		got, ok := s.Nearest(tc.query)
+		i, ok := s.NearestIndex(tc.query)
 		if !ok {
 			t.Errorf("Nearest(%+v) missed", tc.query)
 			continue
 		}
-		if got.Key != tc.want {
+		if got := s.EntryAt(i); got.Key != tc.want {
 			t.Errorf("Nearest(%+v) = %+v, want %+v", tc.query, got.Key, tc.want)
 		}
 	}
-	if _, ok := s.Nearest(Key{Time: 3600, Variable: "no_such_variable"}); ok {
+	if _, ok := s.NearestIndex(Key{Time: 3600, Variable: "no_such_variable"}); ok {
 		t.Error("Nearest resolved an unknown variable")
 	}
 }
@@ -238,9 +219,9 @@ func TestOpenLegacyV1Index(t *testing.T) {
 	if s.Version() != "1.0" || s.Len() != 2 {
 		t.Fatalf("version %q len %d", s.Version(), s.Len())
 	}
-	e, ok := s.Lookup(Key{Time: 7200, Variable: "okubo_weiss"})
-	if !ok || e.File != "b.png" {
-		t.Errorf("legacy lookup = %+v ok=%v", e, ok)
+	i, ok := s.LookupIndex(Key{Time: 7200, Variable: "okubo_weiss"})
+	if !ok || s.EntryAt(i).File != "b.png" {
+		t.Errorf("legacy lookup = %d ok=%v", i, ok)
 	}
 }
 
@@ -327,7 +308,7 @@ func TestConcurrentCommitNeverTearsIndex(t *testing.T) {
 		if n := s.Len(); n != 1 && n != 2 {
 			t.Fatalf("reader %d: observed torn index with %d entries", i, n)
 		}
-		if _, ok := s.Lookup(e1.Key); !ok {
+		if _, ok := s.LookupIndex(e1.Key); !ok {
 			t.Fatalf("reader %d: committed entry missing", i)
 		}
 	}

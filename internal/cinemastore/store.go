@@ -128,49 +128,11 @@ func (s *Store) Variables() []string {
 	return out
 }
 
-// Cameras returns the distinct (phi, theta) viewpoints the variable was
-// rendered from, in index order, or nil for an unknown variable.
-func (s *Store) Cameras(variable string) []Key {
-	va := s.varIdx[variable]
-	if va == nil {
-		return nil
-	}
-	out := make([]Key, len(va.cams))
-	for i, c := range va.cams {
-		out[i] = Key{Phi: c.phi, Theta: c.theta, Variable: variable}
-	}
-	return out
-}
-
-// Times returns the ascending sample times of a (variable, camera) track,
-// or nil if the track does not exist.
-func (s *Store) Times(variable string, phi, theta float64) []float64 {
-	va := s.varIdx[variable]
-	if va == nil {
-		return nil
-	}
-	for _, c := range va.cams {
-		if c.phi == phi && c.theta == theta {
-			return append([]float64(nil), c.times...)
-		}
-	}
-	return nil
-}
-
 // LookupIndex resolves a key exactly, returning the entry's canonical
 // index. It allocates nothing, so it can sit on the serving hot path.
 func (s *Store) LookupIndex(key Key) (int, bool) {
 	i, ok := s.byKey[key]
 	return i, ok
-}
-
-// Lookup resolves a key exactly.
-func (s *Store) Lookup(key Key) (Entry, bool) {
-	i, ok := s.byKey[key]
-	if !ok {
-		return Entry{}, false
-	}
-	return s.entries[i], true
 }
 
 // LookupFileIndex resolves a stored file name to its canonical entry
@@ -211,15 +173,6 @@ func (s *Store) NearestIndex(key Key) (int, bool) {
 	return best.idx[j], true
 }
 
-// Nearest resolves a key to the closest stored frame; see NearestIndex.
-func (s *Store) Nearest(key Key) (Entry, bool) {
-	i, ok := s.NearestIndex(key)
-	if !ok {
-		return Entry{}, false
-	}
-	return s.entries[i], true
-}
-
 // angularDist2 is the squared camera offset with the azimuth wrapped, so
 // a view at phi=-pi/2 is near one at phi=3pi/2.
 func angularDist2(phi1, theta1, phi2, theta2 float64) float64 {
@@ -231,17 +184,6 @@ func angularDist2(phi1, theta1, phi2, theta2 float64) float64 {
 	}
 	dtheta := theta1 - theta2
 	return dphi*dphi + dtheta*dtheta
-}
-
-// Scan iterates the index in canonical order, stopping at the first
-// error, which it returns.
-func (s *Store) Scan(fn func(Entry) error) error {
-	for _, e := range s.entries {
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SetFaults arms the read path's silent-corruption sites: "store.bitrot"

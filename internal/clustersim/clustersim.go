@@ -74,14 +74,6 @@ func QDRInfiniBand() Interconnect {
 	return Interconnect{Latency: 1.3e-6, Bandwidth: units.MegabytesPerSecond(3200)}
 }
 
-// TransferTime returns the time to move b bytes in nMessages messages.
-func (ic Interconnect) TransferTime(b units.Bytes, nMessages int) (units.Seconds, error) {
-	if b < 0 || nMessages < 0 {
-		return 0, fmt.Errorf("clustersim: negative transfer (%v bytes, %d messages)", b, nMessages)
-	}
-	return ic.Latency*units.Seconds(nMessages) + ic.Bandwidth.TimeToTransfer(b), nil
-}
-
 // Config describes a compute cluster.
 type Config struct {
 	Nodes         int
@@ -99,8 +91,8 @@ func Caddy() Config {
 		Nodes:         150,
 		CoresPerNode:  16,
 		NodesPerCage:  10,
-		NodeIdlePower: 100,           // 15 kW / 150 nodes
-		NodeBusyPower: 44000.0 / 150, // ~293 W at full load
+		NodeIdlePower: power.CaddyNodeIdleWatts,
+		NodeBusyPower: power.CaddyNodeBusyWatts,
 		Fabric:        QDRInfiniBand(),
 	}
 }
@@ -154,9 +146,6 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // SetTrace attaches a timeline lane: every executed phase is additionally
 // recorded as a span at simulated time (span name = phase kind, so
 // attribution groups by kind exactly as the paper's figures do; the
@@ -165,12 +154,6 @@ func (m *Machine) SetTrace(lane *trace.Lane) { m.lane = lane }
 
 // Clock returns the current simulated time.
 func (m *Machine) Clock() units.Seconds { return m.clock }
-
-// Cages returns the number of power-monitored cages.
-func (m *Machine) Cages() int { return len(m.cageTraces) }
-
-// Cores returns the total core count.
-func (m *Machine) Cores() int { return m.cfg.Nodes * m.cfg.CoresPerNode }
 
 // IdlePower returns the whole-cluster idle power.
 func (m *Machine) IdlePower() units.Watts {
@@ -254,14 +237,6 @@ func (m *Machine) PhaseTime(kind PhaseKind) units.Seconds {
 	return s
 }
 
-// CageTrace returns cage c's ground-truth power trace.
-func (m *Machine) CageTrace(c int) (*power.Trace, error) {
-	if c < 0 || c >= len(m.cageTraces) {
-		return nil, fmt.Errorf("clustersim: cage %d out of range [0,%d)", c, len(m.cageTraces))
-	}
-	return m.cageTraces[c], nil
-}
-
 // PowerTrace returns the whole-cluster ground-truth power trace (the sum
 // over cages).
 func (m *Machine) PowerTrace() *power.Trace {
@@ -286,11 +261,4 @@ func (m *Machine) MeterAllCages(interval units.Seconds) (*power.Profile, error) 
 		profiles[c] = p
 	}
 	return power.SumProfiles(profiles...)
-}
-
-// CoreSeconds returns the consumed supercomputing time (cores x occupied
-// seconds) — "valuable supercomputing time" in the paper's terms. All
-// phases, including I/O wait, occupy the whole machine.
-func (m *Machine) CoreSeconds() float64 {
-	return float64(m.clock) * float64(m.Cores())
 }

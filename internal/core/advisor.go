@@ -1,25 +1,24 @@
-// Package advisor implements the automation the paper envisions at the end
-// of Section VII: "We envision our model being used in an automated
-// framework to decide the sampling rate and the pipeline automatically
-// depending on a given set of constraints." Given a fitted model and a set
-// of constraints — storage budget, energy budget, time deadline, and the
-// science-imposed sampling requirement — it selects the pipeline and the
-// sampling interval.
-package advisor
+package core
+
+// The advisor implements the automation the paper envisions at the end of
+// Section VII: "We envision our model being used in an automated framework
+// to decide the sampling rate and the pipeline automatically depending on a
+// given set of constraints." Given a fitted model and a set of constraints
+// — storage budget, energy budget, time deadline, and the science-imposed
+// sampling requirement — it selects the pipeline and the sampling interval.
 
 import (
 	"errors"
 	"fmt"
 	"math"
 
-	"insituviz/internal/core"
 	"insituviz/internal/pipeline"
 	"insituviz/internal/units"
 )
 
 // ErrInfeasible is returned when no pipeline/rate combination satisfies
-// the constraints.
-var ErrInfeasible = errors.New("advisor: constraints cannot be satisfied")
+// the constraints, or no sampling interval a science requirement.
+var ErrInfeasible = errors.New("core: constraints cannot be satisfied")
 
 // Constraints bounds a planned simulation campaign. Zero values disable
 // individual constraints.
@@ -55,7 +54,7 @@ type Recommendation struct {
 
 // candidate evaluates one pipeline kind against the constraints, returning
 // the finest feasible interval or an error.
-func candidate(m *core.Model, kind pipeline.Kind, simDuration, timestep units.Seconds, c Constraints) (Recommendation, error) {
+func candidate(m *Model, kind pipeline.Kind, simDuration, timestep units.Seconds, c Constraints) (Recommendation, error) {
 	finest := c.FinestUsefulInterval
 	if finest <= 0 {
 		finest = timestep
@@ -129,18 +128,18 @@ func candidate(m *core.Model, kind pipeline.Kind, simDuration, timestep units.Se
 // Recommend selects the pipeline and sampling interval for a campaign of
 // simDuration with the given solver timestep. Preference order: the
 // feasible candidate with the finest sampling; energy breaks ties.
-func Recommend(m *core.Model, simDuration, timestep units.Seconds, c Constraints) (Recommendation, error) {
+func Recommend(m *Model, simDuration, timestep units.Seconds, c Constraints) (Recommendation, error) {
 	if m == nil {
-		return Recommendation{}, errors.New("advisor: nil model")
+		return Recommendation{}, errors.New("core: nil model")
 	}
 	if err := m.Validate(); err != nil {
 		return Recommendation{}, err
 	}
 	if simDuration <= 0 || timestep <= 0 {
-		return Recommendation{}, fmt.Errorf("advisor: non-positive duration %v or timestep %v", simDuration, timestep)
+		return Recommendation{}, fmt.Errorf("core: non-positive duration %v or timestep %v", simDuration, timestep)
 	}
 	if c.RequiredInterval > 0 && c.RequiredInterval < timestep {
-		return Recommendation{}, fmt.Errorf("advisor: required interval %v finer than the timestep %v",
+		return Recommendation{}, fmt.Errorf("core: required interval %v finer than the timestep %v",
 			c.RequiredInterval, timestep)
 	}
 

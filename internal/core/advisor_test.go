@@ -1,18 +1,17 @@
-package advisor
+package core
 
 import (
 	"errors"
 	"math"
 	"testing"
 
-	"insituviz/internal/core"
 	"insituviz/internal/pipeline"
 	"insituviz/internal/units"
 )
 
 // paperModel returns the calibrated model of the study.
-func paperModel() *core.Model {
-	return &core.Model{
+func paperModel() *Model {
+	return &Model{
 		TSimRef:        603,
 		Alpha:          6.25,
 		Beta:           1.206,

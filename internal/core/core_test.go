@@ -371,13 +371,6 @@ func TestModelPredictionArguments(t *testing.T) {
 	if _, err := m.ValidateAgainst(nil, units.Hours(1), units.Minutes(30)); err == nil {
 		t.Error("empty validation accepted")
 	}
-	pm, err := m.PredictMeasurement(pipeline.InSitu, units.Hours(4320), units.Minutes(30), units.Hours(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pm.Images != 540 || pm.Time <= 603 {
-		t.Errorf("prediction = %+v", pm)
-	}
 }
 
 func TestWriteCSV(t *testing.T) {

@@ -1,4 +1,4 @@
-package costmodel
+package core
 
 import (
 	"math"
@@ -8,7 +8,7 @@ import (
 )
 
 func TestEnergyCost(t *testing.T) {
-	a := Default()
+	a := DefaultCostAssumptions()
 	// One megawatt-year costs one million dollars by the paper's rule of
 	// thumb.
 	c, err := a.EnergyCost(units.Joules(JoulesPerMegawattYear))
@@ -23,49 +23,14 @@ func TestEnergyCost(t *testing.T) {
 	if _, err := a.EnergyCost(-1); err == nil {
 		t.Error("negative energy accepted")
 	}
-	bad := Assumptions{}
+	bad := CostAssumptions{}
 	if _, err := bad.EnergyCost(1); err == nil {
 		t.Error("zero price accepted")
 	}
 }
 
-func TestLifetimeEnergyCost(t *testing.T) {
-	a := Default() // 5 years
-	c, err := a.LifetimeEnergyCost(units.Watts(1e6))
-	if err != nil || math.Abs(c-5e6) > 1 {
-		t.Errorf("1 MW for 5 years = $%v (%v), want $5M", c, err)
-	}
-	if _, err := a.LifetimeEnergyCost(-1); err == nil {
-		t.Error("negative power accepted")
-	}
-	neg := Default()
-	neg.MachineLifetimeYears = -1
-	if _, err := neg.LifetimeEnergyCost(1); err == nil {
-		t.Error("negative lifetime accepted")
-	}
-}
-
-func TestEnergyShareOfTCO(t *testing.T) {
-	// The paper: over 40% of acquisition cost goes to energy. A machine
-	// bought for $150M drawing 20 MW for 5 years pays $100M in energy:
-	// share = 100/250 = 40%.
-	a := Default()
-	a.AcquisitionDollars = 150e6
-	share, err := a.EnergyShareOfTCO(units.Watts(20e6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(share-0.4) > 1e-9 {
-		t.Errorf("share = %v, want 0.40", share)
-	}
-	noAcq := Default()
-	if _, err := noAcq.EnergyShareOfTCO(1); err == nil {
-		t.Error("missing acquisition cost accepted")
-	}
-}
-
 func TestCompareCampaigns(t *testing.T) {
-	a := Default()
+	a := DefaultCostAssumptions()
 	// The paper's 8-hour configuration: ~122.5 MJ post vs ~58 MJ in-situ.
 	cc, err := a.CompareCampaigns(units.Joules(122.5e6), units.Joules(58e6))
 	if err != nil {

@@ -224,27 +224,6 @@ func (m *Model) Storage(kind pipeline.Kind, simDuration, interval units.Seconds)
 	return units.Bytes(m.StorageGB(kind, outputs) * 1e9), nil
 }
 
-// PredictMeasurement evaluates the model at one configuration, for
-// validation against an observed Measurement.
-func (m *Model) PredictMeasurement(kind pipeline.Kind, simDuration, timestep, interval units.Seconds) (Measurement, error) {
-	t, err := m.Time(kind, simDuration, timestep, interval)
-	if err != nil {
-		return Measurement{}, err
-	}
-	outputs, _ := OutputsFor(simDuration, interval)
-	s, _ := m.Storage(kind, simDuration, interval)
-	return Measurement{
-		Kind:     kind,
-		Sampling: interval,
-		OutputGB: m.StorageGB(kind, outputs),
-		Images:   outputs,
-		Time:     t,
-		Power:    m.Power,
-		Energy:   units.Energy(m.Power, t),
-		Storage:  s,
-	}, nil
-}
-
 // ValidationReport compares model predictions against measurements.
 type ValidationReport struct {
 	Predicted []float64 // seconds

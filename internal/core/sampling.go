@@ -1,15 +1,15 @@
-// Package tempsample analyzes temporal sampling adequacy: whether an
-// output sampling interval is frequent enough to observe the scientific
-// phenomenon. The paper's motivating example is eddy tracking — "eddies in
-// the ocean exist for hundreds of days while traveling hundreds of
-// kilometers; to effectively track their movement, the output has to be
-// written once per simulated day (or even hour)" (Section VII) — while
-// storage constraints push scientists toward the coarse sampling the paper
-// calls temporal sampling (Section II). This package quantifies that
-// tension: observation counts, missed-feature fractions, and the coarsest
-// interval meeting a science requirement, which the core model then prices
-// in storage and energy.
-package tempsample
+package core
+
+// Temporal sampling adequacy: whether an output sampling interval is
+// frequent enough to observe the scientific phenomenon. The paper's
+// motivating example is eddy tracking — "eddies in the ocean exist for
+// hundreds of days while traveling hundreds of kilometers; to effectively
+// track their movement, the output has to be written once per simulated
+// day (or even hour)" (Section VII) — while storage constraints push
+// scientists toward the coarse sampling the paper calls temporal sampling
+// (Section II). This file quantifies that tension: observation counts,
+// missed-feature fractions, and the coarsest interval meeting a science
+// requirement, which the model then prices in storage and energy.
 
 import (
 	"errors"
@@ -19,10 +19,6 @@ import (
 	"sort"
 )
 
-// ErrInfeasible is returned when no sampling interval can satisfy a
-// requirement.
-var ErrInfeasible = errors.New("tempsample: requirement cannot be met")
-
 // Observations returns how many sampling points land within a feature of
 // the given lifetime when outputs are written every interval. A feature
 // born uniformly at random relative to the sampling grid is observed
@@ -30,10 +26,10 @@ var ErrInfeasible = errors.New("tempsample: requirement cannot be met")
 // guaranteed (worst-case) count.
 func Observations(lifetime, interval float64) (int, error) {
 	if lifetime < 0 {
-		return 0, fmt.Errorf("tempsample: negative lifetime %g", lifetime)
+		return 0, fmt.Errorf("core: negative lifetime %g", lifetime)
 	}
 	if interval <= 0 {
-		return 0, fmt.Errorf("tempsample: non-positive interval %g", interval)
+		return 0, fmt.Errorf("core: non-positive interval %g", interval)
 	}
 	return int(math.Floor(lifetime / interval)), nil
 }
@@ -43,10 +39,10 @@ func Observations(lifetime, interval float64) (int, error) {
 // lifetime/interval (plus the endpoint average of 1).
 func ExpectedObservations(lifetime, interval float64) (float64, error) {
 	if lifetime < 0 {
-		return 0, fmt.Errorf("tempsample: negative lifetime %g", lifetime)
+		return 0, fmt.Errorf("core: negative lifetime %g", lifetime)
 	}
 	if interval <= 0 {
-		return 0, fmt.Errorf("tempsample: non-positive interval %g", interval)
+		return 0, fmt.Errorf("core: non-positive interval %g", interval)
 	}
 	return lifetime/interval + 1, nil
 }
@@ -55,10 +51,10 @@ func ExpectedObservations(lifetime, interval float64) (float64, error) {
 // be observed fewer than minObs times at the given interval.
 func MissedFraction(lifetimes []float64, interval float64, minObs int) (float64, error) {
 	if len(lifetimes) == 0 {
-		return 0, errors.New("tempsample: empty lifetime sample")
+		return 0, errors.New("core: empty lifetime sample")
 	}
 	if minObs < 1 {
-		return 0, fmt.Errorf("tempsample: minimum observations %d must be positive", minObs)
+		return 0, fmt.Errorf("core: minimum observations %d must be positive", minObs)
 	}
 	missed := 0
 	for _, lt := range lifetimes {
@@ -83,10 +79,10 @@ type Requirement struct {
 // Validate checks the requirement.
 func (r Requirement) Validate() error {
 	if r.MinObservations < 1 {
-		return fmt.Errorf("tempsample: minimum observations %d must be positive", r.MinObservations)
+		return fmt.Errorf("core: minimum observations %d must be positive", r.MinObservations)
 	}
 	if r.Coverage <= 0 || r.Coverage > 1 {
-		return fmt.Errorf("tempsample: coverage %g outside (0, 1]", r.Coverage)
+		return fmt.Errorf("core: coverage %g outside (0, 1]", r.Coverage)
 	}
 	return nil
 }
@@ -99,7 +95,7 @@ func CoarsestInterval(lifetimes []float64, req Requirement) (float64, error) {
 		return 0, err
 	}
 	if len(lifetimes) == 0 {
-		return 0, errors.New("tempsample: empty lifetime sample")
+		return 0, errors.New("core: empty lifetime sample")
 	}
 	// A feature of lifetime L gets >= k observations iff interval <= L/k.
 	// The requirement holds iff interval <= the (1-Coverage) quantile of
@@ -107,7 +103,7 @@ func CoarsestInterval(lifetimes []float64, req Requirement) (float64, error) {
 	bounds := make([]float64, len(lifetimes))
 	for i, lt := range lifetimes {
 		if lt < 0 {
-			return 0, fmt.Errorf("tempsample: negative lifetime %g", lt)
+			return 0, fmt.Errorf("core: negative lifetime %g", lt)
 		}
 		bounds[i] = lt / float64(req.MinObservations)
 	}
@@ -136,10 +132,10 @@ func CoarsestInterval(lifetimes []float64, req Requirement) (float64, error) {
 // deterministic for a given seed.
 func SyntheticLifetimes(n int, mean float64, seed int64) ([]float64, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("tempsample: non-positive sample size %d", n)
+		return nil, fmt.Errorf("core: non-positive sample size %d", n)
 	}
 	if mean <= 0 {
-		return nil, fmt.Errorf("tempsample: non-positive mean lifetime %g", mean)
+		return nil, fmt.Errorf("core: non-positive mean lifetime %g", mean)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]float64, n)
@@ -149,21 +145,21 @@ func SyntheticLifetimes(n int, mean float64, seed int64) ([]float64, error) {
 	return out, nil
 }
 
-// Summary describes a lifetime population's sampling behaviour at one
-// interval.
-type Summary struct {
+// SamplingSummary describes a lifetime population's sampling behaviour at
+// one interval.
+type SamplingSummary struct {
 	Interval         float64
 	MeanObservations float64
 	MissedFraction   float64 // features with fewer than MinObs observations
 	MinObs           int
 }
 
-// Sweep evaluates a set of intervals against a lifetime population.
-func Sweep(lifetimes []float64, intervals []float64, minObs int) ([]Summary, error) {
+// SweepSampling evaluates a set of intervals against a lifetime population.
+func SweepSampling(lifetimes []float64, intervals []float64, minObs int) ([]SamplingSummary, error) {
 	if len(intervals) == 0 {
-		return nil, errors.New("tempsample: no intervals")
+		return nil, errors.New("core: no intervals")
 	}
-	out := make([]Summary, 0, len(intervals))
+	out := make([]SamplingSummary, 0, len(intervals))
 	for _, iv := range intervals {
 		mf, err := MissedFraction(lifetimes, iv, minObs)
 		if err != nil {
@@ -178,7 +174,7 @@ func Sweep(lifetimes []float64, intervals []float64, minObs int) ([]Summary, err
 			meanObs += eo
 		}
 		meanObs /= float64(len(lifetimes))
-		out = append(out, Summary{Interval: iv, MeanObservations: meanObs, MissedFraction: mf, MinObs: minObs})
+		out = append(out, SamplingSummary{Interval: iv, MeanObservations: meanObs, MissedFraction: mf, MinObs: minObs})
 	}
 	return out, nil
 }

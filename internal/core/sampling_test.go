@@ -1,4 +1,4 @@
-package tempsample
+package core
 
 import (
 	"errors"
@@ -96,6 +96,18 @@ func TestCoarsestInterval(t *testing.T) {
 	if math.Abs(iv-day) > 1e-9 {
 		t.Errorf("interval = %v days, want 1", iv/day)
 	}
+	// Boundary, lifetime == k·interval: a feature living exactly k intervals
+	// is guaranteed k observations (⌊l/i⌋, not ⌊l/i⌋+1), so one interval
+	// coarser than l/k already loses the k-th.
+	if n, err := Observations(10*day, day); err != nil || n != 10 {
+		t.Errorf("Observations(10 days, 1 day) = %d (%v), want 10", n, err)
+	}
+	if n, _ := Observations(10*day, iv); n != 10 {
+		t.Errorf("returned interval yields %d observations of the binding feature, want 10", n)
+	}
+	if n, _ := Observations(10*day, math.Nextafter(day, 2*day)); n != 9 {
+		t.Errorf("one ulp coarser than l/k yields %d observations, want 9", n)
+	}
 	// Allowing 25% misses drops the 10-day feature: bound by 100 days.
 	iv, err = CoarsestInterval(lifetimes, Requirement{MinObservations: 10, Coverage: 0.75})
 	if err != nil {
@@ -188,7 +200,7 @@ func TestSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	intervals := []float64{3600, day, 8 * day, 30 * day}
-	sums, err := Sweep(lifetimes, intervals, 10)
+	sums, err := SweepSampling(lifetimes, intervals, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +226,10 @@ func TestSweep(t *testing.T) {
 	if sums[3].MissedFraction < 0.5 {
 		t.Errorf("30-day missed fraction = %v", sums[3].MissedFraction)
 	}
-	if _, err := Sweep(lifetimes, nil, 10); err == nil {
+	if _, err := SweepSampling(lifetimes, nil, 10); err == nil {
 		t.Error("empty interval list accepted")
 	}
-	if _, err := Sweep(lifetimes, []float64{0}, 10); err == nil {
+	if _, err := SweepSampling(lifetimes, []float64{0}, 10); err == nil {
 		t.Error("zero interval accepted")
 	}
 }

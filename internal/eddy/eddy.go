@@ -90,35 +90,6 @@ func Detect(m *mesh.Mesh, w []float64, threshold float64, minCells int) ([]Eddy,
 	return out, nil
 }
 
-// Census summarizes a set of detections.
-type Census struct {
-	Count     int
-	TotalArea float64 // m^2
-	MeanArea  float64 // m^2
-	Largest   float64 // m^2
-}
-
-// Summarize computes a Census of the detections.
-func Summarize(eddies []Eddy) Census {
-	c := Census{Count: len(eddies)}
-	for i := range eddies {
-		c.TotalArea += eddies[i].Area
-		if eddies[i].Area > c.Largest {
-			c.Largest = eddies[i].Area
-		}
-	}
-	if c.Count > 0 {
-		c.MeanArea = c.TotalArea / float64(c.Count)
-	}
-	return c
-}
-
-// String renders the census compactly.
-func (c Census) String() string {
-	return fmt.Sprintf("eddies=%d total=%.3g km^2 mean=%.3g km^2 largest=%.3g km^2",
-		c.Count, c.TotalArea/1e6, c.MeanArea/1e6, c.Largest/1e6)
-}
-
 // Spin classifies an eddy's rotation sense.
 type Spin int
 

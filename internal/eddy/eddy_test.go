@@ -129,20 +129,6 @@ func TestDetectNothing(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	c := Summarize(nil)
-	if c.Count != 0 || c.TotalArea != 0 || c.MeanArea != 0 {
-		t.Errorf("empty census = %+v", c)
-	}
-	c = Summarize([]Eddy{{Area: 2e6}, {Area: 4e6}})
-	if c.Count != 2 || c.TotalArea != 6e6 || c.MeanArea != 3e6 || c.Largest != 4e6 {
-		t.Errorf("census = %+v", c)
-	}
-	if c.String() == "" {
-		t.Error("empty census string")
-	}
-}
-
 func TestTrackerFollowsMovingEddy(t *testing.T) {
 	m := testMesh(t)
 	tr, err := NewTracker(m.Radius, 1.5e6)
@@ -272,29 +258,8 @@ func TestLifetimeStats(t *testing.T) {
 	if got := LongestLifetime(tracks); got != 300 {
 		t.Errorf("LongestLifetime = %v, want 300", got)
 	}
-	if got := MeanLifetime(tracks); math.Abs(got-400.0/3) > 1e-12 {
-		t.Errorf("MeanLifetime = %v, want %v", got, 400.0/3)
-	}
-	if LongestLifetime(nil) != 0 || MeanLifetime(nil) != 0 {
+	if LongestLifetime(nil) != 0 {
 		t.Error("empty track stats should be 0")
-	}
-}
-
-func TestSamplingAdequate(t *testing.T) {
-	day := 86400.0
-	// A 200-day eddy sampled daily is seen ~201 times.
-	if !SamplingAdequate(200*day, day, 100) {
-		t.Error("daily sampling of a 200-day eddy should be adequate for 100 observations")
-	}
-	// Sampled every 8 days, only ~26 observations.
-	if SamplingAdequate(200*day, 8*day, 100) {
-		t.Error("8-day sampling of a 200-day eddy should be inadequate for 100 observations")
-	}
-	if SamplingAdequate(100, 0, 1) {
-		t.Error("zero interval should be inadequate")
-	}
-	if SamplingAdequate(100, 10, 0) {
-		t.Error("zero observations should be inadequate")
 	}
 }
 

@@ -2,7 +2,6 @@ package eddy
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"insituviz/internal/mesh"
@@ -165,30 +164,6 @@ func LongestLifetime(tracks []*Track) float64 {
 		}
 	}
 	return mx
-}
-
-// MeanLifetime returns the average lifetime (s) over the given tracks, or 0
-// when empty. Single-observation tracks count as zero lifetime.
-func MeanLifetime(tracks []*Track) float64 {
-	if len(tracks) == 0 {
-		return 0
-	}
-	var s float64
-	for _, t := range tracks {
-		s += t.Lifetime()
-	}
-	return s / float64(len(tracks))
-}
-
-// SamplingAdequate reports whether an output sampling interval (s) is short
-// enough to observe an eddy of the given lifetime at least minObservations
-// times — the scientific constraint behind the paper's sampling-rate
-// analysis (Section VII).
-func SamplingAdequate(lifetime, interval float64, minObservations int) bool {
-	if interval <= 0 || minObservations <= 0 {
-		return false
-	}
-	return int(math.Floor(lifetime/interval))+1 >= minObservations
 }
 
 // TrackStats summarizes a track population — the numbers behind the

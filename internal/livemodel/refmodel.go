@@ -1,14 +1,16 @@
 package livemodel
 
+import "insituviz/internal/power"
+
 // CostModel is a deterministic reference cost model: the paper's fitted
 // coefficients (Table 3: α ≈ 6.3 s/GB, β ≈ 1.2 s per image set) over a
-// flat busy-node draw matching trace.NodePowerModel (44 kW cage / 150
-// nodes). LiveRun uses it to synthesize per-sample observations from
-// deterministic quantities (committed bytes, frame counts, injected
-// stall seconds) instead of wall-clock span times, which would break the
-// byte-stability contract of /model and the anomaly log. The online
-// estimator then has a known ground truth to converge to, which is what
-// the convergence table's contains-reference verdict checks.
+// flat busy-node draw, the same power.CaddyNodeBusyWatts that
+// trace.NodePowerModel uses. LiveRun uses it to synthesize per-sample
+// observations from deterministic quantities (committed bytes, frame
+// counts, injected stall seconds) instead of wall-clock span times, which
+// would break the byte-stability contract of /model and the anomaly log.
+// The online estimator then has a known ground truth to converge to, which
+// is what the convergence table's contains-reference verdict checks.
 type CostModel struct {
 	AlphaSPerGB float64 // α: seconds per GB moved
 	BetaSPerSet float64 // β: seconds per image set rendered
@@ -20,7 +22,7 @@ func NodeCostModel() CostModel {
 	return CostModel{
 		AlphaSPerGB: 6.3,
 		BetaSPerSet: 1.2,
-		PowerW:      44000.0 / 150,
+		PowerW:      power.CaddyNodeBusyWatts,
 	}
 }
 

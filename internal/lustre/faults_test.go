@@ -38,8 +38,8 @@ func TestFailedWriteLeavesStateUntouched(t *testing.T) {
 
 	before := c.Stats()
 	free := c.Free()
-	files := c.FileCount()
-	oss := c.OSSUsed()
+	files := len(c.files)
+	oss := append([]units.Bytes(nil), c.ossUsed...)
 	busy := c.BusyTime()
 
 	if err := c.SetRetry(RetryPolicy{MaxAttempts: 1, BaseDelay: 0.01, MaxDelay: 1, PhaseBudget: 4}); err != nil {
@@ -67,10 +67,10 @@ func TestFailedWriteLeavesStateUntouched(t *testing.T) {
 	if got := c.Free(); got != free {
 		t.Errorf("Free changed across failed write: %v -> %v", free, got)
 	}
-	if got := c.FileCount(); got != files {
+	if got := len(c.files); got != files {
 		t.Errorf("FileCount changed: %d -> %d", files, got)
 	}
-	for i, u := range c.OSSUsed() {
+	for i, u := range c.ossUsed {
 		if u != oss[i] {
 			t.Errorf("OSS %d load changed: %v -> %v", i, oss[i], u)
 		}
@@ -78,7 +78,7 @@ func TestFailedWriteLeavesStateUntouched(t *testing.T) {
 	if got := c.BusyTime(); got != busy {
 		t.Errorf("BusyTime changed across failed write: %v -> %v", busy, got)
 	}
-	if _, err := c.FileSize("doomed"); err == nil {
+	if _, ok := c.files["doomed"]; ok {
 		t.Error("abandoned write left a file entry behind")
 	}
 }

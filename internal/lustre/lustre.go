@@ -129,13 +129,11 @@ type Stats struct {
 	BytesWritten units.Bytes
 	BytesRead    units.Bytes
 	FilesCreated int
-	FilesDeleted int
 	MetadataOps  int
 }
 
 type file struct {
-	size    units.Bytes
-	stripes []units.Bytes // per-OSS object sizes
+	size units.Bytes
 }
 
 // Cluster is a simulated Lustre rack. All operations take a simulated
@@ -310,23 +308,6 @@ func (c *Cluster) Free() units.Bytes { return c.cfg.Capacity - c.used }
 // Stats returns the lifetime activity counters.
 func (c *Cluster) Stats() Stats { return c.stats }
 
-// FileSize returns the size of a stored file.
-func (c *Cluster) FileSize(name string) (units.Bytes, error) {
-	f, ok := c.files[name]
-	if !ok {
-		return 0, fmt.Errorf("lustre: no such file %q", name)
-	}
-	return f.size, nil
-}
-
-// FileCount returns the number of stored files.
-func (c *Cluster) FileCount() int { return len(c.files) }
-
-// OSSUsed returns a copy of the per-OSS stripe load.
-func (c *Cluster) OSSUsed() []units.Bytes {
-	return append([]units.Bytes(nil), c.ossUsed...)
-}
-
 // leastLoadedOSS returns the OSS indices to stripe a new file across,
 // preferring the emptiest targets (Lustre's default allocator heuristic).
 func (c *Cluster) leastLoadedOSS(n int) []int {
@@ -387,7 +368,7 @@ func (c *Cluster) Write(name string, size units.Bytes, start units.Seconds) (uni
 	for i := range stripes {
 		c.ossUsed[targets[i]] += stripes[i]
 	}
-	c.files[name] = file{size: size, stripes: stripes}
+	c.files[name] = file{size: size}
 	c.used += size
 	c.stats.BytesWritten += size
 	c.stats.FilesCreated++
@@ -449,39 +430,6 @@ func (c *Cluster) ReadAt(name string, start units.Seconds, rate units.BytesPerSe
 	c.mRead.Add(int64(f.size))
 	c.noteTransfer(f.size, start, end)
 	return end, nil
-}
-
-// Delete removes a file (a metadata-only operation; no data-path time).
-func (c *Cluster) Delete(name string) error {
-	f, ok := c.files[name]
-	if !ok {
-		return fmt.Errorf("lustre: no such file %q", name)
-	}
-	delete(c.files, name)
-	c.used -= f.size
-	c.stats.FilesDeleted++
-	c.stats.MetadataOps++
-	// Reclaim stripe accounting from the fullest targets first; exact
-	// placement is not tracked per file to keep state small.
-	for _, s := range f.stripes {
-		idx := c.fullestOSS()
-		if c.ossUsed[idx] >= s {
-			c.ossUsed[idx] -= s
-		} else {
-			c.ossUsed[idx] = 0
-		}
-	}
-	return nil
-}
-
-func (c *Cluster) fullestOSS() int {
-	best := 0
-	for i := range c.ossUsed {
-		if c.ossUsed[i] > c.ossUsed[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // markBusy merges [start, end) into the busy timeline.

@@ -83,19 +83,6 @@ func (m *Mesh) NEdges() int { return len(m.Edges) }
 // NVertices returns the number of dual vertices.
 func (m *Mesh) NVertices() int { return len(m.Vertices) }
 
-// MeanCellSpacing returns the average distance between adjacent cell
-// centers, the mesh's nominal resolution (m).
-func (m *Mesh) MeanCellSpacing() float64 {
-	if len(m.Edges) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range m.Edges {
-		s += m.Edges[i].Dc
-	}
-	return s / float64(len(m.Edges))
-}
-
 // NewIcosphere builds the icosahedral Voronoi mesh obtained from
 // `subdivisions` rounds of 4-way triangle subdivision of the icosahedron,
 // on a sphere of the given radius. The mesh has 10*4^s + 2 cells. Values of

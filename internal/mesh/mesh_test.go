@@ -260,24 +260,6 @@ func TestNearestCell(t *testing.T) {
 	}
 }
 
-func TestMeanCellSpacing(t *testing.T) {
-	coarse := buildMesh(t, 2)
-	fine := buildMesh(t, 3)
-	if coarse.MeanCellSpacing() <= fine.MeanCellSpacing() {
-		t.Errorf("spacing did not shrink with refinement: %g vs %g",
-			coarse.MeanCellSpacing(), fine.MeanCellSpacing())
-	}
-	// One subdivision should roughly halve the spacing.
-	ratio := coarse.MeanCellSpacing() / fine.MeanCellSpacing()
-	if ratio < 1.8 || ratio > 2.2 {
-		t.Errorf("refinement ratio = %g, want ~2", ratio)
-	}
-	empty := &Mesh{}
-	if empty.MeanCellSpacing() != 0 {
-		t.Error("empty mesh spacing != 0")
-	}
-}
-
 func TestDualTriangleAreaConsistency(t *testing.T) {
 	m := buildMesh(t, 2)
 	for vi := range m.Vertices {

@@ -131,17 +131,6 @@ func (f *File) computeLayout(version byte) (*layout, error) {
 	return l, nil
 }
 
-// EncodedSize returns the exact size in bytes the file will occupy when
-// encoded, without serializing the data. This is how the I/O layer accounts
-// for raw-dump sizes cheaply.
-func (f *File) EncodedSize() (int64, error) {
-	l, err := f.layoutAuto()
-	if err != nil {
-		return 0, err
-	}
-	return l.fileSize, nil
-}
-
 func (f *File) layoutAuto() (*layout, error) {
 	l, err := f.computeLayout(1)
 	if err == nil {

@@ -282,13 +282,3 @@ func (f *File) VarID(name string) (int, error) {
 	}
 	return 0, fmt.Errorf("ncfile: no variable %q", name)
 }
-
-// DimID returns the ID of the named dimension.
-func (f *File) DimID(name string) (int, error) {
-	for i := range f.Dims {
-		if f.Dims[i].Name == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("ncfile: no dimension %q", name)
-}

@@ -38,15 +38,6 @@ func (d *Diagnostics) sizedFor(m *mesh.Mesh) bool {
 		len(d.CellVelocity) == m.NCells()
 }
 
-// ComputeDiagnostics evaluates the derived fields of s into a freshly
-// allocated Diagnostics. Hot paths that evaluate diagnostics repeatedly
-// should hold a buffer from NewDiagnostics and use ComputeDiagnosticsInto.
-func (md *Model) ComputeDiagnostics(s *State) *Diagnostics {
-	d := md.NewDiagnostics()
-	md.computeDiagnosticsInto(s, d)
-	return d
-}
-
 // ComputeDiagnosticsInto evaluates the derived fields of s into d, which
 // must be sized for the model's mesh (NewDiagnostics). Every element of d
 // is overwritten; nothing is read, so a buffer can be shared across
@@ -164,17 +155,9 @@ func (md *Model) TotalMass(s *State) float64 {
 	return mass
 }
 
-// TotalEnergy returns the area-integrated total (kinetic + potential)
-// energy per unit density (m^5/s^2).
-func (md *Model) TotalEnergy(s *State) float64 {
-	d := md.ensureDiag()
-	md.computeDiagnosticsInto(s, d)
-	return md.TotalEnergyFrom(s, d)
-}
-
-// TotalEnergyFrom is TotalEnergy evaluated from already computed
-// diagnostics of s, letting callers share one diagnostics evaluation across
-// several derived quantities.
+// TotalEnergyFrom returns the area-integrated total (kinetic + potential)
+// energy per unit density (m^5/s^2), evaluated from already computed
+// diagnostics of s.
 func (md *Model) TotalEnergyFrom(s *State, d *Diagnostics) float64 {
 	var en float64
 	for ci := range md.Mesh.Cells {
@@ -184,18 +167,11 @@ func (md *Model) TotalEnergyFrom(s *State, d *Diagnostics) float64 {
 	return en
 }
 
-// CellVorticity interpolates the relative vorticity from the dual vertices
-// to cell centers (area-weighted over each cell's corners). The eddy
+// CellVorticityFrom interpolates the relative vorticity of already computed
+// diagnostics from the dual vertices to cell centers (area-weighted over
+// each cell's corners), writing into out when it is correctly sized (a fresh
+// slice is allocated otherwise, so a nil out always works). The eddy
 // classifier uses it to separate cyclonic from anticyclonic cores.
-func (md *Model) CellVorticity(s *State) []float64 {
-	d := md.ensureDiag()
-	md.computeDiagnosticsInto(s, d)
-	return md.CellVorticityFrom(d, nil)
-}
-
-// CellVorticityFrom is CellVorticity evaluated from already computed
-// diagnostics, writing into out when it is correctly sized (a fresh slice
-// is allocated otherwise, so a nil out always works).
 func (md *Model) CellVorticityFrom(d *Diagnostics, out []float64) []float64 {
 	m := md.Mesh
 	if len(out) != m.NCells() {
@@ -218,20 +194,13 @@ func (md *Model) CellVorticityFrom(d *Diagnostics, out []float64) []float64 {
 	return out
 }
 
-// PotentialVorticity returns the shallow-water potential vorticity
-// q = (zeta + f) / h at the dual vertices, with the layer thickness
-// interpolated from the vertex's three cells. PV is materially conserved
-// by the continuous equations and is MPAS-O's standard dynamical
-// diagnostic alongside Okubo-Weiss.
-func (md *Model) PotentialVorticity(s *State) []float64 {
-	d := md.ensureDiag()
-	md.computeDiagnosticsInto(s, d)
-	return md.PotentialVorticityFrom(s, d, nil)
-}
-
-// PotentialVorticityFrom is PotentialVorticity evaluated from already
-// computed diagnostics of s, writing into out when it is correctly sized (a
-// fresh slice is allocated otherwise, so a nil out always works).
+// PotentialVorticityFrom returns the shallow-water potential vorticity
+// q = (zeta + f) / h at the dual vertices from already computed diagnostics
+// of s, with the layer thickness interpolated from the vertex's three cells;
+// out is used when it is correctly sized (a fresh slice is allocated
+// otherwise, so a nil out always works). PV is materially conserved by the
+// continuous equations and is MPAS-O's standard dynamical diagnostic
+// alongside Okubo-Weiss.
 func (md *Model) PotentialVorticityFrom(s *State, d *Diagnostics, out []float64) []float64 {
 	m := md.Mesh
 	if len(out) != m.NVertices() {

@@ -105,13 +105,20 @@ func TestBottomDragDecaysEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	dt := md.SuggestedTimestep(h0)
-	prev := md.TotalEnergy(s)
+	d := md.NewDiagnostics()
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
+	prev := md.TotalEnergyFrom(s, d)
 	for i := 0; i < 30; i++ {
 		if err := md.Step(s, dt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := md.TotalEnergy(s)
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
+	after := md.TotalEnergyFrom(s, d)
 	if after >= prev {
 		t.Errorf("drag did not decay energy: %g -> %g", prev, after)
 	}

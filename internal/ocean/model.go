@@ -296,9 +296,6 @@ func (md *Model) buildGradients() error {
 	return nil
 }
 
-// CoriolisAtEdge returns the Coriolis parameter at edge ei.
-func (md *Model) CoriolisAtEdge(ei int) float64 { return md.coriolisEdge[ei] }
-
 // SuggestedTimestep returns a timestep (s) satisfying an RK4 gravity-wave
 // CFL condition for the given mean layer depth, with a safety factor.
 func (md *Model) SuggestedTimestep(meanDepth float64) float64 {

@@ -198,7 +198,10 @@ func TestVelocityReconstruction(t *testing.T) {
 		func(lat float64) float64 { return u0 * math.Cos(lat) },
 		func(lat float64) float64 { return 1000 },
 	)
-	d := md.ComputeDiagnostics(s)
+	d := md.NewDiagnostics()
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
 	var worst float64
 	for ci := range md.Mesh.Cells {
 		c := &md.Mesh.Cells[ci]
@@ -222,7 +225,10 @@ func TestSolidBodyVorticity(t *testing.T) {
 		func(lat float64) float64 { return u0 * math.Cos(lat) },
 		func(lat float64) float64 { return 1000 },
 	)
-	d := md.ComputeDiagnostics(s)
+	d := md.NewDiagnostics()
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
 	scale := 2 * u0 / md.Mesh.Radius
 	var worst float64
 	for vi := range md.Mesh.Vertices {
@@ -244,7 +250,10 @@ func TestSolidBodyDivergenceFree(t *testing.T) {
 		func(lat float64) float64 { return u0 * math.Cos(lat) },
 		func(lat float64) float64 { return 1000 },
 	)
-	d := md.ComputeDiagnostics(s)
+	d := md.NewDiagnostics()
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
 	scale := u0 / md.Mesh.Radius
 	for ci, div := range d.Divergence {
 		if math.Abs(div) > 0.05*scale {
@@ -260,7 +269,10 @@ func TestKineticEnergyMatchesField(t *testing.T) {
 		func(lat float64) float64 { return u0 * math.Cos(lat) },
 		func(lat float64) float64 { return 1000 },
 	)
-	d := md.ComputeDiagnostics(s)
+	d := md.NewDiagnostics()
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
 	var worst float64
 	for ci := range md.Mesh.Cells {
 		u := u0 * math.Cos(md.Mesh.Cells[ci].Lat)
@@ -321,14 +333,21 @@ func TestEnergyNearConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e0 := md.TotalEnergy(s)
+	d := md.NewDiagnostics()
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
+	e0 := md.TotalEnergyFrom(s, d)
 	dt := md.SuggestedTimestep(h0)
 	for i := 0; i < 40; i++ {
 		if err := md.Step(s, dt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e1 := md.TotalEnergy(s)
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
+	e1 := md.TotalEnergyFrom(s, d)
 	if rel := math.Abs(e1-e0) / e0; rel > 0.01 {
 		t.Errorf("energy drift %g over 40 steps, want < 1%%", rel)
 	}
@@ -518,7 +537,11 @@ func TestCellVorticityMatchesAnalytic(t *testing.T) {
 		func(lat float64) float64 { return u0 * math.Cos(lat) },
 		func(lat float64) float64 { return 1000 },
 	)
-	cv := md.CellVorticity(s)
+	d := md.NewDiagnostics()
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
+	cv := md.CellVorticityFrom(d, nil)
 	scale := 2 * u0 / md.Mesh.Radius
 	var worst float64
 	for ci := range md.Mesh.Cells {
@@ -597,7 +620,11 @@ func TestPotentialVorticityRestState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pv := md.PotentialVorticity(s)
+	d := md.NewDiagnostics()
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
+	pv := md.PotentialVorticityFrom(s, d, nil)
 	for vi := range md.Mesh.Vertices {
 		lat, _ := md.Mesh.Vertices[vi].Pos.LatLon()
 		want := 2 * md.Omega * math.Sin(lat) / 4000
@@ -616,7 +643,11 @@ func TestPotentialVorticityNearlyConserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pv0 := md.PotentialVorticity(s)
+	d := md.NewDiagnostics()
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
+	pv0 := md.PotentialVorticityFrom(s, d, nil)
 	min0, max0, _ := minMax(pv0)
 	dt := md.SuggestedTimestep(h0)
 	for i := 0; i < 30; i++ {
@@ -624,7 +655,10 @@ func TestPotentialVorticityNearlyConserved(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pv1 := md.PotentialVorticity(s)
+	if err := md.ComputeDiagnosticsInto(s, d); err != nil {
+		t.Fatal(err)
+	}
+	pv1 := md.PotentialVorticityFrom(s, d, nil)
 	min1, max1, _ := minMax(pv1)
 	span := max0 - min0
 	if max1 > max0+0.02*span || min1 < min0-0.02*span {

@@ -57,7 +57,7 @@ func TestInTransitMetricsConsistency(t *testing.T) {
 		t.Errorf("viz time = %v, want ~%v", m.VizTime, wantViz)
 	}
 	// Storage holds only images.
-	if m.StorageUsed.Gigabytes() > 1 {
+	if m.StorageUsed > units.GB {
 		t.Errorf("storage = %v, want images only", m.StorageUsed)
 	}
 	// Power must sit between idle and full load, and below the all-busy

@@ -234,10 +234,10 @@ func TestFig7StorageReduction(t *testing.T) {
 	// The paper's Fig. 7: 230 GB -> <1 GB at 8-hour sampling, a >99.5%
 	// reduction at every rate.
 	post, insitu := runBoth(t, units.Hours(8))
-	if g := post.StorageUsed.Gigabytes(); g < 225 || g > 235 {
+	if g := post.StorageUsed; g < 225*units.GB || g > 235*units.GB {
 		t.Errorf("post storage = %v, want ~230 GB", post.StorageUsed)
 	}
-	if g := insitu.StorageUsed.Gigabytes(); g >= 1 {
+	if g := insitu.StorageUsed; g >= units.GB {
 		t.Errorf("in-situ storage = %v, want < 1 GB", insitu.StorageUsed)
 	}
 	red := Improvement(float64(post.StorageUsed), float64(insitu.StorageUsed))

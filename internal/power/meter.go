@@ -1,11 +1,8 @@
 package power
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
-	"strconv"
 
 	"insituviz/internal/stats"
 	"insituviz/internal/units"
@@ -130,12 +127,6 @@ type Meter struct {
 	Name string
 }
 
-// NewMinuteMeter returns a meter with the paper's one-minute reporting
-// period.
-func NewMinuteMeter(name string) Meter {
-	return Meter{Interval: units.Minutes(1), Name: name}
-}
-
 // Sample reads the trace and produces the reported profile: the exact
 // average power over each reporting interval starting at the trace start.
 // Within-interval variation is invisible to the consumer, exactly as with
@@ -198,31 +189,4 @@ func SumProfiles(profiles ...*Profile) (*Profile, error) {
 		}
 	}
 	return out, nil
-}
-
-// WriteCSV emits the profile as CSV rows of (interval end time, average
-// watts), for plotting outside the harness.
-func (p *Profile) WriteCSV(w io.Writer) error {
-	if w == nil {
-		return fmt.Errorf("power: nil writer")
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t_end_s", "avg_power_w"}); err != nil {
-		return err
-	}
-	for i, pw := range p.Powers {
-		frac := 1.0
-		if i == len(p.Powers)-1 {
-			frac = p.lastFrac()
-		}
-		end := float64(p.Start) + (float64(i)+frac)*float64(p.Interval)
-		if err := cw.Write([]string{
-			strconv.FormatFloat(end, 'g', -1, 64),
-			strconv.FormatFloat(float64(pw), 'g', -1, 64),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

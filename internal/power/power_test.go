@@ -1,8 +1,6 @@
 package power
 
 import (
-	"bytes"
-	"encoding/csv"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,7 +41,7 @@ func TestTraceMergesEqualPower(t *testing.T) {
 	mustAppend(t, tr, 5, 10, 100)
 	mustAppend(t, tr, 10, 10, 999) // zero-length dropped
 	mustAppend(t, tr, 10, 12, 200)
-	segs := tr.Segments()
+	segs := tr.segments
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d, want 2 (merge failed)", len(segs))
 	}
@@ -150,7 +148,7 @@ func TestMeterSamplesExactAverages(t *testing.T) {
 	tr := &Trace{}
 	mustAppend(t, tr, 0, 90, 1000)
 	mustAppend(t, tr, 90, 180, 2000)
-	m := NewMinuteMeter("pdu")
+	m := Meter{Interval: units.Minutes(1), Name: "pdu"}
 	p, err := m.Sample(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +180,7 @@ func TestMeterSamplesExactAverages(t *testing.T) {
 func TestMeterPartialFinalInterval(t *testing.T) {
 	tr := &Trace{}
 	mustAppend(t, tr, 0, 90, 1200) // 1.5 minutes
-	m := NewMinuteMeter("pdu")
+	m := Meter{Interval: units.Minutes(1), Name: "pdu"}
 	p, err := m.Sample(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +206,7 @@ func TestMeterQuantizationHidesShortSpikes(t *testing.T) {
 	mustAppend(t, tr, 0, 30, 1000)
 	mustAppend(t, tr, 30, 36, 11000)
 	mustAppend(t, tr, 36, 60, 1000)
-	m := NewMinuteMeter("pdu")
+	m := Meter{Interval: units.Minutes(1), Name: "pdu"}
 	p, err := m.Sample(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +230,7 @@ func TestMeterValidation(t *testing.T) {
 	if _, err := m.Sample(tr); err == nil {
 		t.Error("zero interval accepted")
 	}
-	good := NewMinuteMeter("ok")
+	good := Meter{Interval: units.Minutes(1), Name: "ok"}
 	if _, err := good.Sample(&Trace{}); err == nil {
 		t.Error("empty trace accepted")
 	}
@@ -303,7 +301,7 @@ func TestMeterEnergyMatchesTraceProperty(t *testing.T) {
 			}
 			t0 += d
 		}
-		prof, err := NewMinuteMeter("x").Sample(tr)
+		prof, err := Meter{Interval: units.Minutes(1), Name: "x"}.Sample(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,31 +331,6 @@ func TestSumTracesLinearityProperty(t *testing.T) {
 		if math.Abs(float64(total.Energy()-want)) > 1e-6*math.Max(1, float64(want)) {
 			t.Fatalf("trial %d: sum energy %v, want %v", trial, total.Energy(), want)
 		}
-	}
-}
-
-func TestProfileWriteCSV(t *testing.T) {
-	p := &Profile{Interval: 60, Powers: []units.Watts{100, 200}, LastPartial: 0.5}
-	var buf bytes.Buffer
-	if err := p.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r := csv.NewReader(&buf)
-	rows, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[1][0] != "60" || rows[1][1] != "100" {
-		t.Errorf("row 1 = %v", rows[1])
-	}
-	if rows[2][0] != "90" { // 60 + 0.5*60
-		t.Errorf("partial-interval end = %v, want 90", rows[2][0])
-	}
-	if err := p.WriteCSV(nil); err == nil {
-		t.Error("nil writer accepted")
 	}
 }
 

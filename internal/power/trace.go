@@ -15,6 +15,15 @@ import (
 	"insituviz/internal/units"
 )
 
+// The Caddy per-node calibration: the paper's 150-node cluster draws 15 kW
+// idle and 44 kW fully loaded. Untyped so every consumer (the simulated
+// machine, the trace power model, the live reference cost model) evaluates
+// the same constant expression.
+const (
+	CaddyNodeIdleWatts = 100           // 15 kW / 150 nodes
+	CaddyNodeBusyWatts = 44000.0 / 150 // ~293 W at full load
+)
+
 // Segment is one span of constant power draw.
 type Segment struct {
 	Start units.Seconds
@@ -54,11 +63,6 @@ func (tr *Trace) Append(start, end units.Seconds, p units.Watts) error {
 	}
 	tr.segments = append(tr.segments, Segment{Start: start, End: end, Power: p})
 	return nil
-}
-
-// Segments returns a copy of the trace's spans.
-func (tr *Trace) Segments() []Segment {
-	return append([]Segment(nil), tr.segments...)
 }
 
 // Start returns the trace's first instant (zero for an empty trace).

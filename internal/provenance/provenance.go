@@ -45,9 +45,6 @@ func Sum(data []byte) Digest { return sha256.Sum256(data) }
 // Hex renders the digest as lowercase hex, the on-index form.
 func (d Digest) Hex() string { return hex.EncodeToString(d[:]) }
 
-// IsZero reports the zero digest, used as "absent".
-func (d Digest) IsZero() bool { return d == Digest{} }
-
 // ParseHex parses the on-index hex form of a digest.
 func ParseHex(s string) (Digest, error) {
 	var d Digest
@@ -123,66 +120,6 @@ func hashNode(l, r Digest) Digest {
 	return out
 }
 
-// MerkleProof returns the sibling path that ties leaf i of the given
-// leaf set to its root, bottom-up. Levels where the node has no sibling
-// (the odd carry) contribute no path element; VerifyProof replays the
-// same carry geometry from the leaf count alone.
-func MerkleProof(leaves []Digest, i int) ([]Digest, error) {
-	if i < 0 || i >= len(leaves) {
-		return nil, fmt.Errorf("provenance: proof index %d outside %d leaves", i, len(leaves))
-	}
-	level := make([]Digest, len(leaves))
-	for j, l := range leaves {
-		level[j] = hashLeaf(l)
-	}
-	var path []Digest
-	idx := i
-	for len(level) > 1 {
-		sib := idx ^ 1
-		if sib < len(level) {
-			path = append(path, level[sib])
-		}
-		next := level[:0]
-		for j := 0; j < len(level); j += 2 {
-			if j+1 < len(level) {
-				next = append(next, hashNode(level[j], level[j+1]))
-			} else {
-				next = append(next, level[j])
-			}
-		}
-		level = next
-		idx /= 2
-	}
-	return path, nil
-}
-
-// VerifyProof recomputes the root a proof implies for leaf at index i of
-// a tree over n leaves, and reports whether it matches root.
-func VerifyProof(leaf Digest, i, n int, path []Digest, root Digest) bool {
-	if i < 0 || i >= n || n == 0 {
-		return false
-	}
-	node := hashLeaf(leaf)
-	idx, width, used := i, n, 0
-	for width > 1 {
-		sib := idx ^ 1
-		if sib < width {
-			if used >= len(path) {
-				return false
-			}
-			if idx&1 == 0 {
-				node = hashNode(node, path[used])
-			} else {
-				node = hashNode(path[used], node)
-			}
-			used++
-		}
-		idx /= 2
-		width = (width + 1) / 2
-	}
-	return used == len(path) && node == root
-}
-
 // Record is one manifest entry: the state of the store index as of one
 // Commit. Records carry no wall-clock time — the ledger must be
 // byte-stable across same-seed runs.
@@ -209,10 +146,6 @@ func (r Record) appendLine(dst []byte) []byte {
 		r.Seq, r.Prev, r.Root, r.Frames, r.Bytes)
 	return append(dst, '\n')
 }
-
-// Link is the chain link of the record: the SHA-256 of its canonical
-// line bytes.
-func (r Record) Link() Digest { return sha256.Sum256(r.appendLine(nil)) }
 
 // ChainError names the first point where a manifest fails verification.
 type ChainError struct {

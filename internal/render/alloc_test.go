@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"insituviz/internal/mesh"
+	"insituviz/internal/partition"
 )
 
 func testField(m *mesh.Mesh) []float64 {
@@ -14,31 +15,6 @@ func testField(m *mesh.Mesh) []float64 {
 		field[i] = math.Sin(3*m.Cells[i].Lat) * math.Cos(float64(i%7))
 	}
 	return field
-}
-
-func TestRenderIntoMatchesRender(t *testing.T) {
-	m := testMesh(t)
-	r, err := NewRasterizer(m, 96, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	field := testField(m)
-	cm := OkuboWeissMap()
-	n := SymmetricRange(field)
-
-	want, err := r.Render(field, cm, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := r.NewFrame()
-	if err := r.RenderInto(got, field, cm, n); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Pix {
-		if got.Pix[i] != want.Pix[i] {
-			t.Fatalf("pixel byte %d differs: %d vs %d", i, got.Pix[i], want.Pix[i])
-		}
-	}
 }
 
 func TestRenderOwnedIntoClearsStalePixels(t *testing.T) {
@@ -54,10 +30,11 @@ func TestRenderOwnedIntoClearsStalePixels(t *testing.T) {
 	cm := OkuboWeissMap()
 	n := SymmetricRange(field)
 
-	masks, err := PartitionCells(m.NCells(), 2)
+	part, err := partition.New(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	masks := part.Masks()
 	frame := r.NewFrame()
 	if err := r.RenderOwnedInto(frame, field, cm, n, masks[0]); err != nil {
 		t.Fatal(err)
@@ -65,8 +42,8 @@ func TestRenderOwnedIntoClearsStalePixels(t *testing.T) {
 	if err := r.RenderOwnedInto(frame, field, cm, n, masks[1]); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := r.RenderOwned(field, cm, n, masks[1])
-	if err != nil {
+	fresh := r.NewFrame()
+	if err := r.RenderOwnedInto(fresh, field, cm, n, masks[1]); err != nil {
 		t.Fatal(err)
 	}
 	for i := range fresh.Pix {
@@ -85,49 +62,12 @@ func TestRenderIntoRejectsWrongFrame(t *testing.T) {
 	field := testField(m)
 	cm := OkuboWeissMap()
 	n := SymmetricRange(field)
-	if err := r.RenderInto(image.NewRGBA(image.Rect(0, 0, 10, 10)), field, cm, n); err == nil {
+	all := make([]bool, m.NCells())
+	if err := r.RenderOwnedInto(image.NewRGBA(image.Rect(0, 0, 10, 10)), field, cm, n, all); err == nil {
 		t.Error("wrong-size frame accepted")
 	}
-	if err := r.RenderInto(image.NewRGBA(image.Rect(1, 1, 97, 49)), field, cm, n); err == nil {
+	if err := r.RenderOwnedInto(image.NewRGBA(image.Rect(1, 1, 97, 49)), field, cm, n, all); err == nil {
 		t.Error("offset frame accepted")
-	}
-}
-
-func TestCompositeIntoMatchesComposite(t *testing.T) {
-	m := testMesh(t)
-	r, err := NewRasterizer(m, 96, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	field := testField(m)
-	cm := OkuboWeissMap()
-	n := SymmetricRange(field)
-	masks, err := PartitionCells(m.NCells(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	partials := make([]*image.RGBA, len(masks))
-	for i, mask := range masks {
-		if partials[i], err = r.RenderOwned(field, cm, n, mask); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := Composite(partials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := r.NewFrame()
-	// Pre-poison the destination: CompositeInto must overwrite every pixel.
-	for i := range dst.Pix {
-		dst.Pix[i] = 0xAB
-	}
-	if err := CompositeInto(dst, partials); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Pix {
-		if dst.Pix[i] != want.Pix[i] {
-			t.Fatalf("composite differs at pixel byte %d", i)
-		}
 	}
 }
 
@@ -146,10 +86,11 @@ func TestRenderedFrameSteadyStateAllocs(t *testing.T) {
 	field := testField(m)
 	cm := OkuboWeissMap()
 	n := SymmetricRange(field)
-	masks, err := PartitionCells(m.NCells(), 3)
+	part, err := partition.New(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	masks := part.Masks()
 	partials := make([]*image.RGBA, len(masks))
 	for i := range partials {
 		partials[i] = r.NewFrame()

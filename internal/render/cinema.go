@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"image"
 	"image/png"
-	"os"
-	"path/filepath"
 
 	"insituviz/internal/cinemastore"
 	"insituviz/internal/faults"
@@ -58,19 +56,6 @@ func (e *PNGEncoder) Encode(img image.Image) ([]byte, error) {
 	return e.buf.Bytes(), nil
 }
 
-// CinemaEntry is one image record in a Cinema database index, in the
-// render layer's vocabulary ("field" rather than the store's "variable").
-// Phi and Theta are the camera direction in radians, zero for
-// view-independent frames such as equirectangular maps.
-type CinemaEntry struct {
-	File  string  `json:"file"`
-	Time  float64 `json:"time"`  // simulated time (s)
-	Field string  `json:"field"` // e.g. "okubo_weiss"
-	Phi   float64 `json:"phi,omitempty"`
-	Theta float64 `json:"theta,omitempty"`
-	Bytes int64   `json:"bytes"`
-}
-
 // CinemaDB is the write side of a ParaView-style Cinema image database: a
 // directory of small pre-rendered images plus a JSON index over the
 // (time, camera, field) axes (Ahrens et al., "An Image-based Approach to
@@ -84,9 +69,8 @@ type CinemaEntry struct {
 // resulting directory opens directly with cinemastore.Open and serves
 // through cinemaserve.
 type CinemaDB struct {
-	w     *cinemastore.Writer
-	total units.Bytes
-	enc   PNGEncoder // reused across AddImage calls
+	w   *cinemastore.Writer
+	enc PNGEncoder // reused across AddImageEntry calls
 
 	// Metric handles (nil without SetTelemetry; nil handles are no-ops).
 	mFrames     *telemetry.Counter
@@ -126,16 +110,6 @@ func NewCinemaDB(dir string) (*CinemaDB, error) {
 	return &CinemaDB{w: w}, nil
 }
 
-// Dir returns the database directory.
-func (db *CinemaDB) Dir() string { return db.w.Dir() }
-
-// AddImage encodes img and stores it under the (simTime, field) axis
-// point with no camera direction — the view-independent form the
-// equirectangular maps use.
-func (db *CinemaDB) AddImage(img image.Image, simTime float64, field string) (units.Bytes, error) {
-	return db.AddImageAt(img, simTime, 0, 0, field)
-}
-
 // AddImageAt encodes img and stores it under the full axis tuple: the
 // simulated time, the camera direction (phi azimuth, theta elevation,
 // radians), and the field name. The frame file lands atomically; the
@@ -170,7 +144,6 @@ func (db *CinemaDB) AddImageEntry(img image.Image, simTime, phi, theta float64, 
 	if err != nil {
 		return cinemastore.Entry{}, fmt.Errorf("render: write image: %w", err)
 	}
-	db.total += units.Bytes(e.Bytes)
 	db.mFrames.Inc()
 	db.mBytes.Add(e.Bytes)
 	db.mFrameBytes.Observe(float64(e.Bytes))
@@ -184,21 +157,16 @@ func (db *CinemaDB) Adopt(e cinemastore.Entry) error {
 	if err := db.w.Adopt(e); err != nil {
 		return fmt.Errorf("render: %w", err)
 	}
-	db.total += units.Bytes(e.Bytes)
 	db.mFrames.Inc()
 	db.mBytes.Add(e.Bytes)
 	db.mFrameBytes.Observe(float64(e.Bytes))
 	return nil
 }
 
-// Entries returns the index entries in the store's canonical order
-// (field, then time, then camera).
-func (db *CinemaDB) Entries() []CinemaEntry {
-	return entriesFromStore(db.w.Entries())
-}
-
-// TotalBytes returns the cumulative size of all stored images.
-func (db *CinemaDB) TotalBytes() units.Bytes { return db.total }
+// Close releases the provenance ledger's manifest.log descriptor, which the
+// first WriteIndex opened. Call it after the last WriteIndex; closing twice
+// is harmless.
+func (db *CinemaDB) Close() error { return db.w.CloseLedger() }
 
 // WriteIndex atomically commits the info.json database index and returns
 // its size. It may be called repeatedly — a live run can republish after
@@ -210,30 +178,4 @@ func (db *CinemaDB) WriteIndex() (units.Bytes, error) {
 		return 0, fmt.Errorf("render: %w", err)
 	}
 	return units.Bytes(n), nil
-}
-
-// ReadCinemaIndex loads a previously written database index. Both the
-// current format and the legacy version-1 layout are readable.
-func ReadCinemaIndex(dir string) ([]CinemaEntry, error) {
-	data, err := os.ReadFile(filepath.Join(dir, cinemastore.IndexFile))
-	if err != nil {
-		return nil, fmt.Errorf("render: read index: %w", err)
-	}
-	entries, _, err := cinemastore.DecodeIndex(data)
-	if err != nil {
-		return nil, fmt.Errorf("render: %w", err)
-	}
-	return entriesFromStore(entries), nil
-}
-
-// entriesFromStore maps store entries onto the render vocabulary.
-func entriesFromStore(in []cinemastore.Entry) []CinemaEntry {
-	out := make([]CinemaEntry, len(in))
-	for i, e := range in {
-		out[i] = CinemaEntry{
-			File: e.File, Time: e.Time, Field: e.Variable,
-			Phi: e.Phi, Theta: e.Theta, Bytes: e.Bytes,
-		}
-	}
-	return out
 }

@@ -96,65 +96,9 @@ func OkuboWeissMap() *Colormap {
 	return cm
 }
 
-// CoolWarmMap returns a Moreland-style diverging blue-white-red map, used
-// for signed fields like vorticity.
-func CoolWarmMap() *Colormap {
-	cm, err := NewColormap("cool-warm",
-		[]float64{0, 0.5, 1},
-		[]color.RGBA{
-			{R: 59, G: 76, B: 192, A: 255},
-			{R: 221, G: 221, B: 221, A: 255},
-			{R: 180, G: 4, B: 38, A: 255},
-		})
-	if err != nil {
-		panic(err)
-	}
-	return cm
-}
-
-// GrayscaleMap returns a linear black-to-white ramp.
-func GrayscaleMap() *Colormap {
-	cm, err := NewColormap("grayscale",
-		[]float64{0, 1},
-		[]color.RGBA{{A: 255}, {R: 255, G: 255, B: 255, A: 255}})
-	if err != nil {
-		panic(err)
-	}
-	return cm
-}
-
 // Normalizer rescales raw field values into [0, 1] for a colormap.
 type Normalizer struct {
 	Min, Max float64
-}
-
-// NewNormalizer returns a Normalizer over [min, max]; min must be < max.
-func NewNormalizer(min, max float64) (Normalizer, error) {
-	if !(min < max) {
-		return Normalizer{}, fmt.Errorf("render: invalid normalization range [%g, %g]", min, max)
-	}
-	return Normalizer{Min: min, Max: max}, nil
-}
-
-// FieldRange returns a Normalizer spanning the data range of field, widened
-// to a tiny interval when the field is constant.
-func FieldRange(field []float64) Normalizer {
-	if len(field) == 0 {
-		return Normalizer{Min: 0, Max: 1}
-	}
-	min, max := field[0], field[0]
-	for _, v := range field[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	if min == max {
-		max = min + 1
-	}
-	return Normalizer{Min: min, Max: max}
 }
 
 // SymmetricRange returns a Normalizer centered on zero spanning the largest

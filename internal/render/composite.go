@@ -7,54 +7,13 @@ import (
 	"math"
 )
 
-// PartitionCells splits nCells cells across nRanks ranks into contiguous
-// index ranges, the block decomposition MPAS uses per MPI rank. It returns
-// one ownership mask per rank; every cell is owned by exactly one rank.
-func PartitionCells(nCells, nRanks int) ([][]bool, error) {
-	if nCells <= 0 || nRanks <= 0 {
-		return nil, fmt.Errorf("render: invalid partition %d cells across %d ranks", nCells, nRanks)
-	}
-	if nRanks > nCells {
-		return nil, fmt.Errorf("render: more ranks (%d) than cells (%d)", nRanks, nCells)
-	}
-	masks := make([][]bool, nRanks)
-	per := nCells / nRanks
-	extra := nCells % nRanks
-	start := 0
-	for r := 0; r < nRanks; r++ {
-		n := per
-		if r < extra {
-			n++
-		}
-		mask := make([]bool, nCells)
-		for i := start; i < start+n; i++ {
-			mask[i] = true
-		}
-		masks[r] = mask
-		start += n
-	}
-	return masks, nil
-}
-
-// Composite merges per-rank partial images produced by RenderOwned into a
-// single image, the sort-last compositing step (the role IceT plays in
-// ParaView's parallel rendering). Pixels are taken from the first partial
-// with non-zero alpha; with a correct disjoint partition exactly one rank
-// contributes each pixel.
-func Composite(partials []*image.RGBA) (*image.RGBA, error) {
-	if len(partials) == 0 {
-		return nil, fmt.Errorf("render: nothing to composite")
-	}
-	out := image.NewRGBA(partials[0].Bounds())
-	if err := CompositeInto(out, partials); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CompositeInto composites the partials into dst, which must match their
-// bounds. Every pixel of dst is overwritten (cleared, then merged), so one
-// destination frame can be reused across timesteps without allocating.
+// CompositeInto merges per-rank partial images produced by RenderOwnedInto
+// into dst, which must match their bounds — the sort-last compositing step
+// (the role IceT plays in ParaView's parallel rendering). Pixels are taken
+// from the first partial with non-zero alpha; with a correct disjoint
+// partition exactly one rank contributes each pixel. Every pixel of dst is
+// overwritten (cleared, then merged), so one destination frame can be
+// reused across timesteps without allocating.
 func CompositeInto(dst *image.RGBA, partials []*image.RGBA) error {
 	if len(partials) == 0 {
 		return fmt.Errorf("render: nothing to composite")

@@ -54,21 +54,9 @@ func NewOrthoRasterizer(m *mesh.Mesh, width, height int, view Camera) (*Rasteriz
 	})
 }
 
-// ImageSet renders one field from every camera of a rig — the "set of
-// images corresponding to one timestep" of the paper's beta coefficient.
-// Rasterizers are built per call; callers rendering many timesteps should
-// hold an ImageSetRenderer instead.
-func ImageSet(m *mesh.Mesh, field []float64, cm *Colormap, n Normalizer,
-	width, height int, cameras []Camera) ([]*image.RGBA, error) {
-	r, err := NewImageSetRenderer(m, width, height, cameras)
-	if err != nil {
-		return nil, err
-	}
-	return r.Render(field, cm, n)
-}
-
 // ImageSetRenderer holds per-camera rasterizers (and reusable frames) for
-// repeated image-set rendering.
+// rendering one field from every camera of a rig — the "set of images
+// corresponding to one timestep" of the paper's beta coefficient.
 type ImageSetRenderer struct {
 	rasters []*Rasterizer
 	frames  []*image.RGBA
@@ -91,28 +79,12 @@ func NewImageSetRenderer(m *mesh.Mesh, width, height int, cameras []Camera) (*Im
 	return out, nil
 }
 
-// Views returns the number of cameras.
-func (sr *ImageSetRenderer) Views() int { return len(sr.rasters) }
-
 // SetWorkers caps every camera's render fan-out at n concurrent tiles (0
 // restores the GOMAXPROCS default).
 func (sr *ImageSetRenderer) SetWorkers(n int) {
 	for _, r := range sr.rasters {
 		r.SetWorkers(n)
 	}
-}
-
-// Render draws the field from every camera into freshly allocated images.
-func (sr *ImageSetRenderer) Render(field []float64, cm *Colormap, n Normalizer) ([]*image.RGBA, error) {
-	out := make([]*image.RGBA, len(sr.rasters))
-	for i, r := range sr.rasters {
-		img, err := r.Render(field, cm, n)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = img
-	}
-	return out, nil
 }
 
 // RenderFrames draws the field from every camera into the renderer's

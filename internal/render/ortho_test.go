@@ -1,6 +1,7 @@
 package render
 
 import (
+	"image/color"
 	"math"
 	"testing"
 
@@ -83,7 +84,12 @@ func TestOrthoRenderColors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := r.Render(field, CoolWarmMap(), FieldRange(field))
+	// A blue-to-red ramp over the latitude range: south cool, north warm.
+	ramp, err := NewColormap("ramp", []float64{0, 1}, []color.RGBA{{B: 255, A: 255}, {R: 255, A: 255}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := r.Render(field, ramp, SymmetricRange(field))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +108,10 @@ func TestOrthoRenderColors(t *testing.T) {
 		t.Errorf("south pixel %v not cool", bottom)
 	}
 	// Validation.
-	if _, err := r.Render(make([]float64, 3), CoolWarmMap(), FieldRange(field)); err == nil {
+	if _, err := r.Render(make([]float64, 3), ramp, SymmetricRange(field)); err == nil {
 		t.Error("mis-sized field accepted")
 	}
-	if _, err := r.Render(field, nil, FieldRange(field)); err == nil {
+	if _, err := r.Render(field, nil, SymmetricRange(field)); err == nil {
 		t.Error("nil colormap accepted")
 	}
 }
@@ -141,7 +147,11 @@ func TestImageSet(t *testing.T) {
 	if len(cams) != 6 {
 		t.Fatalf("default rig has %d cameras", len(cams))
 	}
-	imgs, err := ImageSet(m, field, OkuboWeissMap(), SymmetricRange(field), 32, 32, cams)
+	sr, err := NewImageSetRenderer(m, 32, 32, cams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs, err := sr.RenderFrames(field, OkuboWeissMap(), SymmetricRange(field))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,19 +170,17 @@ func TestImageSet(t *testing.T) {
 	if same {
 		t.Error("opposite views identical")
 	}
-	if _, err := ImageSet(m, field, OkuboWeissMap(), SymmetricRange(field), 32, 32, nil); err == nil {
+	if _, err := NewImageSetRenderer(m, 32, 32, nil); err == nil {
 		t.Error("empty rig accepted")
 	}
 }
 
 func TestImageSetRendererReuse(t *testing.T) {
 	m := testMesh(t)
-	sr, err := NewImageSetRenderer(m, 24, 24, DefaultCameraSet()[:3])
+	rig := DefaultCameraSet()[:3]
+	sr, err := NewImageSetRenderer(m, 24, 24, rig)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sr.Views() != 3 {
-		t.Fatalf("views = %d", sr.Views())
 	}
 	f1 := make([]float64, m.NCells())
 	f2 := make([]float64, m.NCells())
@@ -180,22 +188,35 @@ func TestImageSetRendererReuse(t *testing.T) {
 		f1[ci] = 1
 		f2[ci] = m.Cells[ci].Lat
 	}
-	a, err := sr.Render(f1, GrayscaleMap(), Normalizer{Min: 0, Max: 2})
+	cm := OkuboWeissMap()
+	a, err := sr.RenderFrames(f1, cm, Normalizer{Min: 0, Max: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sr.Render(f2, GrayscaleMap(), FieldRange(f2))
+	if len(a) != 3 {
+		t.Fatalf("views = %d", len(a))
+	}
+	first := a[0]
+	b, err := sr.RenderFrames(f2, cm, SymmetricRange(f2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != 3 || len(b) != 3 {
-		t.Fatal("wrong view counts")
+	if b[0] != first {
+		t.Error("second render did not reuse the first frame")
 	}
-	// Renders are independent: the constant field is uniform gray inside
-	// the disk.
-	c1 := a[0].RGBAAt(12, 12)
-	if c1.R != c1.G || c1.G != c1.B {
-		t.Errorf("constant field rendered non-gray %v", c1)
+	// The reused frame carries nothing over from the previous field.
+	fresh, err := NewOrthoRasterizer(m, 24, 24, rig[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Render(f2, cm, SymmetricRange(f2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Pix {
+		if b[0].Pix[i] != want.Pix[i] {
+			t.Fatalf("reused frame differs from a fresh render at byte %d", i)
+		}
 	}
 }
 

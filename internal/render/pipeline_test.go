@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"insituviz/internal/leakcheck"
+	"insituviz/internal/units"
 )
 
 func fillFrame(img *image.RGBA, v byte) {
@@ -49,12 +50,12 @@ func TestPipelinedWriterRoundTrip(t *testing.T) {
 	if frames != n {
 		t.Fatalf("Flush frames = %d, want %d", frames, n)
 	}
-	if bytes != db.TotalBytes() {
-		t.Fatalf("Flush bytes = %d, db total %d", bytes, db.TotalBytes())
+	if total := units.Bytes(db.w.TotalBytes()); bytes != total {
+		t.Fatalf("Flush bytes = %d, db total %d", bytes, total)
 	}
 	// Byte-for-byte what a serial writer produces: same entry count and the
 	// same per-frame sizes in the same order.
-	got, want := db.Entries(), sdb.Entries()
+	got, want := db.w.Entries(), sdb.w.Entries()
 	if len(got) != len(want) {
 		t.Fatalf("entries = %d, want %d", len(got), len(want))
 	}

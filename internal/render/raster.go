@@ -170,27 +170,12 @@ func (r *Rasterizer) Render(field []float64, cm *Colormap, n Normalizer) (*image
 	return img, nil
 }
 
-// RenderInto draws the field into img, a frame from NewFrame (or any RGBA
-// image of the rasterizer's exact size), overwriting every pixel. Reusing
-// one frame across timesteps makes the steady-state render allocation-free.
-func (r *Rasterizer) RenderInto(img *image.RGBA, field []float64, cm *Colormap, n Normalizer) error {
-	return r.renderOwnedInto(img, field, cm, n, nil)
-}
-
-// RenderOwned draws only the pixels whose cells are owned (owned[cell] ==
-// true), leaving the rest fully transparent. This is the per-rank render of
-// a sort-last parallel pipeline; Composite merges the partial images.
-func (r *Rasterizer) RenderOwned(field []float64, cm *Colormap, n Normalizer, owned []bool) (*image.RGBA, error) {
-	img := r.NewFrame()
-	if err := r.RenderOwnedInto(img, field, cm, n, owned); err != nil {
-		return nil, err
-	}
-	return img, nil
-}
-
-// RenderOwnedInto is RenderOwned into a reusable frame: owned pixels get
-// the field color, all others are written fully transparent, so the frame
-// needs no clearing between masks.
+// RenderOwnedInto draws into img — a frame from NewFrame (or any RGBA image
+// of the rasterizer's exact size) — only the pixels whose cells are owned
+// (owned[cell] == true): owned pixels get the field color, all others are
+// written fully transparent, so a reused frame needs no clearing between
+// masks. This is the per-rank render of a sort-last parallel pipeline;
+// CompositeInto merges the partial images.
 func (r *Rasterizer) RenderOwnedInto(img *image.RGBA, field []float64, cm *Colormap, n Normalizer, owned []bool) error {
 	if len(owned) != r.Mesh.NCells() {
 		return fmt.Errorf("render: ownership mask has %d cells, want %d", len(owned), r.Mesh.NCells())

@@ -4,10 +4,14 @@ import (
 	"image"
 	"image/color"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"insituviz/internal/cinemastore"
 	"insituviz/internal/mesh"
+	"insituviz/internal/partition"
+	"insituviz/internal/units"
 )
 
 func testMesh(t testing.TB) *mesh.Mesh {
@@ -62,17 +66,14 @@ func TestColormapInterpolation(t *testing.T) {
 }
 
 func TestBuiltinColormaps(t *testing.T) {
-	for _, cm := range []*Colormap{OkuboWeissMap(), CoolWarmMap(), GrayscaleMap()} {
-		for _, tv := range []float64{0, 0.25, 0.5, 0.75, 1} {
-			c := cm.At(tv)
-			if c.A != 255 {
-				t.Errorf("%s.At(%v) not opaque", cm.Name(), tv)
-			}
+	ow := OkuboWeissMap()
+	for _, tv := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		if c := ow.At(tv); c.A != 255 {
+			t.Errorf("%s.At(%v) not opaque", ow.Name(), tv)
 		}
 	}
 	// The Okubo-Weiss palette must be green at the negative end and blue at
 	// the positive end, as in the paper's Fig. 2.
-	ow := OkuboWeissMap()
 	lo := ow.At(0)
 	if !(lo.G > lo.R && lo.G > lo.B) {
 		t.Errorf("OW low end %v not green", lo)
@@ -84,30 +85,12 @@ func TestBuiltinColormaps(t *testing.T) {
 }
 
 func TestNormalizer(t *testing.T) {
-	n, err := NewNormalizer(10, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := Normalizer{Min: 10, Max: 20}
 	if n.Normalize(15) != 0.5 {
 		t.Errorf("Normalize(15) = %v", n.Normalize(15))
 	}
 	if n.Normalize(5) != 0 || n.Normalize(25) != 1 {
 		t.Error("clamping failed")
-	}
-	if _, err := NewNormalizer(5, 5); err == nil {
-		t.Error("degenerate range accepted")
-	}
-	fr := FieldRange([]float64{3, -1, 7})
-	if fr.Min != -1 || fr.Max != 7 {
-		t.Errorf("FieldRange = %+v", fr)
-	}
-	cst := FieldRange([]float64{4, 4})
-	if !(cst.Min < cst.Max) {
-		t.Errorf("constant FieldRange degenerate: %+v", cst)
-	}
-	empty := FieldRange(nil)
-	if !(empty.Min < empty.Max) {
-		t.Errorf("empty FieldRange degenerate: %+v", empty)
 	}
 	sym := SymmetricRange([]float64{-3, 5})
 	if sym.Min != -5 || sym.Max != 5 {
@@ -177,7 +160,12 @@ func TestRenderProducesOpaqueImage(t *testing.T) {
 	for ci := range field {
 		field[ci] = m.Cells[ci].Lat
 	}
-	img, err := r.Render(field, CoolWarmMap(), FieldRange(field))
+	// A blue-to-red ramp over the latitude range: south cool, north warm.
+	ramp, err := NewColormap("ramp", []float64{0, 1}, []color.RGBA{{B: 255, A: 255}, {R: 255, A: 255}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := r.Render(field, ramp, SymmetricRange(field))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,57 +186,14 @@ func TestRenderProducesOpaqueImage(t *testing.T) {
 func TestRenderValidation(t *testing.T) {
 	m := testMesh(t)
 	r, _ := NewRasterizer(m, 16, 8)
-	if _, err := r.Render(make([]float64, 3), GrayscaleMap(), Normalizer{0, 1}); err == nil {
+	if _, err := r.Render(make([]float64, 3), OkuboWeissMap(), Normalizer{0, 1}); err == nil {
 		t.Error("mis-sized field accepted")
 	}
 	if _, err := r.Render(make([]float64, m.NCells()), nil, Normalizer{0, 1}); err == nil {
 		t.Error("nil colormap accepted")
 	}
-	if _, err := r.RenderOwned(make([]float64, m.NCells()), GrayscaleMap(), Normalizer{0, 1}, make([]bool, 2)); err == nil {
+	if err := r.RenderOwnedInto(r.NewFrame(), make([]float64, m.NCells()), OkuboWeissMap(), Normalizer{0, 1}, make([]bool, 2)); err == nil {
 		t.Error("mis-sized ownership accepted")
-	}
-}
-
-func TestPartitionCells(t *testing.T) {
-	masks, err := PartitionCells(10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(masks) != 3 {
-		t.Fatalf("ranks = %d", len(masks))
-	}
-	counts := make([]int, 3)
-	owners := make([]int, 10)
-	for i := range owners {
-		owners[i] = -1
-	}
-	for r, mask := range masks {
-		for ci, own := range mask {
-			if own {
-				counts[r]++
-				if owners[ci] != -1 {
-					t.Fatalf("cell %d owned by ranks %d and %d", ci, owners[ci], r)
-				}
-				owners[ci] = r
-			}
-		}
-	}
-	for ci, o := range owners {
-		if o == -1 {
-			t.Fatalf("cell %d unowned", ci)
-		}
-	}
-	if counts[0] != 4 || counts[1] != 3 || counts[2] != 3 {
-		t.Errorf("counts = %v", counts)
-	}
-	if _, err := PartitionCells(0, 1); err == nil {
-		t.Error("zero cells accepted")
-	}
-	if _, err := PartitionCells(10, 0); err == nil {
-		t.Error("zero ranks accepted")
-	}
-	if _, err := PartitionCells(2, 5); err == nil {
-		t.Error("more ranks than cells accepted")
 	}
 }
 
@@ -269,19 +214,24 @@ func TestParallelRenderCompositeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks, err := PartitionCells(m.NCells(), 7)
+	part, err := partition.New(m, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	masks := part.Masks()
 	partials := make([]*image.RGBA, len(masks))
 	for rank, mask := range masks {
-		partials[rank], err = r.RenderOwned(field, cm, n, mask)
-		if err != nil {
+		partials[rank] = r.NewFrame()
+		if err := r.RenderOwnedInto(partials[rank], field, cm, n, mask); err != nil {
 			t.Fatal(err)
 		}
 	}
-	composed, err := Composite(partials)
-	if err != nil {
+	composed := r.NewFrame()
+	// Pre-poison the destination: CompositeInto must overwrite every pixel.
+	for i := range composed.Pix {
+		composed.Pix[i] = 0xAB
+	}
+	if err := CompositeInto(composed, partials); err != nil {
 		t.Fatal(err)
 	}
 	if !FullyOpaque(composed) {
@@ -295,15 +245,19 @@ func TestParallelRenderCompositeMatchesSerial(t *testing.T) {
 }
 
 func TestCompositeValidation(t *testing.T) {
-	if _, err := Composite(nil); err == nil {
-		t.Error("empty composite accepted")
-	}
 	a := image.NewRGBA(image.Rect(0, 0, 4, 4))
 	b := image.NewRGBA(image.Rect(0, 0, 5, 4))
-	if _, err := Composite([]*image.RGBA{a, b}); err == nil {
+	dst := image.NewRGBA(image.Rect(0, 0, 4, 4))
+	if err := CompositeInto(dst, nil); err == nil {
+		t.Error("empty composite accepted")
+	}
+	if err := CompositeInto(nil, []*image.RGBA{a}); err == nil {
+		t.Error("nil destination accepted")
+	}
+	if err := CompositeInto(dst, []*image.RGBA{a, b}); err == nil {
 		t.Error("mismatched bounds accepted")
 	}
-	if _, err := Composite([]*image.RGBA{a, nil}); err == nil {
+	if err := CompositeInto(dst, []*image.RGBA{a, nil}); err == nil {
 		t.Error("nil partial accepted")
 	}
 }
@@ -325,28 +279,26 @@ func TestCinemaDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Dir() != dir {
-		t.Errorf("Dir = %q", db.Dir())
-	}
 	img := image.NewRGBA(image.Rect(0, 0, 16, 8))
-	n1, err := db.AddImage(img, 3600, "okubo_weiss")
+	n1, err := db.AddImageAt(img, 3600, 0, 0, "okubo_weiss")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n1 <= 0 {
 		t.Errorf("image size = %v", n1)
 	}
-	n2, err := db.AddImage(img, 7200, "okubo_weiss")
+	n2, err := db.AddImageAt(img, 7200, 0, 0, "okubo_weiss")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if db.TotalBytes() != n1+n2 {
-		t.Errorf("TotalBytes = %v, want %v", db.TotalBytes(), n1+n2)
 	}
 	if _, err := db.WriteIndex(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := ReadCinemaIndex(dir)
+	data, err := os.ReadFile(filepath.Join(dir, cinemastore.IndexFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _, err := cinemastore.DecodeIndex(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,18 +308,18 @@ func TestCinemaDB(t *testing.T) {
 	if entries[0].Time != 3600 || entries[1].Time != 7200 {
 		t.Errorf("index times: %v, %v", entries[0].Time, entries[1].Time)
 	}
+	if got := units.Bytes(entries[0].Bytes + entries[1].Bytes); got != n1+n2 {
+		t.Errorf("indexed bytes = %v, want %v", got, n1+n2)
+	}
 	// Errors.
-	if _, err := db.AddImage(nil, 0, "x"); err == nil {
+	if _, err := db.AddImageAt(nil, 0, 0, 0, "x"); err == nil {
 		t.Error("nil image accepted")
 	}
-	if _, err := db.AddImage(img, 0, ""); err == nil {
+	if _, err := db.AddImageAt(img, 0, 0, 0, ""); err == nil {
 		t.Error("empty field accepted")
 	}
 	if _, err := NewCinemaDB(""); err == nil {
 		t.Error("empty dir accepted")
-	}
-	if _, err := ReadCinemaIndex(t.TempDir()); err == nil {
-		t.Error("missing index accepted")
 	}
 }
 

@@ -33,14 +33,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))

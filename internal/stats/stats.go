@@ -1,8 +1,7 @@
-// Package stats provides the summary statistics, regression helpers, and
-// error metrics used by the characterization and modeling layers: means and
-// deviations of power profiles, simple linear regression for scaling laws,
-// and the absolute/relative error metrics the paper reports for model
-// validation (Fig. 8 quotes an absolute error rate below 0.5%).
+// Package stats provides the summary statistics and error metrics used by
+// the characterization and modeling layers: means and deviations of power
+// profiles, and the absolute/relative error metrics the paper reports for
+// model validation (Fig. 8 quotes an absolute error rate below 0.5%).
 package stats
 
 import (
@@ -89,74 +88,6 @@ func Median(xs []float64) (float64, error) {
 	return (cp[n/2-1] + cp[n/2]) / 2, nil
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if len(cp) == 1 {
-		return cp[0], nil
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return cp[lo], nil
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac, nil
-}
-
-// LinearFit is the result of a simple least-squares line fit y = a + b*x.
-type LinearFit struct {
-	Intercept float64 // a
-	Slope     float64 // b
-	R2        float64 // coefficient of determination
-}
-
-// FitLine fits y = a + b*x by ordinary least squares.
-func FitLine(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, fmt.Errorf("%w: %d xs vs %d ys", ErrLength, len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return LinearFit{}, fmt.Errorf("%w: line fit needs at least 2 points", ErrEmpty)
-	}
-	mx, _ := Mean(xs)
-	my, _ := Mean(ys)
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, fmt.Errorf("stats: degenerate fit, all x identical")
-	}
-	b := sxy / sxx
-	a := my - b*mx
-	r2 := 1.0
-	if syy > 0 {
-		var ssRes float64
-		for i := range xs {
-			r := ys[i] - (a + b*xs[i])
-			ssRes += r * r
-		}
-		r2 = 1 - ssRes/syy
-	}
-	return LinearFit{Intercept: a, Slope: b, R2: r2}, nil
-}
-
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
-
 // AbsRelError returns |predicted-actual| / |actual|. It returns an error for
 // a zero actual value, where relative error is undefined.
 func AbsRelError(predicted, actual float64) (float64, error) {
@@ -205,22 +136,6 @@ func MaxAPE(predicted, actual []float64) (float64, error) {
 		}
 	}
 	return 100 * mx, nil
-}
-
-// RMSE returns the root-mean-square error between paired samples.
-func RMSE(predicted, actual []float64) (float64, error) {
-	if len(predicted) != len(actual) {
-		return 0, fmt.Errorf("%w: %d predictions vs %d actuals", ErrLength, len(predicted), len(actual))
-	}
-	if len(actual) == 0 {
-		return 0, ErrEmpty
-	}
-	var ss float64
-	for i := range actual {
-		d := predicted[i] - actual[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(actual))), nil
 }
 
 // Summary bundles the descriptive statistics of one sample.

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -68,87 +67,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 10}, {25, 20}, {50, 30}, {75, 40}, {100, 50}, {62.5, 35},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("Percentile(101) should error")
-	}
-	if _, err := Percentile(nil, 50); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Percentile(nil) err = %v", err)
-	}
-	if got, _ := Percentile([]float64{7}, 99); got != 7 {
-		t.Errorf("single-sample percentile = %v, want 7", got)
-	}
-}
-
-func TestFitLineExact(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 603 + 6.3*x // the paper's storage-scaling flavor of line
-	}
-	f, err := FitLine(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Intercept-603) > 1e-9 || math.Abs(f.Slope-6.3) > 1e-12 {
-		t.Errorf("fit = %+v", f)
-	}
-	if math.Abs(f.R2-1) > 1e-12 {
-		t.Errorf("R2 = %v, want 1", f.R2)
-	}
-	if p := f.Predict(10); math.Abs(p-666) > 1e-9 {
-		t.Errorf("Predict(10) = %v, want 666", p)
-	}
-}
-
-func TestFitLineErrors(t *testing.T) {
-	if _, err := FitLine([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrLength) {
-		t.Errorf("mismatched fit err = %v", err)
-	}
-	if _, err := FitLine([]float64{1}, []float64{1}); !errors.Is(err, ErrEmpty) {
-		t.Errorf("short fit err = %v", err)
-	}
-	if _, err := FitLine([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("degenerate fit should error")
-	}
-}
-
-func TestFitLineNoisy(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 200)
-	ys := make([]float64, 200)
-	for i := range xs {
-		xs[i] = float64(i)
-		ys[i] = 5 + 2*xs[i] + rng.NormFloat64()*0.01
-	}
-	f, err := FitLine(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Slope-2) > 0.01 || math.Abs(f.Intercept-5) > 0.1 {
-		t.Errorf("noisy fit = %+v", f)
-	}
-	if f.R2 < 0.999 {
-		t.Errorf("R2 = %v too low", f.R2)
-	}
-}
-
 func TestErrorMetrics(t *testing.T) {
 	re, err := AbsRelError(101, 100)
 	if err != nil || math.Abs(re-0.01) > 1e-12 {
@@ -165,10 +83,6 @@ func TestErrorMetrics(t *testing.T) {
 	if err != nil || math.Abs(mx-10) > 1e-12 {
 		t.Errorf("MaxAPE = %v (%v), want 10", mx, err)
 	}
-	r, err := RMSE([]float64{3, 4}, []float64{0, 0})
-	if err != nil || math.Abs(r-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMSE = %v (%v)", r, err)
-	}
 	if _, err := MAPE([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrLength) {
 		t.Errorf("MAPE length err = %v", err)
 	}
@@ -178,17 +92,11 @@ func TestErrorMetrics(t *testing.T) {
 	if _, err := MaxAPE(nil, nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("MaxAPE empty err = %v", err)
 	}
-	if _, err := RMSE(nil, nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("RMSE empty err = %v", err)
-	}
 	if _, err := MaxAPE([]float64{1}, []float64{0}); err == nil {
 		t.Error("MaxAPE with zero actual should error")
 	}
 	if _, err := MAPE([]float64{1}, []float64{0}); err == nil {
 		t.Error("MAPE with zero actual should error")
-	}
-	if _, err := RMSE([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrLength) {
-		t.Errorf("RMSE length err = %v", err)
 	}
 	if _, err := MaxAPE([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrLength) {
 		t.Errorf("MaxAPE length err = %v", err)
@@ -230,31 +138,6 @@ func TestMeanBoundsProperty(t *testing.T) {
 		m, _ := Mean(xs)
 		min, max, _ := MinMax(xs)
 		return m >= min-1e-6 && m <= max+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, a, b uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		pa := float64(a) / 255 * 100
-		pb := float64(b) / 255 * 100
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		va, _ := Percentile(xs, pa)
-		vb, _ := Percentile(xs, pb)
-		return va <= vb
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -284,7 +284,7 @@ type PowerModel struct {
 // ~293 W busy) with the paper's near-busy I/O draw for io.* phases — the
 // measured fact that polling keeps cores hot during I/O waits.
 func NodePowerModel() PowerModel {
-	const idle, busy = 100, 44000.0 / 150
+	const idle, busy = power.CaddyNodeIdleWatts, power.CaddyNodeBusyWatts
 	ioWait := idle + 0.95*(busy-idle)
 	return PowerModel{
 		Phases: map[string]units.Watts{

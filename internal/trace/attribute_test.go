@@ -14,13 +14,13 @@ func TestPhaseIntervalsInnermostWins(t *testing.T) {
 	tr := New(Options{})
 	l := tr.Lane("driver")
 	// outer [0,100] with inner [30,60]: the inner span claims its window.
-	l.BeginAt("outer", 0)
-	l.BeginAt("inner", 30)
-	l.EndAt(60)
-	l.EndAt(100)
+	l.record(EventBegin, "outer", "", 0, false)
+	l.record(EventBegin, "inner", "", 30, false)
+	l.record(EventEnd, "", "", 60, false)
+	l.record(EventEnd, "", "", 100, false)
 	// gap [100,120], then a lone span [120,150].
-	l.BeginAt("tail", 120)
-	l.EndAt(150)
+	l.record(EventBegin, "tail", "", 120, false)
+	l.record(EventEnd, "", "", 150, false)
 
 	ivs := tr.Snapshot().Lane("driver").PhaseIntervals()
 	want := []Interval{

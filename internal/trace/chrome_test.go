@@ -13,11 +13,11 @@ func buildTimeline() *Tracer {
 	tr := New(Options{})
 	drv := tr.Lane("driver")
 	drv.SpanAt("sim.step", "", 0, 1000)
-	drv.BeginAt("viz.sample", 1000)
-	drv.BeginAt("viz.render", 1100)
-	drv.EndAt(1600)
-	drv.EndAt(2000)
-	drv.InstantAt("dump.landed", 2000)
+	drv.record(EventBegin, "viz.sample", "", 1000, false)
+	drv.record(EventBegin, "viz.render", "", 1100, false)
+	drv.record(EventEnd, "", "", 1600, false)
+	drv.record(EventEnd, "", "", 2000, false)
+	drv.record(EventInstant, "dump.landed", "", 2000, false)
 	tr.Lane("render.rank0").SpanAt("render.rank", "mask 0", 1100, 1500)
 	return tr
 }

@@ -29,8 +29,8 @@
 //
 // Timestamps are int64 nanoseconds. Live components use the tracer's
 // monotonic clock (Begin/End/Instant); the simulated-machine components
-// pass explicit simulated-time stamps (BeginAt/EndAt/InstantAt/SpanAt),
-// so one timeline format serves both clocks of the design (DESIGN.md §4).
+// pass explicit simulated-time stamps (SpanAt), so one timeline format
+// serves both clocks of the design (DESIGN.md §4).
 package trace
 
 import (
@@ -91,8 +91,8 @@ type Options struct {
 	// DefaultLaneCapacity.
 	LaneCapacity int
 	// Clock supplies timestamps for Begin/End/Instant, in nanoseconds.
-	// Nil selects a wall clock monotonic from New. Explicit-timestamp
-	// methods (BeginAt and friends) never consult the clock.
+	// Nil selects a wall clock monotonic from New. The explicit-timestamp
+	// SpanAt never consults the clock.
 	Clock func() int64
 }
 
@@ -194,15 +194,6 @@ func (l *Lane) End() { l.record(EventEnd, "", "", 0, true) }
 
 // Instant records a point event at the current clock. No-op on nil.
 func (l *Lane) Instant(name string) { l.record(EventInstant, name, "", 0, true) }
-
-// BeginAt opens a span at an explicit timestamp (simulated time).
-func (l *Lane) BeginAt(name string, ts int64) { l.record(EventBegin, name, "", ts, false) }
-
-// EndAt closes the innermost open span at an explicit timestamp.
-func (l *Lane) EndAt(ts int64) { l.record(EventEnd, "", "", ts, false) }
-
-// InstantAt records a point event at an explicit timestamp.
-func (l *Lane) InstantAt(name string, ts int64) { l.record(EventInstant, name, "", ts, false) }
 
 // SpanAt records a complete span [start, end] with an optional detail
 // annotation — the one-call form the simulated machine uses for its

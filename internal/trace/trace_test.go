@@ -27,9 +27,9 @@ func TestNilSafety(t *testing.T) {
 	l.Begin("x")
 	l.End()
 	l.Instant("x")
-	l.BeginAt("x", 1)
-	l.EndAt(2)
-	l.InstantAt("x", 3)
+	l.record(EventBegin, "x", "", 1, false)
+	l.record(EventEnd, "", "", 2, false)
+	l.record(EventInstant, "x", "", 3, false)
 	l.SpanAt("x", "d", 1, 2)
 	if l.Name() != "" {
 		t.Error("nil lane has a name")
@@ -102,8 +102,8 @@ func TestSpanReconstruction(t *testing.T) {
 func TestOpenSpansClosedAtSnapshot(t *testing.T) {
 	tr := New(Options{})
 	l := tr.Lane("driver")
-	l.BeginAt("running", 100)
-	l.InstantAt("progress", 500)
+	l.record(EventBegin, "running", "", 100, false)
+	l.record(EventInstant, "progress", "", 500, false)
 	lt := tr.Snapshot().Lane("driver")
 	if len(lt.Spans) != 1 {
 		t.Fatalf("spans = %+v", lt.Spans)
@@ -120,7 +120,7 @@ func TestOpenSpansClosedAtSnapshot(t *testing.T) {
 func TestOrphanEnds(t *testing.T) {
 	tr := New(Options{})
 	l := tr.Lane("driver")
-	l.EndAt(10) // no matching begin
+	l.record(EventEnd, "", "", 10, false) // no matching begin
 	l.SpanAt("ok", "", 20, 30)
 	lt := tr.Snapshot().Lane("driver")
 	if lt.Orphans != 1 {

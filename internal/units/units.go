@@ -10,7 +10,6 @@ package units
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Seconds is a span of simulated time, in seconds. The cluster simulator
@@ -18,18 +17,6 @@ import (
 // distinct type from time.Duration so that simulated and wall-clock time
 // cannot be confused.
 type Seconds float64
-
-// Duration converts a simulated time span to a time.Duration for
-// interoperation with standard-library time formatting.
-func (s Seconds) Duration() time.Duration {
-	return time.Duration(float64(s) * float64(time.Second))
-}
-
-// Minutes reports the span in minutes.
-func (s Seconds) Minutes() float64 { return float64(s) / 60 }
-
-// Hours reports the span in hours.
-func (s Seconds) Hours() float64 { return float64(s) / 3600 }
 
 // String formats the span with an adaptive unit.
 func (s Seconds) String() string {
@@ -78,15 +65,8 @@ func (w Watts) String() string {
 	}
 }
 
-// Kilowatts constructs a Watts value from kW.
-func Kilowatts(kw float64) Watts { return Watts(kw * 1e3) }
-
 // Joules is an amount of energy.
 type Joules float64
-
-// Kilowatthours reports the energy in kWh, the unit data-center energy bills
-// are denominated in.
-func (j Joules) Kilowatthours() float64 { return float64(j) / 3.6e6 }
 
 // Megajoules reports the energy in MJ.
 func (j Joules) Megajoules() float64 { return float64(j) / 1e6 }
@@ -121,12 +101,6 @@ const (
 	GB Bytes = 1e9
 	TB Bytes = 1e12
 )
-
-// Gigabytes reports the size in decimal GB.
-func (b Bytes) Gigabytes() float64 { return float64(b) / float64(GB) }
-
-// Terabytes reports the size in decimal TB.
-func (b Bytes) Terabytes() float64 { return float64(b) / float64(TB) }
 
 // String formats the size with an adaptive decimal unit.
 func (b Bytes) String() string {

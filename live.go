@@ -321,6 +321,7 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer db.Close() // error returns; the success path checks Close below
 	db.SetTelemetry(reg)
 	db.SetFaults(cfg.Faults)
 	tracker, err := eddy.NewTracker(msh.Radius, 2e6)
@@ -581,6 +582,9 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 			return nil, err
 		}
 		mCommitRetries.Inc()
+	}
+	if err := db.Close(); err != nil {
+		return nil, err
 	}
 	tracks := tracker.Finish()
 	res.Tracks = len(tracks)

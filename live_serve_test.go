@@ -55,9 +55,17 @@ func TestLiveRunDatabaseServesEndToEnd(t *testing.T) {
 		t.Errorf("store has %d frames, run wrote %d", st.Len(), res.Images)
 	}
 	// The ortho views carry real camera directions on the axes.
-	cams := st.Cameras("okubo_weiss_view1")
-	if len(cams) != 1 || cams[0].Phi == 0 {
-		t.Errorf("view1 cameras = %+v, want one non-zero-phi viewpoint", cams)
+	view1 := 0
+	for _, e := range st.Entries() {
+		if e.Variable == "okubo_weiss_view1" {
+			view1++
+			if e.Phi == 0 {
+				t.Errorf("view1 frame %s has phi 0, want the rig's camera direction", e.File)
+			}
+		}
+	}
+	if view1 == 0 {
+		t.Error("no okubo_weiss_view1 frames in the store")
 	}
 
 	// Serve it the way cmd/liverun does: cinema routes plus a union

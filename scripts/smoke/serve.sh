@@ -22,3 +22,13 @@ curl -fsS http://127.0.0.1:18080/metrics > metrics.txt
 expect metrics.txt '^counter serve\.cache\.hits [1-9]'
 expect metrics.txt '^histogram serve\.latency\.ns p99 '
 expect metrics.txt '^counter serve\.errors 0$'
+
+# Last, the stop an orchestrator (and lib.sh's reap) sends: a plain kill is
+# SIGTERM, and the server must take it as a request to drain and exit,
+# not die on the default action with its deferred shutdown unrun.
+server=$LAUNCHED
+kill "$server"
+LAUNCHED=$$ # the wait is for that child's death, which must not abort it
+gone() { ! kill -0 "$1" 2> /dev/null; }
+wait_for "cinemaserve (pid $server) to exit on SIGTERM" gone "$server"
+expect server.log '^shutting down$'
