@@ -120,27 +120,43 @@ func TestPNGEncoderSteadyStateAllocs(t *testing.T) {
 	// The retained PNGEncoder reuses its output buffer and the stdlib
 	// encoder's filter/zlib state. The stdlib still makes a handful of small
 	// fixed allocations per Encode (bufio reader setup inside zlib), so the
-	// guard is a small constant budget rather than zero.
+	// guard is a small constant budget rather than zero. It holds on both
+	// sides of the format fork: a flat-shaded mesh frame goes out
+	// index-colour — where a palette rebuilt per frame would cost one
+	// allocation per entry inside image/png's PLTE writer — and a frame of
+	// more than 256 colours goes out truecolour as before.
 	m := testMesh(t)
 	r, err := NewRasterizer(m, 96, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
 	field := testField(m)
-	img, err := r.Render(field, OkuboWeissMap(), SymmetricRange(field))
+	flat, err := r.Render(field, OkuboWeissMap(), SymmetricRange(field))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var enc PNGEncoder
-	if _, err := enc.Encode(img); err != nil { // warm up retained buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := enc.Encode(img); err != nil {
+	for _, tc := range []struct {
+		name     string
+		img      *image.RGBA
+		paletted bool
+	}{
+		{"flat-shaded mesh frame", flat, true},
+		{"300 colours", colourFrame(96, 48, 300), false},
+	} {
+		if got := qualifies(tc.img); got != tc.paletted {
+			t.Fatalf("%s: qualifies for index-colour = %v, want %v", tc.name, got, tc.paletted)
+		}
+		var enc PNGEncoder
+		if _, err := enc.Encode(tc.img); err != nil { // warm up retained buffers
 			t.Fatal(err)
 		}
-	})
-	if allocs > 16 {
-		t.Errorf("PNG encode allocates %.1f objects per run, want <= 16", allocs)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := enc.Encode(tc.img); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("%s: PNG encode allocates %.1f objects per run, want <= 16", tc.name, allocs)
+		}
 	}
 }

@@ -3,9 +3,12 @@ package insituviz
 import (
 	"bytes"
 	"fmt"
+	"image"
+	"image/png"
 	"io/fs"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -187,6 +190,48 @@ func TestLiveTransitByteIdentity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestLiveVizFramesArePaletted runs bench's live_viz shape (642 cells,
+// a sample every step, four ortho views and the eddy-core frame; fewer
+// steps and pixels) and requires what the frame format promises of it:
+// every committed frame is flat-shaded from at most 256 opaque colours, so
+// every one is stored index-colour, and the store still verifies end to
+// end under cinemaverify.
+func TestLiveVizFramesArePaletted(t *testing.T) {
+	defer leakcheck.Check(t)()
+	dir := t.TempDir()
+	cfg := transitLiveConfig(dir, telemetry.NewRegistry())
+	cfg.MeshSubdivisions, cfg.Steps, cfg.SampleEverySteps = 3, 6, 1
+	cfg.ImageWidth, cfg.ImageHeight, cfg.OrthoViews = 96, 48, 4
+	res, err := LiveRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for rel, data := range readStore(t, dir) {
+		if filepath.Ext(rel) != ".png" {
+			continue
+		}
+		frames++
+		img, err := png.Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", rel, err)
+		}
+		if _, ok := img.(*image.Paletted); !ok {
+			t.Errorf("%s decodes as %T, want *image.Paletted", rel, img)
+		}
+	}
+	if frames == 0 || frames != res.Images {
+		t.Fatalf("store holds %d frames, run reported %d", frames, res.Images)
+	}
+	if testing.Short() {
+		return
+	}
+	out, err := exec.Command("go", "run", "./cmd/cinemaverify", filepath.Join(dir, "cinema")).CombinedOutput()
+	if err != nil {
+		t.Fatalf("cinemaverify: %v\n%s", err, out)
 	}
 }
 
