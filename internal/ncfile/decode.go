@@ -173,6 +173,7 @@ func Decode(data []byte) (*File, error) {
 	switch {
 	case tag == 0 && count == 0:
 	case tag == tagDimension && count >= 0:
+		hasUnlimited := false
 		for i := int32(0); i < count; i++ {
 			name, err := d.name()
 			if err != nil {
@@ -185,6 +186,10 @@ func Decode(data []byte) (*File, error) {
 			if length < 0 {
 				return nil, fmt.Errorf("%w: negative dimension length", ErrFormat)
 			}
+			if length == 0 && hasUnlimited {
+				return nil, fmt.Errorf("%w: second unlimited dimension %q", ErrFormat, name)
+			}
+			hasUnlimited = hasUnlimited || length == 0
 			f.Dims = append(f.Dims, Dimension{Name: name, Length: int(length)})
 		}
 	default:
@@ -232,6 +237,9 @@ func Decode(data []byte) (*File, error) {
 				}
 				if id < 0 || int(id) >= len(f.Dims) {
 					return nil, fmt.Errorf("%w: variable %q references dimension %d of %d", ErrFormat, name, id, len(f.Dims))
+				}
+				if k != 0 && f.Dims[id].Unlimited() {
+					return nil, fmt.Errorf("%w: unlimited dimension not first in variable %q", ErrFormat, name)
 				}
 				dims[k] = int(id)
 			}

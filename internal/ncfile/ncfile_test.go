@@ -3,10 +3,12 @@ package ncfile
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -466,7 +468,7 @@ func BenchmarkDecode(b *testing.B) {
 
 // buildCDF2 hand-crafts a minimal CDF-2 (64-bit offset) file: one fixed
 // dimension, one NC_INT variable with an 8-byte begin offset.
-func buildCDF2(t *testing.T) []byte {
+func buildCDF2(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	put32 := func(v uint32) {
@@ -596,4 +598,78 @@ func TestDecodeNeverPanicsOnMutatedFiles(t *testing.T) {
 			_, _ = Decode(data)
 		}()
 	}
+}
+
+// FuzzDecode searches for a byte image that makes Decode panic, or that
+// Decode accepts as a File which does not survive Encode and a second
+// Decode unchanged. The corpus is seeded with encoded sample dumps, a
+// CDF-2 file, and the truncations TestDecodeTruncatedFile checks.
+func FuzzDecode(f *testing.F) {
+	encode := func(g *File) []byte {
+		var buf bytes.Buffer
+		if _, err := g.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, shape := range [][2]int{{6, 2}, {3, 1}, {1, 0}} {
+		f.Add(encode(buildSample(f, shape[0], shape[1])))
+	}
+	f.Add(buildCDF2(f))
+	full := encode(buildSample(f, 8, 2))
+	for cut := 4; cut < len(full); cut += 13 {
+		f.Add(full[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Decode(data)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := g.Encode(&buf); err != nil {
+			t.Fatalf("decoded file does not re-encode: %v", err)
+		}
+		h, err := Decode(buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded file does not decode: %v", err)
+		}
+		if err := sameFile(g, h); err != nil {
+			t.Fatalf("round trip changed the file: %v", err)
+		}
+	})
+}
+
+// sameFile reports how a and b differ, comparing values bit for bit (so a
+// NaN equals itself) and nil slices equal to empty ones.
+func sameFile(a, b *File) error {
+	if a.numRecs != b.numRecs {
+		return fmt.Errorf("%d records vs %d", a.numRecs, b.numRecs)
+	}
+	if !slices.Equal(a.Dims, b.Dims) {
+		return fmt.Errorf("dimensions %v vs %v", a.Dims, b.Dims)
+	}
+	if !sameAttrs(a.GlobalAttrs, b.GlobalAttrs) {
+		return fmt.Errorf("global attributes %v vs %v", a.GlobalAttrs, b.GlobalAttrs)
+	}
+	if len(a.Vars) != len(b.Vars) {
+		return fmt.Errorf("%d variables vs %d", len(a.Vars), len(b.Vars))
+	}
+	for i := range a.Vars {
+		va, vb := &a.Vars[i], &b.Vars[i]
+		if va.Name != vb.Name || va.Type != vb.Type || !slices.Equal(va.Dims, vb.Dims) ||
+			!sameAttrs(va.Attrs, vb.Attrs) || !sameBits(va.data, vb.data) {
+			return fmt.Errorf("variable %d: %+v vs %+v", i, *va, *vb)
+		}
+	}
+	return nil
+}
+
+func sameAttrs(a, b []Attribute) bool {
+	return slices.EqualFunc(a, b, func(x, y Attribute) bool {
+		return x.Name == y.Name && x.Type == y.Type && x.Text == y.Text && sameBits(x.Values, y.Values)
+	})
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

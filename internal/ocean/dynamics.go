@@ -43,21 +43,39 @@ func (d *Diagnostics) sizedFor(m *mesh.Mesh) bool {
 // is overwritten; nothing is read, so a buffer can be shared across
 // different states sequentially. The evaluation allocates nothing.
 func (md *Model) ComputeDiagnosticsInto(s *State, d *Diagnostics) error {
+	if err := md.checkState("diagnostics input", s); err != nil {
+		return err
+	}
 	if d == nil || !d.sizedFor(md.Mesh) {
 		return fmt.Errorf("ocean: diagnostics buffer not sized for mesh (%d cells, %d vertices)",
 			md.Mesh.NCells(), md.Mesh.NVertices())
 	}
-	md.computeDiagnosticsInto(s, d)
+	md.cellPass(s, d, nil)
 	return nil
 }
 
-func (md *Model) computeDiagnosticsInto(s *State, d *Diagnostics) {
+// cellPass evaluates the diagnostics of s into d and, when out is non-nil,
+// the continuity tendency into out.Thickness, which walks the same cell
+// edges. The cell and vertex loops are independent (both read only s), so
+// they fuse into one fan-out sharing a single barrier.
+func (md *Model) cellPass(s *State, d *Diagnostics, out *State) {
 	md.instr.diagEvals.Inc()
-	md.sc.loopS, md.sc.loopD = s, d
-	// The cell and vertex loops are independent (both read only s), so
-	// they fuse into one fan-out sharing a single barrier.
+	md.sc.loopS, md.sc.loopD, md.sc.loopOut = s, d, out
 	md.parallelPair(md.Mesh.NCells(), md.grainDiagCells, md.sc.diagCells,
 		md.Mesh.NVertices(), md.grainDiagVerts, md.sc.diagVerts)
+}
+
+// checkState returns an error unless s is sized for the model's mesh.
+func (md *Model) checkState(what string, s *State) error {
+	if !s.sizedFor(md.Mesh) {
+		var nc, ne int
+		if s != nil {
+			nc, ne = len(s.Thickness), len(s.NormalVelocity)
+		}
+		return fmt.Errorf("ocean: %s state sized %d/%d, want %d/%d",
+			what, nc, ne, md.Mesh.NCells(), md.Mesh.NEdges())
+	}
+	return nil
 }
 
 // Tendency evaluates the right-hand side of the shallow-water equations at
@@ -71,21 +89,23 @@ func (md *Model) computeDiagnosticsInto(s *State, d *Diagnostics) {
 // The intermediate diagnostics live in the model's reusable scratch buffer,
 // so a steady-state Tendency evaluation allocates nothing.
 func (md *Model) Tendency(s *State, out *State) error {
-	m := md.Mesh
-	if len(out.Thickness) != m.NCells() || len(out.NormalVelocity) != m.NEdges() {
-		return fmt.Errorf("ocean: tendency output sized %d/%d, want %d/%d",
-			len(out.Thickness), len(out.NormalVelocity), m.NCells(), m.NEdges())
+	if err := md.checkState("tendency input", s); err != nil {
+		return err
 	}
-	d := md.ensureDiag()
-	md.computeDiagnosticsInto(s, d)
-
-	md.sc.loopS, md.sc.loopOut, md.sc.loopD = s, out, d
-	// Continuity writes out.Thickness, momentum writes out.NormalVelocity;
-	// both read only s and the already-complete diagnostics, so the pair
-	// fuses under one barrier.
-	md.parallelPair(m.NCells(), md.grainContinuity, md.sc.continuity,
-		m.NEdges(), md.grainMomentum, md.sc.momentum)
+	if err := md.checkState("tendency output", out); err != nil {
+		return err
+	}
+	md.tendency(s, out)
 	return nil
+}
+
+// tendency runs in two phases: the cell pass (diagnostics plus continuity)
+// beside the vertex pass, then momentum, which reads the completed
+// diagnostics of neighbouring cells and vertices.
+func (md *Model) tendency(s *State, out *State) {
+	d := md.ensureDiag()
+	md.cellPass(s, d, out)
+	md.parallelFor(md.Mesh.NEdges(), md.grainMomentum, md.sc.momentum)
 }
 
 // Step advances s by one RK4 step of size dt seconds, in place. The four
@@ -95,6 +115,9 @@ func (md *Model) Step(s *State, dt float64) error {
 	if dt <= 0 {
 		return fmt.Errorf("ocean: non-positive timestep %g", dt)
 	}
+	if err := md.checkState("step", s); err != nil {
+		return err
+	}
 	md.instr.steps.Inc()
 	tm := md.instr.stepTime.Start()
 	defer tm.End()
@@ -102,47 +125,30 @@ func (md *Model) Step(s *State, dt float64) error {
 	k1, k2, k3, k4 := md.sc.stages[0], md.sc.stages[1], md.sc.stages[2], md.sc.stages[3]
 	tmp := md.sc.tmp
 
-	if err := md.Tendency(s, k1); err != nil {
-		return err
-	}
-	if err := tmp.CopyFrom(s); err != nil {
-		return err
-	}
-	if err := tmp.AddScaled(k1, dt/2); err != nil {
-		return err
-	}
-	if err := md.Tendency(tmp, k2); err != nil {
-		return err
-	}
-	if err := tmp.CopyFrom(s); err != nil {
-		return err
-	}
-	if err := tmp.AddScaled(k2, dt/2); err != nil {
-		return err
-	}
-	if err := md.Tendency(tmp, k3); err != nil {
-		return err
-	}
-	if err := tmp.CopyFrom(s); err != nil {
-		return err
-	}
-	if err := tmp.AddScaled(k3, dt); err != nil {
-		return err
-	}
-	if err := md.Tendency(tmp, k4); err != nil {
-		return err
-	}
+	md.tendency(s, k1)
+	md.stage(s, k1, dt/2)
+	md.tendency(tmp, k2)
+	md.stage(s, k2, dt/2)
+	md.tendency(tmp, k3)
+	md.stage(s, k3, dt)
+	md.tendency(tmp, k4)
 
-	if err := s.AddScaled(k1, dt/6); err != nil {
-		return err
-	}
-	if err := s.AddScaled(k2, dt/3); err != nil {
-		return err
-	}
-	if err := s.AddScaled(k3, dt/3); err != nil {
-		return err
-	}
-	return s.AddScaled(k4, dt/6)
+	md.sc.loopS, md.sc.loopW = s, dt
+	md.update(md.sc.finishCells, md.sc.finishEdges)
+	return nil
+}
+
+// stage writes the RK4 intermediate state tmp = s + w*k.
+func (md *Model) stage(s, k *State, w float64) {
+	md.sc.loopS, md.sc.loopK, md.sc.loopW = s, k, w
+	md.update(md.sc.stageCells, md.sc.stageEdges)
+}
+
+// update runs an element-wise state pass over cells and edges as one
+// fan-out.
+func (md *Model) update(cells, edges func(lo, hi int)) {
+	md.parallelPair(md.Mesh.NCells(), md.grainUpdate, cells,
+		md.Mesh.NEdges(), md.grainUpdate, edges)
 }
 
 // TotalMass returns the area-integrated thickness (m^3), conserved exactly

@@ -108,7 +108,7 @@ type Model struct {
 	// NewModel from the pool's measured fan-out overhead and each loop
 	// body's approximate per-index cost (see parallel.go).
 	grainDiagCells, grainDiagVerts  int
-	grainContinuity, grainMomentum  int
+	grainMomentum, grainUpdate      int
 	grainOWProject, grainOWGradient int
 
 	// sc holds the preallocated stage/diagnostics scratch and the bound
@@ -174,14 +174,14 @@ func NewModel(m *mesh.Mesh, cfg Config) (*Model, error) {
 func (md *Model) initGrains() {
 	if md.workers <= 1 {
 		md.grainDiagCells, md.grainDiagVerts = grainMax, grainMax
-		md.grainContinuity, md.grainMomentum = grainMax, grainMax
+		md.grainMomentum, md.grainUpdate = grainMax, grainMax
 		md.grainOWProject, md.grainOWGradient = grainMax, grainMax
 		return
 	}
 	md.grainDiagCells = grainFor(costDiagCells)
 	md.grainDiagVerts = grainFor(costDiagVerts)
-	md.grainContinuity = grainFor(costContinuity)
 	md.grainMomentum = grainFor(costMomentum)
+	md.grainUpdate = grainFor(costUpdate)
 	md.grainOWProject = grainFor(costOWProject)
 	md.grainOWGradient = grainFor(costOWGradient)
 }

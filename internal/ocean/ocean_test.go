@@ -61,18 +61,6 @@ func TestStateHelpers(t *testing.T) {
 	if s.Thickness[0] != 1 {
 		t.Error("Clone aliases storage")
 	}
-	d := NewState(3, 4)
-	d.Thickness[1] = 2
-	d.NormalVelocity[2] = 3
-	if err := s.AddScaled(d, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if s.Thickness[1] != 1 || s.NormalVelocity[2] != 1.5 {
-		t.Errorf("AddScaled result: %+v", s)
-	}
-	if err := s.AddScaled(NewState(2, 4), 1); err == nil {
-		t.Error("mismatched AddScaled accepted")
-	}
 	if err := s.CheckFinite(); err != nil {
 		t.Errorf("finite state flagged: %v", err)
 	}
@@ -449,8 +437,25 @@ func TestStepValidation(t *testing.T) {
 	}
 	bad := NewState(1, 1)
 	out := NewState(1, 1)
-	if err := md.Tendency(bad, out); err == nil {
+	if err := md.Tendency(s, out); err == nil {
 		t.Error("mis-sized tendency output accepted")
+	}
+	if err := md.Tendency(s, nil); err == nil {
+		t.Error("nil tendency output accepted")
+	}
+	// A mis-sized input state is an error at every entry point, never an
+	// index-out-of-range panic.
+	if err := md.Step(bad, 60); err == nil {
+		t.Error("mis-sized Step state accepted")
+	}
+	if err := md.Tendency(bad, NewState(md.Mesh.NCells(), md.Mesh.NEdges())); err == nil {
+		t.Error("mis-sized tendency input accepted")
+	}
+	if err := md.ComputeDiagnosticsInto(bad, md.NewDiagnostics()); err == nil {
+		t.Error("mis-sized diagnostics input accepted")
+	}
+	if err := md.OkuboWeissInto(bad, make([]float64, md.Mesh.NCells())); err == nil {
+		t.Error("mis-sized Okubo-Weiss input accepted")
 	}
 }
 

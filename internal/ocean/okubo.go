@@ -21,7 +21,7 @@ import (
 func (md *Model) OkuboWeiss(s *State) []float64 {
 	out := make([]float64, md.Mesh.NCells())
 	d := md.ensureDiag()
-	md.computeDiagnosticsInto(s, d)
+	md.cellPass(s, d, nil)
 	md.okuboWeissFromDiagnostics(d, out)
 	return out
 }
@@ -30,11 +30,14 @@ func (md *Model) OkuboWeiss(s *State) []float64 {
 // model's diagnostics and projection scratch: a steady-state evaluation
 // allocates nothing.
 func (md *Model) OkuboWeissInto(s *State, out []float64) error {
+	if err := md.checkState("okubo-weiss input", s); err != nil {
+		return err
+	}
 	if len(out) != md.Mesh.NCells() {
 		return fmt.Errorf("ocean: okubo-weiss output has %d cells, want %d", len(out), md.Mesh.NCells())
 	}
 	d := md.ensureDiag()
-	md.computeDiagnosticsInto(s, d)
+	md.cellPass(s, d, nil)
 	md.okuboWeissFromDiagnostics(d, out)
 	return nil
 }

@@ -13,10 +13,10 @@ import (
 const (
 	costDiagCells  = 45.0
 	costDiagVerts  = 10.0
-	costContinuity = 20.0
 	costMomentum   = 55.0
 	costOWProject  = 8.0
 	costOWGradient = 35.0
+	costUpdate     = 2.0
 )
 
 // Grain clamp bounds and the multiple of the pool's fan-out overhead a
@@ -77,10 +77,10 @@ func (md *Model) parallelFor(n, grain int, fn func(lo, hi int)) {
 }
 
 // parallelPair fuses two independent loops into one fan-out sharing a
-// single barrier — the RK4 stage's diagCells+diagVerts and
-// continuity+momentum pairs, whose bodies read only operands fixed before
-// the call and write disjoint outputs. The Loop headers live in the
-// model's scratch so a steady-state fused fan-out allocates nothing.
+// single barrier — a tendency's cell and vertex passes, and the cell and
+// edge halves of an RK4 state update, whose bodies read only operands
+// fixed before the call and write disjoint outputs. The Loop headers live
+// in the model's scratch so a steady-state fused fan-out allocates nothing.
 func (md *Model) parallelPair(n0, g0 int, f0 func(lo, hi int), n1, g1 int, f1 func(lo, hi int)) {
 	c0 := md.chunksFor(n0, g0)
 	c1 := md.chunksFor(n1, g1)

@@ -14,6 +14,8 @@ package ocean
 import (
 	"fmt"
 	"math"
+
+	"insituviz/internal/mesh"
 )
 
 // State holds the prognostic variables of the shallow-water system.
@@ -54,20 +56,10 @@ func (s *State) CopyFrom(src *State) error {
 	return nil
 }
 
-// AddScaled adds w*delta to s in place: s += w*delta. It returns an error on
-// mismatched sizes.
-func (s *State) AddScaled(delta *State, w float64) error {
-	if len(s.Thickness) != len(delta.Thickness) || len(s.NormalVelocity) != len(delta.NormalVelocity) {
-		return fmt.Errorf("ocean: state size mismatch (%d/%d cells, %d/%d edges)",
-			len(s.Thickness), len(delta.Thickness), len(s.NormalVelocity), len(delta.NormalVelocity))
-	}
-	for i, v := range delta.Thickness {
-		s.Thickness[i] += w * v
-	}
-	for i, v := range delta.NormalVelocity {
-		s.NormalVelocity[i] += w * v
-	}
-	return nil
+// sizedFor reports whether s has one thickness per cell and one normal
+// velocity per edge of m.
+func (s *State) sizedFor(m *mesh.Mesh) bool {
+	return s != nil && len(s.Thickness) == m.NCells() && len(s.NormalVelocity) == m.NEdges()
 }
 
 // CheckFinite returns an error naming the first non-finite value found, or
