@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"image/color"
 	"net"
 	"time"
 
@@ -111,6 +112,21 @@ type SampleResult struct {
 	Entries []cinemastore.Entry
 }
 
+// sample is one sample between Send and Collect. It keeps its own copy of
+// the render tables, so a send or ack that fails can be re-encoded
+// absolute on a fresh connection or failed over. done is set once its
+// outcome is known: res, or err when no worker could take it.
+type sample struct {
+	seq     uint64
+	simTime float64
+	colors  []color.RGBA
+	core    []bool // nil when the sample has no core frame
+	mask    []bool // core's backing, reused across samples
+	res     SampleResult
+	err     error
+	done    bool
+}
+
 // workerConn is the client's state for one worker: the connection (nil
 // when down) and the per-connection encoder stack. The shard encoder's
 // delta state lives and dies with the connection, mirroring the worker's
@@ -123,18 +139,24 @@ type workerConn struct {
 	dec       *Decoder
 	senc      *shardEncoder
 	lane      *trace.Lane
-	connected bool   // ever connected — distinguishes reconnects
-	downUntil uint64 // partitioned until this sample seq
+	connected bool    // ever connected — distinguishes reconnects
+	downUntil uint64  // partitioned until this sample seq
+	inflight  *sample // sent on conn, its ack not yet read
 }
 
-// Client is the simulation side of the in-transit tier. Not safe for
-// concurrent use: the sampling loop is serial, and so is the client.
+// Client is the simulation side of the in-transit tier. Sending a sample
+// and collecting its ack are two steps, so the sim computes on while the
+// workers render; each connection stays stop-and-wait, because a worker's
+// previous sample is collected before the next one goes to it, so at most
+// one sample is in flight per worker. Not safe for concurrent use: the
+// sampling loop is serial, and so is the client.
 type Client struct {
 	opts    Options
 	workers []*workerConn
 	seq     uint64
 	deriver *render.SampleDeriver
-	tables  render.SampleTables // the sample being sent
+	queue   []*sample // sent and not yet collected, in sequence order
+	spare   []*sample // collected; their table buffers are reused
 
 	dropSite  *faults.Site
 	delaySite *faults.Site
@@ -274,33 +296,38 @@ func (c *Client) disconnect(wc *workerConn) {
 	wc.conn, wc.enc, wc.dec, wc.senc = nil, nil, nil, nil
 }
 
-// Close releases every connection.
+// Close releases every connection. Samples still in flight are abandoned,
+// not waited for.
 func (c *Client) Close() error {
 	for _, wc := range c.workers {
+		wc.inflight = nil
 		c.disconnect(wc)
 	}
+	c.queue = nil
 	return nil
 }
 
-// SendSample ships one sample — every rank's shard of the field plus the
-// end marker — to the sample's owner, waits for the rendered-and-stored
-// ack, and returns the accounting. Transport failures (real or injected)
-// reconnect and resend within the retry budget, then fail over around the
-// worker ring; only a fully exhausted ring surfaces as ErrUnavailable.
-func (c *Client) SendSample(simTime float64, field []float64) (SampleResult, error) {
+// Send ships one sample — every rank's shard of the field plus the end
+// marker — to the sample's owner and returns without waiting for the
+// worker to render it. The owner's previous sample is collected first.
+// Transport failures (real or injected) reconnect and resend within the
+// retry budget, then fail over around the worker ring. Collect returns
+// each sample's outcome in sequence order; Send itself fails only when
+// the field does not derive.
+func (c *Client) Send(simTime float64, field []float64) error {
 	seq := c.seq
 	c.seq++
-	var err error
-	if c.tables, err = c.deriver.Derive(simTime, field); err != nil {
-		return SampleResult{}, err
+	t, err := c.deriver.Derive(simTime, field)
+	if err != nil {
+		return err
 	}
+	s := c.newSample(seq, simTime, t)
 
 	// Fault consults: exactly one per site per sample, in a fixed order,
 	// so the injected sequence is deterministic in the seed no matter how
 	// the network behaves.
-	var stall units.Seconds
 	if f, ok := c.delaySite.Next(); ok && f.Kind == faults.KindStall {
-		stall = f.Stall
+		s.res.Stall = f.Stall
 		c.mDelays.Inc()
 	}
 	drop := false
@@ -312,40 +339,138 @@ func (c *Client) SendSample(simTime float64, field []float64) (SampleResult, err
 	if f, ok := c.partSite.Next(); ok && f.Kind == faults.KindError {
 		c.mPartitions.Inc()
 		wc := c.workers[owner]
+		c.collect(wc) // the owner's in-flight sample is not lost with the link
 		wc.downUntil = seq + uint64(c.opts.PartitionWindow)
 		wc.lane.Instant("transit.partition")
 		c.disconnect(wc)
 	}
+	c.queue = append(c.queue, s)
+	c.deliver(s, owner, &drop, false)
+	return nil
+}
 
+// Collect returns the oldest outstanding sample's outcome, waiting for its
+// ack when it is still in flight: the store entries its worker wrote, or
+// ErrUnavailable when no worker could take it, which the caller degrades
+// as a dropped sample.
+func (c *Client) Collect() (SampleResult, error) {
+	if len(c.queue) == 0 {
+		return SampleResult{}, errors.New("intransit: no sample outstanding")
+	}
+	s := c.queue[0]
+	if !s.done {
+		c.collect(c.workers[s.res.Worker])
+	}
+	c.queue[0] = nil
+	c.queue = c.queue[1:]
+	res, err := s.res, s.err
+	s.res = SampleResult{}
+	c.spare = append(c.spare, s)
+	return res, err
+}
+
+// Ready reports whether Collect would return without waiting: a sample
+// is outstanding and the oldest one's outcome is known.
+func (c *Client) Ready() bool { return len(c.queue) > 0 && c.queue[0].done }
+
+// SendSample is Send followed by collecting every outstanding sample: it
+// returns this sample's outcome once the worker has rendered and stored
+// it.
+func (c *Client) SendSample(simTime float64, field []float64) (SampleResult, error) {
+	if err := c.Send(simTime, field); err != nil {
+		return SampleResult{}, err
+	}
+	var res SampleResult
+	var err error
+	for len(c.queue) > 0 {
+		res, err = c.Collect()
+	}
+	return res, err
+}
+
+// newSample copies a sample's derived tables into a recycled sample, or a
+// new one.
+func (c *Client) newSample(seq uint64, simTime float64, t render.SampleTables) *sample {
+	var s *sample
+	if n := len(c.spare); n > 0 {
+		s, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else {
+		s = new(sample)
+	}
+	s.seq, s.simTime, s.err, s.done = seq, simTime, nil, false
+	s.colors = append(s.colors[:0], t.Colors...)
+	s.core = nil
+	if t.Core != nil {
+		s.mask = append(s.mask[:0], t.Core...)
+		s.core = s.mask
+	}
+	return s
+}
+
+// deliver walks the ring from worker start until one takes s, collecting
+// each candidate's in-flight sample before sending to it. Without wait s
+// stays in flight on that worker; with wait (recovering a sample whose
+// ack failed) its ack is read too. When no worker takes s, it is settled
+// as ErrUnavailable.
+func (c *Client) deliver(s *sample, start int, drop *bool, wait bool) {
 	for i := 0; i < len(c.workers); i++ {
-		wi := (owner + i) % len(c.workers)
+		wi := (start + i) % len(c.workers)
 		wc := c.workers[wi]
-		if seq < wc.downUntil {
+		if s.seq < wc.downUntil {
 			continue
 		}
 		if i > 0 {
 			c.mFailovers.Inc()
 		}
-		res, err := c.trySend(wc, seq, simTime, &drop)
-		if err == nil {
-			res.Stall = stall
-			res.Worker = wi
-			c.mSamples.Inc()
-			if raw := c.mRawBytes.Value(); raw > 0 {
-				c.gRatio.Set(float64(c.mWireBytes.Value()) / float64(raw))
-			}
-			return res, nil
+		c.collect(wc)
+		if c.trySend(wc, s, drop, wait) != nil {
+			continue
 		}
+		s.res.Worker = wi
+		if wait {
+			c.finish(s)
+		} else {
+			wc.inflight = s
+		}
+		return
 	}
-	return SampleResult{}, ErrUnavailable
+	s.err, s.done = ErrUnavailable, true
 }
 
-// trySend delivers one sample to one worker, reconnecting and resending
-// within the retry budget. Any error invalidates the connection — after
-// a failure the two ends cannot agree on delta state, so the resend goes
-// absolute on a fresh connection.
-func (c *Client) trySend(wc *workerConn, seq uint64, simTime float64, drop *bool) (SampleResult, error) {
-	var res SampleResult
+// collect reads the ack of wc's in-flight sample, if it has one. When the
+// ack fails — the connection died, or the worker reported an error — the
+// sample is recovered at once from its retained tables: resent absolute
+// on a fresh connection within the retry budget, then failed over,
+// waiting for its ack each time.
+func (c *Client) collect(wc *workerConn) {
+	s := wc.inflight
+	if s == nil {
+		return
+	}
+	wc.inflight = nil
+	if c.awaitAck(wc, s) == nil {
+		c.finish(s)
+		return
+	}
+	c.disconnect(wc)
+	drop := false
+	c.deliver(s, s.res.Worker, &drop, true)
+}
+
+// finish records a delivered sample.
+func (c *Client) finish(s *sample) {
+	s.done = true
+	c.mSamples.Inc()
+	if raw := c.mRawBytes.Value(); raw > 0 {
+		c.gRatio.Set(float64(c.mWireBytes.Value()) / float64(raw))
+	}
+}
+
+// trySend sends s to one worker, reconnecting and resending within the
+// retry budget, and with wait set reads its ack too. Any error
+// invalidates the connection — after a failure the two ends cannot agree
+// on delta state, so the resend goes absolute on a fresh connection.
+func (c *Client) trySend(wc *workerConn, s *sample, drop *bool, wait bool) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.RetryBudget; attempt++ {
 		if wc.conn == nil {
@@ -354,35 +479,34 @@ func (c *Client) trySend(wc *workerConn, seq uint64, simTime float64, drop *bool
 				continue
 			}
 		}
-		r, err := c.sendOn(wc, seq, simTime, drop)
-		res.RawBytes += r.RawBytes
-		res.WireBytes += r.WireBytes
+		err := c.sendOn(wc, s, drop)
+		if err == nil && wait {
+			err = c.awaitAck(wc, s)
+		}
 		if err == nil {
-			res.Frames, res.Bytes, res.Entries = r.Frames, r.Bytes, r.Entries
-			return res, nil
+			return nil
 		}
 		lastErr = err
 		c.disconnect(wc)
 	}
-	return res, fmt.Errorf("intransit: %s: retry budget exhausted: %w", wc.addr, lastErr)
+	return fmt.Errorf("intransit: %s: retry budget exhausted: %w", wc.addr, lastErr)
 }
 
 // sendOn performs one send attempt on a live connection, shipping the
-// sample's derived tables shard by shard.
-func (c *Client) sendOn(wc *workerConn, seq uint64, simTime float64, drop *bool) (SampleResult, error) {
-	var res SampleResult
+// sample's retained tables shard by shard, then the end marker.
+func (c *Client) sendOn(wc *workerConn, s *sample, drop *bool) error {
 	wc.conn.SetDeadline(time.Now().Add(c.opts.IOTimeout))
 	wc.lane.Begin("transit.send")
 	defer wc.lane.End()
 	for r, cells := range c.opts.Cells {
-		payload, flags, rawLen := wc.senc.encode(uint32(r), 0, cells, c.tables.Colors, c.tables.Core)
+		payload, flags, rawLen := wc.senc.encode(uint32(r), 0, cells, s.colors, s.core)
 		if err := wc.enc.Encode(Frame{
-			Type: FrameShard, Flags: flags, Rank: uint32(r), Seq: seq, Payload: payload,
+			Type: FrameShard, Flags: flags, Rank: uint32(r), Seq: s.seq, Payload: payload,
 		}); err != nil {
-			return res, err
+			return err
 		}
-		res.RawBytes += int64(rawLen)
-		res.WireBytes += int64(HeaderSize + len(payload))
+		s.res.RawBytes += int64(rawLen)
+		s.res.WireBytes += int64(HeaderSize + len(payload))
 		c.mRawBytes.Add(int64(rawLen))
 		c.mWireBytes.Add(int64(HeaderSize + len(payload)))
 	}
@@ -392,33 +516,38 @@ func (c *Client) sendOn(wc *workerConn, seq uint64, simTime float64, drop *bool)
 		// sample it must discard, and the resend must still converge.
 		*drop = false
 		wc.lane.Instant("transit.drop")
-		return res, errInjectedDrop
+		return errInjectedDrop
 	}
-	end, err := json.Marshal(sampleEndMsg{SimTime: simTime})
+	end, err := json.Marshal(sampleEndMsg{SimTime: s.simTime})
 	if err != nil {
-		return res, err
+		return err
 	}
-	if err := wc.enc.Encode(Frame{Type: FrameSampleEnd, Seq: seq, Payload: end}); err != nil {
-		return res, err
-	}
+	return wc.enc.Encode(Frame{Type: FrameSampleEnd, Seq: s.seq, Payload: end})
+}
+
+// awaitAck reads s's ack off wc's connection.
+func (c *Client) awaitAck(wc *workerConn, s *sample) error {
+	// The deadline restarts: the sim may have computed for a while since
+	// the send, and the ack may be waiting already.
+	wc.conn.SetDeadline(time.Now().Add(c.opts.IOTimeout))
 	f, err := wc.dec.Decode()
 	if err != nil {
-		return res, err
+		return err
 	}
 	switch f.Type {
 	case FrameSampleAck:
-		if f.Seq != seq {
-			return res, fmt.Errorf("intransit: ack for sample %d, want %d", f.Seq, seq)
+		if f.Seq != s.seq {
+			return fmt.Errorf("intransit: ack for sample %d, want %d", f.Seq, s.seq)
 		}
 		var ack sampleAckMsg
 		if err := json.Unmarshal(f.Payload, &ack); err != nil {
-			return res, fmt.Errorf("intransit: bad sample-ack: %w", err)
+			return fmt.Errorf("intransit: bad sample-ack: %w", err)
 		}
-		res.Frames, res.Bytes, res.Entries = ack.Frames, ack.Bytes, ack.Entries
-		return res, nil
+		s.res.Frames, s.res.Bytes, s.res.Entries = ack.Frames, ack.Bytes, ack.Entries
+		return nil
 	case FrameError:
-		return res, fmt.Errorf("intransit: worker error: %s", f.Payload)
+		return fmt.Errorf("intransit: worker error: %s", f.Payload)
 	default:
-		return res, fmt.Errorf("intransit: unexpected %v frame awaiting ack", f.Type)
+		return fmt.Errorf("intransit: unexpected %v frame awaiting ack", f.Type)
 	}
 }

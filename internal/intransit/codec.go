@@ -3,6 +3,7 @@ package intransit
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
 	"fmt"
 	"image/color"
 	"io"
@@ -14,14 +15,21 @@ import (
 // HelloAck, so both ends of a connection always speak the same codec.
 //
 // Encode appends the encoded form of src to dst[:0] and returns the
-// result; Decode is its inverse. Implementations reuse internal state
-// across calls and are not safe for concurrent use — each connection
-// owns its own instances.
+// result; Decode is its inverse, and fails once the decoded form would
+// pass limit bytes, so a small payload cannot inflate into a large
+// buffer. Implementations reuse internal state across calls and are not
+// safe for concurrent use — each connection owns its own instances.
 type Codec interface {
 	Name() string
 	Encode(dst, src []byte) []byte
-	Decode(dst, src []byte) ([]byte, error)
+	Decode(dst, src []byte, limit int) ([]byte, error)
 }
+
+// ErrBadShard marks a shard payload the decoder rejects: it does not
+// decode, decodes to the wrong length for its rank, sets a flag or a
+// mask bit the encoder never sets, or is a delta without a matching
+// previous record.
+var ErrBadShard = errors.New("intransit: malformed shard")
 
 // DefaultCodec is the codec used when none is requested.
 const DefaultCodec = "flate"
@@ -49,7 +57,12 @@ func (rawCodec) Name() string { return "raw" }
 
 func (rawCodec) Encode(dst, src []byte) []byte { return append(dst[:0], src...) }
 
-func (rawCodec) Decode(dst, src []byte) ([]byte, error) { return append(dst[:0], src...), nil }
+func (rawCodec) Decode(dst, src []byte, limit int) ([]byte, error) {
+	if len(src) > limit {
+		return nil, fmt.Errorf("intransit: raw payload of %d bytes exceeds %d", len(src), limit)
+	}
+	return append(dst[:0], src...), nil
+}
 
 // sliceWriter appends writes to a byte slice — the zero-allocation sink
 // the flate writer compresses into.
@@ -88,7 +101,7 @@ func (c *flateCodec) Encode(dst, src []byte) []byte {
 	return c.sink.b
 }
 
-func (c *flateCodec) Decode(dst, src []byte) ([]byte, error) {
+func (c *flateCodec) Decode(dst, src []byte, limit int) ([]byte, error) {
 	c.src.Reset(src)
 	if c.r == nil {
 		c.r = flate.NewReader(&c.src)
@@ -100,8 +113,12 @@ func (c *flateCodec) Decode(dst, src []byte) ([]byte, error) {
 		if len(dst) == cap(dst) {
 			dst = append(dst, 0)[:len(dst)]
 		}
-		n, err := c.r.Read(dst[len(dst):cap(dst)])
+		// Read at most one byte past limit: enough to tell an overrun.
+		n, err := c.r.Read(dst[len(dst):min(cap(dst), limit+1)])
 		dst = dst[:len(dst)+n]
+		if len(dst) > limit {
+			return nil, fmt.Errorf("intransit: flate payload inflates past %d bytes", limit)
+		}
 		if err == io.EOF {
 			return dst, nil
 		}
@@ -231,29 +248,38 @@ func newShardDecoder(c Codec) *shardDecoder {
 // returned view aliases the decoder's buffer and is valid until the next
 // decode call.
 func (sd *shardDecoder) decode(rank, field uint32, flags uint8, payload []byte, n int) (shardView, error) {
-	var err error
-	sd.buf, err = sd.codec.Decode(sd.buf, payload)
-	if err != nil {
-		return shardView{}, err
+	if flags&^(FlagDelta|FlagCore) != 0 {
+		return shardView{}, fmt.Errorf("%w: rank %d flags %#x", ErrBadShard, rank, flags)
 	}
 	recLen := 3 * n
 	if flags&FlagCore != 0 {
 		recLen += maskLen(n)
 	}
+	var err error
+	sd.buf, err = sd.codec.Decode(sd.buf, payload, recLen)
+	if err != nil {
+		return shardView{}, fmt.Errorf("%w: rank %d: %v", ErrBadShard, rank, err)
+	}
 	if len(sd.buf) != recLen {
-		return shardView{}, fmt.Errorf("intransit: rank %d shard decodes to %d bytes, record for %d cells is %d",
-			rank, len(sd.buf), n, recLen)
+		return shardView{}, fmt.Errorf("%w: rank %d shard decodes to %d bytes, record for %d cells is %d",
+			ErrBadShard, rank, len(sd.buf), n, recLen)
 	}
 	work := sd.buf
 	key := shardKey(rank, field)
 	if flags&FlagDelta != 0 {
 		p, ok := sd.prev[key]
 		if !ok || len(p) != len(work) {
-			return shardView{}, fmt.Errorf("intransit: delta shard for rank %d field %d without matching previous sample", rank, field)
+			return shardView{}, fmt.Errorf("%w: delta shard for rank %d field %d without matching previous sample",
+				ErrBadShard, rank, field)
 		}
 		for i := range work {
 			work[i] ^= p[i]
 		}
+	}
+	// The encoder leaves the mask bits past the last cell clear; a record
+	// that sets them would decode to the same view as one that does not.
+	if flags&FlagCore != 0 && n%8 != 0 && work[recLen-1]>>(n%8) != 0 {
+		return shardView{}, fmt.Errorf("%w: rank %d core mask sets bits past its %d cells", ErrBadShard, rank, n)
 	}
 	sd.prev[key] = append(sd.prev[key][:0], work...)
 	v := shardView{n: n, r: work[0:n], g: work[n : 2*n], b: work[2*n : 3*n]}

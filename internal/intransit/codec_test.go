@@ -2,6 +2,7 @@ package intransit
 
 import (
 	"bytes"
+	"errors"
 	"image/color"
 	"math"
 	"math/rand"
@@ -35,17 +36,21 @@ func TestCodecRoundTrip(t *testing.T) {
 			src := make([]byte, rng.Intn(8192))
 			rng.Read(src)
 			enc = c.Encode(enc, src)
-			dec, err = c.Decode(dec, enc)
+			dec, err = c.Decode(dec, enc, len(src))
 			if err != nil {
 				t.Fatalf("%s: Decode: %v", name, err)
 			}
 			if !bytes.Equal(dec, src) {
 				t.Fatalf("%s: round trip mangled %d bytes", name, len(src))
 			}
+			// One byte short of the decoded length is over the limit.
+			if _, err := c.Decode(nil, enc, len(src)-1); len(src) > 0 && err == nil {
+				t.Fatalf("%s: %d decoded bytes accepted under a limit of %d", name, len(src), len(src)-1)
+			}
 		}
 		// Empty input round-trips too.
 		enc = c.Encode(enc, nil)
-		dec, err = c.Decode(dec, enc)
+		dec, err = c.Decode(dec, enc, 0)
 		if err != nil || len(dec) != 0 {
 			t.Fatalf("%s: empty round trip: %d bytes, %v", name, len(dec), err)
 		}
@@ -194,20 +199,31 @@ func TestShardDecoderRejections(t *testing.T) {
 	payload, flags, _ := se.encode(0, 0, cells, colors, nil)
 	codecD, _ := NewCodec("raw")
 	sd := newShardDecoder(codecD)
-	if _, err := sd.decode(0, 0, flags, payload, len(cells)); err == nil {
-		t.Error("delta shard without history accepted")
+	if _, err := sd.decode(0, 0, flags, payload, len(cells)); !errors.Is(err, ErrBadShard) {
+		t.Errorf("delta shard without history: err = %v, want ErrBadShard", err)
 	}
 
 	// A record whose length disagrees with the rank's cell count must be
 	// rejected — with and without the core plane.
 	se.reset()
 	payload, flags, _ = se.encode(0, 0, cells, colors, nil)
-	if _, err := sd.decode(0, 0, flags, payload, len(cells)+1); err == nil {
-		t.Error("short record accepted")
+	if _, err := sd.decode(0, 0, flags, payload, len(cells)+1); !errors.Is(err, ErrBadShard) {
+		t.Errorf("short record: err = %v, want ErrBadShard", err)
+	}
+	// So must a flag the encoder never sets.
+	if _, err := sd.decode(0, 0, flags|0x80, payload, len(cells)); !errors.Is(err, ErrBadShard) {
+		t.Errorf("unknown flag: err = %v, want ErrBadShard", err)
 	}
 	payload, flags, _ = se.encode(1, 0, cells, colors, core)
-	if _, err := sd.decode(1, 0, flags, payload, len(cells)-1); err == nil {
-		t.Error("long record accepted")
+	if _, err := sd.decode(1, 0, flags, payload, len(cells)-1); !errors.Is(err, ErrBadShard) {
+		t.Errorf("long record: err = %v, want ErrBadShard", err)
+	}
+	// And a core mask with bits set past the rank's last cell (100 cells
+	// use 4 bits of the mask's last byte).
+	padded := append([]byte(nil), payload...)
+	padded[len(padded)-1] |= 0x80
+	if _, err := newShardDecoder(codecD).decode(1, 0, flags, padded, len(cells)); !errors.Is(err, ErrBadShard) {
+		t.Errorf("mask padding bit set: err = %v, want ErrBadShard", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"insituviz/internal/faults"
 	"insituviz/internal/leakcheck"
@@ -273,6 +274,122 @@ func TestLoopbackWorkerRestart(t *testing.T) {
 	}
 	if reg.Counter("transit.reconnects").Value() == 0 {
 		t.Error("restart forced no reconnect")
+	}
+}
+
+// TestLoopbackInFlightWorkerLoss closes worker 0 while sample 0 is in
+// flight on it — sent, not yet acked — then sends sample 1. Sample 0 must
+// be recovered from the client's retained tables and delivered exactly
+// once, and both results must come back in sequence order.
+func TestLoopbackInFlightWorkerLoss(t *testing.T) {
+	defer leakcheck.Check(t)()
+	reg := telemetry.NewRegistry()
+	tr := newTestRun(t, 2)
+	defer tr.close()
+	c := tr.dial(Options{Telemetry: reg, RetryBudget: 1})
+	defer c.Close()
+	field := make([]float64, tr.msh.NCells())
+	for i := range field {
+		field[i] = 1e-9 * float64(i%101-50)
+	}
+
+	// Worker 0's lock is held from before the send until Close has begun,
+	// and a closing worker starts no render, so sample 0 cannot be rendered
+	// on worker 0 whatever the timing.
+	w0 := tr.workers[0]
+	w0.mu.Lock()
+	if err := c.Send(0, field); err != nil {
+		w0.mu.Unlock()
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- w0.Close() }()
+	for !w0.closed.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	w0.mu.Unlock()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-tr.served[0]; err != nil {
+		t.Fatal(err)
+	}
+	// A fresh worker takes the slot (and the port), so the recovered
+	// sample may be resent there or fail over to worker 1.
+	tr.startWorker(0)
+
+	if err := c.Send(1, field); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 2; s++ {
+		res, err := c.Collect()
+		if err != nil {
+			t.Fatalf("sample %d: %v", s, err)
+		}
+		if len(res.Entries) == 0 || res.Entries[0].Time != float64(s) {
+			t.Fatalf("result %d carries entries %v, want sample %d's", s, res.Entries, s)
+		}
+	}
+	var rendered int64
+	for _, w := range append([]*Worker{w0}, tr.workers...) {
+		rendered += w.cfg.Telemetry.Counter("transit.recv.samples").Value()
+	}
+	if rendered != 2 {
+		t.Errorf("workers rendered %d samples, want 2: the in-flight sample must be delivered exactly once", rendered)
+	}
+	if got := reg.Counter("transit.samples").Value(); got != 2 {
+		t.Errorf("transit.samples = %d, want 2", got)
+	}
+}
+
+// TestLoopbackWorkerWriterRecovers pins that a store error fails only its
+// own sample: a worker whose store rejects one sample (every frame's axis
+// tuple is already stored) still renders and acks the next.
+func TestLoopbackWorkerWriterRecovers(t *testing.T) {
+	defer leakcheck.Check(t)()
+	tr := newTestRun(t, 1)
+	defer tr.close()
+	c := tr.dial(Options{RetryBudget: 1})
+	defer c.Close()
+	field := make([]float64, tr.msh.NCells())
+	for i := range field {
+		field[i] = 1e-9 * float64(i%101-50)
+	}
+	if _, err := c.SendSample(1, field); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SendSample(1, field); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("duplicate sample: err = %v, want ErrUnavailable", err)
+	}
+	res, err := c.SendSample(2, field)
+	if err != nil {
+		t.Fatalf("sample after a rejected one: %v", err)
+	}
+	if res.Frames == 0 || len(res.Entries) != res.Frames {
+		t.Fatalf("sample after a rejected one: %d frames, %d entries", res.Frames, len(res.Entries))
+	}
+}
+
+// TestLoopbackCloseInFlight closes a client with a sample in flight on
+// every worker: Close abandons them without waiting out IOTimeout, and
+// neither side leaks a goroutine.
+func TestLoopbackCloseInFlight(t *testing.T) {
+	defer leakcheck.Check(t)()
+	tr := newTestRun(t, 2)
+	defer tr.close()
+	c := tr.dial(Options{IOTimeout: time.Minute})
+	field := make([]float64, tr.msh.NCells())
+	for s := 0; s < 2; s++ {
+		if err := c.Send(float64(s), field); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("Close with samples in flight took %v", d)
 	}
 }
 

@@ -46,8 +46,10 @@
 //	28      4     CRC32C over header[0:28] + payload
 //
 // The CRC covers the header so a flipped length or seq is caught, not
-// just payload corruption. Decoders reject bad magic, unknown versions,
-// oversize lengths, and checksum mismatches without panicking; framing
+// just payload corruption. Decoders reject bad magic, unknown versions (a
+// set reserved byte included), oversize lengths, and checksum mismatches
+// without panicking, and a claimed length allocates no more than the
+// stream actually delivers; framing
 // errors are not recoverable on a stream, so any of them closes the
 // connection and the client resumes on a fresh one.
 package intransit
@@ -227,6 +229,11 @@ func (d *Decoder) Decode() (Frame, error) {
 	if h[4] != Version {
 		return Frame{}, fmt.Errorf("%w: %d", ErrBadVersion, h[4])
 	}
+	if h[7] != 0 {
+		// Version 1 writes the reserved byte as zero; a frame that sets it
+		// speaks some other protocol revision.
+		return Frame{}, fmt.Errorf("%w: reserved header byte %#x", ErrBadVersion, h[7])
+	}
 	typ := FrameType(h[5])
 	if typ < FrameHello || typ > FrameError {
 		return Frame{}, fmt.Errorf("%w: %d", ErrBadType, h[5])
@@ -235,11 +242,8 @@ func (d *Decoder) Decode() (Frame, error) {
 	if length > MaxPayload {
 		return Frame{}, fmt.Errorf("%w: %d bytes", ErrOversize, length)
 	}
-	if cap(d.payload) < int(length) {
-		d.payload = make([]byte, length)
-	}
-	p := d.payload[:length]
-	if _, err := io.ReadFull(d.r, p); err != nil {
+	p, err := d.readPayload(int(length))
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -258,4 +262,27 @@ func (d *Decoder) Decode() (Frame, error) {
 		Field:   binary.BigEndian.Uint32(h[20:24]),
 		Payload: p,
 	}, nil
+}
+
+// readPayload reads an n-byte payload into the reused buffer. A buffer
+// short of n grows only as bytes arrive, so a header that claims a large
+// payload over a short stream costs what the stream holds, not what the
+// header says.
+func (d *Decoder) readPayload(n int) ([]byte, error) {
+	p := d.payload[:0]
+	for len(p) < n {
+		if len(p) == cap(p) {
+			grown := make([]byte, len(p), min(n, max(2*cap(p), 4096)))
+			copy(grown, p)
+			p = grown
+		}
+		k, err := io.ReadFull(d.r, p[len(p):min(cap(p), n)])
+		p = p[:len(p)+k]
+		if err != nil {
+			d.payload = p
+			return nil, err
+		}
+	}
+	d.payload = p
+	return p, nil
 }

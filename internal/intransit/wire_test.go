@@ -101,6 +101,11 @@ func TestDecoderRejections(t *testing.T) {
 			b[4] = 99
 			return b
 		}, ErrBadVersion},
+		{"reserved byte set", func() []byte {
+			b := append([]byte(nil), good...)
+			b[7] = 1
+			return b
+		}, ErrBadVersion},
 		{"bad type zero", func() []byte {
 			b := append([]byte(nil), good...)
 			b[5] = 0

@@ -2,8 +2,8 @@ package intransit
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"image"
 	"image/color"
 	"io"
 	"net"
@@ -96,8 +96,9 @@ type WorkerConfig struct {
 // Worker is the receiving end of the in-transit tier: it accepts client
 // connections, reassembles per-rank field shards into full samples,
 // renders them through the render.SampleRenderer the in-process path uses,
-// writes the frames into the shared store directory, and acks the store
-// entries back. Samples are deduplicated by sequence number, so a resend
+// writes the frames into the shared store directory through a
+// render.PipelinedCinemaWriter, and acks the store entries back once they
+// are durable. Samples are deduplicated by sequence number, so a resend
 // after a reconnect is re-acked from cache instead of re-rendered.
 type Worker struct {
 	ln  net.Listener
@@ -190,18 +191,37 @@ func (w *Worker) Close() error {
 	}
 	w.mu.Unlock()
 	w.wg.Wait()
+	// No handler is left to submit frames: stop the store writer's stages.
+	w.mu.Lock()
+	if w.run != nil {
+		w.run.pw.Close()
+	}
+	w.mu.Unlock()
 	return err
 }
 
 // workerRun is the run in progress — the shared sample renderer and the
-// store writer — built at the first Hello (the run configuration arrives
-// there) and shared, mutex-serialized, by every connection.
+// three-stage store writer behind it — built at the first Hello (the run
+// configuration arrives there) and shared, mutex-serialized, by every
+// connection.
 type workerRun struct {
 	cfg    RunConfig
 	nCells int
 	sr     *render.SampleRenderer
 	db     *render.CinemaDB
+	pw     *render.PipelinedCinemaWriter
 }
+
+// writerDepth is the depth of the worker's PipelinedCinemaWriter. A sample
+// is acked at its flush barrier, so a deeper queue only lets its last
+// renders run further ahead of the fsyncs, for more staging frames: on the
+// benchmark's transit_tcp shape depth 2 cost 0.9 MB more resident memory
+// per worker than depth 1 and no wall time.
+const writerDepth = 1
+
+// errWorkerClosing fails a sample that reaches a closing worker. It starts
+// no render, so the client's resend elsewhere is the only one.
+var errWorkerClosing = errors.New("intransit: worker closing")
 
 func newWorkerRun(rc RunConfig, wc WorkerConfig) (*workerRun, error) {
 	if err := rc.validate(); err != nil {
@@ -228,6 +248,7 @@ func newWorkerRun(rc RunConfig, wc WorkerConfig) (*workerRun, error) {
 		return nil, err
 	}
 	run.db.SetTelemetry(wc.Telemetry)
+	run.pw = render.NewPipelinedCinemaWriter(run.db, writerDepth)
 	return run, nil
 }
 
@@ -243,27 +264,31 @@ func (w *Worker) handleSample(seq uint64, simTime float64, colors []color.RGBA, 
 		w.mReacks.Inc()
 		return payload, nil
 	}
-	// The shipped tables go through the same SampleRenderer an inproc run
-	// renders with, so the stored frames are that run's bytes; the ack
-	// carries the store entries in emit order.
-	ack := sampleAckMsg{Seq: seq}
+	if w.closed.Load() {
+		return nil, errWorkerClosing
+	}
+	// The shipped tables go through the same SampleRenderer and the same
+	// three-stage writer an inproc run uses, so the stored frames are that
+	// run's bytes. The ack waits for the writer's flush barrier: every
+	// entry it carries, in emit order, is written, fsynced and renamed.
+	run := w.run
 	w.lane.Begin("transit.render")
-	err := w.run.sr.Render(render.SampleTables{Colors: colors, Core: core}, simTime,
-		func(img *image.RGBA, simTime, phi, theta float64, name string) error {
-			e, err := w.run.db.AddImageEntry(img, simTime, phi, theta, name)
-			if err != nil {
-				return err
-			}
-			ack.Entries = append(ack.Entries, e)
-			ack.Frames++
-			ack.Bytes += e.Bytes
-			return nil
-		})
+	err := run.sr.Render(render.SampleTables{Colors: colors, Core: core}, simTime, run.pw.Submit)
+	entries, bytes, ferr := run.pw.Flush()
 	w.lane.End()
+	if ferr != nil {
+		// The writer's first error is sticky. It fails this sample's ack
+		// only: the next sample starts on a fresh writer.
+		run.pw.Close()
+		run.pw = render.NewPipelinedCinemaWriter(run.db, writerDepth)
+	}
+	if err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return nil, err
 	}
-	payload, err := json.Marshal(ack)
+	payload, err := json.Marshal(sampleAckMsg{Seq: seq, Frames: len(entries), Bytes: int64(bytes), Entries: entries})
 	if err != nil {
 		return nil, err
 	}

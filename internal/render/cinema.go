@@ -186,10 +186,11 @@ func (p *palettizer) palettize(src *image.RGBA) bool {
 // so a crash mid-run or a concurrent reader — the query server tailing a
 // live run — observes a committed database, never a torn one. The
 // resulting directory opens directly with cinemastore.Open and serves
-// through cinemaserve.
+// through cinemaserve. Frames reach it through a PipelinedCinemaWriter,
+// or by Adopt when another process wrote them.
 type CinemaDB struct {
 	w   *cinemastore.Writer
-	enc PNGEncoder // reused across AddImageEntry calls
+	enc PNGEncoder // the pipelined writer's encode stage
 
 	// Metric handles (nil without SetTelemetry; nil handles are no-ops).
 	mFrames     *telemetry.Counter
@@ -229,41 +230,13 @@ func NewCinemaDB(dir string) (*CinemaDB, error) {
 	return &CinemaDB{w: w}, nil
 }
 
-// AddImageAt encodes img and stores it under the full axis tuple: the
+// putFrame stores one encoded frame under its full axis tuple — the
 // simulated time, the camera direction (phi azimuth, theta elevation,
-// radians), and the field name. The frame file lands atomically; the
-// entry becomes visible to readers at the next WriteIndex. Duplicate axis
-// tuples are rejected.
-func (db *CinemaDB) AddImageAt(img image.Image, simTime, phi, theta float64, field string) (units.Bytes, error) {
-	e, err := db.AddImageEntry(img, simTime, phi, theta, field)
-	if err != nil {
-		return 0, err
-	}
-	return units.Bytes(e.Bytes), nil
-}
-
-// AddImageEntry is AddImageAt returning the full store entry — the
-// in-transit workers ship these records back to the sim so it can adopt
-// them into its own index.
-func (db *CinemaDB) AddImageEntry(img image.Image, simTime, phi, theta float64, field string) (cinemastore.Entry, error) {
-	if img == nil {
-		return cinemastore.Entry{}, fmt.Errorf("render: nil image")
-	}
-	if field == "" {
-		return cinemastore.Entry{}, fmt.Errorf("render: empty field name")
-	}
-	// The encoder's buffer is reused frame to frame; the bytes are written
-	// to disk before the next Encode, so no copy is needed.
-	data, err := db.enc.Encode(img)
-	if err != nil {
-		return cinemastore.Entry{}, err
-	}
-	return db.putFrame(cinemastore.Key{Time: simTime, Phi: phi, Theta: theta, Variable: field}, data)
-}
-
-// putFrame stores one encoded frame and counts it. It touches only the
-// store writer and the metric handles, never the encoder, so the pipelined
-// writer may run it beside an Encode of the next frame.
+// radians), and the field name — and counts it. The frame file lands
+// atomically; the entry becomes visible to readers at the next
+// WriteIndex. Duplicate axis tuples are rejected. It touches only the
+// store writer and the metric handles, never the encoder, so the
+// pipelined writer may run it beside an Encode of the next frame.
 func (db *CinemaDB) putFrame(key cinemastore.Key, data []byte) (cinemastore.Entry, error) {
 	e, err := db.w.Put(key, data)
 	if err != nil {

@@ -17,20 +17,25 @@ import (
 // the job, buffers and all, back to the free list. A job with ack set is a
 // flush barrier and carries nothing else.
 type pipeJob struct {
-	frame *image.RGBA
-	key   cinemastore.Key
-	png   bytes.Buffer
-	err   error
-	ack   chan pipeTotals
+	frame  *image.RGBA   // the staged copy, one of staged
+	staged []*image.RGBA // staging buffers, one per frame geometry seen
+	key    cinemastore.Key
+	png    bytes.Buffer
+	err    error
+	ack    chan pipeTotals
 }
 
+// maxStaged bounds a job's staging buffers. A run's frames come in one or
+// two geometries (the equirectangular frames and the square ortho views).
+const maxStaged = 4
+
 // pipeTotals is the accounting the putter hands back at a flush barrier:
-// what it wrote since the previous barrier, and the first error either
-// stage hit.
+// the entries it wrote since the previous barrier, in submission order,
+// their byte total, and the first error either stage hit.
 type pipeTotals struct {
-	frames int
-	bytes  units.Bytes
-	err    error
+	entries []cinemastore.Entry
+	bytes   units.Bytes
+	err     error
 }
 
 var errWriterClosed = errors.New("render: writer closed")
@@ -45,9 +50,11 @@ var errWriterClosed = errors.New("render: writer closed")
 // it would from a serial caller while frame k+1 encodes during frame k's
 // fsync wait. Flush is the accounting barrier: it travels the same two
 // queues, so when it is answered every earlier frame has been written, and
-// it returns the frames and bytes written since the previous barrier plus
-// the first encode or write error in submission order (frames after an
-// error are dropped, not written).
+// it returns the store entries written since the previous barrier, in
+// submission order, their byte total, and the first encode or write error
+// in submission order (frames after an error are dropped, not written).
+// It is CinemaDB's only frame-writing path: the in-process run and the
+// in-transit viz worker both store frames through it.
 //
 // One goroutine may Submit at a time, and the underlying CinemaDB must not
 // be used directly between a Submit and the next Flush — the stage
@@ -116,10 +123,10 @@ func (w *PipelinedCinemaWriter) put() {
 	for j := range w.encoded {
 		if j.ack != nil {
 			j.ack <- t
-			// Counters restart at the barrier; the error stays sticky so a
-			// Close after a failed Flush reports it again rather than
+			// Accounting restarts at the barrier; the error stays sticky so
+			// a Close after a failed Flush reports it again rather than
 			// pretending the tail of the run was clean.
-			t.frames, t.bytes = 0, 0
+			t.entries, t.bytes = nil, 0
 			continue
 		}
 		// Once poisoned, drop: Flush surfaces the first error instead of a
@@ -132,7 +139,7 @@ func (w *PipelinedCinemaWriter) put() {
 			if err != nil {
 				t.err = err
 			} else {
-				t.frames++
+				t.entries = append(t.entries, e)
 				t.bytes += units.Bytes(e.Bytes)
 			}
 		}
@@ -140,23 +147,36 @@ func (w *PipelinedCinemaWriter) put() {
 	}
 }
 
-// stageFrame copies src into dst, reallocating when the geometry differs.
-// Frames from NewFrame share the exact layout of their staging copies, so
-// the steady state is one bulk copy with no allocation.
-func stageFrame(dst, src *image.RGBA) *image.RGBA {
-	if dst == nil || dst.Rect != src.Rect || dst.Stride != src.Stride || len(dst.Pix) != len(src.Pix) {
-		dst = image.NewRGBA(src.Rect)
+// stage copies src into the job's staging buffer of src's geometry,
+// allocating one the first time the job sees that geometry. Buffers are
+// kept per geometry, so a run that alternates equirectangular frames and
+// ortho views does not reallocate (and discard) a staging frame at every
+// switch: the steady state is one bulk copy with no allocation.
+func (j *pipeJob) stage(src *image.RGBA) {
+	j.frame = nil
+	for _, f := range j.staged {
+		if f.Rect == src.Rect {
+			j.frame = f
+			break
+		}
 	}
+	if j.frame == nil {
+		if len(j.staged) == maxStaged {
+			j.staged = j.staged[1:]
+		}
+		j.frame = image.NewRGBA(src.Rect)
+		j.staged = append(j.staged, j.frame)
+	}
+	dst := j.frame
 	if dst.Stride == src.Stride && len(dst.Pix) == len(src.Pix) {
 		copy(dst.Pix, src.Pix)
-		return dst
+		return
 	}
 	// Stride mismatch (src is a sub-image): copy the visible rows.
 	n := 4 * src.Rect.Dx()
 	for y := 0; y < src.Rect.Dy(); y++ {
 		copy(dst.Pix[y*dst.Stride:y*dst.Stride+n], src.Pix[y*src.Stride:y*src.Stride+n])
 	}
-	return dst
 }
 
 // Submit stages img for encoding under the full Cinema axis tuple and
@@ -175,7 +195,7 @@ func (w *PipelinedCinemaWriter) Submit(img *image.RGBA, simTime, phi, theta floa
 		return errWriterClosed
 	}
 	j := <-w.free
-	j.frame = stageFrame(j.frame, img)
+	j.stage(img)
 	j.key = cinemastore.Key{Time: simTime, Phi: phi, Theta: theta, Variable: field}
 	w.jobs <- j
 	return nil
@@ -190,15 +210,16 @@ func (w *PipelinedCinemaWriter) barrier() pipeTotals {
 }
 
 // Flush waits for every submitted frame to be encoded and written, then
-// returns the frame count and byte total since the previous Flush and the
-// first error encountered. After an error the skipped frames are not
-// retried; the caller decides whether to abort or keep sampling.
-func (w *PipelinedCinemaWriter) Flush() (int, units.Bytes, error) {
+// returns the entries written since the previous Flush, in submission
+// order, their byte total, and the first error encountered. After an
+// error the skipped frames are not retried; the caller decides whether to
+// abort or keep sampling.
+func (w *PipelinedCinemaWriter) Flush() ([]cinemastore.Entry, units.Bytes, error) {
 	if w.closed.Load() {
-		return 0, 0, errWriterClosed
+		return nil, 0, errWriterClosed
 	}
 	t := w.barrier()
-	return t.frames, t.bytes, t.err
+	return t.entries, t.bytes, t.err
 }
 
 // Close drains both queues, stops the stage goroutines, and returns any

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"insituviz/internal/cinemastore"
 	"insituviz/internal/leakcheck"
 	"insituviz/internal/units"
 )
@@ -37,7 +38,11 @@ func TestPipelinedWriterRoundTrip(t *testing.T) {
 	for i := 0; i < n; i++ {
 		fillFrame(frame, byte(10*i+1))
 		fillFrame(serial, byte(10*i+1))
-		if _, err := sdb.AddImageAt(serial, float64(i), 0.5, -0.25, "w"); err != nil {
+		data, err := sdb.enc.Encode(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sdb.putFrame(cinemastore.Key{Time: float64(i), Phi: 0.5, Theta: -0.25, Variable: "w"}, data); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Submit(frame, float64(i), 0.5, -0.25, "w"); err != nil {
@@ -45,25 +50,22 @@ func TestPipelinedWriterRoundTrip(t *testing.T) {
 		}
 		fillFrame(frame, 0xEE)
 	}
-	frames, bytes, err := w.Flush()
+	flushed, bytes, err := w.Flush()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if frames != n {
-		t.Fatalf("Flush frames = %d, want %d", frames, n)
 	}
 	if total := units.Bytes(db.w.TotalBytes()); bytes != total {
 		t.Fatalf("Flush bytes = %d, db total %d", bytes, total)
 	}
-	// Byte-for-byte what a serial writer produces: same entry count and the
-	// same per-frame sizes in the same order.
+	// Flush returns the store's entries in submission order, and they are
+	// byte-for-byte what encode + putFrame produce serially.
 	got, want := db.w.Entries(), sdb.w.Entries()
-	if len(got) != len(want) {
-		t.Fatalf("entries = %d, want %d", len(got), len(want))
+	if len(flushed) != n || len(got) != n || len(want) != n {
+		t.Fatalf("entries: %d flushed, %d stored, %d serial; want %d", len(flushed), len(got), len(want), n)
 	}
 	for i := range got {
-		if got[i].Bytes != want[i].Bytes || got[i].Time != want[i].Time {
-			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
+		if flushed[i] != got[i] || got[i] != want[i] {
+			t.Fatalf("entry %d: flushed %+v, stored %+v, serial %+v", i, flushed[i], got[i], want[i])
 		}
 	}
 
@@ -72,9 +74,9 @@ func TestPipelinedWriterRoundTrip(t *testing.T) {
 	if err := w.Submit(frame, float64(n), 0, 0, "w"); err != nil {
 		t.Fatal(err)
 	}
-	frames, _, err = w.Flush()
-	if err != nil || frames != 1 {
-		t.Fatalf("second Flush = (%d, %v), want (1, nil)", frames, err)
+	flushed, _, err = w.Flush()
+	if err != nil || len(flushed) != 1 || flushed[0].Time != n {
+		t.Fatalf("second Flush = (%+v, %v), want the one entry at time %d", flushed, err, n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -106,12 +108,12 @@ func TestPipelinedWriterErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	frames, _, err := w.Flush()
+	flushed, _, err := w.Flush()
 	if err == nil {
 		t.Fatal("duplicate key error lost")
 	}
-	if frames != 1 {
-		t.Fatalf("frames before poison = %d, want 1", frames)
+	if len(flushed) != 1 {
+		t.Fatalf("frames before poison = %d, want 1", len(flushed))
 	}
 	if cerr := w.Close(); cerr == nil {
 		t.Fatal("Close should report the uncollected sticky error")
@@ -162,22 +164,22 @@ func TestPipelinedWriterErrorOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			frames, _, err := w.Flush()
+			flushed, _, err := w.Flush()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Flush error = %v, want one containing %q", err, tc.want)
 			}
-			if frames != 1 || len(db.w.Entries()) != 1 {
-				t.Fatalf("Flush counted %d frames and the store holds %d, want 1 and 1: frames after the error must be dropped",
-					frames, len(db.w.Entries()))
+			if len(flushed) != 1 || len(db.w.Entries()) != 1 {
+				t.Fatalf("Flush returned %d entries and the store holds %d, want 1 and 1: frames after the error must be dropped",
+					len(flushed), len(db.w.Entries()))
 			}
 			// Sticky: a clean frame after the error is still dropped, and the
 			// same error comes back.
 			if err := w.Submit(good, 9, 0, 0, "w"); err != nil {
 				t.Fatal(err)
 			}
-			frames, _, err2 := w.Flush()
-			if frames != 0 || err2 == nil || err2.Error() != err.Error() {
-				t.Fatalf("second Flush = (%d, %v), want (0, %v)", frames, err2, err)
+			flushed, _, err2 := w.Flush()
+			if len(flushed) != 0 || err2 == nil || err2.Error() != err.Error() {
+				t.Fatalf("second Flush = (%d entries, %v), want (0, %v)", len(flushed), err2, err)
 			}
 		})
 	}

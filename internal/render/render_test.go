@@ -279,16 +279,22 @@ func TestCinemaDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := NewPipelinedCinemaWriter(db, 1)
+	defer w.Close()
 	img := image.NewRGBA(image.Rect(0, 0, 16, 8))
-	n1, err := db.AddImageAt(img, 3600, 0, 0, "okubo_weiss")
+	for _, simTime := range []float64{3600, 7200} {
+		if err := w.Submit(img, simTime, 0, 0, "okubo_weiss"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	written, total, err := w.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n1 <= 0 {
-		t.Errorf("image size = %v", n1)
+	if len(written) != 2 || written[0].Bytes <= 0 || units.Bytes(written[0].Bytes+written[1].Bytes) != total {
+		t.Fatalf("Flush = %+v totalling %v", written, total)
 	}
-	n2, err := db.AddImageAt(img, 7200, 0, 0, "okubo_weiss")
-	if err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.WriteIndex(); err != nil {
@@ -308,16 +314,11 @@ func TestCinemaDB(t *testing.T) {
 	if entries[0].Time != 3600 || entries[1].Time != 7200 {
 		t.Errorf("index times: %v, %v", entries[0].Time, entries[1].Time)
 	}
-	if got := units.Bytes(entries[0].Bytes + entries[1].Bytes); got != n1+n2 {
-		t.Errorf("indexed bytes = %v, want %v", got, n1+n2)
+	if got := units.Bytes(entries[0].Bytes + entries[1].Bytes); got != total {
+		t.Errorf("indexed bytes = %v, want %v", got, total)
 	}
-	// Errors.
-	if _, err := db.AddImageAt(nil, 0, 0, 0, "x"); err == nil {
-		t.Error("nil image accepted")
-	}
-	if _, err := db.AddImageAt(img, 0, 0, 0, ""); err == nil {
-		t.Error("empty field accepted")
-	}
+	// Errors (a nil image or empty field is refused at Submit:
+	// TestPipelinedWriterErrors).
 	if _, err := NewCinemaDB(""); err == nil {
 		t.Error("empty dir accepted")
 	}

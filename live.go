@@ -334,12 +334,8 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	mCrashes := reg.Counter("render.rank.crashes")
 	mFailover := reg.Counter("render.failover")
 
-	// The render step is picked once: either transport turns one sampled
-	// field into committed frames and reports what that cost. closeViz
-	// releases the step (idempotent) and surfaces any write error a sample
-	// did not live to collect.
-	var renderStep func(simTime float64, field []float64) (sampleCost, error)
-	var closeViz func() error
+	// The render step is picked once (see vizStep).
+	var viz vizStep
 	switch cfg.Transport {
 	case "", "inproc":
 		lv := &localViz{
@@ -363,7 +359,7 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 			lv.rankLanes[i] = cfg.Tracer.Lane(fmt.Sprintf("render.rank%d", i))
 			lv.alive[i] = true
 		}
-		renderStep, closeViz = lv.render, lv.pw.Close
+		viz = lv
 	case "tcp":
 		// In-transit tier: each sample's tables are sharded by the same
 		// partition and shipped to the viz workers, which render and store
@@ -393,28 +389,11 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Transport faults reconnect-and-resume inside SendSample; only a
-		// fully exhausted worker ring surfaces (as ErrUnavailable). S_io is
-		// the measured wire volume — the real network cost the in-transit
-		// tier exists to expose to the fit.
-		renderStep = func(simTime float64, field []float64) (sampleCost, error) {
-			sres, err := tc.SendSample(simTime, field)
-			if err != nil {
-				return sampleCost{}, err
-			}
-			for _, e := range sres.Entries {
-				if err := db.Adopt(e); err != nil {
-					return sampleCost{}, err
-				}
-			}
-			return sampleCost{frames: sres.Frames, bytes: sres.Bytes,
-				sioBytes: sres.WireBytes, ioStall: float64(sres.Stall)}, nil
-		}
-		closeViz = tc.Close
+		viz = &transitViz{tc: tc, db: db}
 	default:
 		return nil, fmt.Errorf("insituviz: unknown transport %q (want inproc or tcp)", cfg.Transport)
 	}
-	defer closeViz()
+	defer viz.close()
 
 	// Sampling points are rare (a handful per run), so the per-sample
 	// visualization span times every entry rather than sampling.
@@ -455,7 +434,8 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	// advances empty; it commits nothing but still burns its simulated
 	// window plus any injected stall — the excess the viz-overload
 	// detector exists to catch.
-	settle := func(simTime float64, c sampleCost, eddies []eddy.Eddy, dropped bool) error {
+	settle := func(p pendingSample, c sampleCost, dropped bool) error {
+		eddies := p.eddies
 		if dropped {
 			drv.Begin("degraded")
 			drv.End()
@@ -463,6 +443,10 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 			mDroppedFrames.Add(int64(sr.FramesPerSample()))
 			res.DroppedSamples++
 			res.DroppedFrames += sr.FramesPerSample()
+			eddies = nil
+		} else {
+			res.CyclonicEddies += p.cyclonic
+			res.AnticyclonicEddies += p.anticyclonic
 		}
 		res.Images += c.frames
 		res.ImageBytes += Bytes(c.bytes)
@@ -473,75 +457,106 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 					c.ioStall += float64(f.Stall)
 				}
 			}
-			obs := costRef.Observation(simTime-lastModelSim,
+			obs := costRef.Observation(p.simTime-lastModelSim,
 				float64(c.sioBytes)/1e9, float64(c.frames), c.ioStall, c.vizStall)
 			obs.TS = float64(cfg.Tracer.Now()) / 1e9
-			lastModelSim = simTime
+			lastModelSim = p.simTime
 			cfg.Model.Observe(obs)
 		}
-		return tracker.Advance(simTime, eddies)
+		return tracker.Advance(p.simTime, eddies)
 	}
 
-	// detect runs the sim-side analysis of one sampled field: the Okubo-
-	// Weiss threshold, eddy detection, and the spin census. Detection and
-	// tracking stay on the sim even when rendering is remote, because the
-	// tracker's state must see every sample in order. cellVort, when
-	// non-nil, is the cell vorticity derived from the same diagnostics
+	// Samples settle in sequence order once their render step has
+	// reported, which in transit can be after later samples were sent.
+	// pending holds the samples sent (or dropped at their deadline) and not
+	// yet settled, oldest first. drain settles them; unless wait is set it
+	// stops at the first whose render step would make it wait.
+	var pending []pendingSample
+	drain := func(wait bool) error {
+		for len(pending) > 0 {
+			p := pending[0]
+			c, dropped := p.cost, p.dropped
+			if !dropped {
+				if !wait && !viz.ready() {
+					return nil
+				}
+				var err error
+				if c, err = viz.collect(); errors.Is(err, intransit.ErrUnavailable) {
+					dropped = true
+				} else if err != nil {
+					return err
+				}
+			}
+			pending = pending[1:]
+			if err := settle(p, c, dropped); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	// detect runs the sim-side analysis of one sampled field into p: the
+	// Okubo-Weiss threshold, eddy detection, and the spin census (counted
+	// at settle, so a sample dropped after detection adds nothing).
+	// Detection and tracking stay on the sim even when rendering is remote,
+	// because the tracker's state must see every sample in order. cellVort,
+	// when non-nil, is the cell vorticity derived from the same diagnostics
 	// evaluation as the field and classifies eddy rotation sense.
-	detect := func(field, cellVort []float64) (eddies []eddy.Eddy, err error) {
+	detect := func(p *pendingSample, field, cellVort []float64) error {
 		th := ocean.OkuboWeissThreshold(field)
 		drv.Begin("viz.detect")
 		defer drv.End()
 		if th < 0 {
-			if eddies, err = eddy.Detect(msh, field, th, 2); err != nil {
-				return nil, err
+			var err error
+			if p.eddies, err = eddy.Detect(msh, field, th, 2); err != nil {
+				return err
 			}
 		}
 		if cellVort != nil {
-			for i := range eddies {
-				spin, err := eddy.ClassifySpin(msh, eddies[i], cellVort)
+			for i := range p.eddies {
+				spin, err := eddy.ClassifySpin(msh, p.eddies[i], cellVort)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				switch spin {
 				case eddy.SpinCyclonic:
-					res.CyclonicEddies++
+					p.cyclonic++
 				case eddy.SpinAnticyclonic:
-					res.AnticyclonicEddies++
+					p.anticyclonic++
 				}
 			}
 		}
-		return eddies, nil
+		return nil
 	}
 
-	// visualize is the one sampling path: deadline, render, detect, then
-	// the settle tail.
+	// visualize is the one sampling path: deadline, send, detect, then the
+	// settle tail of every sample whose render step has reported.
 	visualize := func(simTime float64, field, cellVort []float64) error {
 		tm := sampleSpan.Start()
 		defer tm.End()
+		p := pendingSample{simTime: simTime}
 		// Deadline check first: an injected stall at or beyond the budget
 		// means this sample's visualization would not finish in time, and
 		// it is dropped rather than stalling the solver behind it.
 		if f, ok := vizSite.Next(); ok && f.Kind == faults.KindStall &&
 			cfg.VizDeadline > 0 && f.Stall >= cfg.VizDeadline {
-			return settle(simTime, sampleCost{vizStall: float64(f.Stall)}, nil, true)
+			p.cost.vizStall, p.dropped = float64(f.Stall), true
+			pending = append(pending, p)
+			return drain(false)
 		}
 		drv.Begin("viz.sample")
 		defer drv.End()
 		drv.Begin("viz.render")
-		cost, err := renderStep(simTime, field)
+		err := viz.send(simTime, field)
 		drv.End()
-		if errors.Is(err, intransit.ErrUnavailable) {
-			return settle(simTime, sampleCost{}, nil, true)
-		}
 		if err != nil {
 			return err
 		}
-		eddies, err := detect(field, cellVort)
-		if err != nil {
+		if err := detect(&p, field, cellVort); err != nil {
 			return err
 		}
-		return settle(simTime, cost, eddies, false)
+		pending = append(pending, p)
+		return drain(false)
 	}
 
 	switch cfg.Mode {
@@ -559,8 +574,12 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		return nil, fmt.Errorf("insituviz: unknown mode %v", cfg.Mode)
 	}
 
-	// Release the render step before committing the index.
-	if err := closeViz(); err != nil {
+	// Settle the samples still in flight, then release the render step
+	// before committing the index.
+	if err := drain(true); err != nil {
+		return nil, err
+	}
+	if err := viz.close(); err != nil {
 		return nil, err
 	}
 
@@ -654,12 +673,68 @@ type sampleCost struct {
 	ioStall, vizStall float64
 }
 
+// pendingSample is a sample waiting for its settle tail: what detection
+// found in it and, for a sample dropped at its deadline, its cost.
+type pendingSample struct {
+	simTime                float64
+	eddies                 []eddy.Eddy
+	cyclonic, anticyclonic int
+	cost                   sampleCost
+	dropped                bool // blown deadline: nothing was sent
+}
+
+// vizStep is a transport's render step. send starts one sampled field's
+// frames; collect returns the cost of the oldest sample sent and not yet
+// collected, waiting for it if need be, and ready reports whether it
+// would return at once. In process a sample is committed before send
+// returns; in transit it is committed when its worker acks, with at most
+// one sample in flight per worker. close releases the step (idempotent)
+// and surfaces any write error no sample lived to collect.
+type vizStep interface {
+	send(simTime float64, field []float64) error
+	ready() bool
+	collect() (sampleCost, error)
+	close() error
+}
+
+// transitViz is the in-transit render step: the client ships each
+// sample's tables to the viz workers, which render and store the frames
+// into this run's cinema directory. Transport faults reconnect and resend
+// inside the client; only a fully exhausted worker ring surfaces, as
+// intransit.ErrUnavailable.
+type transitViz struct {
+	tc *intransit.Client
+	db *render.CinemaDB
+}
+
+func (v *transitViz) send(simTime float64, field []float64) error { return v.tc.Send(simTime, field) }
+func (v *transitViz) ready() bool                                 { return v.tc.Ready() }
+func (v *transitViz) close() error                                { return v.tc.Close() }
+
+// collect adopts the entries the oldest sample's worker stored into this
+// run's index — in sequence order, so the index is the in-process run's.
+// S_io is the measured wire volume: the real network cost the in-transit
+// tier exists to expose to the fit.
+func (v *transitViz) collect() (sampleCost, error) {
+	r, err := v.tc.Collect()
+	if err != nil {
+		return sampleCost{}, err
+	}
+	for _, e := range r.Entries {
+		if err := v.db.Adopt(e); err != nil {
+			return sampleCost{}, err
+		}
+	}
+	return sampleCost{frames: r.Frames, bytes: r.Bytes, sioBytes: r.WireBytes, ioStall: float64(r.Stall)}, nil
+}
+
 // localViz is the in-process render step: crash roulette over the render
 // ranks, then the shared sample renderer feeding the pipelined encoder.
 type localViz struct {
-	sr  *render.SampleRenderer
-	pw  *render.PipelinedCinemaWriter
-	res *LiveResult
+	sr   *render.SampleRenderer
+	pw   *render.PipelinedCinemaWriter
+	res  *LiveResult
+	cost sampleCost // the last sample's, until collected
 
 	rankSite   *faults.Site
 	rankLanes  []*trace.Lane
@@ -687,7 +762,12 @@ func (lv *localViz) failover() {
 	lv.res.Failovers++
 }
 
-func (lv *localViz) render(simTime float64, field []float64) (sampleCost, error) {
+func (lv *localViz) ready() bool                  { return true }
+func (lv *localViz) collect() (sampleCost, error) { return lv.cost, nil }
+func (lv *localViz) close() error                 { return lv.pw.Close() }
+
+// send renders one sample and waits until its frames are written.
+func (lv *localViz) send(simTime float64, field []float64) error {
 	// Crash roulette: each still-alive rank consults the injector once per
 	// sample. A crash kills the rank for the rest of the run. The last
 	// survivor is immune — total loss is a run failure, not graceful
@@ -723,16 +803,17 @@ func (lv *localViz) render(simTime float64, field []float64) (sampleCost, error)
 	}
 	tables, err := lv.sr.Derive(simTime, field)
 	if err != nil {
-		return sampleCost{}, err
+		return err
 	}
 	if err := lv.sr.Render(tables, simTime, lv.pw.Submit); err != nil {
-		return sampleCost{}, err
+		return err
 	}
 	// Per-sample accounting barrier: wait for the encoder to finish this
 	// sample's frames so only committed frames are counted and a write
 	// failure aborts at the sample that caused it.
-	frames, bytes, err := lv.pw.Flush()
-	return sampleCost{frames: frames, bytes: int64(bytes), sioBytes: int64(bytes)}, err
+	entries, bytes, err := lv.pw.Flush()
+	lv.cost = sampleCost{frames: len(entries), bytes: int64(bytes), sioBytes: int64(bytes)}
+	return err
 }
 
 // advanceStep integrates one solver step under the driver lane's

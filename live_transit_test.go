@@ -10,12 +10,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"insituviz/internal/faults"
 	"insituviz/internal/intransit"
 	"insituviz/internal/leakcheck"
+	"insituviz/internal/livemodel"
 	"insituviz/internal/telemetry"
 )
 
@@ -240,48 +242,93 @@ func TestLiveVizFramesArePaletted(t *testing.T) {
 // and requires the run to finish with zero client-visible errors and zero
 // dropped samples: every fault is absorbed by reconnect-with-resume or
 // failover, and the committed store is still byte-identical to a clean
-// in-process run of the same configuration.
+// in-process run of the same configuration. The chaos run goes twice with
+// a live model attached: with samples in flight on both workers, settling
+// in sequence order must still make the fault logs, the model's anomaly
+// logs and the run's accounting identical across the runs, and the eddy
+// census and tracks those of the in-process run.
 func TestLiveTransitChaos(t *testing.T) {
 	defer leakcheck.Check(t)()
 
 	inprocDir := t.TempDir()
-	if _, err := LiveRun(transitLiveConfig(inprocDir, telemetry.NewRegistry())); err != nil {
+	inproc, err := LiveRun(transitLiveConfig(inprocDir, telemetry.NewRegistry()))
+	if err != nil {
 		t.Fatalf("inproc run: %v", err)
 	}
 
-	plan, err := faults.Profile("transit", 11)
-	if err != nil {
-		t.Fatalf("faults.Profile: %v", err)
+	type outcome struct {
+		res                *LiveResult
+		faultLog, modelLog []byte
 	}
-	in, err := faults.New(plan)
-	if err != nil {
-		t.Fatalf("faults.New: %v", err)
-	}
-	tcpDir := t.TempDir()
-	reg := telemetry.NewRegistry()
-	cfg := transitLiveConfig(tcpDir, reg)
-	cfg.Transport = "tcp"
-	var closeWorkers func()
-	cfg.VizWorkers, closeWorkers = startTransitWorkers(t, 2, tcpDir)
-	defer closeWorkers()
-	cfg.Faults = in
-	res, err := LiveRun(cfg)
-	if err != nil {
-		t.Fatalf("chaos tcp run: %v", err)
-	}
-	if res.DroppedSamples != 0 || res.DroppedFrames != 0 {
-		t.Fatalf("chaos run dropped %d samples / %d frames, want none",
-			res.DroppedSamples, res.DroppedFrames)
-	}
-	if got := reg.Counter("transit.reconnects").Value(); got == 0 {
-		t.Error("transit.reconnects = 0, want > 0 under the transit profile")
-	}
-	if got := reg.Counter("transit.faults.drop").Value(); got == 0 {
-		t.Error("transit.faults.drop = 0, want > 0 under the transit profile")
-	}
-	if ratio := reg.FloatGauge("transit.compression.ratio").Value(); ratio <= 0 || ratio > 0.7 {
-		t.Errorf("compression ratio %.3f, want in (0, 0.7]", ratio)
-	}
+	run := func() outcome {
+		plan, err := faults.Profile("transit", 11)
+		if err != nil {
+			t.Fatalf("faults.Profile: %v", err)
+		}
+		in, err := faults.New(plan)
+		if err != nil {
+			t.Fatalf("faults.New: %v", err)
+		}
+		tcpDir := t.TempDir()
+		reg := telemetry.NewRegistry()
+		cfg := transitLiveConfig(tcpDir, reg)
+		cfg.Transport = "tcp"
+		var closeWorkers func()
+		cfg.VizWorkers, closeWorkers = startTransitWorkers(t, 2, tcpDir)
+		defer closeWorkers()
+		cfg.Faults = in
+		cfg.Model = livemodel.New(livemodel.Config{Window: 256, Damping: 1e-9})
+		res, err := LiveRun(cfg)
+		if err != nil {
+			t.Fatalf("chaos tcp run: %v", err)
+		}
+		if res.DroppedSamples != 0 || res.DroppedFrames != 0 {
+			t.Fatalf("chaos run dropped %d samples / %d frames, want none",
+				res.DroppedSamples, res.DroppedFrames)
+		}
+		if got := reg.Counter("transit.reconnects").Value(); got == 0 {
+			t.Error("transit.reconnects = 0, want > 0 under the transit profile")
+		}
+		if got := reg.Counter("transit.faults.drop").Value(); got == 0 {
+			t.Error("transit.faults.drop = 0, want > 0 under the transit profile")
+		}
+		if ratio := reg.FloatGauge("transit.compression.ratio").Value(); ratio <= 0 || ratio > 0.7 {
+			t.Errorf("compression ratio %.3f, want in (0, 0.7]", ratio)
+		}
+		requireIdenticalStores(t, inprocDir, tcpDir)
 
-	requireIdenticalStores(t, inprocDir, tcpDir)
+		var f, m bytes.Buffer
+		if err := in.WriteLog(&f); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Model.WriteLog(&m); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{res: res, faultLog: f.Bytes(), modelLog: m.Bytes()}
+	}
+	a, b := run(), run()
+
+	if len(a.faultLog) == 0 || !bytes.Equal(a.faultLog, b.faultLog) {
+		t.Errorf("fault logs differ or are empty:\n--- run A ---\n%s--- run B ---\n%s", a.faultLog, b.faultLog)
+	}
+	if !bytes.Equal(a.modelLog, b.modelLog) {
+		t.Errorf("model anomaly logs differ:\n--- run A ---\n%s--- run B ---\n%s", a.modelLog, b.modelLog)
+	}
+	type accounting struct {
+		Images          int
+		ImageBytes      Bytes
+		EddiesPerSample []int
+		Tracks          int
+		DroppedSamples  int
+	}
+	of := func(r *LiveResult) accounting {
+		return accounting{r.Images, r.ImageBytes, r.EddiesPerSample, r.Tracks, r.DroppedSamples}
+	}
+	if !reflect.DeepEqual(of(a.res), of(b.res)) {
+		t.Errorf("accounting differs between runs: %+v vs %+v", of(a.res), of(b.res))
+	}
+	if !reflect.DeepEqual(a.res.EddiesPerSample, inproc.EddiesPerSample) ||
+		a.res.Tracks != inproc.Tracks || a.res.DroppedSamples != inproc.DroppedSamples {
+		t.Errorf("eddies, tracks or drops differ from the in-process run: %+v vs %+v", of(a.res), of(inproc))
+	}
 }

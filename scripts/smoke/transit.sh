@@ -47,6 +47,9 @@ wait "$sim"
 find tcp-out/cinema -name '.*.tmp-*' -delete
 diff -r inproc-out/cinema tcp-out/cinema
 
+# All 40 samples were acked exactly once: the SIGKILL lands while worker0
+# holds an in-flight sample, which must be resent, not lost or settled twice.
+expect run.txt '^counter transit\.samples 40$'
 expect run.txt '^counter transit\.reconnects [1-9]'
 expect run.txt '^counter transit\.faults\.drop [1-9]'
 expect run.txt '^counter transit\.bytes\.raw [1-9]'
