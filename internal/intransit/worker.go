@@ -62,8 +62,7 @@ type helloMsg struct {
 }
 
 type helloAckMsg struct {
-	Codec   string `json:"codec"`
-	LastSeq uint64 `json:"last_seq"`
+	Codec string `json:"codec"`
 }
 
 type sampleEndMsg struct {
@@ -107,7 +106,6 @@ type Worker struct {
 	mu        sync.Mutex
 	run       *workerRun
 	processed map[uint64][]byte // seq -> cached SampleAck payload
-	lastSeq   uint64
 	conns     map[net.Conn]bool
 
 	closed atomic.Bool
@@ -293,9 +291,6 @@ func (w *Worker) handleSample(seq uint64, simTime float64, colors []color.RGBA, 
 		return nil, err
 	}
 	w.processed[seq] = payload
-	if seq > w.lastSeq {
-		w.lastSeq = seq
-	}
 	w.mSamples.Inc()
 	return payload, nil
 }
@@ -348,7 +343,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 	} else if !reflect.DeepEqual(w.run.cfg, hello.Config) {
 		err = fmt.Errorf("intransit: hello config %+v conflicts with the run in progress", hello.Config)
 	}
-	run, lastSeq := w.run, w.lastSeq
+	run := w.run
 	w.mu.Unlock()
 	if err != nil {
 		w.fail(s, "%v", err)
@@ -359,7 +354,7 @@ func (w *Worker) serveConn(conn net.Conn) {
 	s.colors = make([]color.RGBA, run.nCells)
 	s.core = make([]bool, run.nCells)
 	s.got = make([]bool, len(rankCells))
-	ackPayload, _ := json.Marshal(helloAckMsg{Codec: codec.Name(), LastSeq: lastSeq})
+	ackPayload, _ := json.Marshal(helloAckMsg{Codec: codec.Name()})
 	if err := s.enc.Encode(Frame{Type: FrameHelloAck, Payload: ackPayload}); err != nil {
 		return
 	}

@@ -44,7 +44,7 @@ func grainFor(costNs float64) int {
 }
 
 // chunksFor returns the fan-out width for a loop of n indices with the
-// given grain: enough chunks for stealing to balance the workers (twice
+// given grain: enough chunks for claiming to balance the workers (twice
 // the worker budget), but never chunks smaller than the grain. A result of
 // 1 means the loop runs serially.
 func (md *Model) chunksFor(n, grain int) int {

@@ -11,6 +11,7 @@ package power
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"insituviz/internal/units"
 )
@@ -141,7 +142,7 @@ func SumTraces(traces ...*Trace) *Trace {
 		return &Trace{}
 	}
 	// Sort and deduplicate.
-	sortFloat64s(cuts)
+	slices.Sort(cuts)
 	uniq := cuts[:1]
 	for _, c := range cuts[1:] {
 		if c != uniq[len(uniq)-1] {
@@ -163,35 +164,4 @@ func SumTraces(traces ...*Trace) *Trace {
 		}
 	}
 	return out
-}
-
-func sortFloat64s(xs []float64) {
-	// Insertion sort is fine for the modest breakpoint counts here, but
-	// traces from long runs can have many segments, so use a simple
-	// heapsort to stay O(n log n) without importing sort for floats.
-	n := len(xs)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(xs, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		xs[0], xs[i] = xs[i], xs[0]
-		siftDown(xs, 0, i)
-	}
-}
-
-func siftDown(xs []float64, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && xs[child+1] > xs[child] {
-			child++
-		}
-		if xs[root] >= xs[child] {
-			return
-		}
-		xs[root], xs[child] = xs[child], xs[root]
-		root = child
-	}
 }

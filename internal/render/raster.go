@@ -126,8 +126,9 @@ func (r *Rasterizer) SetWorkers(n int) {
 }
 
 // tileChunks returns the fan-out width for rendering height rows under a
-// worker budget (0 = GOMAXPROCS): a few tiles per worker so work stealing
-// can balance rows of uneven cost, never more tiles than rows.
+// worker budget (0 = GOMAXPROCS): a few tiles per worker so the pool's
+// in-order claims can balance rows of uneven cost, never more tiles than
+// rows.
 func tileChunks(height, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

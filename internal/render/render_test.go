@@ -1,12 +1,14 @@
 package render
 
 import (
+	"errors"
 	"image"
 	"image/color"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"insituviz/internal/cinemastore"
 	"insituviz/internal/mesh"
@@ -194,6 +196,45 @@ func TestRenderValidation(t *testing.T) {
 	}
 	if err := r.RenderOwnedInto(r.NewFrame(), make([]float64, m.NCells()), OkuboWeissMap(), Normalizer{0, 1}, make([]bool, 2)); err == nil {
 		t.Error("mis-sized ownership accepted")
+	}
+}
+
+// TestRenderShortCutTiles renders a 48-row frame under an 8-worker tile
+// budget: 32 requested tiles of ceil(48/32) = 2 rows cut only 24, and the
+// fan-out must wait for exactly those 24. The render runs under a deadline
+// so a barrier that counts uncut tiles fails the test instead of hanging
+// the suite.
+func TestRenderShortCutTiles(t *testing.T) {
+	m := testMesh(t)
+	colors := make([]color.RGBA, m.NCells())
+	for ci := range colors {
+		colors[ci] = color.RGBA{R: uint8(ci), A: 255}
+	}
+	done := make(chan error, 1)
+	go func() {
+		r, err := NewRasterizer(m, 96, 48)
+		if err != nil {
+			done <- err
+			return
+		}
+		r.SetWorkers(8)
+		img := r.NewFrame()
+		if err := r.RenderColorsOwnedInto(img, colors, nil); err != nil {
+			done <- err
+			return
+		}
+		if !FullyOpaque(img) {
+			err = errors.New("render left transparent pixels")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("96x48 render with 8 workers did not return within 5s")
 	}
 }
 

@@ -2,13 +2,12 @@
 // data-parallel loops of the science stack (solver tendencies, diagnostics,
 // rasterization).
 //
-// The pool is sharded: every worker owns a deque of chunks, a fan-out is
-// published round-robin across the shards in one batch, and workers that
-// empty their own deque steal from their neighbors (own shard LIFO for
-// locality, steals FIFO so the oldest — largest remaining — work moves
-// first). Idle workers park on a condition variable and waiters park on the
-// fan-out's completion signal, so an idle pool burns no cycles; the previous
-// implementation spun in runtime.Gosched between queue polls.
+// The pool is one FIFO queue of fan-outs guarded by one mutex. A fan-out
+// publishes every chunk but its last as a single queue entry, and pool
+// workers and waiting callers claim chunks in order from the queue head; a
+// fan-out leaves the queue with its last claim. Idle workers park on a
+// condition variable and waiters park on the fan-out's completion signal,
+// so an idle pool burns no cycles.
 //
 // The pool preserves the determinism contract of the loops it runs: a Loop
 // over [0, n) splits into the same contiguous chunks regardless of pool
@@ -24,10 +23,11 @@
 // pay one full publish/park/wake cycle each.
 //
 // Nested calls are safe: a waiter first executes its own fan-out's final
-// chunk, then helps drain the shards; it parks only after a full scan finds
-// every shard empty, which means its remaining chunks are already being
-// executed by other goroutines, whose completion signal will wake it. Wait
-// chains therefore follow loop-nesting depth and always bottom out.
+// chunk, then claims chunks from the queue head (its own or another
+// fan-out's); it parks only once the queue is empty, which means every
+// chunk it still waits for is already running on another goroutine, whose
+// completion signal will wake it. Wait chains therefore follow
+// loop-nesting depth and always bottom out.
 package workpool
 
 import (
@@ -48,26 +48,50 @@ type Loop struct {
 	Fn     func(lo, hi int)
 }
 
-// task is one contiguous chunk of a fan-out. Tasks are stored by value, so
-// publishing does not allocate.
-type task struct {
+// geometry returns the loop's chunk size, ceil(N/Chunks) with Chunks
+// clamped to [1, N], and the number of chunks that size cuts [0, N) into —
+// possibly fewer than Chunks (N=10, Chunks=6 cuts five). Publisher, claim
+// cursor and barrier all count from here, so a fan-out waits for exactly
+// the chunks it cuts.
+func (l Loop) geometry() (size, count int) {
+	if l.N <= 0 {
+		return 0, 0
+	}
+	c := min(max(l.Chunks, 1), l.N)
+	size = (l.N + c - 1) / c
+	return size, (l.N + size - 1) / size
+}
+
+// chunk is one claimed contiguous chunk of a fan-out.
+type chunk struct {
 	fn     func(lo, hi int)
 	lo, hi int
 	job    *job
 }
 
-// job is the completion barrier of one fan-out. pending counts unfinished
-// published chunks; the goroutine that brings it to zero signals done. The
-// channel is buffered and never closed, so a stale signal left by a
-// recycled job merely causes one spurious wakeup, which the waiter absorbs
-// by rechecking pending.
+func (c chunk) run() {
+	c.fn(c.lo, c.hi)
+	c.job.finish()
+}
+
+// job is one fan-out: its loops, the claim cursor over its published
+// chunks, and its completion barrier. The cursor and queue link are guarded
+// by the pool's idleMu. pending counts unfinished published chunks; the
+// goroutine that brings it to zero signals done. The channel is buffered
+// and never closed, so a stale signal left by a recycled job merely causes
+// one spurious wakeup, which the waiter absorbs by rechecking pending.
 type job struct {
+	loops   []Loop // the fan-out's non-empty loops, copied from the caller
+	loop    int    // loop of the next unclaimed chunk
+	lo      int    // start of the next unclaimed chunk
+	left    int    // published chunks not yet claimed
+	next    *job   // queue link
 	pending atomic.Int64
 	done    chan struct{}
 }
 
-// jobPool recycles completion barriers so a steady-state fan-out performs
-// no heap allocation.
+// jobPool recycles fan-outs so a steady-state fan-out performs no heap
+// allocation.
 var jobPool = sync.Pool{New: func() any { return &job{done: make(chan struct{}, 1)} }}
 
 // finish marks one published chunk complete, signaling the waiter when it
@@ -81,72 +105,16 @@ func (j *job) finish() {
 	}
 }
 
-// shard is one worker's deque, guarded by a plain mutex: chunk granularity
-// is coarse (a fan-out publishes at most a few chunks per shard), so lock
-// traffic is negligible next to chunk execution. The trailing pad keeps
-// neighboring shards off one cache line.
-type shard struct {
-	mu    sync.Mutex
-	head  int
-	tasks []task
-	_     [24]byte
-}
-
-func (s *shard) push(t task) {
-	s.mu.Lock()
-	s.tasks = append(s.tasks, t)
-	s.mu.Unlock()
-}
-
-// popOwn takes the newest chunk (LIFO), the owner's locality-friendly end.
-func (s *shard) popOwn() (task, bool) {
-	s.mu.Lock()
-	n := len(s.tasks)
-	if s.head >= n {
-		s.mu.Unlock()
-		return task{}, false
-	}
-	t := s.tasks[n-1]
-	s.tasks[n-1] = task{}
-	s.tasks = s.tasks[:n-1]
-	if s.head >= len(s.tasks) {
-		s.tasks = s.tasks[:0]
-		s.head = 0
-	}
-	s.mu.Unlock()
-	return t, true
-}
-
-// popSteal takes the oldest chunk (FIFO), the end thieves take from.
-func (s *shard) popSteal() (task, bool) {
-	s.mu.Lock()
-	if s.head >= len(s.tasks) {
-		s.mu.Unlock()
-		return task{}, false
-	}
-	t := s.tasks[s.head]
-	s.tasks[s.head] = task{}
-	s.head++
-	if s.head >= len(s.tasks) {
-		s.tasks = s.tasks[:0]
-		s.head = 0
-	}
-	s.mu.Unlock()
-	return t, true
-}
-
 // pool is the process-wide pool instance. A single-worker pool (one
 // processor, or SetLimit(1)) spawns no goroutines at all: fan-outs execute
 // their chunk sequence inline on the caller.
 type pool struct {
-	shards []shard
-	queued atomic.Int64 // chunks currently enqueued across all shards
-	cursor atomic.Uint64
-
-	idleMu   sync.Mutex
-	idleCond *sync.Cond
-	parked   int  // workers waiting on idleCond
-	stopped  bool // set by shutdown (tests); workers drain, then exit
+	idleMu     sync.Mutex
+	idleCond   *sync.Cond
+	head, tail *job // fan-outs with unclaimed chunks, oldest first
+	queued     int  // unclaimed chunks across the queue
+	parked     int  // workers waiting on idleCond
+	stopped    bool // set by shutdown (tests); workers drain, then exit
 
 	workers int
 	single  bool
@@ -163,30 +131,29 @@ var (
 // chunk so instrumentation never adds an allocation to the hot path. The
 // pool is process-wide, so these are lifetime totals; per-run accounting
 // diffs two Stats snapshots (see Snapshot). The high-water mark is written
-// only under idleMu (publishers hold it to wake workers anyway), which
-// replaces the unbounded CAS retry loop the old implementation used.
+// only under idleMu, which every publish holds anyway.
 var (
-	statSubmitted atomic.Int64 // chunks published to the shards
+	statSubmitted atomic.Int64 // chunks published to the queue
 	statInline    atomic.Int64 // chunks executed directly on the caller
-	statHelped    atomic.Int64 // chunks executed by a helping waiter
-	statSteals    atomic.Int64 // chunks taken from a shard by a non-owner
+	statHelped    atomic.Int64 // chunks claimed by a waiting caller
+	statSteals    atomic.Int64 // chunks claimed from the queue
 	statParks     atomic.Int64 // idle-worker and waiter park events
 	statWakeups   atomic.Int64 // workers signaled out of an idle park
-	statHighwater atomic.Int64 // deepest observed shard occupancy
+	statHighwater atomic.Int64 // deepest observed queue occupancy
 )
 
 // Stats is a point-in-time copy of the pool's lifetime activity.
 type Stats struct {
-	// Submitted counts chunks published to the worker shards; Inline
-	// counts chunks the caller executed directly — each fan-out's final
-	// chunk, and every chunk of a fan-out on a single-worker pool.
+	// Submitted counts chunks published to the queue; Inline counts
+	// chunks the caller executed directly — each fan-out's final chunk,
+	// and every chunk of a fan-out on a single-worker pool.
 	// Submitted+Inline is the total chunk count of all fan-outs.
 	Submitted int64
 	Inline    int64
-	// Helped counts chunks a waiting caller drained from the shards
-	// instead of parking. Steals counts chunks executed off a shard by a
-	// goroutine other than its owning worker; helping waiters own no
-	// shard, so Helped is a subset of Steals.
+	// Steals counts chunks claimed from the queue, by a worker or by a
+	// waiting caller; once the claimed chunks have finished it equals
+	// Submitted. Helped is the subset claimed by waiting callers instead
+	// of parking.
 	Helped int64
 	Steals int64
 	// Parks counts idle-worker and waiter park events; Wakeups counts
@@ -194,8 +161,8 @@ type Stats struct {
 	// parks instead of spinning shows Parks ≈ Wakeups + idle workers.
 	Parks   int64
 	Wakeups int64
-	// QueueHighwater is the deepest total shard occupancy observed at
-	// publish time.
+	// QueueHighwater is the largest number of unclaimed chunks the queue
+	// held at publish time.
 	QueueHighwater int64
 	// Workers is the pool's parallel width: the persistent worker count,
 	// or 1 for a single-worker (inline) pool. Zero until the pool first
@@ -245,10 +212,7 @@ func (s Stats) Sub(prev Stats) Stats {
 func SetLimit(n int) bool {
 	poolMu.Lock()
 	defer poolMu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	limit.Store(int64(n))
+	limit.Store(int64(max(n, 0)))
 	return current.Load() == nil
 }
 
@@ -269,26 +233,19 @@ func startPool() *pool {
 	if l := int(limit.Load()); l > 0 && l < n {
 		n = l
 	}
-	if n < 1 {
-		n = 1
-	}
 	p := &pool{workers: n, single: n <= 1}
 	p.idleCond = sync.NewCond(&p.idleMu)
 	if !p.single {
-		p.shards = make([]shard, n)
-		for i := range p.shards {
-			p.shards[i].tasks = make([]task, 0, 16)
-		}
 		p.wg.Add(n)
 		for i := 0; i < n; i++ {
-			go p.worker(i)
+			go p.worker()
 		}
 	}
 	current.Store(p)
 	return p
 }
 
-// shutdown stops the current pool after its shards drain and waits for the
+// shutdown stops the current pool after its queue drains and waits for the
 // workers to exit, leaving the package ready to lazily start a fresh pool.
 // Callers must not have fan-outs in flight. Exposed to tests only.
 func shutdown() {
@@ -306,97 +263,79 @@ func shutdown() {
 	current.Store(nil)
 }
 
-// worker is one persistent pool goroutine: execute from the own shard,
-// steal when it is empty, park when every shard is.
-func (p *pool) worker(id int) {
+// worker is one persistent pool goroutine: claim chunks in queue order,
+// park while the queue is empty, exit once a shutdown finds it empty.
+func (p *pool) worker() {
 	defer p.wg.Done()
+	p.idleMu.Lock()
 	for {
-		if t, ok := p.take(id); ok {
-			t.fn(t.lo, t.hi)
-			t.job.finish()
+		if c, ok := p.take(); ok {
+			p.idleMu.Unlock()
+			c.run()
+			p.idleMu.Lock()
 			continue
 		}
-		p.idleMu.Lock()
-		for p.queued.Load() <= 0 && !p.stopped {
-			p.parked++
-			statParks.Add(1)
-			p.idleCond.Wait()
-			p.parked--
-		}
-		stopped := p.stopped && p.queued.Load() <= 0
-		p.idleMu.Unlock()
-		if stopped {
+		if p.stopped {
+			p.idleMu.Unlock()
 			return
 		}
+		p.parked++
+		statParks.Add(1)
+		p.idleCond.Wait()
+		p.parked--
 	}
 }
 
-// take pops the worker's own shard first (LIFO), then scans the others for
-// a steal (FIFO).
-func (p *pool) take(owner int) (task, bool) {
-	if t, ok := p.shards[owner].popOwn(); ok {
-		p.queued.Add(-1)
-		return t, true
+// take claims the next chunk in queue order; the caller holds idleMu. A job
+// leaves the queue with its last claim, so the queue never holds a job its
+// owner may already have recycled.
+func (p *pool) take() (chunk, bool) {
+	j := p.head
+	if j == nil {
+		return chunk{}, false
 	}
-	ns := len(p.shards)
-	for i := 1; i < ns; i++ {
-		if t, ok := p.shards[(owner+i)%ns].popSteal(); ok {
-			p.queued.Add(-1)
-			statSteals.Add(1)
-			return t, true
+	l := &j.loops[j.loop]
+	size, _ := l.geometry()
+	c := chunk{fn: l.Fn, lo: j.lo, hi: min(j.lo+size, l.N), job: j}
+	j.lo = c.hi
+	if j.lo == l.N {
+		j.loop++
+		j.lo = 0
+	}
+	j.left--
+	p.queued--
+	if j.left == 0 {
+		p.head, j.next = j.next, nil
+		if p.head == nil {
+			p.tail = nil
 		}
 	}
-	return task{}, false
+	statSteals.Add(1)
+	return c, true
 }
 
-// takeAny is the helping waiter's scan. A waiter owns no shard, so every
-// pop counts as a steal.
-func (p *pool) takeAny(start int) (task, bool) {
-	ns := len(p.shards)
-	for i := 0; i < ns; i++ {
-		if t, ok := p.shards[(start+i)%ns].popSteal(); ok {
-			p.queued.Add(-1)
-			statSteals.Add(1)
-			return t, true
-		}
-	}
-	return task{}, false
-}
-
-// wake raises the shard-occupancy high-water mark and signals up to k
-// parked workers. Publishers already serialize on idleMu here, which is
-// what makes the plain high-water load/store race-free.
-func (p *pool) wake(depth int64, k int) {
+// publish appends j to the queue, raises the high-water mark and signals
+// up to one parked worker per published chunk.
+func (p *pool) publish(j *job) {
 	p.idleMu.Lock()
-	if depth > statHighwater.Load() {
-		statHighwater.Store(depth)
+	if p.tail == nil {
+		p.head = j
+	} else {
+		p.tail.next = j
 	}
-	n := p.parked
-	if n > k {
-		n = k
+	p.tail = j
+	p.queued += j.left
+	if q := int64(p.queued); q > statHighwater.Load() {
+		statHighwater.Store(q)
 	}
-	for i := 0; i < n; i++ {
+	n := min(p.parked, j.left)
+	for range n {
 		p.idleCond.Signal()
 	}
 	p.idleMu.Unlock()
 	if n > 0 {
 		statWakeups.Add(int64(n))
 	}
-}
-
-// normChunks clamps a requested chunk count to [1, n], or 0 for an empty
-// loop.
-func normChunks(n, chunks int) int {
-	if n <= 0 {
-		return 0
-	}
-	if chunks > n {
-		chunks = n
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	return chunks
 }
 
 // Run executes fn over [0, n) split into `chunks` contiguous chunks and
@@ -417,31 +356,19 @@ func Run(n, chunks int, fn func(lo, hi int)) {
 // sequence executes inline, in loop order.
 func RunLoops(loops []Loop) {
 	total := 0
-	last := -1
-	for i := range loops {
-		if c := normChunks(loops[i].N, loops[i].Chunks); c > 0 {
-			total += c
-			last = i
-		}
+	for _, l := range loops {
+		_, c := l.geometry()
+		total += c
 	}
 	if total == 0 {
 		return
 	}
 	p := getPool()
 	if p.single || total == 1 {
-		for i := range loops {
-			l := loops[i]
-			c := normChunks(l.N, l.Chunks)
-			if c == 0 {
-				continue
-			}
-			size := (l.N + c - 1) / c
+		for _, l := range loops {
+			size, c := l.geometry()
 			for lo := 0; lo < l.N; lo += size {
-				hi := lo + size
-				if hi > l.N {
-					hi = l.N
-				}
-				l.Fn(lo, hi)
+				l.Fn(lo, min(lo+size, l.N))
 			}
 			statInline.Add(int64(c))
 		}
@@ -450,55 +377,33 @@ func RunLoops(loops []Loop) {
 
 	// Publish every chunk except the last loop's final one, which the
 	// caller runs below so one chunk's work always overlaps the drain.
-	// Chunks are spread round-robin across the shards starting at a
-	// rotating cursor, giving concurrent fan-outs disjoint home shards.
 	j := jobPool.Get().(*job)
-	j.pending.Store(int64(total - 1))
-	ns := len(p.shards)
-	start := int(p.cursor.Add(1) % uint64(ns))
-	slot := start
-	published := 0
-	var finalFn func(lo, hi int)
-	var finalLo, finalHi int
-	for i := range loops {
-		l := loops[i]
-		c := normChunks(l.N, l.Chunks)
-		if c == 0 {
-			continue
-		}
-		size := (l.N + c - 1) / c
-		for lo := 0; lo < l.N; lo += size {
-			hi := lo + size
-			if hi > l.N {
-				hi = l.N
-			}
-			if i == last && hi == l.N {
-				finalFn, finalLo, finalHi = l.Fn, lo, hi
-				break
-			}
-			p.shards[slot].push(task{fn: l.Fn, lo: lo, hi: hi, job: j})
-			slot++
-			if slot == ns {
-				slot = 0
-			}
-			published++
+	for _, l := range loops {
+		if l.N > 0 {
+			j.loops = append(j.loops, l)
 		}
 	}
-	statSubmitted.Add(int64(published))
+	final := j.loops[len(j.loops)-1]
+	size, count := final.geometry()
+	j.loop, j.lo, j.left = 0, 0, total-1
+	j.pending.Store(int64(total - 1))
+	p.publish(j)
+	statSubmitted.Add(int64(total - 1))
 	statInline.Add(1)
-	p.wake(p.queued.Add(int64(published)), published)
 
-	finalFn(finalLo, finalHi)
+	final.Fn((count-1)*size, final.N)
 
-	// Helping wait: while our chunks are outstanding, drain whatever the
-	// shards hold (ours or another fan-out's). A full scan finding every
-	// shard empty means our remaining chunks are in flight on other
-	// goroutines, so parking on the completion signal is deadlock-free.
+	// Helping wait: while our chunks are outstanding, claim whatever the
+	// queue holds (ours or another fan-out's). An empty queue means our
+	// remaining chunks are running on other goroutines, so parking on the
+	// completion signal is deadlock-free.
 	for j.pending.Load() > 0 {
-		if t, ok := p.takeAny(start); ok {
+		p.idleMu.Lock()
+		c, ok := p.take()
+		p.idleMu.Unlock()
+		if ok {
 			statHelped.Add(1)
-			t.fn(t.lo, t.hi)
-			t.job.finish()
+			c.run()
 			continue
 		}
 		if j.pending.Load() <= 0 {
@@ -514,6 +419,8 @@ func RunLoops(loops []Loop) {
 	case <-j.done:
 	default:
 	}
+	clear(j.loops)
+	j.loops = j.loops[:0]
 	jobPool.Put(j)
 }
 
@@ -544,14 +451,7 @@ func OverheadNs() int64 {
 		for i := 0; i < reps; i++ {
 			Run(chunks, chunks, nop)
 		}
-		ns := time.Since(t0).Nanoseconds() / reps
-		if ns < 500 {
-			ns = 500
-		}
-		if ns > 100_000 {
-			ns = 100_000
-		}
-		overheadVal = ns
+		overheadVal = min(max(time.Since(t0).Nanoseconds()/reps, 500), 100_000)
 	})
 	return overheadVal
 }

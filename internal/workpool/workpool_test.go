@@ -2,6 +2,7 @@ package workpool
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -262,6 +263,110 @@ func TestRunStressNestedConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// shortCuts are (n, chunks) pairs whose chunk size ceil(n/chunks) cuts
+// fewer chunks than requested — (10, 6) cuts five chunks of two — so a
+// barrier that counts the requested chunks waits for chunks never cut.
+var shortCuts = []struct{ n, chunks int }{{10, 6}, {12, 8}, {20, 16}, {48, 32}}
+
+// within runs f and fails the test if it has not returned after 5 s, so a
+// hung barrier fails the test instead of hanging the suite.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return within 5s", what)
+	}
+}
+
+// countingLoop returns a loop over hits that counts the chunks it runs.
+func countingLoop(hits []int32, chunks int, ran *atomic.Int64) Loop {
+	return Loop{N: len(hits), Chunks: chunks, Fn: func(lo, hi int) {
+		ran.Add(1)
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&hits[i], 1)
+		}
+	}}
+}
+
+// checkShortCuts drives every shortCuts pair through Run and through a
+// two-loop RunLoops on the current pool: each call must return, visit
+// every index once, and account exactly the chunks it ran as
+// Submitted+Inline.
+func checkShortCuts(t *testing.T) {
+	for _, tc := range shortCuts {
+		size := (tc.n + tc.chunks - 1) / tc.chunks
+		cut := int64((tc.n + size - 1) / size)
+		for nloops := 1; nloops <= 2; nloops++ {
+			var ran atomic.Int64
+			hits := make([][]int32, nloops)
+			loops := make([]Loop, nloops)
+			for i := range loops {
+				hits[i] = make([]int32, tc.n)
+				loops[i] = countingLoop(hits[i], tc.chunks, &ran)
+			}
+			what := fmt.Sprintf("Run(%d, %d)", tc.n, tc.chunks)
+			before := Snapshot()
+			if nloops == 1 {
+				within(t, what, func() { Run(loops[0].N, loops[0].Chunks, loops[0].Fn) })
+			} else {
+				what = fmt.Sprintf("RunLoops of two (%d, %d) loops", tc.n, tc.chunks)
+				within(t, what, func() { RunLoops(loops) })
+			}
+			delta := Snapshot().Sub(before)
+			if want := int64(nloops) * cut; ran.Load() != want {
+				t.Errorf("%s ran %d chunks, want %d", what, ran.Load(), want)
+			}
+			if got := delta.Submitted + delta.Inline; got != ran.Load() {
+				t.Errorf("%s: submitted+inline = %d, but fn ran %d chunks", what, got, ran.Load())
+			}
+			for _, h := range hits {
+				for i := range h {
+					if h[i] != 1 {
+						t.Fatalf("%s: index %d visited %d times", what, i, h[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShortCutGeometry is the regression test for a barrier that counted
+// the requested chunks while the publisher cut fewer, so Run never
+// returned. It runs the short-cut table on a pool of at least two workers
+// and on a single-worker (inline) pool.
+func TestShortCutGeometry(t *testing.T) {
+	t.Run("parallel", func(t *testing.T) {
+		procs := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+		shutdown()
+		defer func() {
+			shutdown()
+			runtime.GOMAXPROCS(procs)
+		}()
+		checkShortCuts(t)
+		if w := Snapshot().Workers; w < 2 {
+			t.Fatalf("pool has %d workers, want at least 2", w)
+		}
+	})
+	t.Run("single", func(t *testing.T) {
+		shutdown()
+		SetLimit(1)
+		defer func() {
+			shutdown()
+			SetLimit(0)
+		}()
+		checkShortCuts(t)
+		if w := Snapshot().Workers; w != 1 {
+			t.Fatalf("pool has %d workers, want 1", w)
+		}
+	})
 }
 
 // workpoolGoroutines counts live goroutines whose stacks sit in this

@@ -7,6 +7,9 @@
 #   - full test suite
 #   - full test suite again under the race detector (the worker pool and
 #     frame-reuse paths are concurrency-sensitive)
+#   - the worker pool again under the race detector at GOMAXPROCS=8, so a
+#     2-core machine still runs oversubscribed claims, nested helping,
+#     parking and the short-cut chunk geometries
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,5 +28,8 @@ go test ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== GOMAXPROCS=8 go test -race -count=3 ./internal/workpool"
+GOMAXPROCS=8 go test -race -count=3 ./internal/workpool
 
 echo "tier-1: all green"
