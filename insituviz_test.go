@@ -414,24 +414,17 @@ func TestLiveCoupledTelemetryInSitu(t *testing.T) {
 	if got := snap.Counters["catalyst.reuse.hits"]; got != int64(res.Samples-1) {
 		t.Errorf("catalyst.reuse.hits = %d, want %d", got, res.Samples-1)
 	}
-	// Spans: every step is counted, only a sampled subset is timed; every
-	// sampling point is both counted and timed (period 1).
-	st, ok := snap.Spans["ocean.step.time"]
+	// Phase timers: every step and every sampling point is timed.
+	st, ok := snap.Histograms["ocean.step.time"]
 	if !ok {
-		t.Fatal("ocean.step.time span missing")
+		t.Fatal("ocean.step.time histogram missing")
 	}
-	if st.Entries != int64(res.Steps) {
-		t.Errorf("ocean.step.time entries = %d, want %d", st.Entries, res.Steps)
+	if st.Count != int64(res.Steps) || st.Sum <= 0 {
+		t.Errorf("ocean.step.time count %d sum %g, want %d steps and a positive sum", st.Count, st.Sum, res.Steps)
 	}
-	if st.Sampled == 0 || st.Sampled > st.Entries {
-		t.Errorf("ocean.step.time sampled = %d of %d", st.Sampled, st.Entries)
-	}
-	if st.SampledNanos <= 0 || st.EstimatedNanos < st.SampledNanos {
-		t.Errorf("ocean.step.time nanos: sampled %d, estimated %d", st.SampledNanos, st.EstimatedNanos)
-	}
-	sv := snap.Spans["live.sample.time"]
-	if sv.Entries != int64(res.Samples) || sv.Sampled != sv.Entries {
-		t.Errorf("live.sample.time = %+v, want %d entries all sampled", sv, res.Samples)
+	sv := snap.Histograms["live.sample.time"]
+	if sv.Count != int64(res.Samples) || sv.Sum <= 0 {
+		t.Errorf("live.sample.time count %d sum %g, want %d samples and a positive sum", sv.Count, sv.Sum, res.Samples)
 	}
 	// The frame-size histogram saw every encoded frame.
 	hv := snap.Histograms["render.frame.bytes"]

@@ -20,7 +20,8 @@ import (
 	"insituviz/internal/trace"
 )
 
-// Defaults for Config zero values.
+// Defaults for Config zero values, and the peer fetch and scrape
+// timeouts.
 const (
 	DefaultReplicas      = 2
 	DefaultCacheBytes    = 32 << 20
@@ -46,8 +47,6 @@ type Config struct {
 	// Replicas is R: how many ring members own each frame. Zero selects
 	// DefaultReplicas; values beyond the fleet size are clamped to it.
 	Replicas int
-	// VirtualNodes per ring member; zero selects DefaultVirtualNodes.
-	VirtualNodes int
 	// CacheBytes is the gateway's own memory tier budget. Zero selects
 	// DefaultCacheBytes; negative disables the tier.
 	CacheBytes int64
@@ -69,12 +68,6 @@ type Config struct {
 	// errors fail peer fetches exactly as a dropped connection would,
 	// driving failover and the breakers deterministically.
 	Faults *faults.Injector
-	// Client performs peer HTTP requests; nil builds one with
-	// DefaultFetchTimeout.
-	Client *http.Client
-	// ScrapeTimeout bounds each node's /metrics fetch in the cluster
-	// union. Zero selects DefaultScrapeTimeout.
-	ScrapeTimeout time.Duration
 	// RepairDirs maps "node<i>/<store>" to the local directory holding
 	// that node's replica of the store. When a node reports a corrupt
 	// frame (500 + X-Cinema-Corrupt) and a later candidate serves good
@@ -158,18 +151,12 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = cinemaserve.DefaultBreakerCooldown
 	}
-	if cfg.ScrapeTimeout <= 0 {
-		cfg.ScrapeTimeout = DefaultScrapeTimeout
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: DefaultFetchTimeout}
-	}
 	reg := cfg.Telemetry
 	g := &Gateway{
 		cfg:      cfg,
-		ring:     NewRing(cfg.VirtualNodes),
+		ring:     NewRing(DefaultVirtualNodes),
 		byName:   map[string]*peerNode{},
-		client:   cfg.Client,
+		client:   &http.Client{Timeout: DefaultFetchTimeout},
 		lane:     cfg.Tracer.Lane("cluster.gateway"),
 		peerSite: cfg.Faults.Site("cluster.peer"),
 		maxBody:  maxFrameBytes,
@@ -534,7 +521,7 @@ func (g *Gateway) writeFrame(w http.ResponseWriter, data []byte, file, node stri
 // ServeMetrics writes the cluster-wide exposition: the gateway's own
 // registry under MetricsPrefix, then every node's /metrics document
 // reprefixed with its node name. Node scrapes run concurrently under
-// ScrapeTimeout; an unreachable node contributes nothing except its
+// DefaultScrapeTimeout; an unreachable node contributes nothing except its
 // node.<name>.up gauge dropping to 0, so the union degrades per node,
 // never as a whole.
 func (g *Gateway) ServeMetrics(w http.ResponseWriter, r *http.Request) {
@@ -544,7 +531,7 @@ func (g *Gateway) ServeMetrics(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, p *peerNode) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), g.cfg.ScrapeTimeout)
+			ctx, cancel := context.WithTimeout(r.Context(), DefaultScrapeTimeout)
 			defer cancel()
 			if body, status, _, err := g.get(ctx, p.base+"/metrics"); err == nil && status == http.StatusOK {
 				bodies[i] = body

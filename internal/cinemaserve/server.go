@@ -53,12 +53,6 @@ const (
 	DefaultBreakerCooldown  = 500 * time.Millisecond
 )
 
-// LatencyBuckets are the upper bounds (nanoseconds) of the latency.ns
-// histogram: decade-ish steps from 1 µs to 1 s, the range a frame fetch
-// can plausibly occupy between a warm cache hit and a cold disk read on
-// a loaded box.
-var LatencyBuckets = []float64{1e3, 4e3, 16e3, 64e3, 256e3, 1e6, 4e6, 16e6, 64e6, 256e6, 1e9}
-
 // ResponseSizeBuckets are the upper bounds (bytes) of the response.bytes
 // histogram, matching the render layer's frame-size decades.
 var ResponseSizeBuckets = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
@@ -259,7 +253,7 @@ func NewServer(cfg Config) *Server {
 		mCorrupt:    reg.Counter("corrupt"),
 		gQuar:       reg.Gauge("quarantined"),
 		gInflight:   reg.Gauge("inflight.highwater"),
-		hLatency:    reg.Histogram("latency.ns", LatencyBuckets),
+		hLatency:    reg.Histogram("latency.ns", telemetry.LatencyBuckets),
 		hRespBytes:  reg.Histogram("response.bytes", ResponseSizeBuckets),
 	}
 	s.scrub.init(reg)

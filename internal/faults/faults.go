@@ -384,19 +384,24 @@ func FNV64a[T string | []byte](s T) uint64 {
 
 // ParseSpec parses the CLI chaos specification "seed=N[,profile]" into a
 // plan: a decimal seed plus an optional named profile (default
-// "default"). The empty spec is an error — arming chaos must be explicit.
+// "default"). The empty spec is an error — arming chaos must be explicit
+// — and so is a spec naming two seeds or two profiles, which would
+// otherwise arm only the last of each.
 func ParseSpec(spec string) (Plan, error) {
 	if spec == "" {
 		return Plan{}, fmt.Errorf("faults: empty chaos spec (want seed=N[,profile])")
 	}
 	parts := strings.Split(spec, ",")
-	profile := "default"
+	profile := ""
 	var seed uint64
 	var haveSeed bool
 	for _, p := range parts {
 		p = strings.TrimSpace(p)
 		switch {
 		case strings.HasPrefix(p, "seed="):
+			if haveSeed {
+				return Plan{}, fmt.Errorf("faults: chaos spec %q has more than one seed", spec)
+			}
 			v, err := strconv.ParseUint(strings.TrimPrefix(p, "seed="), 10, 64)
 			if err != nil {
 				return Plan{}, fmt.Errorf("faults: bad seed in %q: %w", spec, err)
@@ -404,11 +409,17 @@ func ParseSpec(spec string) (Plan, error) {
 			seed, haveSeed = v, true
 		case p == "":
 		default:
+			if profile != "" {
+				return Plan{}, fmt.Errorf("faults: chaos spec %q names more than one profile", spec)
+			}
 			profile = p
 		}
 	}
 	if !haveSeed {
 		return Plan{}, fmt.Errorf("faults: chaos spec %q has no seed=N", spec)
+	}
+	if profile == "" {
+		profile = "default"
 	}
 	return Profile(profile, seed)
 }

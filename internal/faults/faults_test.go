@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -257,6 +259,13 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestParseSpec's specs, which also seed FuzzParseSpec.
+var (
+	parseSpecAccepts = []string{"seed=7", "seed=9,storage"}
+	parseSpecRejects = []string{"", "seed=x", "profile", "seed=1,nosuch",
+		"seed=1,seed=2", "seed=7,storage,transit", "seed=7,default,default"}
+)
+
 func TestParseSpec(t *testing.T) {
 	p, err := ParseSpec("seed=7")
 	if err != nil || p.Seed != 7 || len(p.Rules) == 0 {
@@ -275,11 +284,51 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("storage profile has site %q", r.Site)
 		}
 	}
-	for _, bad := range []string{"", "seed=x", "profile", "seed=1,nosuch"} {
+	for _, bad := range parseSpecRejects {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q): accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, and a spec it accepts names
+// exactly one seed and at most one profile, and yields the plan Profile
+// builds from them.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range append(append([]string{}, parseSpecAccepts...), parseSpecRejects...) {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		var seeds, names []string
+		for _, part := range strings.Split(spec, ",") {
+			part = strings.TrimSpace(part)
+			switch {
+			case strings.HasPrefix(part, "seed="):
+				seeds = append(seeds, strings.TrimPrefix(part, "seed="))
+			case part != "":
+				names = append(names, part)
+			}
+		}
+		if len(seeds) != 1 || len(names) > 1 {
+			t.Fatalf("ParseSpec(%q) accepted seeds %q and profiles %q", spec, seeds, names)
+		}
+		seed, err := strconv.ParseUint(seeds[0], 10, 64)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) accepted seed %q: %v", spec, seeds[0], err)
+		}
+		name := "default"
+		if len(names) == 1 {
+			name = names[0]
+		}
+		want, err := Profile(name, seed)
+		if err != nil || !reflect.DeepEqual(p, want) {
+			t.Fatalf("ParseSpec(%q) = %+v, want Profile(%q, %d) = %+v, %v", spec, p, name, seed, want, err)
+		}
+	})
 }
 
 func TestUnknownProfileTyped(t *testing.T) {

@@ -56,21 +56,25 @@ type Options struct {
 	// "transit.drop" (the send is cut mid-sample and resent on a fresh
 	// connection), "transit.delay" (a stall accounted to the sample, not
 	// a failure), and "transit.partition" (the owner is unreachable for
-	// PartitionWindow samples and the sample fails over) — each consulted
-	// once per sample, so the fault sequence is deterministic in the
-	// plan's seed regardless of network timing.
+	// two samples and the sample fails over) — each consulted once per
+	// sample, so the fault sequence is deterministic in the plan's seed
+	// regardless of network timing.
 	Faults *faults.Injector
 	// RetryBudget bounds reconnect-and-resend attempts per sample per
 	// worker (default 8).
 	RetryBudget int
-	// PartitionWindow is how many samples an injected partition keeps a
-	// worker unreachable (default 2).
-	PartitionWindow int
-	// DialTimeout and IOTimeout bound the transport's blocking calls
-	// (defaults 5s and 30s).
-	DialTimeout time.Duration
-	IOTimeout   time.Duration
+	// IOTimeout bounds the transport's blocking reads and writes
+	// (default 30s).
+	IOTimeout time.Duration
 }
+
+const (
+	// partitionWindow is how many samples an injected partition keeps a
+	// worker unreachable.
+	partitionWindow = 2
+	// dialTimeout bounds a connection attempt to a worker.
+	dialTimeout = 5 * time.Second
+)
 
 func (o *Options) applyDefaults() {
 	if o.Codec == "" {
@@ -78,12 +82,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.RetryBudget == 0 {
 		o.RetryBudget = 8
-	}
-	if o.PartitionWindow == 0 {
-		o.PartitionWindow = 2
-	}
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 5 * time.Second
 	}
 	if o.IOTimeout == 0 {
 		o.IOTimeout = 30 * time.Second
@@ -235,7 +233,7 @@ func Dial(opts Options) (*Client, error) {
 // connect dials and handshakes one worker. Counted as a reconnect when
 // the worker had been connected before — the resume path's signature.
 func (c *Client) connect(wc *workerConn) error {
-	conn, err := net.DialTimeout("tcp", wc.addr, c.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", wc.addr, dialTimeout)
 	if err != nil {
 		return fmt.Errorf("intransit: dial %s: %w", wc.addr, err)
 	}
@@ -340,7 +338,7 @@ func (c *Client) Send(simTime float64, field []float64) error {
 		c.mPartitions.Inc()
 		wc := c.workers[owner]
 		c.collect(wc) // the owner's in-flight sample is not lost with the link
-		wc.downUntil = seq + uint64(c.opts.PartitionWindow)
+		wc.downUntil = seq + partitionWindow
 		wc.lane.Instant("transit.partition")
 		c.disconnect(wc)
 	}

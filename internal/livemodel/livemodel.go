@@ -77,6 +77,27 @@ type Anomaly struct {
 	Actual    float64 `json:"actual_s"`
 }
 
+// Detector constants.
+const (
+	// warmup is the number of accepted observations before anomaly
+	// detection arms (the first few residuals calibrate σ).
+	warmup = 4
+	// cusumDrift is the slack k subtracted per step from the one-sided
+	// CUSUM sum.
+	cusumDrift = 0.5
+	// minSigma floors the residual σ used for z-scores, so a perfectly
+	// converged fit (σ→0) does not flag femtosecond jitter. Seconds.
+	minSigma = 1e-3
+	// maxConsecutiveGated bounds the gating death-spiral on a genuine
+	// regime change (post-processing's dump loop handing over to its viz
+	// loop shifts every observation at once): after this many consecutive
+	// gated observations the detector concedes, resets the window and
+	// residual statistics, and refits from the new regime.
+	maxConsecutiveGated = 8
+	// maxAnomalies caps the retained event log.
+	maxAnomalies = 256
+)
+
 // Config parameterizes an Estimator. The zero value, passed through
 // defaults, is a reasonable live configuration; tests that want exact
 // batch-least-squares equivalence set Window: 0 and Damping: 0.
@@ -90,64 +111,31 @@ type Config struct {
 	// tiny relative ridge keeps the solve determined without visibly
 	// biasing α. 0 disables damping, for exact least-squares equivalence.
 	Damping float64
-	// Warmup is the number of accepted observations before anomaly
-	// detection arms (the first few residuals calibrate σ). Default 4.
-	Warmup int
 	// ZThreshold trips the z-score detector. Default 6.
 	ZThreshold float64
-	// HardZ trips (and gates) even before Warmup arms the calibrated
-	// detectors: an egregious outlier against the MinSigma floor — an
+	// HardZ trips (and gates) even before warmup arms the calibrated
+	// detectors: an egregious outlier against the minSigma floor — an
 	// injected multi-second stall landing in the first few samples —
 	// must not enter the residual statistics it would later be judged
 	// by. Default 1000.
 	HardZ float64
-	// CUSUMDrift is the slack k subtracted per step from the one-sided
-	// CUSUM sum. Default 0.5.
-	CUSUMDrift float64
 	// CUSUMThreshold is the CUSUM trip level h. Default 8.
 	CUSUMThreshold float64
-	// MinSigma floors the residual σ used for z-scores, so a perfectly
-	// converged fit (σ→0) does not flag femtosecond jitter. Seconds;
-	// default 1e-3.
-	MinSigma float64
-	// MaxConsecutiveGated bounds the gating death-spiral on a genuine
-	// regime change (post-processing's dump loop handing over to its viz
-	// loop shifts every observation at once): after this many consecutive
-	// gated observations the detector concedes, resets the window and
-	// residual statistics, and refits from the new regime. Default 8.
-	MaxConsecutiveGated int
 	// EnergyBudgetJ, when positive, arms the budget detector: the first
 	// observation that pushes cumulative energy past it logs a budget
 	// anomaly. Joules.
 	EnergyBudgetJ float64
-	// MaxAnomalies caps the retained event log. Default 256.
-	MaxAnomalies int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Warmup <= 0 {
-		c.Warmup = 4
-	}
 	if c.ZThreshold <= 0 {
 		c.ZThreshold = 6
 	}
 	if c.HardZ <= 0 {
 		c.HardZ = 1000
 	}
-	if c.CUSUMDrift <= 0 {
-		c.CUSUMDrift = 0.5
-	}
 	if c.CUSUMThreshold <= 0 {
 		c.CUSUMThreshold = 8
-	}
-	if c.MinSigma <= 0 {
-		c.MinSigma = 1e-3
-	}
-	if c.MaxConsecutiveGated <= 0 {
-		c.MaxConsecutiveGated = 8
-	}
-	if c.MaxAnomalies <= 0 {
-		c.MaxAnomalies = 256
 	}
 	return c
 }
@@ -288,14 +276,14 @@ func (e *Estimator) Observe(o Observation) {
 	var fired [2]Anomaly // at most residual trip + budget trip per observation
 	nFired := 0
 
-	// Residual detectors. The calibrated z/CUSUM pair arms once Warmup
+	// Residual detectors. The calibrated z/CUSUM pair arms once warmup
 	// accepted observations exist; before that a hard-z fast path
-	// (egregious outliers against the MinSigma floor) still flags and
+	// (egregious outliers against the minSigma floor) still flags and
 	// gates, so a stall landing during warmup cannot poison the very
 	// statistics that would later detect it.
 	if rec.hadPred {
-		armed := e.resCount >= e.cfg.Warmup
-		sigma := e.cfg.MinSigma
+		armed := e.resCount >= warmup
+		sigma := minSigma
 		if armed && e.resCount > 1 {
 			if s := math.Sqrt(e.resM2 / float64(e.resCount-1)); s > sigma {
 				sigma = s
@@ -304,7 +292,7 @@ func (e *Estimator) Observe(o Observation) {
 		z := (rec.residual - e.resMean) / sigma
 		trip := false
 		if armed {
-			e.cusum += z - e.cfg.CUSUMDrift
+			e.cusum += z - cusumDrift
 			if e.cusum < 0 {
 				e.cusum = 0
 			}
@@ -328,7 +316,7 @@ func (e *Estimator) Observe(o Observation) {
 			}
 			nFired++
 			e.consecGated++
-			if e.consecGated >= e.cfg.MaxConsecutiveGated {
+			if e.consecGated >= maxConsecutiveGated {
 				// Regime change: this many consecutive trips is not a
 				// burst of stalls, it is a new steady state the old fit
 				// cannot describe. Concede — drop the window and the
@@ -388,7 +376,7 @@ func (e *Estimator) Observe(o Observation) {
 	// Anomaly bookkeeping.
 	for i := 0; i < nFired; i++ {
 		a := fired[i]
-		if len(e.anomalies) < e.cfg.MaxAnomalies {
+		if len(e.anomalies) < maxAnomalies {
 			e.anomalies = append(e.anomalies, a)
 		}
 		switch a.Kind {

@@ -403,10 +403,10 @@ func BenchmarkLiveModelObserve(b *testing.B) {
 }
 
 // TestHardZGatesDuringWarmup: a multi-second stall landing before
-// Warmup arms the calibrated detectors must still be flagged and gated
+// warmup arms the calibrated detectors must still be flagged and gated
 // — otherwise it enters the residual statistics and desensitizes every
 // later detection. Observation 5 here carries a 30 s stall while
-// resCount is still below the default Warmup of 4.
+// resCount is still below warmup (4).
 func TestHardZGatesDuringWarmup(t *testing.T) {
 	ref := NodeCostModel()
 	e := New(Config{Window: 0, Damping: 0})
@@ -434,7 +434,7 @@ func TestHardZGatesDuringWarmup(t *testing.T) {
 
 // TestRegimeChangeConcession: a persistent shift in the observation
 // stream (post-processing's dump loop handing over to its viz loop)
-// must not gate every observation forever. After MaxConsecutiveGated
+// must not gate every observation forever. After maxConsecutiveGated
 // trips the estimator resets and refits in the new regime.
 func TestRegimeChangeConcession(t *testing.T) {
 	ref := NodeCostModel()
@@ -453,7 +453,7 @@ func TestRegimeChangeConcession(t *testing.T) {
 		t.Fatalf("regime resets = %d, want 1", snap.RegimeResets)
 	}
 	if got := snap.AnomalyCounts.IO + snap.AnomalyCounts.Viz; got != 8 {
-		t.Errorf("anomalies before concession = %d, want MaxConsecutiveGated (8)", got)
+		t.Errorf("anomalies before concession = %d, want maxConsecutiveGated (8)", got)
 	}
 	// The refit recovered the new regime's coefficients exactly.
 	if !snap.Converged || math.Abs(snap.TSim-50) > 1e-6 ||

@@ -57,8 +57,9 @@ type Snapshot struct {
 	BurnRateW float64 `json:"burn_rate_w"`
 
 	AnomalyCounts AnomalyCounts `json:"anomaly_counts"`
-	// RegimeResets counts conceded regime changes (see
-	// Config.MaxConsecutiveGated).
+	// RegimeResets counts conceded regime changes: runs of gated
+	// observations long enough that the detector refits from the new
+	// regime.
 	RegimeResets int       `json:"regime_resets"`
 	Anomalies    []Anomaly `json:"anomalies"`
 }

@@ -278,8 +278,10 @@ func (f *File) Encode(w io.Writer) (int64, error) {
 			buf.WriteByte(0)
 		}
 	}
-	// Record data, interleaved per record.
-	for r := 0; r < f.numRecs; r++ {
+	// Record data, interleaved per record. Records of zero bytes write
+	// nothing, so a record count from an untrusted header with no record
+	// data behind it costs no loop.
+	for r := 0; l.recSize > 0 && r < f.numRecs; r++ {
 		for i := range f.Vars {
 			v := &f.Vars[i]
 			if !f.recordVar(v) {

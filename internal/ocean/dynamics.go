@@ -2,6 +2,7 @@ package ocean
 
 import (
 	"fmt"
+	"time"
 
 	"insituviz/internal/mesh"
 )
@@ -119,8 +120,10 @@ func (md *Model) Step(s *State, dt float64) error {
 		return err
 	}
 	md.instr.steps.Inc()
-	tm := md.instr.stepTime.Start()
-	defer tm.End()
+	var start time.Time
+	if md.instr.stepTime != nil {
+		start = time.Now()
+	}
 	md.ensureStages()
 	k1, k2, k3, k4 := md.sc.stages[0], md.sc.stages[1], md.sc.stages[2], md.sc.stages[3]
 	tmp := md.sc.tmp
@@ -135,6 +138,9 @@ func (md *Model) Step(s *State, dt float64) error {
 
 	md.sc.loopS, md.sc.loopW = s, dt
 	md.update(md.sc.finishCells, md.sc.finishEdges)
+	if md.instr.stepTime != nil {
+		md.instr.stepTime.Observe(float64(time.Since(start)))
+	}
 	return nil
 }
 

@@ -18,9 +18,6 @@ const EarthOmega = 7.292e-5
 
 // Config selects the physical parameters of a Model.
 type Config struct {
-	// Omega is the planetary rotation rate (rad/s). Defaults to EarthOmega
-	// when zero; set to a negative tiny value to disable rotation entirely.
-	Omega float64
 	// Viscosity is the harmonic (del^2) dissipation coefficient (m^2/s).
 	// Coarse meshes need some dissipation to stay stable under the
 	// under-resolved jets that spawn eddies.
@@ -32,10 +29,10 @@ type Config struct {
 	Workers int
 	// Telemetry, when non-nil, receives the model's runtime metrics:
 	// ocean.steps / ocean.diag.evals / ocean.okubo.evals counters and the
-	// sampled ocean.step.time span. A nil registry costs the hot path
-	// nothing beyond nil checks; with a registry attached the cost is a
-	// handful of atomic operations per step and zero allocations (see the
-	// alloc guards in alloc_test.go).
+	// ocean.step.time histogram (nanoseconds). A nil registry costs the
+	// hot path nothing beyond nil checks; with a registry attached the cost
+	// is two clock reads and a handful of atomic operations per step and
+	// zero allocations (see the alloc guards in alloc_test.go).
 	Telemetry *telemetry.Registry
 }
 
@@ -44,7 +41,7 @@ type Config struct {
 // (no registry), which every metric method treats as a no-op.
 type instruments struct {
 	steps     *telemetry.Counter
-	stepTime  *telemetry.Span
+	stepTime  *telemetry.Histogram
 	diagEvals *telemetry.Counter
 	okubo     *telemetry.Counter
 }
@@ -52,7 +49,7 @@ type instruments struct {
 func newInstruments(reg *telemetry.Registry) instruments {
 	return instruments{
 		steps:     reg.Counter("ocean.steps"),
-		stepTime:  reg.Span("ocean.step.time", telemetry.DefaultSpanPeriod),
+		stepTime:  reg.Histogram("ocean.step.time", telemetry.LatencyBuckets),
 		diagEvals: reg.Counter("ocean.diag.evals"),
 		okubo:     reg.Counter("ocean.okubo.evals"),
 	}
@@ -129,20 +126,14 @@ func NewModel(m *mesh.Mesh, cfg Config) (*Model, error) {
 	if cfg.Viscosity < 0 {
 		return nil, fmt.Errorf("ocean: negative viscosity %g", cfg.Viscosity)
 	}
-	omega := cfg.Omega
-	if omega == 0 {
-		omega = EarthOmega
-	} else if omega < 0 {
-		omega = 0
-	}
-	md := &Model{Mesh: m, Omega: omega, Viscosity: cfg.Viscosity, workers: resolveWorkers(cfg.Workers),
+	md := &Model{Mesh: m, Omega: EarthOmega, Viscosity: cfg.Viscosity, workers: resolveWorkers(cfg.Workers),
 		instr: newInstruments(cfg.Telemetry)}
 
 	md.coriolisEdge = make([]float64, m.NEdges())
 	md.vertexTangentSign = make([]float64, m.NEdges())
 	for ei := range m.Edges {
 		e := &m.Edges[ei]
-		md.coriolisEdge[ei] = 2 * omega * math.Sin(e.Lat)
+		md.coriolisEdge[ei] = 2 * EarthOmega * math.Sin(e.Lat)
 		v0 := m.Vertices[e.Vertices[0]].Pos
 		v1 := m.Vertices[e.Vertices[1]].Pos
 		if v1.Sub(v0).Dot(e.Tangent) >= 0 {
@@ -154,7 +145,7 @@ func NewModel(m *mesh.Mesh, cfg Config) (*Model, error) {
 	md.coriolisVertex = make([]float64, m.NVertices())
 	for vi := range m.Vertices {
 		lat, _ := m.Vertices[vi].Pos.LatLon()
-		md.coriolisVertex[vi] = 2 * omega * math.Sin(lat)
+		md.coriolisVertex[vi] = 2 * EarthOmega * math.Sin(lat)
 	}
 
 	if err := md.buildReconstruction(); err != nil {

@@ -42,14 +42,7 @@ func TestNewModelValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if md.Omega != EarthOmega {
-		t.Errorf("default Omega = %g, want EarthOmega", md.Omega)
-	}
-	md2, err := NewModel(m, Config{Omega: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if md2.Omega != 0 {
-		t.Errorf("negative Omega should disable rotation, got %g", md2.Omega)
+		t.Errorf("Omega = %g, want EarthOmega", md.Omega)
 	}
 }
 

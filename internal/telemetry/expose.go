@@ -19,7 +19,6 @@ type Snapshot struct {
 	Gauges      map[string]int64          `json:"gauges"`
 	FloatGauges map[string]float64        `json:"fgauges"`
 	Histograms  map[string]HistogramValue `json:"histograms"`
-	Spans       map[string]SpanValue      `json:"spans"`
 }
 
 // Snapshot copies the current value of every registered metric. Individual
@@ -32,7 +31,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		Gauges:      map[string]int64{},
 		FloatGauges: map[string]float64{},
 		Histograms:  map[string]HistogramValue{},
-		Spans:       map[string]SpanValue{},
 	}
 	if r == nil {
 		return s
@@ -56,9 +54,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.value()
-	}
-	for name, sp := range r.spans {
-		s.Spans[name] = sp.value()
 	}
 	return s
 }
@@ -112,7 +107,7 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 
 // WriteText writes an expvar-style plain-text exposition: one
 // "kind name value" line per scalar metric in sorted name order, with
-// histograms and spans expanded into one line per component. The format is
+// histograms expanded into one line per component. The format is
 // stable and diff-friendly; it is what the tests assert on.
 func (s *Snapshot) WriteText(w io.Writer) error {
 	for _, name := range sortedNames(s.Counters) {
@@ -160,13 +155,6 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 				strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
 				return err
 			}
-		}
-	}
-	for _, name := range sortedNames(s.Spans) {
-		sv := s.Spans[name]
-		if _, err := fmt.Fprintf(w, "span %s entries %d sampled %d sampled_ns %d estimated_ns %d\n",
-			name, sv.Entries, sv.Sampled, sv.SampledNanos, sv.EstimatedNanos); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -19,6 +19,12 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
+// LatencyBuckets are the upper bounds (nanoseconds) of the duration
+// histograms: decade-ish steps from 1 µs to 1 s, the range between a
+// warm cache hit and a cold disk read on a loaded box, which also holds
+// a solver step and a visualization sample.
+var LatencyBuckets = []float64{1e3, 4e3, 16e3, 64e3, 256e3, 1e6, 4e6, 16e6, 64e6, 256e6, 1e9}
+
 // Histogram returns the histogram registered under name, creating it with
 // the given ascending upper bounds on first use (later calls ignore the
 // bounds argument and return the existing histogram). Returns nil on a nil

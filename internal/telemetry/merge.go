@@ -31,10 +31,7 @@ func (s *Snapshot) Merge(prefix string, src *Snapshot) error {
 		if _, ok := s.FloatGauges[name]; ok {
 			return true
 		}
-		if _, ok := s.Histograms[name]; ok {
-			return true
-		}
-		_, ok := s.Spans[name]
+		_, ok := s.Histograms[name]
 		return ok
 	}
 	for name := range src.Counters {
@@ -57,11 +54,6 @@ func (s *Snapshot) Merge(prefix string, src *Snapshot) error {
 			return fmt.Errorf("telemetry: merge collision on %q", prefix+name)
 		}
 	}
-	for name := range src.Spans {
-		if taken(prefix + name) {
-			return fmt.Errorf("telemetry: merge collision on %q", prefix+name)
-		}
-	}
 	for name, v := range src.Counters {
 		s.Counters[prefix+name] = v
 	}
@@ -76,9 +68,6 @@ func (s *Snapshot) Merge(prefix string, src *Snapshot) error {
 	}
 	for name, v := range src.Histograms {
 		s.Histograms[prefix+name] = v
-	}
-	for name, v := range src.Spans {
-		s.Spans[prefix+name] = v
 	}
 	return nil
 }

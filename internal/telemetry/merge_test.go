@@ -11,11 +11,11 @@ func TestSnapshotMergePrefixesEveryKind(t *testing.T) {
 	live.Counter("render.frames").Add(3)
 	live.Gauge("workpool.workers").Set(4)
 	live.Histogram("frame.bytes", []float64{10, 100}).Observe(42)
-	live.Span("sample.time", 1)
 
 	serve := NewRegistry()
 	serve.Counter("cache.hits").Add(7)
 	serve.Gauge("cache.used.bytes").Set(512)
+	serve.FloatGauge("compression.ratio").Set(0.25)
 	serve.Histogram("latency.ns", []float64{1e3, 1e6}).Observe(5e5)
 
 	snap := live.Snapshot()
@@ -27,6 +27,9 @@ func TestSnapshotMergePrefixesEveryKind(t *testing.T) {
 	}
 	if snap.Gauges["serve.cache.used.bytes"] != 512 {
 		t.Errorf("merged gauge = %d", snap.Gauges["serve.cache.used.bytes"])
+	}
+	if snap.FloatGauges["serve.compression.ratio"] != 0.25 {
+		t.Errorf("merged float gauge = %g", snap.FloatGauges["serve.compression.ratio"])
 	}
 	if hv, ok := snap.Histograms["serve.latency.ns"]; !ok || hv.Count != 1 {
 		t.Errorf("merged histogram = %+v ok=%v", hv, ok)
@@ -56,7 +59,12 @@ func TestSnapshotMergeDetectsCollisions(t *testing.T) {
 	g := NewRegistry()
 	g.Gauge("hits").Set(9)
 	if err := snap.Merge("cache.", g.Snapshot()); err == nil {
-		t.Error("cross-kind collision not detected")
+		t.Error("gauge-versus-counter collision not detected")
+	}
+	f := NewRegistry()
+	f.FloatGauge("hits").Set(0.5)
+	if err := snap.Merge("cache.", f.Snapshot()); err == nil {
+		t.Error("fgauge-versus-counter collision not detected")
 	}
 
 	if err := snap.Merge("other.", b.Snapshot()); err != nil {

@@ -13,7 +13,6 @@ var expositionKinds = [][]byte{
 	[]byte("gauge"),
 	[]byte("fgauge"),
 	[]byte("histogram"),
-	[]byte("span"),
 }
 
 // ReprefixText copies a plain-text exposition (the WriteText format) from
@@ -34,7 +33,9 @@ func ReprefixText(w io.Writer, prefix string, src []byte) error {
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	bw := bufio.NewWriter(w)
 	for sc.Scan() {
-		line := sc.Bytes()
+		// The scanner strips one CR before each LF; strip them all, so
+		// no output line ends in a CR that a re-read would drop.
+		line := bytes.TrimRight(sc.Bytes(), "\r")
 		kind, rest, ok := bytes.Cut(line, []byte(" "))
 		if !ok || !knownKind(kind) {
 			continue

@@ -1,7 +1,6 @@
 // Package telemetry is the observability substrate of the live coupled
-// stack: a named registry of atomic counters, gauges, fixed-bucket
-// histograms, and sampled phase spans, with a deterministic text/JSON
-// exposition.
+// stack: a named registry of atomic counters, gauges, float gauges and
+// fixed-bucket histograms, with a deterministic text/JSON exposition.
 //
 // The package exists because the paper's whole contribution is
 // *measurement* — per-phase time, power, and energy — and the stack that
@@ -9,7 +8,7 @@
 // without perturbing them. Two properties are contractual:
 //
 //   - Zero allocation on the hot path. Counter.Add, Gauge.Set,
-//     Histogram.Observe, and Span.Start/End perform only atomic operations
+//     FloatGauge.Set and Histogram.Observe perform only atomic operations
 //     on preallocated state, so the 0 allocs/op budgets of the solver and
 //     render loops (PR 1) hold with instrumentation enabled. Registration
 //     (Registry.Counter and friends) may allocate and lock; callers hold
@@ -135,7 +134,7 @@ func (g *FloatGauge) Value() float64 {
 // component can be instrumented unconditionally and run un-observed at
 // zero cost beyond a nil check.
 //
-// Counters, gauges, float gauges, histograms, and spans live in separate
+// Counters, gauges, float gauges and histograms live in separate
 // namespaces, but sharing one name across kinds is a registration error
 // (it would make the exposition ambiguous) and panics, like
 // expvar.Publish on a duplicate name.
@@ -145,7 +144,6 @@ type Registry struct {
 	gauges      map[string]*Gauge
 	floatGauges map[string]*FloatGauge
 	histograms  map[string]*Histogram
-	spans       map[string]*Span
 	kinds       map[string]string // name -> kind, for collision detection
 }
 
@@ -156,7 +154,6 @@ func NewRegistry() *Registry {
 		gauges:      make(map[string]*Gauge),
 		floatGauges: make(map[string]*FloatGauge),
 		histograms:  make(map[string]*Histogram),
-		spans:       make(map[string]*Span),
 		kinds:       make(map[string]string),
 	}
 }

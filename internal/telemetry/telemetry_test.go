@@ -24,10 +24,6 @@ func TestRegistryIdempotentLookup(t *testing.T) {
 	if h1 != r.Histogram("a.hist", []float64{99}) {
 		t.Fatal("second Histogram lookup returned a different handle")
 	}
-	s1 := r.Span("a.span", 4)
-	if s1 != r.Span("a.span", 16) {
-		t.Fatal("second Span lookup returned a different handle")
-	}
 }
 
 func TestRegistryCrossKindCollisionPanics(t *testing.T) {
@@ -46,8 +42,7 @@ func TestNilSafety(t *testing.T) {
 	c := r.Counter("c")
 	g := r.Gauge("g")
 	h := r.Histogram("h", []float64{1})
-	s := r.Span("s", 1)
-	if c != nil || g != nil || h != nil || s != nil {
+	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry must hand out nil metrics")
 	}
 	// All hot-path methods must be no-ops, not panics.
@@ -56,9 +51,7 @@ func TestNilSafety(t *testing.T) {
 	g.Set(7)
 	g.SetMax(9)
 	h.Observe(1)
-	tm := s.Start()
-	tm.End()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || s.Entries() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil metrics must read as zero")
 	}
 	snap := r.Snapshot()
@@ -83,13 +76,10 @@ func TestConcurrentIncrements(t *testing.T) {
 			c := r.Counter("shared.count")
 			g := r.Gauge("shared.highwater")
 			h := r.Histogram("shared.hist", []float64{0.5, 1.5})
-			sp := r.Span("shared.span", 3)
 			for j := 0; j < perG; j++ {
 				c.Inc()
 				g.SetMax(int64(id*perG + j))
 				h.Observe(1)
-				tm := sp.Start()
-				tm.End()
 			}
 		}(i)
 	}
@@ -107,14 +97,6 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 	if h.Sum() != goroutines*perG {
 		t.Errorf("histogram sum = %g, want %d", h.Sum(), goroutines*perG)
-	}
-	sp := r.Span("shared.span", 0)
-	sv := sp.value()
-	if sv.Entries != goroutines*perG {
-		t.Errorf("span entries = %d, want %d", sv.Entries, goroutines*perG)
-	}
-	if sv.Sampled == 0 || sv.Sampled > sv.Entries {
-		t.Errorf("span sampled = %d out of %d entries", sv.Sampled, sv.Entries)
 	}
 }
 
@@ -165,27 +147,6 @@ func TestHistogramRejectsBadBuckets(t *testing.T) {
 		if _, err := newHistogram(bounds); err == nil {
 			t.Errorf("bounds %v accepted, want error", bounds)
 		}
-	}
-}
-
-func TestSpanSamplingIsDeterministic(t *testing.T) {
-	r := NewRegistry()
-	sp := r.Span("phase", 4)
-	for i := 0; i < 10; i++ {
-		tm := sp.Start()
-		tm.End()
-	}
-	sv := sp.value()
-	if sv.Entries != 10 {
-		t.Fatalf("entries = %d, want 10", sv.Entries)
-	}
-	// Entries 1, 5, 9 are timed: ceil(10/4) = 3 samples, always the same
-	// ones.
-	if sv.Sampled != 3 {
-		t.Fatalf("sampled = %d, want 3 (deterministic 1, 1+p, 1+2p, ...)", sv.Sampled)
-	}
-	if sv.EstimatedNanos < sv.SampledNanos {
-		t.Errorf("estimate %d ns below measured %d ns", sv.EstimatedNanos, sv.SampledNanos)
 	}
 }
 
@@ -276,8 +237,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 // TestHotPathAllocs is the telemetry half of the repository's
 // 0 allocs/op budget: every hot-path operation — counter add, gauge set,
-// high-water update, histogram observe, span start/end both sampled and
-// unsampled — must not allocate.
+// high-water update, float gauge set, histogram observe — must not
+// allocate.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
@@ -285,17 +246,16 @@ func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	g := r.Gauge("g")
+	f := r.FloatGauge("f")
 	h := r.Histogram("h", []float64{1, 10, 100, 1000})
-	sp := r.Span("s", 2) // every other entry sampled
 	var x int64
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(3)
 		g.Set(x)
 		g.SetMax(x + 1)
+		f.Set(float64(x) / 3)
 		h.Observe(float64(x % 2000))
-		tm := sp.Start()
-		tm.End()
 		x++
 	})
 	if allocs != 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"insituviz/internal/catalyst"
 	"insituviz/internal/cinemastore"
@@ -31,6 +32,16 @@ import (
 // period scales down the same way (roughly one sample per solver step).
 const liveMeterInterval = units.Seconds(1e-3)
 
+const (
+	// liveViscosity is the solver dissipation in m^2/s, suited to coarse
+	// meshes.
+	liveViscosity = 2e5
+	// liveIORanks is the number of simulated compute ranks whose field
+	// blocks are gathered through the PIO aggregation layer before each
+	// raw dump in post-processing mode.
+	liveIORanks = 8
+)
+
 // LiveConfig configures a real (not simulated-machine) coupled run: the
 // shallow-water ocean solver produces genuine eddy-bearing fields, and the
 // selected pipeline visualizes them — in-situ through a Catalyst-style
@@ -54,17 +65,10 @@ type LiveConfig struct {
 	// RenderRanks is the number of simulated parallel rendering ranks
 	// composited sort-last (default 4).
 	RenderRanks int
-	// Viscosity is the solver dissipation in m^2/s (default 2e5, suited
-	// to coarse meshes).
-	Viscosity float64
 	// OrthoViews additionally renders each sample from the first N
 	// cameras of the standard six-view rig as orthographic globes — the
 	// multi-view "image sets" a Cinema database stores (0 disables).
 	OrthoViews int
-	// IORanks is the number of simulated compute ranks whose field blocks
-	// are gathered through the PIO aggregation layer before each raw dump
-	// in post-processing mode (default 8).
-	IORanks int
 	// EddyCoreImages additionally writes, per sample, an image showing
 	// only the rotation-dominated cores (W below the -0.2 sigma
 	// threshold), produced through the vizpipe threshold filter.
@@ -160,12 +164,6 @@ func (c *LiveConfig) applyDefaults() {
 	if c.RenderRanks == 0 {
 		c.RenderRanks = 4
 	}
-	if c.Viscosity == 0 {
-		c.Viscosity = 2e5
-	}
-	if c.IORanks == 0 {
-		c.IORanks = 8
-	}
 	if c.VizDeadline == 0 && c.Faults != nil {
 		c.VizDeadline = 0.5
 	}
@@ -218,10 +216,10 @@ type LiveResult struct {
 	HaloBytesPerField Bytes
 
 	// Telemetry is the run's metric snapshot: solver step counts and
-	// sampled step wall time (ocean.*), worker-pool fan-out and queue
+	// step wall times (ocean.*), worker-pool fan-out and queue
 	// occupancy (workpool.*), co-processing copies (catalyst.*), frames
 	// and encoded bytes (render.*), raw-dump traffic (live.raw.*), and
-	// the per-sample visualization span (live.sample.time). See the
+	// per-sample visualization wall times (live.sample.time). See the
 	// README's Telemetry section for the full metric name list and
 	// exposition format.
 	Telemetry *telemetry.Snapshot
@@ -281,7 +279,7 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := ocean.NewModel(msh, ocean.Config{Viscosity: cfg.Viscosity, Workers: cfg.Workers, Telemetry: reg})
+	model, err := ocean.NewModel(msh, ocean.Config{Viscosity: liveViscosity, Workers: cfg.Workers, Telemetry: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -395,9 +393,7 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	}
 	defer viz.close()
 
-	// Sampling points are rare (a handful per run), so the per-sample
-	// visualization span times every entry rather than sampling.
-	sampleSpan := reg.Span("live.sample.time", 1)
+	sampleTime := reg.Histogram("live.sample.time", telemetry.LatencyBuckets)
 
 	// The driver lane carries the phase step function the attribution
 	// consumes.
@@ -532,8 +528,10 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	// visualize is the one sampling path: deadline, send, detect, then the
 	// settle tail of every sample whose render step has reported.
 	visualize := func(simTime float64, field, cellVort []float64) error {
-		tm := sampleSpan.Start()
-		defer tm.End()
+		if sampleTime != nil {
+			start := time.Now()
+			defer func() { sampleTime.Observe(float64(time.Since(start))) }()
+		}
 		p := pendingSample{simTime: simTime}
 		// Deadline check first: an injected stall at or beyond the budget
 		// means this sample's visualization would not finish in time, and
@@ -888,7 +886,7 @@ func runLivePost(cfg LiveConfig, msh *mesh.Mesh, model *ocean.Model, state *ocea
 	// decomposed across simulated compute ranks and gathered onto I/O
 	// aggregators before the netCDF write, as MPAS writes through
 	// PIO/parallel-netCDF.
-	ioRanks := cfg.IORanks
+	ioRanks := liveIORanks
 	if ioRanks > msh.NCells() {
 		ioRanks = msh.NCells()
 	}

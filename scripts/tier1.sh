@@ -1,5 +1,6 @@
 #!/bin/sh
 # Tier-1 gate: everything must pass before a change lands.
+#   - every .go file gofmt-clean
 #   - build every package
 #   - go vet, here and in the bench/ module (which root ./... never
 #     compiles, so a removed internal symbol it names would otherwise break
@@ -13,6 +14,9 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l ."
+test -z "$(gofmt -l .)"
 
 echo "== go build ./..."
 go build ./...
