@@ -1,6 +1,7 @@
 package render
 
 import (
+	"encoding/binary"
 	"fmt"
 	"image"
 	"image/color"
@@ -17,7 +18,7 @@ import (
 // image, the projection the paper's Fig. 2 uses; NewOrthoRasterizer maps an
 // orthographic globe.
 //
-// A Rasterizer owns scratch buffers (the per-cell color table and the bound
+// A Rasterizer owns scratch buffers (the per-cell color tables and the bound
 // row loop of the Into variants), so it must be used from one goroutine at
 // a time; build one per goroutine for concurrent rendering. Row bands are
 // executed on the persistent worker pool.
@@ -30,7 +31,8 @@ type Rasterizer struct {
 
 	pixelCell []int // color-table index per pixel, row-major: the cell, or NCells off the globe
 
-	colors   []color.RGBA // per-cell color LUT reused across frames, plus Background at NCells
+	colors   []color.RGBA // per-cell colors of the field entry points, reused across frames
+	lut      []uint32     // packed pixel per color-table index, plus Background at NCells; SampleRenderer fills it too
 	envImg   *image.RGBA  // operands of the bound row loop
 	envOwned []bool
 	rowLoop  func(y0, y1 int)
@@ -62,8 +64,9 @@ func newRasterizer(m *mesh.Mesh, width, height int, project func(x, y int) (mesh
 	r := &Rasterizer{Mesh: m, Width: width, Height: height}
 	r.pixelCell = make([]int, width*height)
 	offGlobe := m.NCells()
-	r.colors = make([]color.RGBA, offGlobe+1)
-	r.colors[offGlobe] = Background
+	r.colors = make([]color.RGBA, offGlobe)
+	r.lut = make([]uint32, offGlobe+1)
+	r.lut[offGlobe] = packPixel(Background)
 
 	// Precompute the mapping in parallel row bands. Within a row the walk
 	// search starts from the previous pixel's cell, so lookups are O(1)
@@ -89,24 +92,15 @@ func newRasterizer(m *mesh.Mesh, width, height int, project func(x, y int) (mesh
 		img, owned := r.envImg, r.envOwned
 		for y := y0; y < y1; y++ {
 			row := img.Pix[y*img.Stride : y*img.Stride+4*r.Width]
-			for x := 0; x < r.Width; x++ {
-				ci := r.pixelCell[y*r.Width+x]
-				o := 4 * x
+			for x, ci := range r.pixelCell[y*r.Width : (y+1)*r.Width] {
 				if owned != nil && ci < len(owned) && !owned[ci] {
 					// Explicitly transparent, so reused frames carry no
 					// stale pixels from the previous mask. Off-globe pixels
 					// belong to no cell and stay Background under any mask.
-					row[o] = 0
-					row[o+1] = 0
-					row[o+2] = 0
-					row[o+3] = 0
+					binary.LittleEndian.PutUint32(row[4*x:], 0)
 					continue
 				}
-				c := r.colors[ci]
-				row[o] = c.R
-				row[o+1] = c.G
-				row[o+2] = c.B
-				row[o+3] = c.A
+				binary.LittleEndian.PutUint32(row[4*x:], r.lut[ci])
 			}
 		}
 	}
@@ -175,8 +169,9 @@ func (r *Rasterizer) Render(field []float64, cm *Colormap, n Normalizer) (*image
 // of the rasterizer's exact size) — only the pixels whose cells are owned
 // (owned[cell] == true): owned pixels get the field color, all others are
 // written fully transparent, so a reused frame needs no clearing between
-// masks. This is the per-rank render of a sort-last parallel pipeline;
-// CompositeInto merges the partial images.
+// masks. This is the per-rank render of a sort-last pipeline that
+// composites whole partial frames (CompositeInto merges them): the
+// reference SampleRenderer's footprint composite is tested against.
 func (r *Rasterizer) RenderOwnedInto(img *image.RGBA, field []float64, cm *Colormap, n Normalizer, owned []bool) error {
 	if len(owned) != r.Mesh.NCells() {
 		return fmt.Errorf("render: ownership mask has %d cells, want %d", len(owned), r.Mesh.NCells())
@@ -186,8 +181,9 @@ func (r *Rasterizer) RenderOwnedInto(img *image.RGBA, field []float64, cm *Color
 
 // RenderColorsOwnedInto is RenderOwnedInto with the per-cell color table
 // precomputed by the caller instead of derived from a field — the path
-// every sample frame takes (see SampleRenderer): the sim derives the table
-// once and any process rasterizing it produces byte-identical frames.
+// every ortho view of a sample takes (see SampleRenderer): the sim derives
+// the table once and any process rasterizing it produces byte-identical
+// frames.
 // owned may be nil to draw every cell.
 func (r *Rasterizer) RenderColorsOwnedInto(img *image.RGBA, colors []color.RGBA, owned []bool) error {
 	if len(colors) != r.Mesh.NCells() {
@@ -199,7 +195,9 @@ func (r *Rasterizer) RenderColorsOwnedInto(img *image.RGBA, colors []color.RGBA,
 	if img == nil || img.Bounds() != image.Rect(0, 0, r.Width, r.Height) {
 		return fmt.Errorf("render: frame must be %dx%d at the origin", r.Width, r.Height)
 	}
-	copy(r.colors, colors)
+	for ci, c := range colors {
+		r.lut[ci] = packPixel(c)
+	}
 	r.envImg, r.envOwned = img, owned
 	workpool.Run(r.Height, tileChunks(r.Height, r.workers), r.rowLoop)
 	return nil
@@ -208,11 +206,17 @@ func (r *Rasterizer) RenderColorsOwnedInto(img *image.RGBA, colors []color.RGBA,
 // renderOwnedInto is the field entry points' body: derive the colors, then
 // the color path.
 func (r *Rasterizer) renderOwnedInto(img *image.RGBA, field []float64, cm *Colormap, n Normalizer, owned []bool) error {
-	colors, err := fieldColors(r.colors[:r.Mesh.NCells()], r.Mesh.NCells(), field, cm, n)
+	colors, err := fieldColors(r.colors, r.Mesh.NCells(), field, cm, n)
 	if err != nil {
 		return err
 	}
 	return r.RenderColorsOwnedInto(img, colors, owned)
+}
+
+// packPixel is c as the little-endian word of its four RGBA bytes, so one
+// 32-bit store writes a whole pixel in image.RGBA's byte order.
+func packPixel(c color.RGBA) uint32 {
+	return uint32(c.R) | uint32(c.G)<<8 | uint32(c.B)<<16 | uint32(c.A)<<24
 }
 
 // fieldColors fills buf (reallocated when its size differs) with each

@@ -1,16 +1,19 @@
 package render
 
 import (
+	"encoding/binary"
 	"fmt"
 	"image"
 	"image/color"
 	"math"
+	"slices"
 
 	"insituviz/internal/mesh"
 	"insituviz/internal/ocean"
 	"insituviz/internal/partition"
 	"insituviz/internal/trace"
 	"insituviz/internal/vizpipe"
+	"insituviz/internal/workpool"
 )
 
 // SampleConfig fixes the shape of one sample's image set — the paper's
@@ -92,28 +95,36 @@ func (d *SampleDeriver) Derive(simTime float64, values []float64) (SampleTables,
 type EmitFunc func(img *image.RGBA, simTime, phi, theta float64, name string) error
 
 // SampleRenderer is the one definition of a sample's image set: it owns
-// the rasterizer, the RCB masks, the partial, composite and core frames and
-// the ortho rig, and its sample path is two operations — Derive a field's
-// tables, Render tables into frames. Steady-state rendering allocates
-// nothing. Not safe for concurrent use.
+// the rasterizer, the per-rank pixel footprints of the RCB blocks, the
+// composite and core frames and the ortho rig, and its sample path is two
+// operations — Derive a field's tables, Render tables into frames.
+// Steady-state rendering allocates nothing. Not safe for concurrent use.
 type SampleRenderer struct {
 	*SampleDeriver
 
 	part  *partition.Partition
 	cells [][]int
-	masks [][]bool
 	lanes []*trace.Lane
 
 	rast       *Rasterizer
-	partials   []*image.RGBA
+	footprints [][]pixelRun // per block, the row-major runs of pixels its cells cover
+	allRuns    []pixelRun   // every block's runs, block-major: the whole frame once
+	chunks     []int        // per block, the fan-out width of its footprint
 	composited *image.RGBA
 	coreFrame  *image.RGBA // allocated at the first core sample
+
+	envPix   []byte // operands of the bound run loop
+	envRuns  []pixelRun
+	fillRuns func(lo, hi int)
 
 	views     *ImageSetRenderer // nil without ortho views
 	cams      []Camera
 	viewNames []string
 	coreName  string
 }
+
+// pixelRun is the row-major pixel range [lo, hi) of one frame row.
+type pixelRun struct{ lo, hi int32 }
 
 // NewSampleRenderer builds the render stack for one run configuration.
 func NewSampleRenderer(m *mesh.Mesh, cfg SampleConfig) (*SampleRenderer, error) {
@@ -130,10 +141,8 @@ func NewSampleRenderer(m *mesh.Mesh, cfg SampleConfig) (*SampleRenderer, error) 
 		SampleDeriver: NewSampleDeriver(m, cfg.Field, cfg.Cores),
 		part:          part,
 		cells:         make([][]int, cfg.Ranks),
-		masks:         part.Masks(),
 		lanes:         make([]*trace.Lane, cfg.Ranks),
 		rast:          rast,
-		partials:      make([]*image.RGBA, cfg.Ranks),
 		composited:    rast.NewFrame(),
 		coreName:      cfg.Field + "_cores",
 	}
@@ -141,7 +150,18 @@ func NewSampleRenderer(m *mesh.Mesh, cfg SampleConfig) (*SampleRenderer, error) 
 		if sr.cells[r], err = part.Cells(r); err != nil {
 			return nil, err
 		}
-		sr.partials[r] = rast.NewFrame()
+	}
+	if err := sr.buildFootprints(cfg.Workers); err != nil {
+		return nil, err
+	}
+	sr.fillRuns = func(lo, hi int) {
+		pix, lut, cells := sr.envPix, sr.rast.lut, sr.rast.pixelCell
+		for _, run := range sr.envRuns[lo:hi] {
+			dst := pix[4*run.lo : 4*run.hi]
+			for i, ci := range cells[run.lo:run.hi] {
+				binary.LittleEndian.PutUint32(dst[4*i:], lut[ci])
+			}
+		}
 	}
 	if cfg.OrthoViews > 0 {
 		rig := DefaultCameraSet()
@@ -158,6 +178,65 @@ func NewSampleRenderer(m *mesh.Mesh, cfg SampleConfig) (*SampleRenderer, error) 
 		}
 	}
 	return sr, nil
+}
+
+// buildFootprints cuts the frame into the blocks' footprints: each pixel
+// goes to the block owning its cell, and off-globe pixels to block 0 — the
+// first partial, whose Background a sort-last composite keeps there. The
+// runs are counted first and then cut from one exactly sized array, and
+// the result is checked to cover every pixel exactly once.
+func (sr *SampleRenderer) buildFootprints(workers int) error {
+	nCells, w, h := sr.rast.Mesh.NCells(), sr.rast.Width, sr.rast.Height
+	owner := make([]int, nCells+1) // off the globe (index nCells) stays block 0
+	for b, cells := range sr.cells {
+		for _, ci := range cells {
+			owner[ci] = b
+		}
+	}
+	// forRuns calls fn for every maximal same-block run within a row.
+	forRuns := func(fn func(block int, run pixelRun)) {
+		for y := 0; y < h; y++ {
+			row := sr.rast.pixelCell[y*w : (y+1)*w]
+			lo := 0
+			for x := 1; x <= w; x++ {
+				if x == w || owner[row[x]] != owner[row[lo]] {
+					fn(owner[row[lo]], pixelRun{int32(y*w + lo), int32(y*w + x)})
+					lo = x
+				}
+			}
+		}
+	}
+	counts := make([]int, len(sr.cells))
+	total := 0
+	forRuns(func(b int, _ pixelRun) { counts[b]++; total++ })
+	sr.allRuns = make([]pixelRun, total)
+	sr.footprints = make([][]pixelRun, len(counts))
+	at := 0
+	for b, n := range counts {
+		sr.footprints[b] = sr.allRuns[at : at : at+n]
+		at += n
+	}
+	forRuns(func(b int, run pixelRun) { sr.footprints[b] = append(sr.footprints[b], run) })
+
+	seen := make([]bool, w*h)
+	sr.chunks = make([]int, len(counts))
+	for b, runs := range sr.footprints {
+		pixels := 0
+		for _, run := range runs {
+			for p := run.lo; p < run.hi; p++ {
+				if seen[p] {
+					return fmt.Errorf("render: pixel %d is in two footprints", p)
+				}
+				seen[p] = true
+			}
+			pixels += int(run.hi - run.lo)
+		}
+		sr.chunks[b] = tileChunks((pixels+w-1)/w, workers)
+	}
+	if p := slices.Index(seen, false); p >= 0 {
+		return fmt.Errorf("render: pixel %d is in no footprint", p)
+	}
+	return nil
 }
 
 // Views returns the number of ortho views per sample.
@@ -191,20 +270,22 @@ func (sr *SampleRenderer) SetLane(block int, lane *trace.Lane) { sr.lanes[block]
 // order composite, <field>_view<N>, <field>_cores. The ortho views carry
 // their camera direction on the database axes (phi the rig longitude, theta
 // the latitude) so a query server can resolve nearest-viewpoint requests.
+//
+// The composite is sort-last compositing of each rank's footprint: every
+// block writes only the pixels it owns, straight into the composite frame,
+// so a frame costs O(pixels) at any rank count. It is byte for byte what
+// CompositeInto makes of per-rank RenderColorsOwnedInto partials, and the
+// core frame what FillTransparent(Background) makes of a Core-masked one.
 func (sr *SampleRenderer) Render(t SampleTables, simTime float64, emit EmitFunc) error {
-	for i, mask := range sr.masks {
-		sr.lanes[i].Begin("render.rank")
-		err := sr.rast.RenderColorsOwnedInto(sr.partials[i], t.Colors, mask)
-		sr.lanes[i].End()
-		if err != nil {
-			return err
-		}
+	nCells := sr.rast.Mesh.NCells()
+	if len(t.Colors) != nCells {
+		return fmt.Errorf("render: color table has %d cells, want %d", len(t.Colors), nCells)
 	}
-	if err := CompositeInto(sr.composited, sr.partials); err != nil {
+	if t.Core != nil && len(t.Core) != nCells {
+		return fmt.Errorf("render: core selection has %d cells, want %d", len(t.Core), nCells)
+	}
+	if err := sr.composite(t.Colors); err != nil {
 		return err
-	}
-	if !FullyOpaque(sr.composited) {
-		return fmt.Errorf("render: composited image has holes")
 	}
 	if err := emit(sr.composited, simTime, 0, 0, sr.field); err != nil {
 		return err
@@ -223,12 +304,50 @@ func (sr *SampleRenderer) Render(t SampleTables, simTime float64, emit EmitFunc)
 	if t.Core == nil {
 		return nil
 	}
+	sr.renderCores(t)
+	return emit(sr.coreFrame, simTime, 0, 0, sr.coreName)
+}
+
+// composite has every block write its footprint of the composite frame,
+// each inside its own "render.rank" span, and refuses a frame with holes.
+func (sr *SampleRenderer) composite(colors []color.RGBA) error {
+	// The rasterizer's table, Background off the globe, holds this frame's
+	// pixels. A transparent color composites to a transparent pixel: no
+	// partial contributes there, and the holes check below refuses it.
+	lut := sr.rast.lut
+	for ci, c := range colors {
+		lut[ci] = 0
+		if c.A != 0 {
+			lut[ci] = packPixel(c)
+		}
+	}
+	sr.envPix = sr.composited.Pix
+	for b, runs := range sr.footprints {
+		sr.lanes[b].Begin("render.rank")
+		sr.envRuns = runs
+		workpool.Run(len(runs), sr.chunks[b], sr.fillRuns)
+		sr.lanes[b].End()
+	}
+	if !FullyOpaque(sr.composited) {
+		return fmt.Errorf("render: composited image has holes")
+	}
+	return nil
+}
+
+// renderCores draws the core frame in one pass: a core cell's color where
+// it is not transparent, Background everywhere else — what FillTransparent
+// makes of a core-masked raster.
+func (sr *SampleRenderer) renderCores(t SampleTables) {
 	if sr.coreFrame == nil {
 		sr.coreFrame = sr.rast.NewFrame()
 	}
-	if err := sr.rast.RenderColorsOwnedInto(sr.coreFrame, t.Colors, t.Core); err != nil {
-		return err
+	lut, bg := sr.rast.lut, packPixel(Background)
+	for ci, c := range t.Colors {
+		lut[ci] = bg
+		if t.Core[ci] && c.A != 0 {
+			lut[ci] = packPixel(c)
+		}
 	}
-	FillTransparent(sr.coreFrame, Background)
-	return emit(sr.coreFrame, simTime, 0, 0, sr.coreName)
+	sr.envPix, sr.envRuns = sr.coreFrame.Pix, sr.allRuns
+	workpool.Run(len(sr.allRuns), tileChunks(sr.rast.Height, sr.rast.workers), sr.fillRuns)
 }

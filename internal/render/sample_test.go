@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"image"
+	"image/color"
 	"math"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"insituviz/internal/ocean"
@@ -25,12 +28,25 @@ type emitted struct {
 // the retained field-taking entry points, byte for byte: the benchmark's
 // render probes call those entry points, so this equality is what keeps
 // them measuring the code the live and in-transit workloads run.
+//
+// The sample path writes each rank's footprint straight into the composite
+// instead of compositing per-rank partials, so the cases span rank counts
+// from one block to more blocks than a row has cells, and a frame of fewer
+// pixels than blocks, where a footprint is empty and its render a no-op.
 func TestSampleRendererMatchesFieldPath(t *testing.T) {
 	m := testMesh(t)
 	field := testField(m)
-	const simTime, width, height, views = 3600.0, 96, 48, 2
-	for _, ranks := range []int{1, 4} {
-		t.Run(fmt.Sprintf("ranks%d", ranks), func(t *testing.T) {
+	const simTime, views = 3600.0, 2
+	for _, tc := range []struct{ width, height, ranks int }{
+		{96, 48, 1}, {96, 48, 3}, {96, 48, 4}, {96, 48, 8}, {96, 48, 64},
+		{6, 4, 8}, {6, 4, 32},
+	} {
+		width, height, ranks := tc.width, tc.height, tc.ranks
+		name := fmt.Sprintf("ranks%d", ranks)
+		if width != 96 {
+			name = fmt.Sprintf("%dx%d_%s", width, height, name)
+		}
+		t.Run(name, func(t *testing.T) {
 			sr, err := NewSampleRenderer(m, SampleConfig{
 				Field: "okubo_weiss", Width: width, Height: height,
 				Ranks: ranks, OrthoViews: views, Cores: true,
@@ -133,6 +149,110 @@ func TestSampleRendererMatchesFieldPath(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSampleRendererTransparentColor hands the renderer a table in which
+// one visible core cell is fully transparent — something Derive never
+// makes — and requires both frames to match the masked reference path byte
+// for byte: the composite keeps the hole and is refused, the core frame
+// shows Background there.
+func TestSampleRendererTransparentColor(t *testing.T) {
+	m := testMesh(t)
+	const width, height = 96, 48
+	sr, err := NewSampleRenderer(m, SampleConfig{Field: "okubo_weiss", Width: width, Height: height, Ranks: 4, Cores: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := sr.Derive(0, testField(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hole, err := sr.rast.CellForPixel(width/2, height/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colors := slices.Clone(tables.Colors)
+	colors[hole] = color.RGBA{R: 200, G: 10, B: 10}
+	core := make([]bool, m.NCells())
+	for ci := range core {
+		core[ci] = ci%3 == 0 || ci == hole
+	}
+	hand := SampleTables{Colors: colors, Core: core}
+
+	rast, err := NewRasterizer(m, width, height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.New(m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var partials []*image.RGBA
+	for _, mask := range part.Masks() {
+		p := rast.NewFrame()
+		if err := rast.RenderColorsOwnedInto(p, colors, mask); err != nil {
+			t.Fatal(err)
+		}
+		partials = append(partials, p)
+	}
+	composited := rast.NewFrame()
+	if err := CompositeInto(composited, partials); err != nil {
+		t.Fatal(err)
+	}
+	if FullyOpaque(composited) {
+		t.Fatal("reference composite has no hole")
+	}
+	emitted := 0
+	err = sr.Render(hand, 0, func(*image.RGBA, float64, float64, float64, string) error { emitted++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "holes") {
+		t.Errorf("Render = %v, want the holes error", err)
+	}
+	if emitted != 0 {
+		t.Errorf("Render emitted %d frames of a refused sample", emitted)
+	}
+	if !bytes.Equal(sr.composited.Pix, composited.Pix) {
+		t.Error("composite differs from the reference composite")
+	}
+
+	want := rast.NewFrame()
+	if err := rast.RenderColorsOwnedInto(want, colors, core); err != nil {
+		t.Fatal(err)
+	}
+	FillTransparent(want, Background)
+	sr.renderCores(hand)
+	if !bytes.Equal(sr.coreFrame.Pix, want.Pix) {
+		t.Error("core frame differs from masked raster + FillTransparent")
+	}
+	if got := sr.coreFrame.RGBAAt(width/2, height/2); got != Background {
+		t.Errorf("transparent core cell drawn as %v, want Background", got)
+	}
+}
+
+// TestSampleRendererMemoryIndependentOfRanks guards what a renderer costs
+// to build: footprints partition one frame however many blocks cut it, so
+// 128 ranks may not allocate twice what one rank does. One partial frame
+// per rank made it 27x at 96x48 and 32x at 384x192.
+func TestSampleRendererMemoryIndependentOfRanks(t *testing.T) {
+	m := testMesh(t) // 162 cells, so 128 ranks is near the cap
+	for _, size := range [][2]int{{96, 48}, {384, 192}} {
+		build := func(ranks int) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := NewSampleRenderer(m, SampleConfig{
+				Field: "okubo_weiss", Width: size[0], Height: size[1], Ranks: ranks,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		one, many := build(1), build(128)
+		t.Logf("%dx%d: 1 rank %d B, 128 ranks %d B (%.2fx)", size[0], size[1], one, many, float64(many)/float64(one))
+		if many >= 2*one {
+			t.Errorf("%dx%d: 128 ranks allocate %d bytes to build, 1 rank %d (%.1fx), want < 2x",
+				size[0], size[1], many, one, float64(many)/float64(one))
+		}
 	}
 }
 

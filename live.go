@@ -63,7 +63,9 @@ type LiveConfig struct {
 	// 192x96).
 	ImageWidth, ImageHeight int
 	// RenderRanks is the number of simulated parallel rendering ranks
-	// composited sort-last (default 4).
+	// (default 4): one RCB block each, whose footprint — the pixels its
+	// cells cover — the rank writes straight into the composite frame,
+	// sort-last. It moves trace lanes and failover, never a stored byte.
 	RenderRanks int
 	// OrthoViews additionally renders each sample from the first N
 	// cameras of the standard six-view rig as orthographic globes — the

@@ -111,24 +111,52 @@ func readStore(t *testing.T, dir string) map[string][]byte {
 // the transport that produced it.
 func requireIdenticalStores(t *testing.T, inprocDir, tcpDir string) {
 	t.Helper()
-	inproc, tcp := readStore(t, inprocDir), readStore(t, tcpDir)
-	if len(inproc) == 0 {
-		t.Fatal("inproc store is empty")
+	requireSameStore(t, "inproc", inprocDir, "tcp", tcpDir)
+}
+
+// requireSameStore fails unless the Cinema databases under wantDir and
+// gotDir hold the same files with the same bytes; the names label them in
+// the failure messages.
+func requireSameStore(t *testing.T, wantName, wantDir, gotName, gotDir string) {
+	t.Helper()
+	want, got := readStore(t, wantDir), readStore(t, gotDir)
+	if len(want) == 0 {
+		t.Fatalf("%s store is empty", wantName)
 	}
-	for rel, want := range inproc {
-		got, ok := tcp[rel]
+	for rel, w := range want {
+		g, ok := got[rel]
 		if !ok {
-			t.Errorf("tcp store missing %s", rel)
+			t.Errorf("%s store missing %s", gotName, rel)
 			continue
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs between transports (%d vs %d bytes)", rel, len(want), len(got))
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s differs between %s and %s (%d vs %d bytes)", rel, wantName, gotName, len(w), len(g))
 		}
 	}
-	for rel := range tcp {
-		if _, ok := inproc[rel]; !ok {
-			t.Errorf("tcp store has extra file %s", rel)
+	for rel := range got {
+		if _, ok := want[rel]; !ok {
+			t.Errorf("%s store has extra file %s", gotName, rel)
 		}
+	}
+}
+
+// TestLiveStoreIndependentOfRenderRanks pins the compositing contract: the
+// render rank count decides how the frame is cut into sort-last footprints,
+// never what the frame is, so runs at 1, 4 and 64 ranks commit
+// byte-identical stores — frames, index and manifest.
+func TestLiveStoreIndependentOfRenderRanks(t *testing.T) {
+	defer leakcheck.Check(t)()
+	dirs := map[int]string{}
+	for _, ranks := range []int{1, 4, 64} {
+		dirs[ranks] = t.TempDir()
+		cfg := transitLiveConfig(dirs[ranks], telemetry.NewRegistry())
+		cfg.RenderRanks = ranks
+		if _, err := LiveRun(cfg); err != nil {
+			t.Fatalf("%d ranks: %v", ranks, err)
+		}
+	}
+	for _, ranks := range []int{4, 64} {
+		requireSameStore(t, "1-rank", dirs[1], fmt.Sprintf("%d-rank", ranks), dirs[ranks])
 	}
 }
 

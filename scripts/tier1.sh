@@ -11,6 +11,9 @@
 #   - the worker pool again under the race detector at GOMAXPROCS=8, so a
 #     2-core machine still runs oversubscribed claims, nested helping,
 #     parking and the short-cut chunk geometries
+#   - the renderer again under the race detector at GOMAXPROCS=8: every
+#     rank's footprint is written concurrently into one shared composite
+#     frame, and oversubscribed claims are how an overlapping write shows
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,5 +38,8 @@ go test -race ./...
 
 echo "== GOMAXPROCS=8 go test -race -count=3 ./internal/workpool"
 GOMAXPROCS=8 go test -race -count=3 ./internal/workpool
+
+echo "== GOMAXPROCS=8 go test -race -count=2 ./internal/render"
+GOMAXPROCS=8 go test -race -count=2 ./internal/render
 
 echo "tier-1: all green"
