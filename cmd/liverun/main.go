@@ -41,6 +41,22 @@ func splitAddrs(s string) []string {
 	return out
 }
 
+// positiveFlags are the integer flags whose zero LiveConfig reads as "use
+// the default": liverun rejects a non-positive value instead of running
+// the default while reporting the value given.
+var positiveFlags = []string{"steps", "sample-every", "subdivisions", "width", "height", "render-ranks"}
+
+// checkPositive returns an error naming the first of positiveFlags whose
+// value in fs is below 1.
+func checkPositive(fs *flag.FlagSet) error {
+	for _, name := range positiveFlags {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < 1 {
+			return fmt.Errorf("-%s must be positive, got %d", name, v)
+		}
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("liverun: ")
@@ -70,6 +86,9 @@ func main() {
 		HTTP:  "serve /metrics, /trace, and /cinema/ on this address during the run (e.g. :8080; \":0\" picks a port)",
 	})
 	flag.Parse()
+	if err := checkPositive(flag.CommandLine); err != nil {
+		log.Fatal(err)
+	}
 
 	stopProfile, err := obs.Start()
 	if err != nil {

@@ -1,8 +1,10 @@
 package mesh
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -276,9 +278,134 @@ func TestDualTriangleAreaConsistency(t *testing.T) {
 	}
 }
 
+// TestNewIcosphereAllocs guards the flat-array construction: every
+// cell's lists are sub-slices of four shared arrays and each loop's
+// scratch is per chunk, so a 10 242-cell build allocates a few dozen
+// objects, not several per cell.
+func TestNewIcosphereAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race-detector instrumentation")
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewIcosphere(5, EarthRadius); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 200 {
+		t.Errorf("NewIcosphere(5) allocates %.0f objects, want < 200", allocs)
+	}
+}
+
+// triangulation returns the points and triangles of the icosahedron after
+// subdiv subdivisions, the input NewIcosphere builds its mesh from.
+func triangulation(t *testing.T, subdiv int) ([]Vec3, [][3]int) {
+	t.Helper()
+	pts, tris := icosahedron()
+	for s := 0; s < subdiv; s++ {
+		var err error
+		if pts, tris, err = subdivide(pts, tris, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pts, tris
+}
+
+// buildErr builds the mesh of a triangulation at the given fan-out width
+// and returns its error, failing the test on a panic or a success.
+func buildErr(t *testing.T, pts []Vec3, tris [][3]int, width int) (err error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("width %d: build panicked: %v", width, r)
+		}
+	}()
+	m := &Mesh{Radius: EarthRadius}
+	if err = m.build(pts, tris, width); err == nil {
+		t.Fatalf("width %d: malformed triangulation accepted", width)
+	}
+	return err
+}
+
+// TestBuildRejectsMalformedTriangulation feeds the mesh builder hand-broken
+// copies of the 2 562-point triangulation, each broken at two places. Each
+// must fail with its own error, never panic, and name the same (lowest)
+// failing element at fan-out width 1 as at width 8, where the failures
+// fall in different chunks.
+func TestBuildRejectsMalformedTriangulation(t *testing.T) {
+	pts, tris := triangulation(t, 4)
+	const lo, hi = 300, 4000
+	clone := func() [][3]int { return append([][3]int(nil), tris...) }
+
+	removed := clone()
+	removed = append(removed[:hi], removed[hi+1:]...)
+	removed = append(removed[:lo], removed[lo+1:]...)
+
+	duplicated := append(clone(), tris[hi], tris[lo])
+
+	flipped := clone()
+	for _, ti := range []int{hi, lo} {
+		flipped[ti][1], flipped[ti][2] = flipped[ti][2], flipped[ti][1]
+	}
+
+	// The errors are exact: which edge is first to lose its twin, or to
+	// gain a third triangle, follows from the first-appearance numbering.
+	for _, tc := range []struct {
+		name string
+		tris [][3]int
+		want string
+	}{
+		{"triangle removed", removed, "mesh: boundary edge 463 on a closed sphere"},
+		{"triangle duplicated", duplicated, "mesh: edge 22-1177 shared by more than two triangles"},
+		{"triangle flipped", flipped, fmt.Sprintf("mesh: non-positive dual triangle area at vertex %d", lo)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, width := range []int{1, 8} {
+				if err := buildErr(t, pts, tc.tris, width); err.Error() != tc.want {
+					t.Errorf("width %d: error %q, want %q", width, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestBuildRejectsCocircularQuads builds the cube's surface with each
+// square face cut into two triangles. A square's corners are cocircular,
+// so both triangles have the same circumcenter and the diagonal between
+// them is a Voronoi face of zero length: a degenerate edge.
+func TestBuildRejectsCocircularQuads(t *testing.T) {
+	s := 1 / math.Sqrt(3)
+	pts := make([]Vec3, 8)
+	for i := range pts {
+		pts[i] = Vec3{-s, -s, -s}
+		for k := 0; k < 3; k++ {
+			if i>>k&1 == 1 {
+				pts[i][k] = s
+			}
+		}
+	}
+	var tris [][3]int
+	for _, q := range [][4]int{{0, 2, 6, 4}, {1, 3, 7, 5}, {0, 1, 5, 4}, {2, 3, 7, 6}, {0, 1, 3, 2}, {4, 5, 7, 6}} {
+		for _, t := range [][3]int{{q[0], q[1], q[2]}, {q[0], q[2], q[3]}} {
+			a, b, c := pts[t[0]], pts[t[1]], pts[t[2]]
+			if b.Sub(a).Cross(c.Sub(a)).Dot(a.Add(b).Add(c)) < 0 {
+				t[1], t[2] = t[2], t[1]
+			}
+			tris = append(tris, t)
+		}
+	}
+	for _, width := range []int{1, 8} {
+		// Edge 0 runs from the first triangle's first corner across its
+		// face's diagonal (the orientation swap puts the diagonal first).
+		err := buildErr(t, pts, tris, width).Error()
+		if !strings.HasPrefix(err, "mesh: degenerate edge 0 (") || !strings.HasSuffix(err, ", dv=0)") {
+			t.Errorf("width %d: error %q, want degenerate edge 0 with dv=0", width, err)
+		}
+	}
+}
+
 func BenchmarkNewIcosphere(b *testing.B) {
-	for _, subdiv := range []int{3, 4, 5} {
-		b.Run(map[int]string{3: "642cells", 4: "2562cells", 5: "10242cells"}[subdiv], func(b *testing.B) {
+	for _, subdiv := range []int{3, 4, 5, 6} {
+		b.Run(map[int]string{3: "642cells", 4: "2562cells", 5: "10242cells", 6: "40962cells"}[subdiv], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := NewIcosphere(subdiv, EarthRadius); err != nil {
 					b.Fatal(err)

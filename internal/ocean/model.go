@@ -7,6 +7,7 @@ import (
 	"insituviz/internal/linalg"
 	"insituviz/internal/mesh"
 	"insituviz/internal/telemetry"
+	"insituviz/internal/workpool"
 )
 
 // Gravity is the standard gravitational acceleration (m/s^2), the value
@@ -129,24 +130,31 @@ func NewModel(m *mesh.Mesh, cfg Config) (*Model, error) {
 	md := &Model{Mesh: m, Omega: EarthOmega, Viscosity: cfg.Viscosity, workers: resolveWorkers(cfg.Workers),
 		instr: newInstruments(cfg.Telemetry)}
 
+	// Edge and vertex fields, then the per-cell operators: every loop of
+	// the build writes only its own index's slots, so it runs on the pool
+	// and the model is bit-identical at any worker count.
 	md.coriolisEdge = make([]float64, m.NEdges())
 	md.vertexTangentSign = make([]float64, m.NEdges())
-	for ei := range m.Edges {
-		e := &m.Edges[ei]
-		md.coriolisEdge[ei] = 2 * EarthOmega * math.Sin(e.Lat)
-		v0 := m.Vertices[e.Vertices[0]].Pos
-		v1 := m.Vertices[e.Vertices[1]].Pos
-		if v1.Sub(v0).Dot(e.Tangent) >= 0 {
-			md.vertexTangentSign[ei] = 1
-		} else {
-			md.vertexTangentSign[ei] = -1
+	md.parallelFor(m.NEdges(), grainMin, func(lo, hi int) {
+		for ei := lo; ei < hi; ei++ {
+			e := &m.Edges[ei]
+			md.coriolisEdge[ei] = 2 * EarthOmega * math.Sin(e.Lat)
+			v0 := m.Vertices[e.Vertices[0]].Pos
+			v1 := m.Vertices[e.Vertices[1]].Pos
+			if v1.Sub(v0).Dot(e.Tangent) >= 0 {
+				md.vertexTangentSign[ei] = 1
+			} else {
+				md.vertexTangentSign[ei] = -1
+			}
 		}
-	}
+	})
 	md.coriolisVertex = make([]float64, m.NVertices())
-	for vi := range m.Vertices {
-		lat, _ := m.Vertices[vi].Pos.LatLon()
-		md.coriolisVertex[vi] = 2 * EarthOmega * math.Sin(lat)
-	}
+	md.parallelFor(m.NVertices(), grainMin, func(lo, hi int) {
+		for vi := lo; vi < hi; vi++ {
+			lat, _ := m.Vertices[vi].Pos.LatLon()
+			md.coriolisVertex[vi] = 2 * EarthOmega * math.Sin(lat)
+		}
+	})
 
 	if err := md.buildReconstruction(); err != nil {
 		return nil, err
@@ -189,54 +197,63 @@ func (md *Model) initGrains() {
 func (md *Model) buildReconstruction() error {
 	m := md.Mesh
 	md.recon = make([][]mesh.Vec3, m.NCells())
-	// One flat array backs every cell's coefficient slice, and the normal
-	// equations reuse one matrix, factorization, and solve buffer across
-	// cells: model construction dominates a short coupled run's allocation
-	// profile, so the builder is as reuse-conscious as the hot path.
-	total := 0
-	for ci := range m.Cells {
-		total += len(m.Cells[ci].Edges)
-	}
-	flat := make([]mesh.Vec3, total)
-	ata := linalg.NewMatrix(3, 3)
-	var f linalg.LU
-	var rows []mesh.Vec3
-	var b, x [3]float64
-	for ci := range m.Cells {
-		c := &m.Cells[ci]
-		ne := len(c.Edges)
-		// Normal equations: (A^T A) X = A^T, where A is (ne+1) x 3 with
-		// edge normals and the radial constraint row.
-		ata.Zero()
-		rows = rows[:0]
-		for _, ei := range c.Edges {
-			rows = append(rows, m.Edges[ei].Normal)
-		}
-		rows = append(rows, c.Center)
-		for _, r := range rows {
-			for a := 0; a < 3; a++ {
-				for b := 0; b < 3; b++ {
-					ata.Set(a, b, ata.At(a, b)+r[a]*r[b])
+	// One flat array backs every cell's coefficient slice, cut at the
+	// prefix sum of the cells' edge counts, and each chunk of cells reuses
+	// one matrix, factorization, and row buffer: model construction
+	// dominates a short coupled run's allocation profile, so the builder is
+	// as reuse-conscious as the hot path. A cell costs a microsecond or so,
+	// so even a grainMin chunk dwarfs the pool's fan-out overhead and the
+	// loop needs no calibrated grain.
+	off := cellOffsets(m, func(c *mesh.Cell) int { return len(c.Edges) })
+	flat := make([]mesh.Vec3, off[m.NCells()])
+	var fail workpool.FirstError
+	md.parallelFor(m.NCells(), grainMin, func(lo, hi int) {
+		ata := linalg.NewMatrix(3, 3)
+		var f linalg.LU
+		var rows []mesh.Vec3
+		var b, x [3]float64
+		for ci := lo; ci < hi; ci++ {
+			c := &m.Cells[ci]
+			ne := len(c.Edges)
+			// Normal equations: (A^T A) X = A^T, where A is (ne+1) x 3 with
+			// edge normals and the radial constraint row.
+			rows = rows[:0]
+			for _, ei := range c.Edges {
+				rows = append(rows, m.Edges[ei].Normal)
+			}
+			rows = append(rows, c.Center)
+			var sum [3][3]float64
+			for _, r := range rows {
+				for a := 0; a < 3; a++ {
+					for b := 0; b < 3; b++ {
+						sum[a][b] += r[a] * r[b]
+					}
 				}
 			}
-		}
-		if err := f.Refactor(ata); err != nil {
-			return fmt.Errorf("ocean: reconstruction at cell %d: %w", ci, err)
-		}
-		coeffs := flat[:ne:ne]
-		flat = flat[ne:]
-		for k := 0; k < ne; k++ {
-			// Column of the pseudo-inverse for edge k: solve (A^T A) x = n_k.
-			n := rows[k]
-			b = [3]float64{n[0], n[1], n[2]}
-			if err := f.SolveInto(x[:], b[:]); err != nil {
-				return fmt.Errorf("ocean: reconstruction at cell %d: %w", ci, err)
+			for a := 0; a < 3; a++ {
+				for b := 0; b < 3; b++ {
+					ata.Set(a, b, sum[a][b])
+				}
 			}
-			coeffs[k] = mesh.Vec3{x[0], x[1], x[2]}
+			if err := f.Refactor(ata); err != nil {
+				fail.Set(ci, fmt.Errorf("ocean: reconstruction at cell %d: %w", ci, err))
+				return
+			}
+			coeffs := flat[off[ci]:off[ci+1]:off[ci+1]]
+			for k := 0; k < ne; k++ {
+				// Column of the pseudo-inverse for edge k: solve (A^T A) x = n_k.
+				n := rows[k]
+				b = [3]float64{n[0], n[1], n[2]}
+				if err := f.SolveInto(x[:], b[:]); err != nil {
+					fail.Set(ci, fmt.Errorf("ocean: reconstruction at cell %d: %w", ci, err))
+					return
+				}
+				coeffs[k] = mesh.Vec3{x[0], x[1], x[2]}
+			}
+			md.recon[ci] = coeffs
 		}
-		md.recon[ci] = coeffs
-	}
-	return nil
+	})
+	return fail.Err()
 }
 
 // buildGradients precomputes least-squares tangent-plane gradient weights
@@ -245,46 +262,56 @@ func (md *Model) buildGradients() error {
 	m := md.Mesh
 	md.gradWeights = make([][][2]float64, m.NCells())
 	// As in buildReconstruction: one flat array backs every cell's weight
-	// slice, and the displacement scratch is reused across cells.
-	total := 0
-	for ci := range m.Cells {
-		total += len(m.Cells[ci].Neighbors)
-	}
-	flat := make([][2]float64, total)
-	var dx [][2]float64
-	for ci := range m.Cells {
-		c := &m.Cells[ci]
-		east, north := mesh.TangentBasis(c.Center)
-		// Design matrix rows: displacement of each neighbor center in the
-		// local (east, north) frame, scaled to physical meters.
-		dx = dx[:0]
-		var sxx, sxy, syy float64
-		for _, nb := range c.Neighbors {
-			d := mesh.ProjectToTangent(c.Center, m.Cells[nb].Center.Sub(c.Center))
-			x := d.Dot(east) * m.Radius
-			y := d.Dot(north) * m.Radius
-			dx = append(dx, [2]float64{x, y})
-			sxx += x * x
-			sxy += x * y
-			syy += y * y
-		}
-		det := sxx*syy - sxy*sxy
-		if det == 0 {
-			return fmt.Errorf("ocean: degenerate gradient stencil at cell %d", ci)
-		}
-		w := flat[:len(dx):len(dx)]
-		flat = flat[len(dx):]
-		for k := range dx {
-			x, y := dx[k][0], dx[k][1]
-			// (X^T X)^{-1} X^T row by row.
-			w[k] = [2]float64{
-				(syy*x - sxy*y) / det,
-				(sxx*y - sxy*x) / det,
+	// slice, and each chunk reuses one displacement buffer.
+	off := cellOffsets(m, func(c *mesh.Cell) int { return len(c.Neighbors) })
+	flat := make([][2]float64, off[m.NCells()])
+	var fail workpool.FirstError
+	md.parallelFor(m.NCells(), grainMin, func(lo, hi int) {
+		var dx [][2]float64
+		for ci := lo; ci < hi; ci++ {
+			c := &m.Cells[ci]
+			east, north := mesh.TangentBasis(c.Center)
+			// Design matrix rows: displacement of each neighbor center in
+			// the local (east, north) frame, scaled to physical meters.
+			dx = dx[:0]
+			var sxx, sxy, syy float64
+			for _, nb := range c.Neighbors {
+				d := mesh.ProjectToTangent(c.Center, m.Cells[nb].Center.Sub(c.Center))
+				x := d.Dot(east) * m.Radius
+				y := d.Dot(north) * m.Radius
+				dx = append(dx, [2]float64{x, y})
+				sxx += x * x
+				sxy += x * y
+				syy += y * y
 			}
+			det := sxx*syy - sxy*sxy
+			if det == 0 {
+				fail.Set(ci, fmt.Errorf("ocean: degenerate gradient stencil at cell %d", ci))
+				return
+			}
+			w := flat[off[ci]:off[ci+1]:off[ci+1]]
+			for k := range dx {
+				x, y := dx[k][0], dx[k][1]
+				// (X^T X)^{-1} X^T row by row.
+				w[k] = [2]float64{
+					(syy*x - sxy*y) / det,
+					(sxx*y - sxy*x) / det,
+				}
+			}
+			md.gradWeights[ci] = w
 		}
-		md.gradWeights[ci] = w
+	})
+	return fail.Err()
+}
+
+// cellOffsets returns the prefix sum of n over the mesh's cells: cell ci's
+// share of a flat per-cell array is [off[ci], off[ci+1]).
+func cellOffsets(m *mesh.Mesh, n func(c *mesh.Cell) int) []int {
+	off := make([]int, m.NCells()+1)
+	for ci := range m.Cells {
+		off[ci+1] = off[ci] + n(&m.Cells[ci])
 	}
-	return nil
+	return off
 }
 
 // SuggestedTimestep returns a timestep (s) satisfying an RK4 gravity-wave

@@ -1,6 +1,7 @@
 package ocean
 
 import (
+	"strings"
 	"testing"
 
 	"insituviz/internal/mesh"
@@ -147,6 +148,50 @@ func BenchmarkStepParallel10242Cells(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := md.Step(s, dt); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestBuildersReportLowestCell breaks two cells far apart, so that at 8
+// workers they fall in different chunks, and checks NewModel reports the
+// lower one, as a serial build does.
+func TestBuildersReportLowestCell(t *testing.T) {
+	const lo, hi = 300, 7000
+	for _, tc := range []struct {
+		name    string
+		corrupt func(m *mesh.Mesh, ci int)
+		want    string
+	}{
+		{"reconstruction", func(m *mesh.Mesh, ci int) {
+			// Every row the same edge normal: A^T A has rank 2.
+			c := &m.Cells[ci]
+			c.Edges = []int{c.Edges[0], c.Edges[0], c.Edges[0]}
+		}, "ocean: reconstruction at cell 300: "},
+		{"gradients", func(m *mesh.Mesh, ci int) {
+			// Every neighbor the cell itself: zero displacements.
+			c := &m.Cells[ci]
+			c.Neighbors = []int{ci, ci, ci}
+		}, "ocean: degenerate gradient stencil at cell 300"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var serial string
+			for _, workers := range []int{-1, 8} {
+				m, err := mesh.NewIcosphere(5, mesh.EarthRadius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.corrupt(m, hi)
+				tc.corrupt(m, lo)
+				_, err = NewModel(m, Config{Workers: workers})
+				if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+					t.Fatalf("workers=%d: error %v, want prefix %q", workers, err, tc.want)
+				}
+				if workers < 0 {
+					serial = err.Error()
+				} else if err.Error() != serial {
+					t.Errorf("workers=%d: error %q, serial %q", workers, err, serial)
 				}
 			}
 		})

@@ -348,6 +348,33 @@ func Run(n, chunks int, fn func(lo, hi int)) {
 	RunLoops(loops[:])
 }
 
+// FirstError keeps the error of the lowest failing index of a loop whose
+// chunks run concurrently. Each chunk that stops at its own first failure
+// and calls Set leaves the lowest failing index overall, so a fan-out
+// reports the error its serial execution would. The zero value is ready.
+type FirstError struct {
+	mu  sync.Mutex
+	at  int
+	err error
+}
+
+// Set records err as the failure at index at unless a lower index has
+// already failed.
+func (f *FirstError) Set(at int, err error) {
+	f.mu.Lock()
+	if f.err == nil || at < f.at {
+		f.at, f.err = at, err
+	}
+	f.mu.Unlock()
+}
+
+// Err returns the error of the lowest failing index, or nil.
+func (f *FirstError) Err() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
+}
+
 // RunLoops executes several independent loops as one fan-out under a
 // single completion barrier: every chunk of every loop is published in one
 // batch, chunks of different loops execute concurrently, and RunLoops

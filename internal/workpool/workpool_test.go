@@ -377,6 +377,30 @@ func workpoolGoroutines() int {
 	return bytes.Count(buf, []byte("insituviz/internal/workpool.(*pool).worker"))
 }
 
+// TestFirstErrorKeepsLowestIndex fails every index divisible by 7 across
+// many concurrent chunks, each chunk stopping at its own first failure:
+// the error kept must be index 7's, whichever chunk finishes first.
+func TestFirstErrorKeepsLowestIndex(t *testing.T) {
+	var none FirstError
+	if none.Err() != nil {
+		t.Fatal("zero FirstError holds an error")
+	}
+	for _, chunks := range []int{1, 3, 16, 64} {
+		var f FirstError
+		Run(1000, chunks, func(lo, hi int) {
+			for i := max(lo, 1); i < hi; i++ {
+				if i%7 == 0 {
+					f.Set(i, fmt.Errorf("index %d", i))
+					return
+				}
+			}
+		})
+		if err := f.Err(); err == nil || err.Error() != "index 7" {
+			t.Errorf("chunks=%d: error %v, want index 7", chunks, err)
+		}
+	}
+}
+
 // TestShutdownStopsWorkers proves idle workers park (not spin) and that
 // shutdown reaps every worker goroutine; leakcheck ignores this package by
 // name, so the test counts the worker frames directly.

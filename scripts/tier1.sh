@@ -14,6 +14,9 @@
 #   - the renderer again under the race detector at GOMAXPROCS=8: every
 #     rank's footprint is written concurrently into one shared composite
 #     frame, and oversubscribed claims are how an overlapping write shows
+#   - the mesh and the ocean model again under the race detector at
+#     GOMAXPROCS=8: their builders write shared cell, edge and vertex
+#     arrays from concurrent chunks
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -41,5 +44,8 @@ GOMAXPROCS=8 go test -race -count=3 ./internal/workpool
 
 echo "== GOMAXPROCS=8 go test -race -count=2 ./internal/render"
 GOMAXPROCS=8 go test -race -count=2 ./internal/render
+
+echo "== GOMAXPROCS=8 go test -race -count=2 ./internal/mesh ./internal/ocean"
+GOMAXPROCS=8 go test -race -count=2 ./internal/mesh ./internal/ocean
 
 echo "tier-1: all green"
