@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"insituviz/internal/cinemastore"
@@ -115,6 +116,53 @@ func TestLiveRunValidation(t *testing.T) {
 	}
 	if _, err := LiveRun(LiveConfig{OutputDir: t.TempDir(), Mode: Kind(9), Steps: 1, SampleEverySteps: 1, MeshSubdivisions: 1}); err == nil {
 		t.Error("unknown mode accepted")
+	}
+}
+
+// TestLiveRunWriteErrorAtItsSample: a frame write that fails — here a
+// directory squats on the third sample's composite frame name — fails the
+// run at that sample even though samples settle a step behind their
+// render: no index is committed, and no later sample's frame is written.
+func TestLiveRunWriteErrorAtItsSample(t *testing.T) {
+	cfg := LiveConfig{
+		Mode:             InSitu,
+		MeshSubdivisions: 2,
+		Steps:            48,
+		SampleEverySteps: 8,
+		ImageWidth:       64,
+		ImageHeight:      32,
+		RenderRanks:      2,
+	}
+	clean := cfg
+	clean.OutputDir = t.TempDir()
+	if _, err := LiveRun(clean); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cinemastore.Open(filepath.Join(clean.OutputDir, "cinema"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 6 {
+		t.Fatalf("clean run stored %d frames, want 6", st.Len())
+	}
+	third := st.EntryAt(2)
+
+	cfg.OutputDir = t.TempDir()
+	cinema := filepath.Join(cfg.OutputDir, "cinema")
+	if err := os.MkdirAll(filepath.Join(cinema, third.File), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LiveRun(cfg)
+	if err == nil || !strings.Contains(err.Error(), "rename "+third.File) {
+		t.Fatalf("LiveRun = %v, want the rename error of %s", err, third.File)
+	}
+	if _, err := os.Stat(filepath.Join(cinema, cinemastore.IndexFile)); !os.IsNotExist(err) {
+		t.Errorf("an index was committed after the failed sample (stat: %v)", err)
+	}
+	for i := 3; i < st.Len(); i++ {
+		if _, err := os.Stat(filepath.Join(cinema, st.EntryAt(i).File)); !os.IsNotExist(err) {
+			t.Errorf("sample %d's frame %s was written after sample 3 failed (stat: %v)", i+1, st.EntryAt(i).File, err)
+		}
 	}
 }
 

@@ -13,10 +13,13 @@
 // (internal/cinemaserve) share.
 //
 // Durability contract: every index and frame write goes to a temp file in
-// the destination directory, is fsynced, and is renamed into place, with
-// a directory fsync after the rename. A reader opening the database at
-// any moment — including mid-write — observes either the old or the new
-// index, never a torn one.
+// the destination directory and is renamed into place, so a reader
+// opening the database at any moment — including mid-write — observes
+// either the old or the new index, never a torn one. Frames become
+// durable at the Writer's Commit, which fsyncs every frame written since
+// the previous Commit and the directory before it writes (and fsyncs) the
+// index that names them; a crash recovers, through RepairOpen, to a
+// committed index whose every frame verifies.
 package cinemastore
 
 import (
@@ -28,9 +31,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"insituviz/internal/faults"
 	"insituviz/internal/provenance"
+	"insituviz/internal/telemetry"
 )
 
 // Format identifiers. Version 3 indexes content-address every frame with
@@ -215,25 +221,25 @@ func sortEntries(entries []Entry) {
 
 // WriteFileAtomic writes data as name inside dir so that a concurrent
 // reader of dir/name sees either the previous content or the new content,
-// never a prefix: the bytes land in an fsynced temp file in the same
-// directory (same filesystem, so the rename is atomic), the temp file is
-// renamed over the destination, and the directory is fsynced so the
-// rename itself survives a crash.
+// never a prefix, and so that the new content survives a crash once it
+// returns: the bytes land in an fsynced temp file in the same directory
+// (same filesystem, so the rename is atomic), the temp file is renamed
+// over the destination, and the directory is fsynced so the rename itself
+// is durable.
 func WriteFileAtomic(dir, name string, data []byte) error {
-	if err := writeFileAtomicNoDirSync(dir, name, data); err != nil {
+	if err := writeFile(osOps{}, dir, name, data, true); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return osOps{}.syncDir(dir)
 }
 
-// writeFileAtomicNoDirSync is WriteFileAtomic minus the trailing
-// directory fsync. The frame writer uses it: each frame's contents are
-// fsynced and renamed here, and the one directory fsync in the index
-// commit durably publishes every prior rename in the directory at once —
-// the committed boundary is what must survive a crash, not each
-// individual frame landing.
-func writeFileAtomicNoDirSync(dir, name string, data []byte) (err error) {
-	f, err := os.CreateTemp(dir, "."+name+".tmp-*")
+// writeFile writes data to a temp file in dir and renames it over name.
+// With sync set the temp file is fsynced before the rename, so the name
+// never points at unsynced bytes; without it the caller owns the file's
+// durability (Commit's sync pass). Either way the rename becomes durable
+// at the caller's next directory fsync.
+func writeFile(fs fileOps, dir, name string, data []byte, sync bool) (err error) {
+	f, err := fs.createTemp(dir, "."+name+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("cinemastore: create temp for %s: %w", name, err)
 	}
@@ -247,21 +253,66 @@ func writeFileAtomicNoDirSync(dir, name string, data []byte) (err error) {
 		f.Close()
 		return fmt.Errorf("cinemastore: write %s: %w", name, err)
 	}
-	if err = f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("cinemastore: fsync %s: %w", name, err)
+	if sync {
+		if err = f.Sync(); err != nil {
+			f.Close()
+			return fmt.Errorf("cinemastore: fsync %s: %w", name, err)
+		}
 	}
 	if err = f.Close(); err != nil {
 		return fmt.Errorf("cinemastore: close %s: %w", name, err)
 	}
-	if err = os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+	if err = fs.rename(tmp, filepath.Join(dir, name)); err != nil {
 		return fmt.Errorf("cinemastore: rename %s: %w", name, err)
 	}
 	return nil
 }
 
+// fileOps is the writer's file-system seam: the operations whose order
+// decides what a crash leaves behind. osOps passes straight to the os
+// package; the crash-point test records the calls and replays every
+// post-crash state they allow.
+type fileOps interface {
+	createTemp(dir, pattern string) (tempFile, error)
+	rename(oldpath, newpath string) error
+	syncFile(path string) error // open, fsync, close
+	syncDir(dir string) error
+}
+
+// tempFile is the part of *os.File a temp file is written through.
+type tempFile interface {
+	Name() string
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+type osOps struct{}
+
+func (osOps) createTemp(dir, pattern string) (tempFile, error) {
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osOps) rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+func (osOps) syncFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("cinemastore: open %s for fsync: %w", filepath.Base(path), err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("cinemastore: fsync %s: %w", filepath.Base(path), err)
+	}
+	return f.Close()
+}
+
 // syncDir fsyncs a directory so a just-renamed entry is durable.
-func syncDir(dir string) error {
+func (osOps) syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("cinemastore: open dir %s: %w", dir, err)
@@ -273,18 +324,53 @@ func syncDir(dir string) error {
 	return nil
 }
 
+// syncWidth is how many fsyncs Commit's sync pass has in flight at once.
+// Each blocked fsync pins an OS thread, so the pass is a fixed set of
+// goroutines claiming names in order, never one goroutine per file.
+const syncWidth = 8
+
+// syncFiles fsyncs every named file in dir, syncWidth at a time, and
+// returns the error of the lowest-indexed name that failed.
+func syncFiles(fs fileOps, dir string, names []string) error {
+	errs := make([]error, len(names))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < min(syncWidth, len(names)); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(names); i = int(next.Add(1)) - 1 {
+				errs[i] = fs.syncFile(filepath.Join(dir, names[i]))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Writer accumulates frames for one database and commits a versioned
 // index over them. Frames are written (atomically) as they are put; the
 // index becomes visible to readers only on Commit, which is itself
 // atomic, so a database is always observed at a committed boundary.
-// Not safe for concurrent use.
+// Commit is also where the frames become durable: it fsyncs every frame
+// put or adopted since the previous Commit before the index that names
+// them. Not safe for concurrent use.
 type Writer struct {
 	dir     string
+	fs      fileOps
 	entries []Entry
 	byKey   map[Key]int
 	files   map[string]bool
 	total   int64
 	ledger  *provenance.Ledger
+	// pending names the frame files put or adopted since the last Commit
+	// whose bytes no fsync has covered yet: Commit's sync pass owns them.
+	pending []string
 	// lastRoot is the root of the most recently appended manifest record
 	// (durable or still pending); it dedups pure Commit retries after a
 	// torn manifest append.
@@ -293,6 +379,14 @@ type Writer struct {
 	// Fault injection (nil without SetFaults; a nil site never fires).
 	inj        *faults.Injector
 	commitSite *faults.Site
+
+	mSynced *telemetry.Counter // nil without SetTelemetry
+}
+
+// SetTelemetry registers cinema.commit.synced in reg: the frame files
+// Commit's sync pass has fsynced. A nil registry detaches it.
+func (w *Writer) SetTelemetry(reg *telemetry.Registry) {
+	w.mSynced = reg.Counter("cinema.commit.synced")
 }
 
 // SetFaults arms the writer's "cinema.commit" fault site — an injected
@@ -337,7 +431,7 @@ func Create(dir string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{dir: dir, byKey: map[Key]int{}, files: map[string]bool{}, ledger: ledger}, nil
+	return &Writer{dir: dir, fs: osOps{}, byKey: map[Key]int{}, files: map[string]bool{}, ledger: ledger}, nil
 }
 
 // fileName derives a readable, collision-free frame file name from a key.
@@ -372,6 +466,13 @@ func sanitize(s string) string {
 // Put stores one encoded frame under key, writing the file atomically,
 // and returns the recorded entry. Duplicate keys are rejected: the axes
 // must address frames uniquely for the query engine to be meaningful.
+//
+// The frame is not fsynced here: the next Commit syncs it before the
+// index that names it, which is the only point a reader or a crash
+// recovery can rely on it. The one exception is a name that already
+// exists on disk — a rerun into a committed store — where the bytes are
+// fsynced before the rename, so a committed frame is never replaced by
+// unsynced bytes.
 func (w *Writer) Put(key Key, data []byte) (Entry, error) {
 	if err := key.Validate(); err != nil {
 		return Entry{}, err
@@ -383,8 +484,13 @@ func (w *Writer) Put(key Key, data []byte) (Entry, error) {
 		return Entry{}, fmt.Errorf("cinemastore: duplicate key %+v (already stored as %s)", key, w.entries[i].File)
 	}
 	name := w.fileName(key)
-	if err := writeFileAtomicNoDirSync(w.dir, name, data); err != nil {
+	_, statErr := os.Lstat(filepath.Join(w.dir, name))
+	replaces := statErr == nil
+	if err := writeFile(w.fs, w.dir, name, data, replaces); err != nil {
 		return Entry{}, err
+	}
+	if !replaces {
+		w.pending = append(w.pending, name)
 	}
 	e := Entry{Key: key, File: name, Bytes: int64(len(data)), Digest: provenance.Sum(data).Hex()}
 	w.byKey[key] = len(w.entries)
@@ -401,7 +507,9 @@ func (w *Writer) Put(key Key, data []byte) (Entry, error) {
 // size check always, a full SHA-256 re-hash when the entry carries a
 // content address (worker acks do) — and folds it into its index exactly
 // as if Put had written it, so Commit publishes one index over both
-// origins and the sim never vouches for bytes it has not verified.
+// origins and the sim never vouches for bytes it has not verified. The
+// writing process need not have fsynced the file: Commit syncs adopted
+// files by name along with its own.
 func (w *Writer) Adopt(e Entry) error {
 	if err := e.Key.Validate(); err != nil {
 		return err
@@ -435,6 +543,7 @@ func (w *Writer) Adopt(e Entry) error {
 	w.byKey[e.Key] = len(w.entries)
 	w.entries = append(w.entries, e)
 	w.files[e.File] = true
+	w.pending = append(w.pending, e.File)
 	w.total += e.Bytes
 	return nil
 }
@@ -454,9 +563,13 @@ func (w *Writer) TotalBytes() int64 { return w.total }
 // returns the index's encoded size. Commit may be called repeatedly;
 // each call publishes the entries accumulated so far, and concurrent
 // readers observe one committed index or the previous one, never a
-// mixture. Commit's directory fsync is also the durability boundary for
-// the frames: it makes every prior frame rename in the directory
-// crash-durable along with the index referencing them.
+// mixture.
+//
+// Commit is the frames' durability boundary. It first fsyncs every frame
+// put or adopted since the previous Commit (syncWidth at a time), then
+// the directory, so every frame the new index names is on disk, bytes and
+// name, before the index can be: a crash at any point leaves the previous
+// committed index or this one, and every frame either names verifies.
 //
 // The index lands before the manifest record, so a Commit torn at either
 // step leaves the manifest head no further than the on-disk index. A
@@ -468,12 +581,20 @@ func (w *Writer) Commit() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	if err := syncFiles(w.fs, w.dir, w.pending); err != nil {
+		return 0, err
+	}
+	w.mSynced.Add(int64(len(w.pending)))
+	w.pending = w.pending[:0]
+	if err := w.fs.syncDir(w.dir); err != nil {
+		return 0, err
+	}
 	// Preserve the previous committed index (if parseable) as the repair
 	// fallback before the new one replaces it. The backup rename is made
 	// durable by the same directory fsync that publishes the new index.
 	if prev, err := os.ReadFile(filepath.Join(w.dir, IndexFile)); err == nil {
 		if _, _, err := DecodeIndex(prev); err == nil {
-			if err := writeFileAtomicNoDirSync(w.dir, BackupFile, prev); err != nil {
+			if err := writeFile(w.fs, w.dir, BackupFile, prev, true); err != nil {
 				return 0, err
 			}
 		}
@@ -487,7 +608,10 @@ func (w *Writer) Commit() (int64, error) {
 		}
 		return 0, &TornCommitError{Dir: w.dir, Written: tear, Total: len(data)}
 	}
-	if err := WriteFileAtomic(w.dir, IndexFile, data); err != nil {
+	if err := writeFile(w.fs, w.dir, IndexFile, data, true); err != nil {
+		return 0, err
+	}
+	if err := w.fs.syncDir(w.dir); err != nil {
 		return 0, err
 	}
 	// Pin the committed state in the provenance chain. A retried Commit

@@ -148,7 +148,7 @@ func RepairOpen(dir string) (*Store, *Repair, error) {
 	}
 
 	if len(rep.Quarantined)+len(rep.CorruptQuarantined) > 0 || rep.RecoveredBackup {
-		if err := syncDir(dir); err != nil {
+		if err := (osOps{}).syncDir(dir); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -212,9 +212,10 @@ type workerRun struct {
 
 // writerDepth is the depth of the worker's PipelinedCinemaWriter. A sample
 // is acked at its flush barrier, so a deeper queue only lets its last
-// renders run further ahead of the fsyncs, for more staging frames: on the
+// renders run further ahead of the writes, for more staging frames: on the
 // benchmark's transit_tcp shape depth 2 cost 0.9 MB more resident memory
-// per worker than depth 1 and no wall time.
+// per worker than depth 1 and no wall time (measured while the worker
+// still fsynced every frame before its ack).
 const writerDepth = 1
 
 // errWorkerClosing fails a sample that reaches a closing worker. It starts
@@ -268,7 +269,9 @@ func (w *Worker) handleSample(seq uint64, simTime float64, colors []color.RGBA, 
 	// The shipped tables go through the same SampleRenderer and the same
 	// three-stage writer an inproc run uses, so the stored frames are that
 	// run's bytes. The ack waits for the writer's flush barrier: every
-	// entry it carries, in emit order, is written, fsynced and renamed.
+	// entry it carries, in emit order, is written and renamed into place.
+	// It is not yet durable: the sim's index commit fsyncs the frames it
+	// adopted, by name, before the index that names them.
 	run := w.run
 	w.lane.Begin("transit.render")
 	err := run.sr.Render(render.SampleTables{Colors: colors, Core: core}, simTime, run.pw.Submit)

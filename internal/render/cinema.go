@@ -182,9 +182,11 @@ func (p *palettizer) palettize(src *image.RGBA) bool {
 // pipeline writes one of these instead of raw netCDF dumps.
 //
 // Storage is delegated to the durable cinemastore format: every frame and
-// the committed index are written atomically (temp file, fsync, rename),
-// so a crash mid-run or a concurrent reader — the query server tailing a
-// live run — observes a committed database, never a torn one. The
+// the committed index are written atomically (temp file, rename), and
+// WriteIndex fsyncs the frames written since the previous commit before
+// the index that names them, so a crash mid-run or a concurrent reader —
+// the query server tailing a live run — observes a committed database
+// whose frames verify, never a torn one. The
 // resulting directory opens directly with cinemastore.Open and serves
 // through cinemaserve. Frames reach it through a PipelinedCinemaWriter,
 // or by Adopt when another process wrote them.
@@ -204,9 +206,11 @@ type CinemaDB struct {
 var FrameSizeBuckets = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
 
 // SetTelemetry registers the database's metrics — render.frames,
-// render.encoded.bytes, and the render.frame.bytes size histogram — in
-// reg. A nil registry detaches the instrumentation.
+// render.encoded.bytes, the render.frame.bytes size histogram, and the
+// store's cinema.commit.synced — in reg. A nil registry detaches the
+// instrumentation.
 func (db *CinemaDB) SetTelemetry(reg *telemetry.Registry) {
+	db.w.SetTelemetry(reg)
 	db.mFrames = reg.Counter("render.frames")
 	db.mBytes = reg.Counter("render.encoded.bytes")
 	db.mFrameBytes = reg.Histogram("render.frame.bytes", FrameSizeBuckets)
@@ -267,9 +271,10 @@ func (db *CinemaDB) Adopt(e cinemastore.Entry) error {
 func (db *CinemaDB) Close() error { return db.w.CloseLedger() }
 
 // WriteIndex atomically commits the info.json database index and returns
-// its size. It may be called repeatedly — a live run can republish after
-// every sample, and a concurrent reader always observes a committed
-// index.
+// its size, after fsyncing every frame put or adopted since the previous
+// commit: it is the frames' durability boundary. It may be called
+// repeatedly — a live run can republish after every sample, and a
+// concurrent reader always observes a committed index.
 func (db *CinemaDB) WriteIndex() (units.Bytes, error) {
 	n, err := db.w.Commit()
 	if err != nil {

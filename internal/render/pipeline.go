@@ -22,20 +22,22 @@ type pipeJob struct {
 	key    cinemastore.Key
 	png    bytes.Buffer
 	err    error
-	ack    chan pipeTotals
+	ack    chan Totals
 }
 
 // maxStaged bounds a job's staging buffers. A run's frames come in one or
 // two geometries (the equirectangular frames and the square ortho views).
 const maxStaged = 4
 
-// pipeTotals is the accounting the putter hands back at a flush barrier:
-// the entries it wrote since the previous barrier, in submission order,
-// their byte total, and the first error either stage hit.
-type pipeTotals struct {
-	entries []cinemastore.Entry
-	bytes   units.Bytes
-	err     error
+// Totals is the accounting the putter hands back at a flush barrier.
+type Totals struct {
+	// Entries are the store entries written since the previous barrier,
+	// in submission order, and Bytes their total.
+	Entries []cinemastore.Entry
+	Bytes   units.Bytes
+	// Err is the first encode or write error either stage hit, at this
+	// barrier or any earlier one: it is sticky.
+	Err error
 }
 
 var errWriterClosed = errors.New("render: writer closed")
@@ -44,24 +46,29 @@ var errWriterClosed = errors.New("render: writer closed")
 // other and with the caller's next render. Submit copies the frame into an
 // owned staging buffer and returns as soon as the copy is queued; an
 // encoder goroutine turns staged frames into PNG bytes in the job's own
-// buffer, and a putter goroutine behind it hashes, writes and fsyncs them
-// through the CinemaDB. Each stage is one goroutine joined to the next by
-// a FIFO channel, so the store sees exactly the sequential write pattern
-// it would from a serial caller while frame k+1 encodes during frame k's
-// fsync wait. Flush is the accounting barrier: it travels the same two
-// queues, so when it is answered every earlier frame has been written, and
-// it returns the store entries written since the previous barrier, in
+// buffer, and a putter goroutine behind it hashes and writes them through
+// the CinemaDB (the store fsyncs them later, at its commit). Each stage is
+// one goroutine joined to the next by a FIFO channel, so the store sees
+// exactly the sequential write pattern it would from a serial caller while
+// frame k+1 encodes during frame k's write.
+//
+// Mark is the accounting barrier: it travels the same two queues, and the
+// channel it returns is answered once every earlier frame has been
+// written, with the store entries written since the previous barrier, in
 // submission order, their byte total, and the first encode or write error
 // in submission order (frames after an error are dropped, not written).
-// It is CinemaDB's only frame-writing path: the in-process run and the
-// in-transit viz worker both store frames through it.
+// Mark returns at once, so a caller can render the next sample while this
+// one drains and collect the totals later; several marks may be
+// outstanding and are answered in order. Flush is Mark followed by the
+// wait. The writer is CinemaDB's only frame-writing path: the in-process
+// run and the in-transit viz worker both store frames through it.
 //
-// One goroutine may Submit at a time, and the underlying CinemaDB must not
-// be used directly between a Submit and the next Flush — the stage
-// goroutines own it in that window. Close releases the goroutines and is
-// safe to call more than once and after errors; a final implicit barrier
-// surfaces any error not yet collected by Flush. Submit and Flush after
-// Close return an error.
+// One goroutine may Submit and Mark at a time, and the underlying CinemaDB
+// must not be used directly between a Submit and the answer to the next
+// barrier — the stage goroutines own it in that window. Close releases
+// the goroutines and is safe to call more than once, after errors and with
+// marks still unread; a final implicit barrier surfaces any error not yet
+// collected. Submit, Mark and Flush after Close return an error.
 type PipelinedCinemaWriter struct {
 	db      *CinemaDB
 	jobs    chan *pipeJob // Submit → encoder
@@ -119,28 +126,28 @@ func (w *PipelinedCinemaWriter) encode() {
 // recycle jobs.
 func (w *PipelinedCinemaWriter) put() {
 	defer close(w.done)
-	var t pipeTotals
+	var t Totals
 	for j := range w.encoded {
 		if j.ack != nil {
 			j.ack <- t
 			// Accounting restarts at the barrier; the error stays sticky so
-			// a Close after a failed Flush reports it again rather than
+			// a Close after a failed barrier reports it again rather than
 			// pretending the tail of the run was clean.
-			t.entries, t.bytes = nil, 0
+			t.Entries, t.Bytes = nil, 0
 			continue
 		}
-		// Once poisoned, drop: Flush surfaces the first error instead of a
-		// cascade of follow-on failures.
-		if t.err == nil {
-			t.err = j.err
+		// Once poisoned, drop: the barrier surfaces the first error instead
+		// of a cascade of follow-on failures.
+		if t.Err == nil {
+			t.Err = j.err
 		}
-		if t.err == nil {
+		if t.Err == nil {
 			e, err := w.db.putFrame(j.key, j.png.Bytes())
 			if err != nil {
-				t.err = err
+				t.Err = err
 			} else {
-				t.entries = append(t.entries, e)
-				t.bytes += units.Bytes(e.Bytes)
+				t.Entries = append(t.Entries, e)
+				t.Bytes += units.Bytes(e.Bytes)
 			}
 		}
 		w.free <- j
@@ -182,8 +189,8 @@ func (j *pipeJob) stage(src *image.RGBA) {
 // Submit stages img for encoding under the full Cinema axis tuple and
 // returns once the copy is queued — the caller may immediately rerender
 // into img. Blocks only when every job is in flight (the stages are behind
-// by depth+2 frames). Encode and write errors surface at the next Flush,
-// in submission order.
+// by depth+2 frames). Encode and write errors surface at the next
+// barrier, in submission order.
 func (w *PipelinedCinemaWriter) Submit(img *image.RGBA, simTime, phi, theta float64, field string) error {
 	if img == nil {
 		return fmt.Errorf("render: nil image")
@@ -201,25 +208,37 @@ func (w *PipelinedCinemaWriter) Submit(img *image.RGBA, simTime, phi, theta floa
 	return nil
 }
 
-// barrier sends a flush barrier down both stages and waits for the putter
-// to answer it.
-func (w *PipelinedCinemaWriter) barrier() pipeTotals {
-	ack := make(chan pipeTotals, 1)
+// barrier sends a flush barrier down both stages and returns the channel
+// the putter answers it on. The channel holds one answer, so the putter
+// never waits for a caller to read it.
+func (w *PipelinedCinemaWriter) barrier() <-chan Totals {
+	ack := make(chan Totals, 1)
 	w.jobs <- &pipeJob{ack: ack}
-	return <-ack
+	return ack
+}
+
+// Mark queues a flush barrier behind every frame submitted so far and
+// returns the channel its Totals arrive on once those frames are encoded
+// and written. It waits only when the queue ahead of the encoder is full.
+func (w *PipelinedCinemaWriter) Mark() (<-chan Totals, error) {
+	if w.closed.Load() {
+		return nil, errWriterClosed
+	}
+	return w.barrier(), nil
 }
 
 // Flush waits for every submitted frame to be encoded and written, then
-// returns the entries written since the previous Flush, in submission
+// returns the entries written since the previous barrier, in submission
 // order, their byte total, and the first error encountered. After an
 // error the skipped frames are not retried; the caller decides whether to
 // abort or keep sampling.
 func (w *PipelinedCinemaWriter) Flush() ([]cinemastore.Entry, units.Bytes, error) {
-	if w.closed.Load() {
-		return nil, 0, errWriterClosed
+	mark, err := w.Mark()
+	if err != nil {
+		return nil, 0, err
 	}
-	t := w.barrier()
-	return t.entries, t.bytes, t.err
+	t := <-mark
+	return t.Entries, t.Bytes, t.Err
 }
 
 // Close drains both queues, stops the stage goroutines, and returns any
@@ -228,7 +247,7 @@ func (w *PipelinedCinemaWriter) Flush() ([]cinemastore.Entry, units.Bytes, error
 func (w *PipelinedCinemaWriter) Close() error {
 	w.closeOnce.Do(func() {
 		w.closed.Store(true)
-		w.closeErr = w.barrier().err
+		w.closeErr = (<-w.barrier()).Err
 		close(w.jobs)
 		<-w.done
 	})

@@ -5,6 +5,7 @@ import (
 	"image"
 	"strings"
 	"testing"
+	"time"
 
 	"insituviz/internal/cinemastore"
 	"insituviz/internal/leakcheck"
@@ -147,7 +148,7 @@ func TestPipelinedWriterErrorOrder(t *testing.T) {
 		{"encode error", []submit{{good, 0}, {empty, 1}, {good, 2}}, "png encode"},
 		{"put error", []submit{{good, 0}, {good, 0}, {good, 2}}, "write image"},
 		// The encoder can reach the empty frame while the putter is still
-		// inside frame 0's fsync; the duplicate was submitted first and wins.
+		// inside frame 0's write; the duplicate was submitted first and wins.
 		{"put error before encode error", []submit{{good, 0}, {good, 0}, {empty, 1}, {good, 2}}, "write image"},
 		{"encode error before put error", []submit{{good, 0}, {empty, 1}, {good, 0}, {good, 2}}, "png encode"},
 	} {
@@ -182,5 +183,106 @@ func TestPipelinedWriterErrorOrder(t *testing.T) {
 				t.Fatalf("second Flush = (%d entries, %v), want (0, %v)", len(flushed), err2, err)
 			}
 		})
+	}
+}
+
+// TestPipelinedWriterMarks pins the asynchronous barrier: marks left
+// outstanding answer in order, each with only its own frames; a sticky
+// error reaches the barrier it happened before and every later one; and
+// Close does not wait for anyone to read a mark.
+func TestPipelinedWriterMarks(t *testing.T) {
+	defer leakcheck.Check(t)()
+	db, err := NewCinemaDB(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewPipelinedCinemaWriter(db, 1)
+	defer w.Close()
+	frame := image.NewRGBA(image.Rect(0, 0, 8, 8))
+	submit := func(simTime float64) {
+		t.Helper()
+		fillFrame(frame, byte(simTime)+1)
+		if err := w.Submit(frame, simTime, 0, 0, "w"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mark := func() <-chan Totals {
+		t.Helper()
+		m, err := w.Mark()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	submit(0)
+	submit(1)
+	first := mark()
+	submit(2)
+	second := mark()
+	for i, tc := range []struct {
+		mark  <-chan Totals
+		times []float64
+	}{{first, []float64{0, 1}}, {second, []float64{2}}} {
+		got := <-tc.mark
+		if got.Err != nil || len(got.Entries) != len(tc.times) {
+			t.Fatalf("mark %d = %d entries, %v; want %d, nil", i, len(got.Entries), got.Err, len(tc.times))
+		}
+		var bytes units.Bytes
+		for j, e := range got.Entries {
+			if e.Time != tc.times[j] {
+				t.Fatalf("mark %d entry %d at time %v, want %v", i, j, e.Time, tc.times[j])
+			}
+			bytes += units.Bytes(e.Bytes)
+		}
+		if got.Bytes != bytes {
+			t.Fatalf("mark %d bytes = %d, entries sum to %d", i, got.Bytes, bytes)
+		}
+	}
+
+	// A duplicate key fails the frame before the third mark: that mark and
+	// the two after it report it, and nothing after it is written.
+	submit(3)
+	submit(3)
+	failed := mark()
+	submit(4)
+	later := mark()
+	last := mark()
+	got := <-failed
+	if got.Err == nil || len(got.Entries) != 1 {
+		t.Fatalf("failing mark = %d entries, %v; want 1 entry and the duplicate-key error", len(got.Entries), got.Err)
+	}
+	for i, m := range []<-chan Totals{later, last} {
+		if after := <-m; after.Err == nil || after.Err.Error() != got.Err.Error() || len(after.Entries) != 0 {
+			t.Fatalf("mark %d after the error = %d entries, %v; want 0 and %v", i, len(after.Entries), after.Err, got.Err)
+		}
+	}
+	if n := len(db.w.Entries()); n != 4 {
+		t.Fatalf("store holds %d entries, want 4", n)
+	}
+
+	// Marks nobody reads must not hold Close up.
+	fresh := NewPipelinedCinemaWriter(db, 1)
+	img := image.NewRGBA(image.Rect(0, 0, 8, 8))
+	for i := 0; i < 3; i++ {
+		if err := fresh.Submit(img, float64(5+i), 0, 0, "w"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Mark(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- fresh.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung on unread marks")
+	}
+	if _, err := fresh.Mark(); !errors.Is(err, errWriterClosed) {
+		t.Errorf("Mark after Close = %v, want %v", err, errWriterClosed)
 	}
 }

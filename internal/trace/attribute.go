@@ -288,8 +288,9 @@ func NodePowerModel() PowerModel {
 	ioWait := idle + 0.95*(busy-idle)
 	return PowerModel{
 		Phases: map[string]units.Watts{
-			"io.dump": units.Watts(ioWait),
-			"io.read": units.Watts(ioWait),
+			"io.dump":   units.Watts(ioWait),
+			"io.read":   units.Watts(ioWait),
+			"io.commit": units.Watts(ioWait),
 		},
 		Busy: busy,
 		Idle: idle,

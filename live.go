@@ -97,7 +97,8 @@ type LiveConfig struct {
 	// Tracer, when non-nil, receives the run's timeline on its wall
 	// clock: per-step "sim.step" spans, "viz.sample" spans (with nested
 	// "viz.render" and "viz.detect"), "io.dump"/"io.read" spans in
-	// post-processing mode — all on the "driver" lane — plus one
+	// post-processing mode, the closing "io.commit" of the image
+	// database — all on the "driver" lane — plus one
 	// "render.rank<N>" lane per rendering rank. When set, LiveRun also
 	// joins the driver timeline against the Caddy node power model and
 	// fills LiveResult.Timeline, PowerProfile, and PhaseEnergy.
@@ -587,9 +588,11 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	// retries through injected torn writes: a TornCommitError leaves a
 	// corrupt index prefix the next atomic commit simply overwrites, and
 	// a TornManifestError leaves a torn provenance-ledger tail the next
-	// commit truncates and rewrites.
+	// commit truncates and rewrites. It is also where every frame of the
+	// run is fsynced, so its "io.commit" span carries that wait.
 	mCommitRetries := reg.Counter("cinema.commit.retries")
 	const commitAttempts = 4
+	drv.Begin("io.commit")
 	for attempt := 1; ; attempt++ {
 		_, err := db.WriteIndex()
 		if err == nil {
@@ -598,10 +601,12 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		var torn *cinemastore.TornCommitError
 		var tornM *provenance.TornManifestError
 		if !(errors.As(err, &torn) || errors.As(err, &tornM)) || attempt >= commitAttempts {
+			drv.End()
 			return nil, err
 		}
 		mCommitRetries.Inc()
 	}
+	drv.End()
 	if err := db.Close(); err != nil {
 		return nil, err
 	}
@@ -686,10 +691,12 @@ type pendingSample struct {
 // vizStep is a transport's render step. send starts one sampled field's
 // frames; collect returns the cost of the oldest sample sent and not yet
 // collected, waiting for it if need be, and ready reports whether it
-// would return at once. In process a sample is committed before send
-// returns; in transit it is committed when its worker acks, with at most
-// one sample in flight per worker. close releases the step (idempotent)
-// and surfaces any write error no sample lived to collect.
+// would return at once. In process a sample is written when the
+// pipelined writer answers its mark, which may be after later samples
+// were rendered; in transit it is written when its worker acks, with at
+// most one sample in flight per worker. Either way its frames become
+// durable at the run's index commit. close releases the step
+// (idempotent) and surfaces any write error no sample lived to collect.
 type vizStep interface {
 	send(simTime float64, field []float64) error
 	ready() bool
@@ -731,10 +738,12 @@ func (v *transitViz) collect() (sampleCost, error) {
 // localViz is the in-process render step: crash roulette over the render
 // ranks, then the shared sample renderer feeding the pipelined encoder.
 type localViz struct {
-	sr   *render.SampleRenderer
-	pw   *render.PipelinedCinemaWriter
-	res  *LiveResult
-	cost sampleCost // the last sample's, until collected
+	sr  *render.SampleRenderer
+	pw  *render.PipelinedCinemaWriter
+	res *LiveResult
+	// marks holds the writer's barrier of every sample sent and not yet
+	// collected, oldest first.
+	marks []<-chan render.Totals
 
 	rankSite   *faults.Site
 	rankLanes  []*trace.Lane
@@ -762,11 +771,22 @@ func (lv *localViz) failover() {
 	lv.res.Failovers++
 }
 
-func (lv *localViz) ready() bool                  { return true }
-func (lv *localViz) collect() (sampleCost, error) { return lv.cost, nil }
-func (lv *localViz) close() error                 { return lv.pw.Close() }
+// ready reports whether the oldest sample's mark has been answered: its
+// channel holds the one answer it will ever get.
+func (lv *localViz) ready() bool  { return len(lv.marks[0]) > 0 }
+func (lv *localViz) close() error { return lv.pw.Close() }
 
-// send renders one sample and waits until its frames are written.
+// collect waits for the oldest sample's frames to be written and returns
+// what they cost; a write failure surfaces at the sample that caused it.
+func (lv *localViz) collect() (sampleCost, error) {
+	t := <-lv.marks[0]
+	lv.marks = lv.marks[1:]
+	return sampleCost{frames: len(t.Entries), bytes: int64(t.Bytes), sioBytes: int64(t.Bytes)}, t.Err
+}
+
+// send renders one sample, submits its frames and marks its end. It does
+// not wait for them: they encode and write while the run steps on to the
+// next sample, and collect settles them in order.
 func (lv *localViz) send(simTime float64, field []float64) error {
 	// Crash roulette: each still-alive rank consults the injector once per
 	// sample. A crash kills the rank for the rest of the run. The last
@@ -808,12 +828,12 @@ func (lv *localViz) send(simTime float64, field []float64) error {
 	if err := lv.sr.Render(tables, simTime, lv.pw.Submit); err != nil {
 		return err
 	}
-	// Per-sample accounting barrier: wait for the encoder to finish this
-	// sample's frames so only committed frames are counted and a write
-	// failure aborts at the sample that caused it.
-	entries, bytes, err := lv.pw.Flush()
-	lv.cost = sampleCost{frames: len(entries), bytes: int64(bytes), sioBytes: int64(bytes)}
-	return err
+	mark, err := lv.pw.Mark()
+	if err != nil {
+		return err
+	}
+	lv.marks = append(lv.marks, mark)
+	return nil
 }
 
 // advanceStep integrates one solver step under the driver lane's

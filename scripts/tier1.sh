@@ -17,6 +17,9 @@
 #   - the mesh and the ocean model again under the race detector at
 #     GOMAXPROCS=8: their builders write shared cell, edge and vertex
 #     arrays from concurrent chunks
+#   - the Cinema store again under the race detector at GOMAXPROCS=8:
+#     Commit fsyncs the frames written since the last commit from a
+#     bounded set of concurrent goroutines
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -47,5 +50,8 @@ GOMAXPROCS=8 go test -race -count=2 ./internal/render
 
 echo "== GOMAXPROCS=8 go test -race -count=2 ./internal/mesh ./internal/ocean"
 GOMAXPROCS=8 go test -race -count=2 ./internal/mesh ./internal/ocean
+
+echo "== GOMAXPROCS=8 go test -race -count=2 ./internal/cinemastore"
+GOMAXPROCS=8 go test -race -count=2 ./internal/cinemastore
 
 echo "tier-1: all green"
