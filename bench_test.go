@@ -28,7 +28,6 @@ import (
 	"sync"
 	"testing"
 
-	"insituviz/internal/catalyst"
 	"insituviz/internal/core"
 	"insituviz/internal/livemodel"
 	"insituviz/internal/lustre"
@@ -673,57 +672,5 @@ func BenchmarkExtensionImageQualityTradeoff(b *testing.B) {
 				fmt.Sprintf("%.1f dB", psnr))
 		}
 		emit(b, tb.String()+"images shrink much faster than fidelity degrades — the Cinema trade the paper's in-situ pipeline exploits\n")
-	}
-}
-
-// BenchmarkExtensionAdaptiveSampling compares the paper's fixed-rate
-// sampling against a data-driven trigger on real solver output: the
-// unstable jet changes fast while the instability grows, then the flow
-// decays; an adaptive trigger concentrates its outputs in the active phase
-// — the data-aware refinement of the Section VII framework.
-func BenchmarkExtensionAdaptiveSampling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		msh, err := mesh.NewIcosphere(3, mesh.EarthRadius)
-		if err != nil {
-			b.Fatal(err)
-		}
-		md, err := ocean.NewModel(msh, ocean.Config{Viscosity: 5e5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := ocean.UnstableJet(md, ocean.DefaultGalewsky())
-		if err != nil {
-			b.Fatal(err)
-		}
-		dt := md.SuggestedTimestep(10000)
-
-		periodic := &catalyst.PeriodicTrigger{Every: 6}
-		adaptive, err := catalyst.NewAdaptiveTrigger(6, 60, 0.35)
-		if err != nil {
-			b.Fatal(err)
-		}
-		const steps = 180
-		pFired, aFired := 0, 0
-		var aSteps []int
-		for step := 1; step <= steps; step++ {
-			if err := md.Step(st, dt); err != nil {
-				b.Fatal(err)
-			}
-			field := md.OkuboWeiss(st)
-			if periodic.ShouldFire(step, field) {
-				pFired++
-			}
-			if adaptive.ShouldFire(step, field) {
-				aFired++
-				aSteps = append(aSteps, step)
-			}
-		}
-		tb := report.NewTable("Extension — fixed-rate vs data-driven sampling (unstable jet, 180 steps)",
-			"trigger", "outputs", "image volume at 1.1 MB/set")
-		tb.AddRow(periodic.Name(), fmt.Sprintf("%d", pFired),
-			(units.Bytes(pFired) * pipeline.RefImageSetBytes).String())
-		tb.AddRow(adaptive.Name(), fmt.Sprintf("%d", aFired),
-			(units.Bytes(aFired) * pipeline.RefImageSetBytes).String())
-		emit(b, tb.String()+fmt.Sprintf("adaptive outputs at steps %v — dense while the jet destabilizes, sparse afterwards\n", aSteps))
 	}
 }

@@ -1,6 +1,8 @@
 package cinemaserve
 
 import (
+	"fmt"
+	"math/rand"
 	"net/url"
 	"strings"
 	"testing"
@@ -133,6 +135,113 @@ func TestCache(t *testing.T) {
 				t.Errorf("Len = %d, list holds %d", c.Len(), len(keys))
 			}
 		})
+	}
+}
+
+// refLRU is the reference model for TestCacheMatchesReferenceLRU: a
+// byte-budgeted LRU as a slice, least recently used first.
+type refLRU struct {
+	budget, used, evictions int64
+	keys                    []int
+	sizes                   []int64
+}
+
+func (r *refLRU) find(k int) int {
+	for i, rk := range r.keys {
+		if rk == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch moves entry i to the most recently used end.
+func (r *refLRU) touch(i int) {
+	k, n := r.keys[i], r.sizes[i]
+	r.keys = append(append(r.keys[:i:i], r.keys[i+1:]...), k)
+	r.sizes = append(append(r.sizes[:i:i], r.sizes[i+1:]...), n)
+}
+
+func (r *refLRU) get(k int) bool {
+	i := r.find(k)
+	if i >= 0 {
+		r.touch(i)
+	}
+	return i >= 0
+}
+
+func (r *refLRU) put(k int, n int64) {
+	if n == 0 || n > r.budget {
+		return
+	}
+	if i := r.find(k); i >= 0 {
+		r.used += n - r.sizes[i]
+		r.sizes[i] = n
+		r.touch(i)
+	} else {
+		r.keys, r.sizes, r.used = append(r.keys, k), append(r.sizes, n), r.used+n
+	}
+	for r.used > r.budget && len(r.keys) > 0 {
+		r.used -= r.sizes[0]
+		r.keys, r.sizes, r.evictions = r.keys[1:], r.sizes[1:], r.evictions+1
+	}
+}
+
+// TestCacheMatchesReferenceLRU runs random Get/Put/Contains sequences over
+// budgets from disabled to roomy against refLRU and, after every
+// operation, checks the hit, residency, byte, eviction and gauge
+// accounting agree.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ops := 4000
+	if testing.Short() {
+		ops = 400
+	}
+	for _, budget := range []int64{-1, 0, 1, 7, 16, 64, 1000} {
+		reg := telemetry.NewRegistry()
+		evictions, used := reg.Counter("evictions"), reg.Gauge("used")
+		c := NewCache[int](budget, evictions, used)
+		ref := &refLRU{budget: budget}
+		var hits, refHits int
+		for i := 0; i < ops; i++ {
+			k := rng.Intn(12)
+			switch rng.Intn(3) {
+			case 0:
+				n := rng.Intn(20)
+				c.Put(k, make([]byte, n), fmt.Sprintf("f%d-%d.png", k, n))
+				ref.put(k, int64(n))
+			case 1:
+				data, file, ok := c.Get(k)
+				if ok {
+					hits++
+					if want := fmt.Sprintf("f%d-%d.png", k, len(data)); file != want {
+						t.Fatalf("budget %d op %d: Get(%d) file %q, want %q", budget, i, k, file, want)
+					}
+				}
+				if ref.get(k) {
+					refHits++
+				}
+			case 2:
+				if got, want := c.Contains(k), ref.find(k) >= 0; got != want {
+					t.Fatalf("budget %d op %d: Contains(%d) = %v, want %v", budget, i, k, got, want)
+				}
+			}
+			if hits != refHits || c.Len() != len(ref.keys) || c.Bytes() != ref.used ||
+				used.Value() != ref.used || evictions.Value() != ref.evictions {
+				t.Fatalf("budget %d op %d: hits %d/%d, Len %d/%d, Bytes %d/%d, gauge %d, evictions %d/%d (cache/reference)",
+					budget, i, hits, refHits, c.Len(), len(ref.keys), c.Bytes(), ref.used,
+					used.Value(), evictions.Value(), ref.evictions)
+			}
+			c.mu.Lock()
+			e := c.tail
+			for _, want := range ref.keys {
+				if e == nil || e.key != want {
+					t.Fatalf("budget %d op %d: LRU order differs from reference %v", budget, i, ref.keys)
+				}
+				e = e.prev
+			}
+			c.mu.Unlock()
+		}
 	}
 }
 

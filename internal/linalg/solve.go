@@ -89,15 +89,6 @@ func swapRows(m *Matrix, a, b int) {
 	}
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Solve solves A*x = b for x using the factorization. The result is
 // freshly allocated; hot loops should reuse a buffer through SolveInto.
 func (f *LU) Solve(b []float64) ([]float64, error) {
@@ -218,29 +209,4 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 		x[i] = s / r.At(i, i)
 	}
 	return x, nil
-}
-
-// Residual returns b - A*x, useful for assessing fit quality.
-func Residual(a *Matrix, x, b []float64) ([]float64, error) {
-	ax, err := a.MulVec(x)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) != len(ax) {
-		return nil, fmt.Errorf("%w: rhs length %d, want %d", ErrShape, len(b), len(ax))
-	}
-	out := make([]float64, len(b))
-	for i := range out {
-		out[i] = b[i] - ax[i]
-	}
-	return out, nil
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var n float64
-	for _, x := range v {
-		n = math.Hypot(n, x)
-	}
-	return n
 }

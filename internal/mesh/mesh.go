@@ -500,13 +500,3 @@ func (m *Mesh) NearestCell(p Vec3, start int) int {
 		}
 	}
 }
-
-// TotalArea returns the sum of all cell areas; for a correct mesh it equals
-// the sphere area 4*pi*R^2 up to rounding.
-func (m *Mesh) TotalArea() float64 {
-	var s float64
-	for i := range m.Cells {
-		s += m.Cells[i].Area
-	}
-	return s
-}

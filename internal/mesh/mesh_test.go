@@ -431,3 +431,13 @@ func BenchmarkNearestCell(b *testing.B) {
 		cur = m.NearestCell(pts[i%len(pts)], cur)
 	}
 }
+
+// TotalArea returns the sum of all cell areas; for a correct mesh it equals
+// the sphere area 4*pi*R^2 up to rounding.
+func (m *Mesh) TotalArea() float64 {
+	var s float64
+	for i := range m.Cells {
+		s += m.Cells[i].Area
+	}
+	return s
+}

@@ -79,28 +79,15 @@ func (md *Model) checkState(what string, s *State) error {
 	return nil
 }
 
-// Tendency evaluates the right-hand side of the shallow-water equations at
-// state s, writing the result into out (which must be sized for the mesh).
+// tendency evaluates the right-hand side of the shallow-water equations at
+// s into out:
 //
 // Continuity:  dh/dt = -div(h u)
 // Momentum:    du/dt = q u_perp - grad_n(K + g h) + nu del2(u)
 //
 // where q = f + zeta is the absolute vorticity interpolated to edges and
 // u_perp is the tangential velocity from the cell-centered reconstruction.
-// The intermediate diagnostics live in the model's reusable scratch buffer,
-// so a steady-state Tendency evaluation allocates nothing.
-func (md *Model) Tendency(s *State, out *State) error {
-	if err := md.checkState("tendency input", s); err != nil {
-		return err
-	}
-	if err := md.checkState("tendency output", out); err != nil {
-		return err
-	}
-	md.tendency(s, out)
-	return nil
-}
-
-// tendency runs in two phases: the cell pass (diagnostics plus continuity)
+// It runs in two phases: the cell pass (diagnostics plus continuity)
 // beside the vertex pass, then momentum, which reads the completed
 // diagnostics of neighbouring cells and vertices.
 func (md *Model) tendency(s *State, out *State) {
@@ -157,28 +144,6 @@ func (md *Model) update(cells, edges func(lo, hi int)) {
 		md.Mesh.NEdges(), md.grainUpdate, edges)
 }
 
-// TotalMass returns the area-integrated thickness (m^3), conserved exactly
-// by the discrete continuity equation.
-func (md *Model) TotalMass(s *State) float64 {
-	var mass float64
-	for ci := range md.Mesh.Cells {
-		mass += s.Thickness[ci] * md.Mesh.Cells[ci].Area
-	}
-	return mass
-}
-
-// TotalEnergyFrom returns the area-integrated total (kinetic + potential)
-// energy per unit density (m^5/s^2), evaluated from already computed
-// diagnostics of s.
-func (md *Model) TotalEnergyFrom(s *State, d *Diagnostics) float64 {
-	var en float64
-	for ci := range md.Mesh.Cells {
-		h := s.Thickness[ci]
-		en += (h*d.KineticEnergy[ci] + 0.5*Gravity*h*h) * md.Mesh.Cells[ci].Area
-	}
-	return en
-}
-
 // CellVorticityFrom interpolates the relative vorticity of already computed
 // diagnostics from the dual vertices to cell centers (area-weighted over
 // each cell's corners), writing into out when it is correctly sized (a fresh
@@ -202,30 +167,6 @@ func (md *Model) CellVorticityFrom(d *Diagnostics, out []float64) []float64 {
 		} else {
 			out[ci] = 0
 		}
-	}
-	return out
-}
-
-// PotentialVorticityFrom returns the shallow-water potential vorticity
-// q = (zeta + f) / h at the dual vertices from already computed diagnostics
-// of s, with the layer thickness interpolated from the vertex's three cells;
-// out is used when it is correctly sized (a fresh slice is allocated
-// otherwise, so a nil out always works). PV is materially conserved by the
-// continuous equations and is MPAS-O's standard dynamical diagnostic
-// alongside Okubo-Weiss.
-func (md *Model) PotentialVorticityFrom(s *State, d *Diagnostics, out []float64) []float64 {
-	m := md.Mesh
-	if len(out) != m.NVertices() {
-		out = make([]float64, m.NVertices())
-	}
-	for vi := range m.Vertices {
-		v := &m.Vertices[vi]
-		h := (s.Thickness[v.Cells[0]] + s.Thickness[v.Cells[1]] + s.Thickness[v.Cells[2]]) / 3
-		if h <= 0 {
-			out[vi] = 0
-			continue
-		}
-		out[vi] = (d.Vorticity[vi] + md.coriolisVertex[vi]) / h
 	}
 	return out
 }

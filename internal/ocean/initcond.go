@@ -24,29 +24,6 @@ func zonalFlowState(m *mesh.Mesh, uAt func(lat float64) float64, hAt func(lat fl
 	return s
 }
 
-// SteadyZonalFlow returns the geostrophically balanced solid-body rotation
-// state of Williamson et al. test case 2: a steady, exact solution of the
-// shallow-water equations. u0 is the peak zonal wind (m/s, 2*pi*R/12days
-// in the standard test) and h0 the polar fluid depth (m).
-//
-// u(lat)   = u0 cos(lat)
-// g h(lat) = g h0 - (R*Omega*u0 + u0^2/2) sin^2(lat)
-func SteadyZonalFlow(md *Model, u0, h0 float64) (*State, error) {
-	if h0 <= 0 {
-		return nil, fmt.Errorf("ocean: non-positive depth %g", h0)
-	}
-	m := md.Mesh
-	coef := (m.Radius*md.Omega*u0 + u0*u0/2) / Gravity
-	if h0-coef <= 0 {
-		return nil, fmt.Errorf("ocean: flow too strong, layer outcrops (h0=%g, drawdown=%g)", h0, coef)
-	}
-	s := zonalFlowState(m,
-		func(lat float64) float64 { return u0 * math.Cos(lat) },
-		func(lat float64) float64 { return h0 - coef*math.Sin(lat)*math.Sin(lat) },
-	)
-	return s, nil
-}
-
 // GalewskyConfig holds the parameters of the barotropically unstable jet of
 // Galewsky, Scott & Polvani (2004), the standard eddy-spawning shallow-water
 // scenario; defaults follow the published test case.
@@ -157,19 +134,6 @@ func UnstableJet(md *Model, cfg GalewskyConfig) (*State, error) {
 		if s.Thickness[ci] <= 0 {
 			return nil, fmt.Errorf("ocean: initial thickness non-positive at cell %d", ci)
 		}
-	}
-	return s, nil
-}
-
-// RestState returns a motionless state of uniform depth h0.
-func RestState(md *Model, h0 float64) (*State, error) {
-	if h0 <= 0 {
-		return nil, fmt.Errorf("ocean: non-positive depth %g", h0)
-	}
-	m := md.Mesh
-	s := NewState(m.NCells(), m.NEdges())
-	for ci := range s.Thickness {
-		s.Thickness[ci] = h0
 	}
 	return s, nil
 }

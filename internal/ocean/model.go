@@ -73,13 +73,6 @@ type Model struct {
 
 	workers int
 
-	// Optional physics (see forcing.go): bottom topography at cells,
-	// zonal wind acceleration projected onto edge normals, and linear
-	// bottom-drag rate.
-	topography []float64
-	windAccel  []float64
-	bottomDrag float64
-
 	coriolisEdge   []float64 // f at edge midpoints
 	coriolisVertex []float64 // f at dual vertices
 

@@ -12,46 +12,39 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 	// snapshot, so any worker count must reproduce the serial run exactly.
 	// The pooled parallelFor keeps the exact ceil-division chunk geometry of
 	// the per-call goroutine version, so 1, 2, 3, odd, and large worker
-	// counts are all exercised against the serial reference, with and
-	// without the topography, wind and drag terms of the momentum loop.
-	for _, forced := range []bool{false, true} {
-		build := testModel
-		if forced {
-			build = forcedModel
+	// counts are all exercised against the serial reference.
+	run := func(workers int) (*State, []float64) {
+		md := testModel(t, 4, Config{Viscosity: 1e5, Workers: workers})
+		s, err := UnstableJet(md, DefaultGalewsky())
+		if err != nil {
+			t.Fatal(err)
 		}
-		run := func(workers int) (*State, []float64) {
-			md := build(t, 4, Config{Viscosity: 1e5, Workers: workers})
-			s, err := UnstableJet(md, DefaultGalewsky())
-			if err != nil {
+		dt := md.SuggestedTimestep(10000)
+		for i := 0; i < 5; i++ {
+			if err := md.Step(s, dt); err != nil {
 				t.Fatal(err)
 			}
-			dt := md.SuggestedTimestep(10000)
-			for i := 0; i < 5; i++ {
-				if err := md.Step(s, dt); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return s, md.OkuboWeiss(s)
 		}
+		return s, md.OkuboWeiss(s)
+	}
 
-		s1, w1 := run(-1)
-		for _, workers := range []int{1, 2, 3, 4, 8} {
-			s2, w2 := run(workers)
-			for i := range s1.Thickness {
-				if s1.Thickness[i] != s2.Thickness[i] {
-					t.Fatalf("forced=%v workers=%d: thickness differs at cell %d: %v vs %v",
-						forced, workers, i, s1.Thickness[i], s2.Thickness[i])
-				}
+	s1, w1 := run(-1)
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		s2, w2 := run(workers)
+		for i := range s1.Thickness {
+			if s1.Thickness[i] != s2.Thickness[i] {
+				t.Fatalf("workers=%d: thickness differs at cell %d: %v vs %v",
+					workers, i, s1.Thickness[i], s2.Thickness[i])
 			}
-			for i := range s1.NormalVelocity {
-				if s1.NormalVelocity[i] != s2.NormalVelocity[i] {
-					t.Fatalf("forced=%v workers=%d: velocity differs at edge %d", forced, workers, i)
-				}
+		}
+		for i := range s1.NormalVelocity {
+			if s1.NormalVelocity[i] != s2.NormalVelocity[i] {
+				t.Fatalf("workers=%d: velocity differs at edge %d", workers, i)
 			}
-			for i := range w1 {
-				if w1[i] != w2[i] {
-					t.Fatalf("forced=%v workers=%d: OW differs at cell %d", forced, workers, i)
-				}
+		}
+		for i := range w1 {
+			if w1[i] != w2[i] {
+				t.Fatalf("workers=%d: OW differs at cell %d", workers, i)
 			}
 		}
 	}

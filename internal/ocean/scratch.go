@@ -154,10 +154,10 @@ func (md *Model) initLoopBindings() {
 	// Momentum equation: du/dt = q u_perp - grad_n(K + g h) + nu del2(u).
 	md.sc.momentum = func(lo, hi int) {
 		edges, s, d := md.Mesh.Edges, md.sc.loopS, md.sc.loopD
-		h, un, tendOut := s.Thickness, s.NormalVelocity, md.sc.loopOut.NormalVelocity
+		h, tendOut := s.Thickness, md.sc.loopOut.NormalVelocity
 		vort, kin, div, vel := d.Vorticity, d.KineticEnergy, d.Divergence, d.CellVelocity
 		fEdge, tSign := md.coriolisEdge, md.vertexTangentSign
-		topo, wind, drag, visc := md.topography, md.windAccel, md.bottomDrag, md.Viscosity
+		visc := md.Viscosity
 		for ei := lo; ei < hi; ei++ {
 			e := &edges[ei]
 			c0, c1 := e.Cells[0], e.Cells[1]
@@ -172,24 +172,12 @@ func (md *Model) initLoopBindings() {
 			a, b, t := &vel[c0], &vel[c1], &e.Tangent
 			uperp := 0.5*(a[0]+b[0])*t[0] + 0.5*(a[1]+b[1])*t[1] + 0.5*(a[2]+b[2])*t[2]
 
-			// Bernoulli gradient along the normal; with topography the
-			// pressure term uses the free-surface height h+b.
-			eta0, eta1 := h[c0], h[c1]
-			if topo != nil {
-				eta0 += topo[c0]
-				eta1 += topo[c1]
-			}
-			bern0 := kin[c0] + Gravity*eta0
-			bern1 := kin[c1] + Gravity*eta1
+			// Bernoulli gradient along the normal.
+			bern0 := kin[c0] + Gravity*h[c0]
+			bern1 := kin[c1] + Gravity*h[c1]
 			grad := (bern1 - bern0) / e.Dc
 
 			tend := q*uperp - grad
-			if wind != nil {
-				tend += wind[ei]
-			}
-			if drag > 0 {
-				tend -= drag * un[ei]
-			}
 
 			if visc > 0 {
 				// del2(u) = grad_n(div) - grad_t(zeta).

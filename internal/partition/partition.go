@@ -99,9 +99,6 @@ func (p *Partition) widestAxis(ids []int) int {
 	return axis
 }
 
-// NParts returns the number of parts.
-func (p *Partition) NParts() int { return p.nParts }
-
 // Owner returns the part owning cell ci.
 func (p *Partition) Owner(ci int) (int, error) {
 	if ci < 0 || ci >= len(p.owner) {
@@ -213,34 +210,4 @@ func (p *Partition) Exchange() ExchangeStats {
 	}
 	st.BytesPerField = int64(st.TotalGhosts) * 8
 	return st
-}
-
-// BlockPartition returns the naive contiguous-index decomposition, the
-// baseline RCB is compared against.
-func BlockPartition(m *mesh.Mesh, nParts int) (*Partition, error) {
-	if m == nil || m.NCells() == 0 {
-		return nil, fmt.Errorf("partition: nil or empty mesh")
-	}
-	if nParts < 1 || nParts > m.NCells() {
-		return nil, fmt.Errorf("partition: invalid part count %d", nParts)
-	}
-	p := &Partition{m: m, nParts: nParts, owner: make([]int, m.NCells())}
-	per := m.NCells() / nParts
-	extra := m.NCells() % nParts
-	ci := 0
-	for r := 0; r < nParts; r++ {
-		n := per
-		if r < extra {
-			n++
-		}
-		for k := 0; k < n; k++ {
-			p.owner[ci] = r
-			ci++
-		}
-	}
-	p.cells = make([][]int, nParts)
-	for ci, o := range p.owner {
-		p.cells[o] = append(p.cells[o], ci)
-	}
-	return p, nil
 }

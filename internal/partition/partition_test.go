@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -265,4 +266,34 @@ func BenchmarkRCB150Parts(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BlockPartition returns the naive contiguous-index decomposition, the
+// baseline RCB is compared against.
+func BlockPartition(m *mesh.Mesh, nParts int) (*Partition, error) {
+	if m == nil || m.NCells() == 0 {
+		return nil, fmt.Errorf("partition: nil or empty mesh")
+	}
+	if nParts < 1 || nParts > m.NCells() {
+		return nil, fmt.Errorf("partition: invalid part count %d", nParts)
+	}
+	p := &Partition{m: m, nParts: nParts, owner: make([]int, m.NCells())}
+	per := m.NCells() / nParts
+	extra := m.NCells() % nParts
+	ci := 0
+	for r := 0; r < nParts; r++ {
+		n := per
+		if r < extra {
+			n++
+		}
+		for k := 0; k < n; k++ {
+			p.owner[ci] = r
+			ci++
+		}
+	}
+	p.cells = make([][]int, nParts)
+	for ci, o := range p.owner {
+		p.cells[o] = append(p.cells[o], ci)
+	}
+	return p, nil
 }

@@ -445,3 +445,12 @@ func TestMeterIntervalDefaultsToOneMinute(t *testing.T) {
 		t.Errorf("default meter interval = %v, want 1 min", m.ComputeProfile.Interval)
 	}
 }
+
+// TotalSimTime returns the pure simulation-phase time of the run.
+func (w Workload) TotalSimTime(nodes int) (units.Seconds, error) {
+	per, err := w.SimSecondsPerStep(nodes)
+	if err != nil {
+		return 0, err
+	}
+	return per * units.Seconds(w.Steps()), nil
+}

@@ -159,12 +159,3 @@ func (w Workload) SimSecondsPerStep(nodes int) (units.Seconds, error) {
 	per := RefSimSeconds / RefSteps * w.scale() * float64(RefNodes) / float64(nodes)
 	return units.Seconds(per), nil
 }
-
-// TotalSimTime returns the pure simulation-phase time of the run.
-func (w Workload) TotalSimTime(nodes int) (units.Seconds, error) {
-	per, err := w.SimSecondsPerStep(nodes)
-	if err != nil {
-		return 0, err
-	}
-	return per * units.Seconds(w.Steps()), nil
-}

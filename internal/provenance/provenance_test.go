@@ -276,3 +276,71 @@ func TestDecodeManifestDivergences(t *testing.T) {
 		t.Errorf("valid single record: %d recs, %v", len(recs), cerr)
 	}
 }
+
+// chainLines renders n valid, chained manifest records.
+func chainLines(n int) []byte {
+	var out []byte
+	prev := GenesisLink()
+	for i := 1; i <= n; i++ {
+		line := Record{Seq: uint64(i), Prev: prev.Hex(), Root: Sum([]byte{byte(i)}).Hex(), Frames: i, Bytes: int64(1000 * i)}.appendLine(nil)
+		out = append(out, line...)
+		prev = Sum(line)
+	}
+	return out
+}
+
+// FuzzDecodeManifest: for any bytes, decodeManifest either accepts the
+// whole input or returns a *ChainError naming the line after the accepted
+// prefix; either way the records it returns re-encode, chained from the
+// genesis link, to exactly that prefix, and never number more than the
+// input has lines.
+func FuzzDecodeManifest(f *testing.F) {
+	valid := chainLines(3)
+	r1 := Record{Seq: 1, Prev: GenesisLink().Hex(), Root: Sum(nil).Hex(), Frames: 1, Bytes: 1}
+	line1 := string(r1.appendLine(nil))
+	for _, seed := range []string{
+		"",
+		string(valid),
+		string(valid) + `{"seq":4,"prev":"beef`,
+		string(valid[:len(valid)-7]),
+		line1[:len(line1)-5],
+		"not json\n",
+		strings.Replace(line1, `"seq":1`, `"seq":9`, 1),
+		line1 + strings.Replace(line1, `"seq":1`, `"seq":2`, 1),
+		strings.Replace(line1, r1.Root, "zz", 1),
+		`{"prev":"` + r1.Prev + `","seq":1,"root":"` + r1.Root + `","frames":1,"bytes":1}` + "\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, prev, good, cerr := decodeManifest("m", data)
+		if good < 0 || good > int64(len(data)) {
+			t.Fatalf("prefix length %d outside [0, %d]", good, len(data))
+		}
+		if cerr == nil && good != int64(len(data)) {
+			t.Fatalf("accepted %d of %d bytes without an error", good, len(data))
+		}
+		if cerr != nil && (good == int64(len(data)) || cerr.Line != len(recs)+1) {
+			t.Fatalf("error %v after %d records and %d of %d bytes", cerr, len(recs), good, len(data))
+		}
+		if lines := bytes.Count(data, []byte{'\n'}); len(recs) > lines {
+			t.Fatalf("%d records from %d lines", len(recs), lines)
+		}
+		var enc []byte
+		link := GenesisLink()
+		for i, r := range recs {
+			if r.Seq != uint64(i+1) || r.Prev != link.Hex() {
+				t.Fatalf("record %d: seq %d prev %s, want %d %s", i+1, r.Seq, r.Prev, i+1, link.Hex())
+			}
+			line := r.appendLine(nil)
+			enc = append(enc, line...)
+			link = Sum(line)
+		}
+		if !bytes.Equal(enc, data[:good]) {
+			t.Fatalf("records re-encode to\n%q\nwant the accepted prefix\n%q", enc, data[:good])
+		}
+		if prev != link {
+			t.Fatalf("returned link %s, want %s", prev.Hex(), link.Hex())
+		}
+	})
+}

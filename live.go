@@ -97,8 +97,9 @@ type LiveConfig struct {
 	// Tracer, when non-nil, receives the run's timeline on its wall
 	// clock: per-step "sim.step" spans, "viz.sample" spans (with nested
 	// "viz.render" and "viz.detect"), "io.dump"/"io.read" spans in
-	// post-processing mode, the closing "io.commit" of the image
-	// database — all on the "driver" lane — plus one
+	// post-processing mode, the "viz.drain" that settles the last samples
+	// and the closing "io.commit" of the image database — all on the
+	// "driver" lane — plus one
 	// "render.rank<N>" lane per rendering rank. When set, LiveRun also
 	// joins the driver timeline against the Caddy node power model and
 	// fills LiveResult.Timeline, PowerProfile, and PhaseEnergy.
@@ -576,11 +577,15 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	}
 
 	// Settle the samples still in flight, then release the render step
-	// before committing the index.
-	if err := drain(true); err != nil {
-		return nil, err
+	// before committing the index. The "viz.drain" span charges the last
+	// samples' encode and write to the visualization.
+	drv.Begin("viz.drain")
+	err = drain(true)
+	if err == nil {
+		err = viz.close()
 	}
-	if err := viz.close(); err != nil {
+	drv.End()
+	if err != nil {
 		return nil, err
 	}
 

@@ -97,6 +97,47 @@ func TestLiveRunTraceLanes(t *testing.T) {
 	}
 }
 
+// TestLiveRunTraceDrainSpan: the final drain of in-flight samples is one
+// driver-lane "viz.drain" span between the last solver step and the index
+// commit, so its encode and write are charged to a named phase.
+func TestLiveRunTraceDrainSpan(t *testing.T) {
+	res, _ := tracedLiveRun(t, InSitu)
+	drv := res.Timeline.Lane("driver")
+	if drv == nil {
+		t.Fatal("no driver lane")
+	}
+	var drains []trace.Span
+	var lastStep, commit trace.Span
+	for _, s := range drv.Spans {
+		switch s.Name {
+		case "viz.drain":
+			drains = append(drains, s)
+		case "sim.step":
+			lastStep = s
+		case "io.commit":
+			commit = s
+		}
+	}
+	if len(drains) != 1 {
+		t.Fatalf("viz.drain spans = %d, want 1", len(drains))
+	}
+	d := drains[0]
+	if lastStep.Name == "" || commit.Name == "" {
+		t.Fatalf("missing spans: last sim.step %+v, io.commit %+v", lastStep, commit)
+	}
+	if d.Start < lastStep.End || d.End > commit.Start {
+		t.Errorf("viz.drain [%v, %v] not between last sim.step end %v and io.commit start %v",
+			d.Start, d.End, lastStep.End, commit.Start)
+	}
+	found := false
+	for _, p := range res.PhaseEnergy.Phases {
+		found = found || p.Phase == "viz.drain"
+	}
+	if !found {
+		t.Errorf("no viz.drain row in PhaseEnergy: %+v", res.PhaseEnergy.Phases)
+	}
+}
+
 func TestLiveRunTraceChromeExport(t *testing.T) {
 	res, _ := tracedLiveRun(t, InSitu)
 	var buf bytes.Buffer
