@@ -55,10 +55,12 @@ func (md *Model) ComputeDiagnosticsInto(s *State, d *Diagnostics) error {
 	return nil
 }
 
-// cellPass evaluates the diagnostics of s into d and, when out is non-nil,
+// cellPass evaluates the diagnostics of s into d or, when out is non-nil,
 // the continuity tendency into out.Thickness, which walks the same cell
-// edges. The cell and vertex loops are independent (both read only s), so
-// they fuse into one fan-out sharing a single barrier.
+// edges, with the cell records momentum reads in place of d's cell fields
+// (only d's vorticity is written then). The cell and vertex loops are
+// independent (both read only s), so they fuse into one fan-out sharing a
+// single barrier.
 func (md *Model) cellPass(s *State, d *Diagnostics, out *State) {
 	md.instr.diagEvals.Inc()
 	md.sc.loopS, md.sc.loopD, md.sc.loopOut = s, d, out
@@ -87,18 +89,26 @@ func (md *Model) checkState(what string, s *State) error {
 //
 // where q = f + zeta is the absolute vorticity interpolated to edges and
 // u_perp is the tangential velocity from the cell-centered reconstruction.
-// It runs in two phases: the cell pass (diagnostics plus continuity)
-// beside the vertex pass, then momentum, which reads the completed
-// diagnostics of neighbouring cells and vertices.
+// It runs in two phases: the cell pass (cell records plus continuity)
+// beside the vertex pass, then momentum, which reads the completed records
+// of neighbouring cells and vorticities of neighbouring vertices.
 func (md *Model) tendency(s *State, out *State) {
-	d := md.ensureDiag()
+	d := md.ensureDiag(false)
+	if md.sc.rec == nil {
+		md.sc.rec = make([]cellRecord, md.Mesh.NCells())
+	}
 	md.cellPass(s, d, out)
 	md.parallelFor(md.Mesh.NEdges(), md.grainMomentum, md.sc.momentum)
 }
 
-// Step advances s by one RK4 step of size dt seconds, in place. The four
-// stage states and the intermediate state are preallocated scratch owned by
+// Step advances s by one RK4 step of size dt seconds, in place. The slope,
+// intermediate and running-sum states are preallocated scratch owned by
 // the model, so steady-state stepping is allocation-free.
+//
+// The sum accumulates s + dt/6 k1 + dt/3 k2 + dt/3 k3 one slope per stage,
+// and the closing pass adds dt/6 k4: the same chain of additions, in the
+// same order, as adding the four weighted slopes to s after the last
+// stage, so a single slope state suffices.
 func (md *Model) Step(s *State, dt float64) error {
 	if dt <= 0 {
 		return fmt.Errorf("ocean: non-positive timestep %g", dt)
@@ -112,18 +122,18 @@ func (md *Model) Step(s *State, dt float64) error {
 		start = time.Now()
 	}
 	md.ensureStages()
-	k1, k2, k3, k4 := md.sc.stages[0], md.sc.stages[1], md.sc.stages[2], md.sc.stages[3]
-	tmp := md.sc.tmp
+	k, tmp, sum := md.sc.k, md.sc.tmp, md.sc.sum
+	a, b := dt/6, dt/3
 
-	md.tendency(s, k1)
-	md.stage(s, k1, dt/2)
-	md.tendency(tmp, k2)
-	md.stage(s, k2, dt/2)
-	md.tendency(tmp, k3)
-	md.stage(s, k3, dt)
-	md.tendency(tmp, k4)
+	md.tendency(s, k)
+	md.stage(s, s, dt/2, a)
+	md.tendency(tmp, k)
+	md.stage(s, sum, dt/2, b)
+	md.tendency(tmp, k)
+	md.stage(s, sum, dt, b)
+	md.tendency(tmp, k)
 
-	md.sc.loopS, md.sc.loopW = s, dt
+	md.sc.loopS, md.sc.loopA = s, a
 	md.update(md.sc.finishCells, md.sc.finishEdges)
 	if md.instr.stepTime != nil {
 		md.instr.stepTime.Observe(float64(time.Since(start)))
@@ -131,9 +141,10 @@ func (md *Model) Step(s *State, dt float64) error {
 	return nil
 }
 
-// stage writes the RK4 intermediate state tmp = s + w*k.
-func (md *Model) stage(s, k *State, w float64) {
-	md.sc.loopS, md.sc.loopK, md.sc.loopW = s, k, w
+// stage writes the RK4 intermediate state tmp = s + w*k and the running
+// sum = acc + a*k.
+func (md *Model) stage(s, acc *State, w, a float64) {
+	md.sc.loopS, md.sc.loopSum, md.sc.loopW, md.sc.loopA = s, acc, w, a
 	md.update(md.sc.stageCells, md.sc.stageEdges)
 }
 

@@ -73,23 +73,39 @@ type Model struct {
 
 	workers int
 
-	coriolisEdge   []float64 // f at edge midpoints
-	coriolisVertex []float64 // f at dual vertices
+	coriolisEdge []float64 // f at edge midpoints
 
 	// vertexTangentSign[e] is +1 when Edges[e].Vertices[1] lies in the
 	// +Tangent direction from Vertices[0]; used by the del2 operator.
 	vertexTangentSign []float64
 
-	// recon[c] reconstructs the tangent velocity vector at cell c from the
-	// normal velocities on its edges: V = sum_k recon[c][k] * u(Edges[k]),
-	// where recon[c][k] is a 3-vector (least-squares pseudo-inverse).
-	recon [][]mesh.Vec3
+	// The per-cell operators are slot-major: cell ci owns the slots
+	// [cellOff[ci], cellOff[ci+1]) of every array below, and its slot k
+	// belongs to Edges[k] and to Neighbors[k], the cell across that edge.
+	// The tendency loops read these flat arrays instead of gathering
+	// fields out of mesh.Edge once per edge of every cell.
+	cellOff []int32
 
-	// gradWeights[c][k] are least-squares gradient weights: the tangent-
-	// plane gradient of a cell field F at cell c is
-	// sum_k gradWeights[c][k] * (F[Neighbors[k]] - F[c]) in the local
+	// recon reconstructs the tangent velocity vector at cell c from the
+	// normal velocities on its edges: V = sum_k recon[o+k] * u(Edges[k])
+	// with o = cellOff[c], each coefficient a 3-vector (least-squares
+	// pseudo-inverse).
+	recon []mesh.Vec3
+
+	// gradWeights are least-squares gradient weights: the tangent-plane
+	// gradient of a cell field F at cell c is
+	// sum_k gradWeights[o+k] * (F[Neighbors[k]] - F[c]) in the local
 	// (east, north) basis. Each weight is a 2-vector (gx, gy).
-	gradWeights [][][2]float64
+	gradWeights [][2]float64
+
+	// slotSignDv is EdgeSigns[k]·Dv and slotKE is Dc·Dv·0.25 of the
+	// slot's edge: the divergence/flux and kinetic-energy coefficients of
+	// the cell pass.
+	slotSignDv, slotKE []float64
+
+	// vertexSignDc[v][k] is EdgeSigns[k]·Dc of vertex v's Edges[k], the
+	// circulation coefficient of the vertex pass.
+	vertexSignDc [][3]float64
 
 	// cellEast/cellNorth are the per-cell local tangent bases, precomputed
 	// lazily for the Okubo-Weiss loops (see ensureOkubo).
@@ -141,14 +157,25 @@ func NewModel(m *mesh.Mesh, cfg Config) (*Model, error) {
 			}
 		}
 	})
-	md.coriolisVertex = make([]float64, m.NVertices())
+	md.vertexSignDc = make([][3]float64, m.NVertices())
 	md.parallelFor(m.NVertices(), grainMin, func(lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
-			lat, _ := m.Vertices[vi].Pos.LatLon()
-			md.coriolisVertex[vi] = 2 * EarthOmega * math.Sin(lat)
+			v := &m.Vertices[vi]
+			for k, ei := range v.Edges {
+				md.vertexSignDc[vi][k] = float64(v.EdgeSigns[k]) * m.Edges[ei].Dc
+			}
 		}
 	})
 
+	md.cellOff = make([]int32, m.NCells()+1)
+	slots := 0
+	for ci := range m.Cells {
+		slots += len(m.Cells[ci].Edges)
+		if slots > math.MaxInt32 {
+			return nil, fmt.Errorf("ocean: mesh has more than %d cell-edge slots", math.MaxInt32)
+		}
+		md.cellOff[ci+1] = int32(slots)
+	}
 	if err := md.buildReconstruction(); err != nil {
 		return nil, err
 	}
@@ -186,19 +213,21 @@ func (md *Model) initGrains() {
 //	r  . V = 0      (tangency constraint)
 //
 // solved in the least-squares sense; the solution is linear in the u_e, so
-// we store one 3-vector of coefficients per edge.
+// we store one 3-vector of coefficients per edge. The same walk over the
+// cell's edges fills the slot's divergence and kinetic-energy
+// coefficients.
 func (md *Model) buildReconstruction() error {
 	m := md.Mesh
-	md.recon = make([][]mesh.Vec3, m.NCells())
-	// One flat array backs every cell's coefficient slice, cut at the
-	// prefix sum of the cells' edge counts, and each chunk of cells reuses
-	// one matrix, factorization, and row buffer: model construction
-	// dominates a short coupled run's allocation profile, so the builder is
-	// as reuse-conscious as the hot path. A cell costs a microsecond or so,
-	// so even a grainMin chunk dwarfs the pool's fan-out overhead and the
-	// loop needs no calibrated grain.
-	off := cellOffsets(m, func(c *mesh.Cell) int { return len(c.Edges) })
-	flat := make([]mesh.Vec3, off[m.NCells()])
+	// Each chunk of cells reuses one matrix, factorization, and row
+	// buffer: model construction dominates a short coupled run's
+	// allocation profile, so the builder is as reuse-conscious as the hot
+	// path. A cell costs a microsecond or so, so even a grainMin chunk
+	// dwarfs the pool's fan-out overhead and the loop needs no calibrated
+	// grain.
+	nSlots := md.cellOff[m.NCells()]
+	md.recon = make([]mesh.Vec3, nSlots)
+	md.slotSignDv = make([]float64, nSlots)
+	md.slotKE = make([]float64, nSlots)
 	var fail workpool.FirstError
 	md.parallelFor(m.NCells(), grainMin, func(lo, hi int) {
 		ata := linalg.NewMatrix(3, 3)
@@ -207,12 +236,16 @@ func (md *Model) buildReconstruction() error {
 		var b, x [3]float64
 		for ci := lo; ci < hi; ci++ {
 			c := &m.Cells[ci]
-			ne := len(c.Edges)
+			o0, o1 := md.cellOff[ci], md.cellOff[ci+1]
+			sdv, kc := md.slotSignDv[o0:o1], md.slotKE[o0:o1]
 			// Normal equations: (A^T A) X = A^T, where A is (ne+1) x 3 with
 			// edge normals and the radial constraint row.
 			rows = rows[:0]
-			for _, ei := range c.Edges {
-				rows = append(rows, m.Edges[ei].Normal)
+			for k, ei := range c.Edges {
+				e := &m.Edges[ei]
+				rows = append(rows, e.Normal)
+				sdv[k] = float64(c.EdgeSigns[k]) * e.Dv
+				kc[k] = e.Dc * e.Dv * 0.25
 			}
 			rows = append(rows, c.Center)
 			var sum [3][3]float64
@@ -232,8 +265,8 @@ func (md *Model) buildReconstruction() error {
 				fail.Set(ci, fmt.Errorf("ocean: reconstruction at cell %d: %w", ci, err))
 				return
 			}
-			coeffs := flat[off[ci]:off[ci+1]:off[ci+1]]
-			for k := 0; k < ne; k++ {
+			coeffs := md.recon[o0:o1]
+			for k := range coeffs {
 				// Column of the pseudo-inverse for edge k: solve (A^T A) x = n_k.
 				n := rows[k]
 				b = [3]float64{n[0], n[1], n[2]}
@@ -243,7 +276,6 @@ func (md *Model) buildReconstruction() error {
 				}
 				coeffs[k] = mesh.Vec3{x[0], x[1], x[2]}
 			}
-			md.recon[ci] = coeffs
 		}
 	})
 	return fail.Err()
@@ -253,11 +285,8 @@ func (md *Model) buildReconstruction() error {
 // for cell-centered fields, used by the Okubo-Weiss diagnostic.
 func (md *Model) buildGradients() error {
 	m := md.Mesh
-	md.gradWeights = make([][][2]float64, m.NCells())
-	// As in buildReconstruction: one flat array backs every cell's weight
-	// slice, and each chunk reuses one displacement buffer.
-	off := cellOffsets(m, func(c *mesh.Cell) int { return len(c.Neighbors) })
-	flat := make([][2]float64, off[m.NCells()])
+	// As in buildReconstruction: each chunk reuses one displacement buffer.
+	md.gradWeights = make([][2]float64, md.cellOff[m.NCells()])
 	var fail workpool.FirstError
 	md.parallelFor(m.NCells(), grainMin, func(lo, hi int) {
 		var dx [][2]float64
@@ -282,7 +311,11 @@ func (md *Model) buildGradients() error {
 				fail.Set(ci, fmt.Errorf("ocean: degenerate gradient stencil at cell %d", ci))
 				return
 			}
-			w := flat[off[ci]:off[ci+1]:off[ci+1]]
+			w := md.gradWeights[md.cellOff[ci]:md.cellOff[ci+1]]
+			if len(dx) != len(w) {
+				fail.Set(ci, fmt.Errorf("ocean: cell %d has %d neighbors for %d edges", ci, len(dx), len(w)))
+				return
+			}
 			for k := range dx {
 				x, y := dx[k][0], dx[k][1]
 				// (X^T X)^{-1} X^T row by row.
@@ -291,20 +324,9 @@ func (md *Model) buildGradients() error {
 					(sxx*y - sxy*x) / det,
 				}
 			}
-			md.gradWeights[ci] = w
 		}
 	})
 	return fail.Err()
-}
-
-// cellOffsets returns the prefix sum of n over the mesh's cells: cell ci's
-// share of a flat per-cell array is [off[ci], off[ci+1]).
-func cellOffsets(m *mesh.Mesh, n func(c *mesh.Cell) int) []int {
-	off := make([]int, m.NCells()+1)
-	for ci := range m.Cells {
-		off[ci+1] = off[ci] + n(&m.Cells[ci])
-	}
-	return off
 }
 
 // SuggestedTimestep returns a timestep (s) satisfying an RK4 gravity-wave

@@ -20,7 +20,7 @@ import (
 // OkuboWeissInto with a reused buffer instead.
 func (md *Model) OkuboWeiss(s *State) []float64 {
 	out := make([]float64, md.Mesh.NCells())
-	d := md.ensureDiag()
+	d := md.ensureDiag(true)
 	md.cellPass(s, d, nil)
 	md.okuboWeissFromDiagnostics(d, out)
 	return out
@@ -36,7 +36,7 @@ func (md *Model) OkuboWeissInto(s *State, out []float64) error {
 	if len(out) != md.Mesh.NCells() {
 		return fmt.Errorf("ocean: okubo-weiss output has %d cells, want %d", len(out), md.Mesh.NCells())
 	}
-	d := md.ensureDiag()
+	d := md.ensureDiag(true)
 	md.cellPass(s, d, nil)
 	md.okuboWeissFromDiagnostics(d, out)
 	return nil

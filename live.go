@@ -95,12 +95,13 @@ type LiveConfig struct {
 	// LiveResult.Telemetry either way.
 	Telemetry *telemetry.Registry
 	// Tracer, when non-nil, receives the run's timeline on its wall
-	// clock: per-step "sim.step" spans, "viz.sample" spans (with nested
-	// "viz.render" and "viz.detect"), "io.dump"/"io.read" spans in
-	// post-processing mode, the "viz.drain" that settles the last samples
-	// and the closing "io.commit" of the image database — all on the
-	// "driver" lane — plus one
-	// "render.rank<N>" lane per rendering rank. When set, LiveRun also
+	// clock: per-step "sim.step" spans, one "sim.derive" per sample (the
+	// diagnostics and Okubo-Weiss evaluation that feeds the sample or the
+	// dump), "viz.sample" spans (with nested "viz.render" and
+	// "viz.detect"), "io.dump"/"io.read" spans in post-processing mode,
+	// the "viz.drain" that settles the last samples and the closing
+	// "io.commit" of the image database — all on the "driver" lane — plus
+	// one "render.rank<N>" lane per rendering rank. When set, LiveRun also
 	// joins the driver timeline against the Caddy node power model and
 	// fills LiveResult.Timeline, PowerProfile, and PhaseEnergy.
 	Tracer *trace.Tracer
@@ -887,11 +888,16 @@ func runLiveInSitu(cfg LiveConfig, model *ocean.Model, state *ocean.State, dt fl
 		}
 		if adaptor.ShouldProcess(step) {
 			// One shared diagnostics evaluation feeds both derived fields.
-			if err := model.ComputeDiagnosticsInto(state, diag); err != nil {
+			drv.Begin("sim.derive")
+			err := model.ComputeDiagnosticsInto(state, diag)
+			if err == nil {
+				model.OkuboWeissFrom(diag, owBuf)
+				cellVort = model.CellVorticityFrom(diag, cvBuf)
+			}
+			drv.End()
+			if err != nil {
 				return err
 			}
-			model.OkuboWeissFrom(diag, owBuf)
-			cellVort = model.CellVorticityFrom(diag, cvBuf)
 			if _, err := adaptor.CoProcess(step, float64(step)*dt, "okubo_weiss", owBuf); err != nil {
 				return err
 			}
@@ -950,7 +956,10 @@ func runLivePost(cfg LiveConfig, msh *mesh.Mesh, model *ocean.Model, state *ocea
 			continue
 		}
 		simTime := float64(step) * dt
-		if err := model.OkuboWeissInto(state, ow); err != nil {
+		drv.Begin("sim.derive")
+		err := model.OkuboWeissInto(state, ow)
+		drv.End()
+		if err != nil {
 			return 0, err
 		}
 		// Rank-local blocks -> aggregators -> one global array for the

@@ -138,6 +138,46 @@ func TestLiveRunTraceDrainSpan(t *testing.T) {
 	}
 }
 
+// TestLiveRunTraceDeriveSpan: each sample's diagnostics and Okubo-Weiss
+// evaluation is one driver-lane "sim.derive" span, right after the
+// sample's last "sim.step" and right before its "viz.sample" (in situ) or
+// "io.dump" (post-processing), so its energy is charged to a named phase
+// instead of the unattributed gaps.
+func TestLiveRunTraceDeriveSpan(t *testing.T) {
+	for mode, next := range map[Kind]string{InSitu: "viz.sample", PostProcessing: "io.dump"} {
+		res, _ := tracedLiveRun(t, mode)
+		drv := res.Timeline.Lane("driver")
+		if drv == nil {
+			t.Fatalf("%v: no driver lane", mode)
+		}
+		var top []trace.Span
+		for _, s := range drv.Spans {
+			if s.Depth == 0 {
+				top = append(top, s)
+			}
+		}
+		derives := 0
+		for i, s := range top {
+			if s.Name != "sim.derive" {
+				continue
+			}
+			derives++
+			if i == 0 || top[i-1].Name != "sim.step" || top[i-1].End > s.Start {
+				t.Errorf("%v: sim.derive #%d does not follow a sim.step", mode, derives)
+			}
+			if i+1 == len(top) || top[i+1].Name != next || top[i+1].Start < s.End {
+				t.Errorf("%v: sim.derive #%d is not followed by %s", mode, derives, next)
+			}
+		}
+		if derives != 3 {
+			t.Errorf("%v: sim.derive spans = %d, want one per sample (3)", mode, derives)
+		}
+		if p := res.PhaseEnergy.Phase("sim.derive"); p.Time <= 0 || p.Energy <= 0 {
+			t.Errorf("%v: sim.derive attribution = %+v", mode, p)
+		}
+	}
+}
+
 func TestLiveRunTraceChromeExport(t *testing.T) {
 	res, _ := tracedLiveRun(t, InSitu)
 	var buf bytes.Buffer

@@ -20,6 +20,11 @@
 #   - the Cinema store again under the race detector at GOMAXPROCS=8:
 #     Commit fsyncs the frames written since the last commit from a
 #     bounded set of concurrent goroutines
+#   - on a CPU with FMA, the pinned mesh and solver bits and the solver's
+#     differential kernel test again under GOAMD64=v3: the golden hashes
+#     promise amd64 bits at any micro-architecture level, and v3 lets the
+#     compiler select FMA and the other newer instructions, so a kernel
+#     whose bits depend on the level fails here
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -53,5 +58,14 @@ GOMAXPROCS=8 go test -race -count=2 ./internal/mesh ./internal/ocean
 
 echo "== GOMAXPROCS=8 go test -race -count=2 ./internal/cinemastore"
 GOMAXPROCS=8 go test -race -count=2 ./internal/cinemastore
+
+if grep -qw fma /proc/cpuinfo 2>/dev/null; then
+	echo "== GOAMD64=v3 go test (pinned mesh and solver bits)"
+	GOAMD64=v3 go test -count=1 \
+		-run '^(TestSolverGoldenHash|TestParallelMatchesSerialBitwise|TestKernelsMatchStructReadingReference|TestMeshGoldenHash)$' \
+		./internal/mesh ./internal/ocean
+else
+	echo "== GOAMD64=v3 go test: skipped (no fma in /proc/cpuinfo)"
+fi
 
 echo "tier-1: all green"
