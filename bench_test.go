@@ -36,6 +36,7 @@ import (
 	"insituviz/internal/pipeline"
 	"insituviz/internal/render"
 	"insituviz/internal/report"
+	"insituviz/internal/stats"
 	"insituviz/internal/trace"
 	"insituviz/internal/units"
 )
@@ -94,8 +95,8 @@ func BenchmarkFig4PowerProfile(b *testing.B) {
 		stor := m.StorageProfile.Values()
 		tb := report.NewTable("Fig. 4 — per-minute power profile, post-processing @ 8 h sampling",
 			"meter", "samples", "min (W)", "mean (W)", "max (W)", "profile")
-		cs, _ := m.ComputeProfile.Summary()
-		ss, _ := m.StorageProfile.Summary()
+		cs, _ := stats.Summarize(m.ComputeProfile.Values())
+		ss, _ := stats.Summarize(m.StorageProfile.Values())
 		tb.AddRow("compute (15 cages)", fmt.Sprintf("%d", cs.N),
 			fmt.Sprintf("%.0f", cs.Min), fmt.Sprintf("%.0f", cs.Mean), fmt.Sprintf("%.0f", cs.Max),
 			report.Sparkline(comp))
@@ -274,7 +275,7 @@ func BenchmarkPowerProportionality(b *testing.B) {
 			report.Pct(float64(computeBusy-computeIdle)/float64(computeIdle)),
 			"15 kW / 44 kW (193%)")
 		// Observed storage swing during a real post-processing run.
-		ss, _ := m.StorageProfile.Summary()
+		ss, _ := stats.Summarize(m.StorageProfile.Values())
 		emit(b, tb.String()+fmt.Sprintf(
 			"observed storage swing during post-processing run: %.0f-%.0f W\n", ss.Min, ss.Max))
 	}

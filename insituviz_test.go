@@ -374,34 +374,6 @@ func TestLiveRunEddyCoreImages(t *testing.T) {
 	}
 }
 
-func TestLiveRunRossbyScenario(t *testing.T) {
-	res, err := LiveRun(LiveConfig{
-		Mode:             InSitu,
-		Scenario:         "rossby",
-		MeshSubdivisions: 2,
-		Steps:            8,
-		SampleEverySteps: 4,
-		OutputDir:        t.TempDir(),
-		ImageWidth:       64,
-		ImageHeight:      32,
-		RenderRanks:      2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Samples != 2 {
-		t.Errorf("samples = %d", res.Samples)
-	}
-	// The Rossby-Haurwitz wave spins fast from the start.
-	if res.MaxVelocity < 20 {
-		t.Errorf("rossby max velocity = %v, expected a vigorous wave", res.MaxVelocity)
-	}
-	if _, err := LiveRun(LiveConfig{Scenario: "bogus", OutputDir: t.TempDir(),
-		MeshSubdivisions: 1, Steps: 1, SampleEverySteps: 1}); err == nil {
-		t.Error("unknown scenario accepted")
-	}
-}
-
 func TestFacadeInTransit(t *testing.T) {
 	w := ReferenceWorkload(Hours(72))
 	p := CaddyPlatform()

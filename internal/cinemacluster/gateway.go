@@ -200,10 +200,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Ring exposes the routing ring (tests eject and restore members
-// through it).
-func (g *Gateway) Ring() *Ring { return g.ring }
-
 // NodeState reports the named node's breaker state
 // (cinemaserve.BreakerClosed / Open / HalfOpen).
 func (g *Gateway) NodeState(name string) int {

@@ -202,7 +202,7 @@ func TestGatewayPeerCacheTier(t *testing.T) {
 
 	// Find the primary owner and warm its cache directly, as an earlier
 	// request through any gateway would have.
-	owner := c.gw.Ring().Owners(HashKey("run", e.Key), 1, nil)[0]
+	owner := c.gw.ring.Owners(HashKey("run", e.Key), 1, nil)[0]
 	idx, _ := strconv.Atoi(strings.TrimPrefix(owner, "node"))
 	if _, _, err := c.nodes[idx].srv.Frame("run", e.Key, false); err != nil {
 		t.Fatal(err)

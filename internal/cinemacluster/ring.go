@@ -91,19 +91,6 @@ func (r *Ring) Add(node string) {
 	r.rebuild()
 }
 
-// Remove deletes a member. Removing an unknown member is a no-op.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, m := range r.members {
-		if m == node {
-			r.members = append(r.members[:i], r.members[i+1:]...)
-			r.rebuild()
-			return
-		}
-	}
-}
-
 // rebuild recomputes the sorted point slice. Members are kept sorted so
 // the member → index mapping (and with it every placement) depends only
 // on the set, not on insertion order. Called with r.mu held.
@@ -136,13 +123,6 @@ func (r *Ring) Nodes() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return append([]string(nil), r.members...)
-}
-
-// Len returns the member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
 }
 
 // Owners appends the distinct members owning hash, walking clockwise

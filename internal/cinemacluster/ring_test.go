@@ -8,6 +8,20 @@ import (
 	"insituviz/internal/cinemastore"
 )
 
+// Remove deletes a member; removing an unknown member is a no-op. The
+// gateway never shrinks its ring, so only the movement tests need it.
+func (r *Ring) Remove(node string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, m := range r.members {
+		if m == node {
+			r.members = append(r.members[:i], r.members[i+1:]...)
+			r.rebuild()
+			return
+		}
+	}
+}
+
 func ringWith(vnodes int, nodes ...string) *Ring {
 	r := NewRing(vnodes)
 	for _, n := range nodes {

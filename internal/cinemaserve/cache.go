@@ -105,13 +105,6 @@ func (c *Cache[K]) Contains(k K) bool {
 	return ok
 }
 
-// Bytes returns the current resident frame bytes.
-func (c *Cache[K]) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
 // Len returns the resident entry count.
 func (c *Cache[K]) Len() int {
 	c.mu.Lock()

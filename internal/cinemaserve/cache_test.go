@@ -11,6 +11,13 @@ import (
 	"insituviz/internal/telemetry"
 )
 
+// Bytes returns the current resident frame bytes.
+func (c *Cache[K]) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.used
+}
+
 // TestCache drives the one frame cache directly, as a script of
 // operations per case, and checks residency in eviction order, the byte
 // accounting and the two telemetry handles after each script.

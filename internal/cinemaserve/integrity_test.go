@@ -65,9 +65,9 @@ func corruptFile(t *testing.T, path string) []byte {
 // it. This is the regression test for the fill path verifying
 // length-vs-index before (and independently of) the digest.
 func TestTruncatedFrameNeverCachedWithoutDigest(t *testing.T) {
-	st := buildStore(t, 1, 2, nil, 128)
-	dir := st.Dir()
-	st = stripDigests(t, dir)
+	dir := t.TempDir()
+	buildStoreIn(t, dir, 1, 2, nil, 128)
+	st := stripDigests(t, dir)
 	e := st.EntryAt(0)
 	if e.Digest != "" {
 		t.Fatalf("entry still carries digest %q; the test needs the length-only path", e.Digest)
@@ -109,9 +109,10 @@ func TestTruncatedFrameNeverCachedWithoutDigest(t *testing.T) {
 // and never strikes the breaker; once the bytes on disk are repaired the
 // next read clears the quarantine without intervention.
 func TestCorruptFrameQuarantinedThenHeals(t *testing.T) {
-	st := buildStore(t, 1, 2, nil, 256)
+	dir := t.TempDir()
+	st := buildStoreIn(t, dir, 1, 2, nil, 256)
 	e := st.EntryAt(0)
-	path := filepath.Join(st.Dir(), e.File)
+	path := filepath.Join(dir, e.File)
 	orig := corruptFile(t, path)
 
 	s, reg := newTestServer(t, Config{BreakerThreshold: 3})
@@ -171,9 +172,10 @@ func TestCorruptFrameQuarantinedThenHeals(t *testing.T) {
 // The background scrubber finds rot in frames nobody is requesting, and
 // a later sweep over repaired bytes lifts the quarantine.
 func TestScrubFindsRotAndHealsAfterRepair(t *testing.T) {
-	st := buildStore(t, 1, 4, nil, 128)
+	dir := t.TempDir()
+	st := buildStoreIn(t, dir, 1, 4, nil, 128)
 	e := st.EntryAt(2)
-	path := filepath.Join(st.Dir(), e.File)
+	path := filepath.Join(dir, e.File)
 	orig := corruptFile(t, path)
 
 	// Cache disabled: every frame is "cold", so one sweep covers the

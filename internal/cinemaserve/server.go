@@ -606,8 +606,5 @@ func (s *Server) QuarantinedFiles(store string) []string {
 	return out
 }
 
-// CacheBytes reports the currently resident frame bytes.
-func (s *Server) CacheBytes() int64 { return s.cache.Bytes() }
-
 // CacheLen reports the currently resident frame count.
 func (s *Server) CacheLen() int { return s.cache.Len() }

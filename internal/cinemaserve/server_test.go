@@ -23,7 +23,12 @@ import (
 // given cameras, every frame frameBytes long with recognizable content.
 func buildStore(t testing.TB, vars, steps int, cams []cinemastore.Key, frameBytes int) *cinemastore.Store {
 	t.Helper()
-	dir := t.TempDir()
+	return buildStoreIn(t, t.TempDir(), vars, steps, cams, frameBytes)
+}
+
+// buildStoreIn is buildStore into dir.
+func buildStoreIn(t testing.TB, dir string, vars, steps int, cams []cinemastore.Key, frameBytes int) *cinemastore.Store {
+	t.Helper()
 	w, err := cinemastore.Create(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +196,7 @@ func TestEvictionKeepsBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.CacheBytes(); got > 2*frame {
+	if got := s.cache.Bytes(); got > 2*frame {
 		t.Errorf("cache bytes %d exceed budget %d", got, 2*frame)
 	}
 	if got := reg.Counter("cache.evictions").Value(); got != 6 {
@@ -248,7 +253,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			case <-done:
 				return
 			default:
-				s.CacheBytes()
+				s.cache.Bytes()
 				s.CacheLen()
 			}
 		}
@@ -259,7 +264,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	if n := failures.Load(); n != 0 {
 		t.Errorf("%d fetches returned wrong data", n)
 	}
-	if got := s.CacheBytes(); got > 3*frame {
+	if got := s.cache.Bytes(); got > 3*frame {
 		t.Errorf("cache bytes %d exceed budget %d", got, 3*frame)
 	}
 	snap := reg.Snapshot()

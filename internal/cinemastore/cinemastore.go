@@ -555,9 +555,6 @@ func (w *Writer) Entries() []Entry {
 	return out
 }
 
-// TotalBytes returns the cumulative size of all stored frames.
-func (w *Writer) TotalBytes() int64 { return w.total }
-
 // Commit writes the version-3 index atomically, appends a hash-chained
 // manifest record pinning the Merkle root of the committed entries, and
 // returns the index's encoded size. Commit may be called repeatedly;

@@ -98,9 +98,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the database directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Version returns the index format version that was opened ("1.0"
 // legacy, "2.0", or the content-addressed "3.0").
 func (s *Store) Version() string { return s.version }

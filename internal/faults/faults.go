@@ -308,14 +308,6 @@ type Site struct {
 	seq   atomic.Uint64
 }
 
-// Name returns the site name; "" on nil.
-func (s *Site) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Next advances the site's occurrence counter and reports whether a
 // fault fires at this occurrence. A nil Site (no injector, or no rules
 // matched) never fires and performs no atomic operations beyond the nil

@@ -166,7 +166,7 @@ func TestNilSafety(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Error("nil site fired")
 	}
-	if s.Name() != "" || in.Seed() != 0 || in.Fired() != 0 || in.Log() != nil {
+	if in.Seed() != 0 || in.Fired() != 0 || in.Log() != nil {
 		t.Error("nil accessors not zero-valued")
 	}
 	if in.Uniform("x", 1) != 0 {

@@ -182,11 +182,6 @@ func newShardEncoder(c Codec) *shardEncoder {
 	return &shardEncoder{codec: c, prev: map[uint64][]byte{}}
 }
 
-// reset drops all delta state. Called after any connection error: the
-// two ends can no longer agree on what "previous sample" means, so the
-// next send of every shard is absolute.
-func (se *shardEncoder) reset() { clear(se.prev) }
-
 // encode gathers cells' entries of the full-mesh colors table (and core
 // mask, when non-nil) into the shard record and encodes it. It returns
 // the wire payload, the header flags, and the raw byte length — the

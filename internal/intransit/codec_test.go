@@ -156,9 +156,9 @@ func TestShardCoreToggleSkipsDelta(t *testing.T) {
 	}
 }
 
-// TestShardEncoderResetGoesAbsolute pins the reconnect contract: after
-// reset, the next shard must not be a delta, so a decoder with no history
-// can decode it.
+// TestShardEncoderResetGoesAbsolute pins the reconnect contract: each
+// connection gets a fresh encoder, whose first shard must not be a delta,
+// so the new connection's decoder, which has no history, can decode it.
 func TestShardEncoderResetGoesAbsolute(t *testing.T) {
 	codec, _ := NewCodec("raw")
 	se := newShardEncoder(codec)
@@ -169,7 +169,7 @@ func TestShardEncoderResetGoesAbsolute(t *testing.T) {
 	if flags&FlagDelta == 0 {
 		t.Fatal("second encode not delta")
 	}
-	se.reset()
+	se = newShardEncoder(codec)
 	payload, flags, _ := se.encode(0, 0, cells, colors, nil)
 	if flags&FlagDelta != 0 {
 		t.Fatal("post-reset encode still delta")
@@ -205,7 +205,7 @@ func TestShardDecoderRejections(t *testing.T) {
 
 	// A record whose length disagrees with the rank's cell count must be
 	// rejected — with and without the core plane.
-	se.reset()
+	se = newShardEncoder(codec)
 	payload, flags, _ = se.encode(0, 0, cells, colors, nil)
 	if _, err := sd.decode(0, 0, flags, payload, len(cells)+1); !errors.Is(err, ErrBadShard) {
 		t.Errorf("short record: err = %v, want ErrBadShard", err)

@@ -145,7 +145,7 @@ func FuzzShardDecode(f *testing.F) {
 		p, flags, _ = se.encode(0, 0, cells, colors, nil)
 		add(flags, n, p)
 		add(flags&^FlagDelta, n+1, p)
-		se.reset()
+		se = newShardEncoder(codec)
 		p, flags, _ = se.encode(0, 0, cells, colors, core)
 		add(flags, n, p)
 		add(flags, n-1, p)

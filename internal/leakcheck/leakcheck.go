@@ -23,7 +23,6 @@
 package leakcheck
 
 import (
-	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
@@ -159,25 +158,4 @@ func parseGoroutineHeader(block string) (int64, bool) {
 		return 0, false
 	}
 	return id, true
-}
-
-// Count returns the number of live goroutines not matching the default
-// ignore list — a coarse metric for tests that only need a number.
-func Count() int {
-	n := 0
-	for _, g := range goroutineStacks() {
-		if !ignored(g.stack, nil) {
-			n++
-		}
-	}
-	return n
-}
-
-// String renders all live goroutine stacks, for debugging failed checks.
-func String() string {
-	var b strings.Builder
-	for _, g := range goroutineStacks() {
-		fmt.Fprintf(&b, "%s\n\n", g.stack)
-	}
-	return b.String()
 }

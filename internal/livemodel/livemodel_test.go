@@ -178,7 +178,7 @@ func TestAnomalyClassificationAndGating(t *testing.T) {
 // budget anomaly, at the crossing observation.
 func TestBudgetTripsOnce(t *testing.T) {
 	ref := NodeCostModel()
-	perObs := ref.Energy(ref.Time(10, 1, 1))
+	perObs := ref.Observation(10, 1, 1, 0, 0).EnergyJ
 	e := New(Config{Window: 0, EnergyBudgetJ: 2.5 * perObs})
 	for i := 0; i < 6; i++ {
 		e.Observe(ref.Observation(10, 1, 1, 0, 0))

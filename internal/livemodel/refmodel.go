@@ -26,11 +26,6 @@ func NodeCostModel() CostModel {
 	}
 }
 
-// Time evaluates t = t_sim + α·S_io + β·N_viz.
-func (m CostModel) Time(tsim, sIoGB, nViz float64) float64 {
-	return tsim + m.AlphaSPerGB*sIoGB + m.BetaSPerSet*nViz
-}
-
 // Energy evaluates E = P·t.
 func (m CostModel) Energy(t float64) float64 { return m.PowerW * t }
 

@@ -9,7 +9,7 @@ import (
 	"insituviz/internal/units"
 )
 
-func newFaultyCluster(t *testing.T, plan faults.Plan) (*Cluster, *faults.Injector) {
+func newFaultyCluster(t *testing.T, plan faults.Plan) (*Cluster, *faults.Injector, *telemetry.Registry) {
 	t.Helper()
 	c, err := New(CaddyStorage())
 	if err != nil {
@@ -20,31 +20,30 @@ func newFaultyCluster(t *testing.T, plan faults.Plan) (*Cluster, *faults.Injecto
 		t.Fatalf("faults.New: %v", err)
 	}
 	c.SetFaults(in)
-	return c, in
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(reg)
+	return c, in, reg
 }
 
 // TestFailedWriteLeavesStateUntouched is the partial-failure accounting
 // contract: an abandoned write must not leak used bytes, file entries,
-// OSS load, stats, or busy time.
+// OSS load, transfer counters, or busy time.
 func TestFailedWriteLeavesStateUntouched(t *testing.T) {
-	// Every occurrence errors and the policy allows no retries, so the
-	// second write is abandoned immediately.
-	c, _ := newFaultyCluster(t, faults.Plan{Seed: 1, Rules: []faults.Rule{
+	// Occurrences 2–5 error, so every one of the second write's
+	// retryAttempts tries fails and the write is abandoned.
+	c, _, reg := newFaultyCluster(t, faults.Plan{Seed: 1, Rules: []faults.Rule{
 		{Site: "lustre.write", Kind: faults.KindError, At: []uint64{2, 3, 4, 5}},
 	}})
 	if _, err := c.Write("ok", 10*units.MB, 0); err != nil {
 		t.Fatalf("first write: %v", err)
 	}
 
-	before := c.Stats()
+	before := activityOf(reg)
 	free := c.Free()
 	files := len(c.files)
 	oss := append([]units.Bytes(nil), c.ossUsed...)
 	busy := c.BusyTime()
 
-	if err := c.SetRetry(RetryPolicy{MaxAttempts: 1, BaseDelay: 0.01, MaxDelay: 1, PhaseBudget: 4}); err != nil {
-		t.Fatalf("SetRetry: %v", err)
-	}
 	_, err := c.Write("doomed", 20*units.MB, 5)
 	if err == nil {
 		t.Fatal("faulted write succeeded")
@@ -53,16 +52,19 @@ func TestFailedWriteLeavesStateUntouched(t *testing.T) {
 		t.Errorf("error %v does not match ErrRetryBudgetExhausted", err)
 	}
 	var be *BudgetError
-	if !errors.As(err, &be) || be.Op != "write" || be.Name != "doomed" {
-		t.Errorf("error %v is not the typed BudgetError for the write", err)
+	if !errors.As(err, &be) || be.Op != "write" || be.Name != "doomed" || be.Attempts != retryAttempts {
+		t.Errorf("error %v is not the typed BudgetError for the write after %d attempts", err, retryAttempts)
+	}
+	if c.budget != phaseRetryBudget-(retryAttempts-1) {
+		t.Errorf("budget = %d after one abandoned write, want %d", c.budget, phaseRetryBudget-(retryAttempts-1))
 	}
 	var te *TransientError
 	if !errors.As(err, &te) {
 		t.Errorf("error %v does not wrap the TransientError", err)
 	}
 
-	if got := c.Stats(); got != before {
-		t.Errorf("Stats changed across failed write: %+v -> %+v", before, got)
+	if got := activityOf(reg); got != before {
+		t.Errorf("activity changed across failed write: %+v -> %+v", before, got)
 	}
 	if got := c.Free(); got != free {
 		t.Errorf("Free changed across failed write: %v -> %v", free, got)
@@ -86,11 +88,9 @@ func TestFailedWriteLeavesStateUntouched(t *testing.T) {
 func TestRetriesAbsorbTransientFaults(t *testing.T) {
 	// Occurrences 1 and 2 of the write site error; attempts 3 succeeds
 	// under the default policy (4 attempts).
-	c, in := newFaultyCluster(t, faults.Plan{Seed: 7, Rules: []faults.Rule{
+	c, in, reg := newFaultyCluster(t, faults.Plan{Seed: 7, Rules: []faults.Rule{
 		{Site: "lustre.write", Kind: faults.KindError, At: []uint64{1, 2}},
 	}})
-	reg := telemetry.NewRegistry()
-	c.SetTelemetry(reg)
 
 	plainEnd := CaddyStorage().Bandwidth.TimeToTransfer(10 * units.MB)
 	end, err := c.Write("f", 10*units.MB, 0)
@@ -109,8 +109,8 @@ func TestRetriesAbsorbTransientFaults(t *testing.T) {
 	if got := in.Fired(); got != 2 {
 		t.Errorf("injector fired %d faults, want 2", got)
 	}
-	if got := c.Stats().FilesCreated; got != 1 {
-		t.Errorf("FilesCreated = %d, want 1", got)
+	if got := reg.Counter("lustre.files.created").Value(); got != 1 {
+		t.Errorf("lustre.files.created = %d, want 1", got)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestRetryDelaysAreDeterministic(t *testing.T) {
 		{Site: "lustre.write", Kind: faults.KindError, At: []uint64{1, 2}},
 	}}
 	run := func() units.Seconds {
-		c, _ := newFaultyCluster(t, plan)
+		c, _, _ := newFaultyCluster(t, plan)
 		end, err := c.Write("f", 10*units.MB, 0)
 		if err != nil {
 			t.Fatalf("write: %v", err)
@@ -132,14 +132,14 @@ func TestRetryDelaysAreDeterministic(t *testing.T) {
 }
 
 func TestInjectedStallExtendsTransfer(t *testing.T) {
-	c, _ := newFaultyCluster(t, faults.Plan{Seed: 1, Rules: []faults.Rule{
+	c, _, _ := newFaultyCluster(t, faults.Plan{Seed: 1, Rules: []faults.Rule{
 		{Site: "lustre.read", Kind: faults.KindStall, At: []uint64{1}, Stall: 3},
 	}})
 	if _, err := c.Write("f", 10*units.MB, 0); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	plain := CaddyStorage().Bandwidth.TimeToTransfer(10 * units.MB)
-	end, err := c.Read("f", 100)
+	end, err := c.read("f", 100)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -149,46 +149,60 @@ func TestInjectedStallExtendsTransfer(t *testing.T) {
 }
 
 func TestPhaseBudgetExhaustionAndReset(t *testing.T) {
-	// Every read occurrence errors, so the 2-retry budget drains and the
-	// read surfaces the exhaustion; a reset refills it for the next phase.
-	c, _ := newFaultyCluster(t, faults.Plan{Seed: 1, Rules: []faults.Rule{
+	// Every read occurrence errors. Each read spends retryAttempts-1
+	// retries until the phase budget runs short; then a read is abandoned
+	// as soon as the budget is spent, and once it is empty, on its first
+	// failure. A reset refills it for the next phase.
+	c, _, _ := newFaultyCluster(t, faults.Plan{Seed: 1, Rules: []faults.Rule{
 		{Site: "lustre.read", Kind: faults.KindError, Prob: 1},
 	}})
-	if err := c.SetRetry(RetryPolicy{MaxAttempts: 8, BaseDelay: 0.01, MaxDelay: 1, PhaseBudget: 2}); err != nil {
-		t.Fatalf("SetRetry: %v", err)
-	}
 	if _, err := c.Write("f", 1*units.MB, 0); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if _, err := c.Read("f", 10); !errors.Is(err, ErrRetryBudgetExhausted) {
-		t.Fatalf("read error = %v, want budget exhaustion", err)
+	attempts := func() int {
+		t.Helper()
+		_, err := c.read("f", 10)
+		var be *BudgetError
+		if !errors.As(err, &be) || !errors.Is(err, ErrRetryBudgetExhausted) {
+			t.Fatalf("read error = %v, want a BudgetError", err)
+		}
+		return be.Attempts
 	}
-	if got := c.RetryBudget(); got != 0 {
-		t.Errorf("budget after exhaustion = %d, want 0", got)
+	full := phaseRetryBudget / (retryAttempts - 1)
+	for i := 0; i < full; i++ {
+		if got := attempts(); got != retryAttempts {
+			t.Fatalf("read %d: %d attempts with budget left, want %d", i, got, retryAttempts)
+		}
+	}
+	if got, want := attempts(), 1+phaseRetryBudget%(retryAttempts-1); got != want {
+		t.Errorf("read draining the budget: %d attempts, want %d", got, want)
+	}
+	if got := attempts(); got != 1 || c.budget != 0 {
+		t.Errorf("read on an empty budget: %d attempts, budget %d; want 1 and 0", got, c.budget)
 	}
 	c.ResetRetryBudget()
-	if got := c.RetryBudget(); got != 2 {
-		t.Errorf("budget after reset = %d, want 2", got)
+	if c.budget != phaseRetryBudget {
+		t.Errorf("budget after reset = %d, want %d", c.budget, phaseRetryBudget)
+	}
+	if got := attempts(); got != retryAttempts {
+		t.Errorf("read after reset: %d attempts, want %d", got, retryAttempts)
 	}
 }
 
 func TestReadFailureLeavesStatsUntouched(t *testing.T) {
-	c, _ := newFaultyCluster(t, faults.Plan{Seed: 1, Rules: []faults.Rule{
+	c, _, reg := newFaultyCluster(t, faults.Plan{Seed: 1, Rules: []faults.Rule{
 		{Site: "lustre.read", Kind: faults.KindError, Prob: 1},
 	}})
-	if err := c.SetRetry(RetryPolicy{MaxAttempts: 1, BaseDelay: 0.01, MaxDelay: 1, PhaseBudget: 0}); err != nil {
-		t.Fatalf("SetRetry: %v", err)
-	}
 	if _, err := c.Write("f", 1*units.MB, 0); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	before := c.Stats()
+	before := activityOf(reg)
 	busy := c.BusyTime()
-	if _, err := c.Read("f", 10); err == nil {
+	if _, err := c.read("f", 10); err == nil {
 		t.Fatal("faulted read succeeded")
 	}
-	if got := c.Stats(); got != before {
-		t.Errorf("Stats changed across failed read: %+v -> %+v", before, got)
+	if got := activityOf(reg); got != before {
+		t.Errorf("activity changed across failed read: %+v -> %+v", before, got)
 	}
 	if got := c.BusyTime(); got != busy {
 		t.Errorf("BusyTime changed across failed read: %v -> %v", busy, got)
@@ -204,24 +218,7 @@ func TestDisarmedClusterUnaffected(t *testing.T) {
 	if _, err := c.Write("f", 1*units.MB, 0); err != nil {
 		t.Fatalf("write on disarmed cluster: %v", err)
 	}
-	if _, err := c.Read("f", 10); err != nil {
+	if _, err := c.read("f", 10); err != nil {
 		t.Fatalf("read on disarmed cluster: %v", err)
-	}
-}
-
-func TestRetryPolicyValidate(t *testing.T) {
-	bad := []RetryPolicy{
-		{MaxAttempts: 0, BaseDelay: 0.1, MaxDelay: 1, PhaseBudget: 1},
-		{MaxAttempts: 1, BaseDelay: -0.1, MaxDelay: 1, PhaseBudget: 1},
-		{MaxAttempts: 1, BaseDelay: 2, MaxDelay: 1, PhaseBudget: 1},
-		{MaxAttempts: 1, BaseDelay: 0.1, MaxDelay: 1, PhaseBudget: -1},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("policy %d validated: %+v", i, p)
-		}
-	}
-	if err := DefaultRetryPolicy().Validate(); err != nil {
-		t.Errorf("default policy invalid: %v", err)
 	}
 }

@@ -52,43 +52,19 @@ func CaddyStorage() Config {
 	}
 }
 
-// RetryPolicy governs how the rack's clients answer injected transient
-// data-path failures: capped exponential backoff with deterministic
-// jitter, bounded per operation by MaxAttempts and per phase by a shared
-// retry budget.
-type RetryPolicy struct {
-	// MaxAttempts bounds the tries per operation (first try included).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; attempt k waits
-	// min(BaseDelay·2^(k-1), MaxDelay) scaled by a jitter in [0.5, 1).
-	BaseDelay units.Seconds
-	// MaxDelay caps a single backoff.
-	MaxDelay units.Seconds
-	// PhaseBudget bounds the total retries between ResetRetryBudget
-	// calls; once spent, further transient failures surface immediately.
-	PhaseBudget int
-}
-
-// DefaultRetryPolicy is the stack's standard answer to transient storage
-// faults: four attempts, 50 ms base backoff capped at 2 s, sixteen
-// retries per phase.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseDelay: 0.05, MaxDelay: 2, PhaseBudget: 16}
-}
-
-// Validate rejects policies that cannot terminate.
-func (p RetryPolicy) Validate() error {
-	if p.MaxAttempts < 1 {
-		return fmt.Errorf("lustre: retry policy needs at least one attempt, got %d", p.MaxAttempts)
-	}
-	if p.BaseDelay < 0 || p.MaxDelay < p.BaseDelay {
-		return fmt.Errorf("lustre: invalid backoff range [%v, %v]", p.BaseDelay, p.MaxDelay)
-	}
-	if p.PhaseBudget < 0 {
-		return fmt.Errorf("lustre: negative retry budget %d", p.PhaseBudget)
-	}
-	return nil
-}
+// The rack's clients answer injected transient data-path failures with
+// capped exponential backoff and deterministic jitter: retry k waits
+// min(retryBaseDelay·2^(k-1), retryMaxDelay) scaled by a jitter in
+// [0.5, 1), at most retryAttempts tries per operation (the first
+// included) and phaseRetryBudget retries between ResetRetryBudget
+// calls; once the budget is spent, further transient failures surface
+// immediately.
+const (
+	retryAttempts    = 4
+	retryBaseDelay   = units.Seconds(0.05)
+	retryMaxDelay    = units.Seconds(2)
+	phaseRetryBudget = 16
+)
 
 // TransientError is one injected data-path failure. It is what an
 // operation reports when retries cannot absorb the fault.
@@ -124,14 +100,6 @@ func (e *BudgetError) Error() string {
 // Unwrap exposes the sentinel and the final transient failure.
 func (e *BudgetError) Unwrap() []error { return []error{ErrRetryBudgetExhausted, e.Last} }
 
-// Stats aggregates the rack's lifetime activity.
-type Stats struct {
-	BytesWritten units.Bytes
-	BytesRead    units.Bytes
-	FilesCreated int
-	MetadataOps  int
-}
-
 type file struct {
 	size units.Bytes
 }
@@ -143,7 +111,6 @@ type Cluster struct {
 	cfg   Config
 	used  units.Bytes
 	files map[string]file
-	stats Stats
 
 	ossUsed []units.Bytes
 
@@ -155,7 +122,6 @@ type Cluster struct {
 	inj       *faults.Injector
 	writeSite *faults.Site
 	readSite  *faults.Site
-	retry     RetryPolicy
 	budget    int // retries remaining in the current phase
 
 	// Metric handles (nil without SetTelemetry; nil handles are no-ops).
@@ -203,23 +169,9 @@ func (c *Cluster) SetFaults(in *faults.Injector) {
 	c.readSite = in.Site("lustre.read")
 }
 
-// SetRetry installs the retry policy and refills the phase budget. The
-// zero Cluster uses DefaultRetryPolicy.
-func (c *Cluster) SetRetry(p RetryPolicy) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	c.retry = p
-	c.budget = p.PhaseBudget
-	return nil
-}
-
 // ResetRetryBudget refills the per-phase retry budget; the pipeline calls
 // it at each phase boundary so one noisy phase cannot starve the next.
-func (c *Cluster) ResetRetryBudget() { c.budget = c.retry.PhaseBudget }
-
-// RetryBudget returns the retries remaining in the current phase.
-func (c *Cluster) RetryBudget() int { return c.budget }
+func (c *Cluster) ResetRetryBudget() { c.budget = phaseRetryBudget }
 
 // consultFaults runs one operation's fault consult-and-retry loop before
 // any rack state changes. It returns the (possibly backoff-delayed)
@@ -242,7 +194,7 @@ func (c *Cluster) consultFaults(site *faults.Site, op, name string, start units.
 			return start, stall, nil
 		}
 		last := &TransientError{Op: op, Name: name, Seq: f.Seq}
-		if attempt >= c.retry.MaxAttempts || c.budget <= 0 {
+		if attempt >= retryAttempts || c.budget <= 0 {
 			return 0, 0, &BudgetError{Op: op, Name: name, Attempts: attempt, Last: last}
 		}
 		c.budget--
@@ -250,9 +202,9 @@ func (c *Cluster) consultFaults(site *faults.Site, op, name string, start units.
 		// Capped exponential backoff with deterministic jitter in
 		// [0.5, 1), keyed on the failed fault's occurrence so the delay
 		// sequence is part of the reproducible run.
-		delay := c.retry.BaseDelay * units.Seconds(uint64(1)<<uint(attempt-1))
-		if delay > c.retry.MaxDelay {
-			delay = c.retry.MaxDelay
+		delay := retryBaseDelay * units.Seconds(uint64(1)<<uint(attempt-1))
+		if delay > retryMaxDelay {
+			delay = retryMaxDelay
 		}
 		start += delay * units.Seconds(0.5+0.5*c.inj.Uniform("lustre.backoff", f.Seq))
 	}
@@ -291,8 +243,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:     cfg,
 		files:   make(map[string]file),
 		ossUsed: make([]units.Bytes, cfg.OSSCount),
-		retry:   DefaultRetryPolicy(),
-		budget:  DefaultRetryPolicy().PhaseBudget,
+		budget:  phaseRetryBudget,
 	}, nil
 }
 
@@ -304,9 +255,6 @@ func (c *Cluster) Used() units.Bytes { return c.used }
 
 // Free returns the remaining capacity.
 func (c *Cluster) Free() units.Bytes { return c.cfg.Capacity - c.used }
-
-// Stats returns the lifetime activity counters.
-func (c *Cluster) Stats() Stats { return c.stats }
 
 // leastLoadedOSS returns the OSS indices to stripe a new file across,
 // preferring the emptiest targets (Lustre's default allocator heuristic).
@@ -329,8 +277,8 @@ func (c *Cluster) leastLoadedOSS(n int) []int {
 // capacity would be exceeded — the failure mode that forces the paper's
 // climate scientists to cut their sampling rates — or when injected
 // transient faults outlast the retry policy. Every failure path leaves
-// the rack unchanged: no used bytes, file entries, OSS load, stats, or
-// busy time leak from an abandoned write.
+// the rack unchanged: no used bytes, file entries, OSS load, transfer
+// counters or busy time leak from an abandoned write.
 func (c *Cluster) Write(name string, size units.Bytes, start units.Seconds) (units.Seconds, error) {
 	if name == "" {
 		return 0, fmt.Errorf("lustre: empty file name")
@@ -370,38 +318,12 @@ func (c *Cluster) Write(name string, size units.Bytes, start units.Seconds) (uni
 	}
 	c.files[name] = file{size: size}
 	c.used += size
-	c.stats.BytesWritten += size
-	c.stats.FilesCreated++
-	c.stats.MetadataOps++ // create on the MDS
 
 	end := start + c.cfg.Bandwidth.TimeToTransfer(size) + stall
 	c.markBusy(start, end)
 	c.mWritten.Add(int64(size))
 	c.mFiles.Inc()
 	c.noteTransfer(size, start, end)
-	return end, nil
-}
-
-// Read streams a stored file starting at simulated time start and returns
-// the completion time.
-func (c *Cluster) Read(name string, start units.Seconds) (units.Seconds, error) {
-	if start < 0 {
-		return 0, fmt.Errorf("lustre: negative start time %v", start)
-	}
-	f, ok := c.files[name]
-	if !ok {
-		return 0, fmt.Errorf("lustre: no such file %q", name)
-	}
-	start, stall, err := c.consultFaults(c.readSite, "read", name, start)
-	if err != nil {
-		return 0, err
-	}
-	c.stats.BytesRead += f.size
-	c.stats.MetadataOps++ // open on the MDS
-	end := start + c.cfg.Bandwidth.TimeToTransfer(f.size) + stall
-	c.markBusy(start, end)
-	c.mRead.Add(int64(f.size))
-	c.noteTransfer(f.size, start, end)
 	return end, nil
 }
 
@@ -423,8 +345,6 @@ func (c *Cluster) ReadAt(name string, start units.Seconds, rate units.BytesPerSe
 	if err != nil {
 		return 0, err
 	}
-	c.stats.BytesRead += f.size
-	c.stats.MetadataOps++
 	end := start + rate.TimeToTransfer(f.size) + stall
 	c.markBusy(start, end)
 	c.mRead.Add(int64(f.size))

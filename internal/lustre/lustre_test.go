@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"insituviz/internal/telemetry"
 	"insituviz/internal/units"
 )
 
@@ -14,6 +15,24 @@ func newRack(t testing.TB) *Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// read streams a stored file at the rack bandwidth.
+func (c *Cluster) read(name string, start units.Seconds) (units.Seconds, error) {
+	return c.ReadAt(name, start, c.cfg.Bandwidth)
+}
+
+// activity is the rack's lifetime transfer activity as its telemetry
+// counts it.
+type activity struct{ written, read, files, metaOps int64 }
+
+func activityOf(reg *telemetry.Registry) activity {
+	return activity{
+		written: reg.Counter("lustre.written.bytes").Value(),
+		read:    reg.Counter("lustre.read.bytes").Value(),
+		files:   reg.Counter("lustre.files.created").Value(),
+		metaOps: reg.Counter("lustre.metadata.ops").Value(),
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -77,6 +96,8 @@ func TestCaddyStorageMatchesPaper(t *testing.T) {
 
 func TestWriteReadTiming(t *testing.T) {
 	c := newRack(t)
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(reg)
 	// 1 GB at 160 MB/s = 6.25 s — the physical basis of alpha.
 	end, err := c.Write("dump.nc", 1*units.GB, 100)
 	if err != nil {
@@ -85,15 +106,15 @@ func TestWriteReadTiming(t *testing.T) {
 	if math.Abs(float64(end)-106.25) > 1e-9 {
 		t.Errorf("write completes at %v, want 106.25", end)
 	}
-	rend, err := c.Read("dump.nc", 200)
+	rend, err := c.read("dump.nc", 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(rend)-206.25) > 1e-9 {
 		t.Errorf("read completes at %v, want 206.25", rend)
 	}
-	if c.Stats().BytesWritten != 1*units.GB || c.Stats().BytesRead != 1*units.GB {
-		t.Errorf("stats = %+v", c.Stats())
+	if got := activityOf(reg); got != (activity{written: int64(units.GB), read: int64(units.GB), files: 1, metaOps: 2}) {
+		t.Errorf("activity = %+v", got)
 	}
 	if f, ok := c.files["dump.nc"]; !ok || f.size != 1*units.GB || len(c.files) != 1 {
 		t.Errorf("files = %v", c.files)
@@ -117,10 +138,10 @@ func TestWriteValidation(t *testing.T) {
 	if _, err := c.Write("x", 1, 10); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if _, err := c.Read("missing", 0); err == nil {
+	if _, err := c.read("missing", 0); err == nil {
 		t.Error("read of missing file accepted")
 	}
-	if _, err := c.Read("x", -1); err == nil {
+	if _, err := c.read("x", -1); err == nil {
 		t.Error("negative read start accepted")
 	}
 }

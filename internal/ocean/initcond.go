@@ -137,55 +137,3 @@ func UnstableJet(md *Model, cfg GalewskyConfig) (*State, error) {
 	}
 	return s, nil
 }
-
-// RossbyHaurwitzWave returns the Williamson et al. test case 6 initial
-// condition: a wavenumber-R Rossby-Haurwitz wave, a nearly steadily
-// rotating global pattern and the standard stress test for shallow-water
-// dynamical cores. Parameters follow the published case: angular
-// velocities omega = kAmp = 7.848e-6 1/s, R = 4, h0 = 8000 m.
-func RossbyHaurwitzWave(md *Model) (*State, error) {
-	const (
-		omega = 7.848e-6
-		kAmp  = 7.848e-6
-		waveR = 4.0
-		h0    = 8000.0
-	)
-	m := md.Mesh
-	a := m.Radius
-	bigOmega := md.Omega
-
-	uVel := func(lat, lon float64) (ue, un float64) {
-		cl, sl := math.Cos(lat), math.Sin(lat)
-		ue = a*omega*cl + a*kAmp*math.Pow(cl, waveR-1)*(waveR*sl*sl-cl*cl)*math.Cos(waveR*lon)
-		un = -a * kAmp * waveR * math.Pow(cl, waveR-1) * sl * math.Sin(waveR*lon)
-		return ue, un
-	}
-	hField := func(lat, lon float64) float64 {
-		cl := math.Cos(lat)
-		c2 := cl * cl
-		cR2 := math.Pow(cl, 2*waveR)
-		aa := omega*(2*bigOmega+omega)/2*c2 +
-			kAmp*kAmp/4*cR2*((waveR+1)*c2+(2*waveR*waveR-waveR-2)-2*waveR*waveR/c2)
-		bb := 2 * (bigOmega + omega) * kAmp / ((waveR + 1) * (waveR + 2)) *
-			math.Pow(cl, waveR) * ((waveR*waveR + 2*waveR + 2) - (waveR+1)*(waveR+1)*c2)
-		cc := kAmp * kAmp / 4 * cR2 * ((waveR+1)*c2 - (waveR + 2))
-		return h0 + a*a/Gravity*(aa+bb*math.Cos(waveR*lon)+cc*math.Cos(2*waveR*lon))
-	}
-
-	s := NewState(m.NCells(), m.NEdges())
-	for ci := range m.Cells {
-		c := &m.Cells[ci]
-		s.Thickness[ci] = hField(c.Lat, c.Lon)
-		if s.Thickness[ci] <= 0 {
-			return nil, fmt.Errorf("ocean: Rossby-Haurwitz thickness non-positive at cell %d", ci)
-		}
-	}
-	for ei := range m.Edges {
-		e := &m.Edges[ei]
-		east, north := mesh.TangentBasis(e.Midpoint)
-		ue, un := uVel(e.Lat, e.Lon)
-		vel := east.Scale(ue).Add(north.Scale(un))
-		s.NormalVelocity[ei] = vel.Dot(e.Normal)
-	}
-	return s, nil
-}

@@ -46,7 +46,6 @@ type stepScratch struct {
 	rec         []cellRecord
 	diag        *Diagnostics
 	owComp      []uvComp
-	ow          []float64 // OkuboWeiss's owned output buffer
 
 	// pair holds the fused fan-out headers of parallelPair, so building a
 	// two-loop fan-out writes two structs instead of allocating a slice.

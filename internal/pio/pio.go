@@ -125,9 +125,6 @@ func NewPlan(dec *Decomposition, aggregators int) (*Plan, error) {
 	return p, nil
 }
 
-// Aggregators returns the number of aggregators in the plan.
-func (p *Plan) Aggregators() int { return p.nAgg }
-
 // AggregatorOf returns the aggregator assigned to rank r.
 func (p *Plan) AggregatorOf(r int) (int, error) {
 	if r < 0 || r >= len(p.aggOf) {

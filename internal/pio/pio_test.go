@@ -124,8 +124,8 @@ func TestNewPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Aggregators() != 4 {
-		t.Errorf("aggregators clamped to %d, want 4", p.Aggregators())
+	if p.nAgg != 4 {
+		t.Errorf("aggregators clamped to %d, want 4", p.nAgg)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"insituviz/internal/stats"
 	"insituviz/internal/units"
 )
 
@@ -111,11 +110,6 @@ func (p *Profile) Values() []float64 {
 		out[i] = float64(w)
 	}
 	return out
-}
-
-// Summary returns descriptive statistics of the samples.
-func (p *Profile) Summary() (stats.Summary, error) {
-	return stats.Summarize(p.Values())
 }
 
 // Meter converts a ground-truth trace into a reported profile.

@@ -15,7 +15,6 @@ import (
 // Colormap maps a normalized value in [0, 1] to a color. Values outside the
 // range are clamped.
 type Colormap struct {
-	name  string
 	stops []stop
 }
 
@@ -24,12 +23,9 @@ type stop struct {
 	r, g, b float64
 }
 
-// Name returns the colormap's identifier.
-func (cm *Colormap) Name() string { return cm.name }
-
 // NewColormap builds a colormap from interpolation stops; positions must be
 // strictly increasing, starting at 0 and ending at 1.
-func NewColormap(name string, positions []float64, colors []color.RGBA) (*Colormap, error) {
+func NewColormap(positions []float64, colors []color.RGBA) (*Colormap, error) {
 	if len(positions) != len(colors) {
 		return nil, fmt.Errorf("render: %d positions vs %d colors", len(positions), len(colors))
 	}
@@ -40,7 +36,7 @@ func NewColormap(name string, positions []float64, colors []color.RGBA) (*Colorm
 		return nil, fmt.Errorf("render: colormap must span [0,1], got [%g,%g]",
 			positions[0], positions[len(positions)-1])
 	}
-	cm := &Colormap{name: name}
+	cm := &Colormap{}
 	prev := math.Inf(-1)
 	for i, p := range positions {
 		if p <= prev {
@@ -81,7 +77,7 @@ func (cm *Colormap) At(t float64) color.RGBA {
 // rotation-dominated (negative W, eddy cores) through white near zero to
 // blue for strain-dominated shear regions.
 func OkuboWeissMap() *Colormap {
-	cm, err := NewColormap("okubo-weiss",
+	cm, err := NewColormap(
 		[]float64{0, 0.45, 0.5, 0.55, 1},
 		[]color.RGBA{
 			{R: 0, G: 104, B: 55, A: 255},    // deep green: strong rotation

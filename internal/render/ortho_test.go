@@ -85,7 +85,7 @@ func TestOrthoRenderColors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A blue-to-red ramp over the latitude range: south cool, north warm.
-	ramp, err := NewColormap("ramp", []float64{0, 1}, []color.RGBA{{B: 255, A: 255}, {R: 255, A: 255}})
+	ramp, err := NewColormap([]float64{0, 1}, []color.RGBA{{B: 255, A: 255}, {R: 255, A: 255}})
 	if err != nil {
 		t.Fatal(err)
 	}

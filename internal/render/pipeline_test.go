@@ -55,12 +55,16 @@ func TestPipelinedWriterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total := units.Bytes(db.w.TotalBytes()); bytes != total {
-		t.Fatalf("Flush bytes = %d, db total %d", bytes, total)
-	}
 	// Flush returns the store's entries in submission order, and they are
 	// byte-for-byte what encode + putFrame produce serially.
 	got, want := db.w.Entries(), sdb.w.Entries()
+	var total units.Bytes
+	for _, e := range got {
+		total += units.Bytes(e.Bytes)
+	}
+	if bytes != total {
+		t.Fatalf("Flush bytes = %d, db total %d", bytes, total)
+	}
 	if len(flushed) != n || len(got) != n || len(want) != n {
 		t.Fatalf("entries: %d flushed, %d stored, %d serial; want %d", len(flushed), len(got), len(want), n)
 	}

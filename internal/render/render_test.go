@@ -27,25 +27,25 @@ func testMesh(t testing.TB) *mesh.Mesh {
 
 func TestNewColormapValidation(t *testing.T) {
 	c := color.RGBA{A: 255}
-	if _, err := NewColormap("x", []float64{0}, []color.RGBA{c}); err == nil {
+	if _, err := NewColormap([]float64{0}, []color.RGBA{c}); err == nil {
 		t.Error("single stop accepted")
 	}
-	if _, err := NewColormap("x", []float64{0, 1}, []color.RGBA{c}); err == nil {
+	if _, err := NewColormap([]float64{0, 1}, []color.RGBA{c}); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
-	if _, err := NewColormap("x", []float64{0.1, 1}, []color.RGBA{c, c}); err == nil {
+	if _, err := NewColormap([]float64{0.1, 1}, []color.RGBA{c, c}); err == nil {
 		t.Error("range not starting at 0 accepted")
 	}
-	if _, err := NewColormap("x", []float64{0, 0.9}, []color.RGBA{c, c}); err == nil {
+	if _, err := NewColormap([]float64{0, 0.9}, []color.RGBA{c, c}); err == nil {
 		t.Error("range not ending at 1 accepted")
 	}
-	if _, err := NewColormap("x", []float64{0, 0.5, 0.5, 1}, []color.RGBA{c, c, c, c}); err == nil {
+	if _, err := NewColormap([]float64{0, 0.5, 0.5, 1}, []color.RGBA{c, c, c, c}); err == nil {
 		t.Error("non-increasing positions accepted")
 	}
 }
 
 func TestColormapInterpolation(t *testing.T) {
-	cm, err := NewColormap("ramp", []float64{0, 1},
+	cm, err := NewColormap([]float64{0, 1},
 		[]color.RGBA{{R: 0, A: 255}, {R: 200, A: 255}})
 	if err != nil {
 		t.Fatal(err)
@@ -62,16 +62,13 @@ func TestColormapInterpolation(t *testing.T) {
 	if got := cm.At(math.NaN()); got != (color.RGBA{A: 255}) {
 		t.Errorf("NaN color = %v", got)
 	}
-	if cm.Name() != "ramp" {
-		t.Errorf("Name = %q", cm.Name())
-	}
 }
 
 func TestBuiltinColormaps(t *testing.T) {
 	ow := OkuboWeissMap()
 	for _, tv := range []float64{0, 0.25, 0.5, 0.75, 1} {
 		if c := ow.At(tv); c.A != 255 {
-			t.Errorf("%s.At(%v) not opaque", ow.Name(), tv)
+			t.Errorf("okubo-weiss At(%v) not opaque", tv)
 		}
 	}
 	// The Okubo-Weiss palette must be green at the negative end and blue at
@@ -163,7 +160,7 @@ func TestRenderProducesOpaqueImage(t *testing.T) {
 		field[ci] = m.Cells[ci].Lat
 	}
 	// A blue-to-red ramp over the latitude range: south cool, north warm.
-	ramp, err := NewColormap("ramp", []float64{0, 1}, []color.RGBA{{B: 255, A: 255}, {R: 255, A: 255}})
+	ramp, err := NewColormap([]float64{0, 1}, []color.RGBA{{B: 255, A: 255}, {R: 255, A: 255}})
 	if err != nil {
 		t.Fatal(err)
 	}

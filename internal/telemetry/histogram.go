@@ -89,14 +89,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations; 0 on nil.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the sum of all observations; 0 on nil.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
@@ -173,15 +165,6 @@ func (hv HistogramValue) Quantile(q float64) (float64, error) {
 		return hv.Buckets[len(hv.Buckets)-2].UpperBound, nil
 	}
 	return last.UpperBound, nil
-}
-
-// Quantile snapshots the histogram and estimates the q-quantile; see
-// HistogramValue.Quantile. Errors on a nil histogram.
-func (h *Histogram) Quantile(q float64) (float64, error) {
-	if h == nil {
-		return 0, fmt.Errorf("telemetry: quantile of nil histogram")
-	}
-	return h.value().Quantile(q)
 }
 
 // value snapshots the histogram. The per-bucket loads are not mutually

@@ -21,7 +21,7 @@ func TestQuantileInterpolation(t *testing.T) {
 		{1, 20}, // rank 4 -> upper bound
 	}
 	for _, tc := range cases {
-		got, err := h.Quantile(tc.q)
+		got, err := h.value().Quantile(tc.q)
 		if err != nil {
 			t.Fatalf("q=%g: %v", tc.q, err)
 		}
@@ -39,14 +39,14 @@ func TestQuantileAcrossBuckets(t *testing.T) {
 	for _, v := range []float64{0.5, 1.5, 3, 6} {
 		h.Observe(v)
 	}
-	if got, _ := h.Quantile(0.5); got != 2 {
+	if got, _ := h.value().Quantile(0.5); got != 2 {
 		t.Errorf("p50 = %g, want 2", got)
 	}
 	// p99: rank 3.96 inside the (4, 8] bucket, 96% through it.
-	if got, _ := h.Quantile(0.99); math.Abs(got-(4+0.96*4)) > 1e-12 {
+	if got, _ := h.value().Quantile(0.99); math.Abs(got-(4+0.96*4)) > 1e-12 {
 		t.Errorf("p99 = %g", got)
 	}
-	if got, _ := h.Quantile(1); got != 8 {
+	if got, _ := h.value().Quantile(1); got != 8 {
 		t.Errorf("p100 = %g, want 8", got)
 	}
 }
@@ -57,14 +57,14 @@ func TestQuantileFirstBucketLowerEdge(t *testing.T) {
 	h := reg.Histogram("pos", []float64{10})
 	h.Observe(5)
 	h.Observe(5)
-	if got, _ := h.Quantile(0.5); math.Abs(got-5) > 1e-12 {
+	if got, _ := h.value().Quantile(0.5); math.Abs(got-5) > 1e-12 {
 		t.Errorf("positive first bucket p50 = %g, want 5", got)
 	}
 	// Negative bound: no zero edge to interpolate from; the bucket
 	// degenerates to its bound.
 	hn := reg.Histogram("neg", []float64{-10, 0})
 	hn.Observe(-20)
-	if got, _ := hn.Quantile(0.5); got != -10 {
+	if got, _ := hn.value().Quantile(0.5); got != -10 {
 		t.Errorf("negative first bucket p50 = %g, want -10", got)
 	}
 }
@@ -76,14 +76,14 @@ func TestQuantileInfBucket(t *testing.T) {
 	h.Observe(100) // lands in +Inf bucket
 	// The overflow bucket has no upper edge: report the largest finite
 	// bound rather than inventing a value.
-	if got, err := h.Quantile(1); err != nil || got != 10 {
+	if got, err := h.value().Quantile(1); err != nil || got != 10 {
 		t.Errorf("q=1 = %g (%v), want 10", got, err)
 	}
 	// Everything in the overflow bucket: still degenerates to the largest
 	// finite bound — the estimator never invents values past the axis.
 	all := reg.Histogram("allinf", []float64{10})
 	all.Observe(50)
-	if got, err := all.Quantile(0.5); err != nil || got != 10 {
+	if got, err := all.value().Quantile(0.5); err != nil || got != 10 {
 		t.Errorf("all-overflow p50 = %g (%v), want 10", got, err)
 	}
 	// A hand-built value whose only bucket is +Inf has no axis at all.
@@ -96,18 +96,14 @@ func TestQuantileInfBucket(t *testing.T) {
 func TestQuantileErrors(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat", []float64{10})
-	if _, err := h.Quantile(0.5); err == nil {
+	if _, err := h.value().Quantile(0.5); err == nil {
 		t.Error("empty histogram produced a quantile")
 	}
 	h.Observe(5)
 	for _, q := range []float64{-0.1, 1.1, math.NaN()} {
-		if _, err := h.Quantile(q); err == nil {
+		if _, err := h.value().Quantile(q); err == nil {
 			t.Errorf("q=%g accepted", q)
 		}
-	}
-	var nilH *Histogram
-	if _, err := nilH.Quantile(0.5); err == nil {
-		t.Error("nil histogram produced a quantile")
 	}
 }
 

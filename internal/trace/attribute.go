@@ -27,9 +27,6 @@ type Interval struct {
 	End   units.Seconds
 }
 
-// Duration returns the interval length.
-func (iv Interval) Duration() units.Seconds { return iv.End - iv.Start }
-
 // PhaseIntervals flattens the lane's hierarchical spans into the phase
 // step function: at every instant the *innermost* active span wins, so a
 // "viz.sample" span nested inside an "io.readback" span claims its own

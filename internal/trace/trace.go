@@ -163,14 +163,6 @@ type Lane struct {
 	next uint64 // total events ever recorded; next%len(ring) is the write slot
 }
 
-// Name returns the lane's registered name; "" on nil.
-func (l *Lane) Name() string {
-	if l == nil {
-		return ""
-	}
-	return l.name
-}
-
 // record writes one event slot. Callers hold no locks.
 func (l *Lane) record(kind EventKind, name, detail string, ts int64, onClock bool) {
 	if l == nil {

@@ -31,9 +31,6 @@ func TestNilSafety(t *testing.T) {
 	l.record(EventEnd, "", "", 2, false)
 	l.record(EventInstant, "x", "", 3, false)
 	l.SpanAt("x", "d", 1, 2)
-	if l.Name() != "" {
-		t.Error("nil lane has a name")
-	}
 	tl := tr.Snapshot()
 	if tl == nil || len(tl.Lanes) != 0 {
 		t.Errorf("nil tracer snapshot = %+v", tl)
@@ -47,8 +44,8 @@ func TestLaneRegistration(t *testing.T) {
 	if tr.Lane("a") != a {
 		t.Error("Lane not idempotent")
 	}
-	if a.Name() != "a" || b.Name() != "b" {
-		t.Errorf("names = %q, %q", a.Name(), b.Name())
+	if a.name != "a" || b.name != "b" {
+		t.Errorf("names = %q, %q", a.name, b.name)
 	}
 	tl := tr.Snapshot()
 	if len(tl.Lanes) != 2 || tl.Lanes[0].Name != "a" || tl.Lanes[1].Name != "b" {

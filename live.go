@@ -85,10 +85,6 @@ type LiveConfig struct {
 	// explicitly instead of letting every rasterizer assume the whole
 	// machine.
 	RenderWorkers int
-	// Scenario selects the initial condition: "jet" (default, the
-	// Galewsky barotropically unstable jet that rolls up into eddies) or
-	// "rossby" (the Williamson TC6 Rossby-Haurwitz wave).
-	Scenario string
 	// Telemetry, when non-nil, is used instead of a run-private registry,
 	// so an HTTP exposition handler holding the same registry can scrape
 	// the run while it executes. The final snapshot still lands on
@@ -288,22 +284,12 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var state *ocean.State
-	var meanDepth float64
-	switch cfg.Scenario {
-	case "", "jet":
-		meanDepth = 10000
-		state, err = ocean.UnstableJet(model, ocean.DefaultGalewsky())
-	case "rossby":
-		meanDepth = 8000
-		state, err = ocean.RossbyHaurwitzWave(model)
-	default:
-		return nil, fmt.Errorf("insituviz: unknown scenario %q (want jet or rossby)", cfg.Scenario)
-	}
+	jet := ocean.DefaultGalewsky()
+	state, err := ocean.UnstableJet(model, jet)
 	if err != nil {
 		return nil, err
 	}
-	dt := model.SuggestedTimestep(meanDepth)
+	dt := model.SuggestedTimestep(jet.MeanDepth)
 
 	// One sample renderer defines a sample's image set for either transport:
 	// in-process it rasterizes; in transit the workers hold its twin and
