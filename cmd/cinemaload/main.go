@@ -92,9 +92,18 @@ func main() {
 		log.Fatal("-balance-fail needs -targets")
 	}
 
+	// One client for every worker, whose transport keeps an idle
+	// connection per worker to each target: the default transport keeps
+	// two per host, so with more workers the rest re-dial after every
+	// request and the latencies include the dials.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0
+	tr.MaxIdleConnsPerHost = *workers
+	client := &http.Client{Timeout: 30 * time.Second, Transport: tr}
+
 	// The index is the work list: every request targets a real entry, so a
 	// non-200 response is the server's doing, not a bad key.
-	entries := fetchIndex(targets, *store)
+	entries := fetchIndex(client, targets, *store)
 	if len(entries) == 0 {
 		log.Fatalf("store %s has no frames", *store)
 	}
@@ -114,7 +123,6 @@ func main() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(*seed + int64(w)))
 			zipf := rand.NewZipf(rng, *zipfS, *zipfV, uint64(len(entries)-1))
-			client := &http.Client{Timeout: 30 * time.Second}
 			lats := make([]time.Duration, 0, *requests / *workers + 1)
 			for issued.Add(1) <= int64(*requests) {
 				e := entries[zipf.Uint64()]
@@ -233,10 +241,10 @@ func reportBalance(targets []string, stats []targetStats, failovers int64, failL
 
 // fetchIndex pulls and parses the store's index document, failing over
 // across targets like the load loop does.
-func fetchIndex(targets []string, store string) []cinemastore.Entry {
+func fetchIndex(client *http.Client, targets []string, store string) []cinemastore.Entry {
 	var lastErr error
 	for _, addr := range targets {
-		resp, err := http.Get(addr + "/cinema/" + url.PathEscape(store) + "/index.json")
+		resp, err := client.Get(addr + "/cinema/" + url.PathEscape(store) + "/index.json")
 		if err != nil {
 			lastErr = err
 			continue

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -122,6 +123,7 @@ type Gateway struct {
 	mCorrupt     *telemetry.Counter
 	mRepairs     *telemetry.Counter
 	mRepairErrs  *telemetry.Counter
+	mDials       *telemetry.Counter
 }
 
 // NewGateway validates cfg and builds the gateway with every peer in the
@@ -156,7 +158,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		cfg:      cfg,
 		ring:     NewRing(DefaultVirtualNodes),
 		byName:   map[string]*peerNode{},
-		client:   &http.Client{Timeout: DefaultFetchTimeout},
 		lane:     cfg.Tracer.Lane("cluster.gateway"),
 		peerSite: cfg.Faults.Site("cluster.peer"),
 		maxBody:  maxFrameBytes,
@@ -174,7 +175,9 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		mCorrupt:     reg.Counter("corrupt"),
 		mRepairs:     reg.Counter("repairs"),
 		mRepairErrs:  reg.Counter("repair.errors"),
+		mDials:       reg.Counter("peer.dials"),
 	}
+	g.client = &http.Client{Timeout: DefaultFetchTimeout, Transport: g.peerTransport()}
 	g.cache = cinemaserve.NewCache[frameID](cfg.CacheBytes, reg.Counter("cache.evictions"), reg.Gauge("cache.used.bytes"))
 	reg.Gauge("replicas").Set(int64(cfg.Replicas))
 	reg.Gauge("nodes").Set(int64(len(cfg.Peers)))
@@ -198,6 +201,24 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		g.ring.Add(name)
 	}
 	return g, nil
+}
+
+// peerTransport is the one transport every peer fetch and scrape shares.
+// It keeps as many idle connections per node as a node admits requests at
+// once (cinemaserve.DefaultMaxInflight), with no fleet-wide idle cap, so
+// concurrent relays reuse the connections they opened instead of
+// re-dialling: the default transport keeps two per host. Every dial,
+// failed ones included, counts in peer.dials.
+func (g *Gateway) peerTransport() *http.Transport {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0
+	tr.MaxIdleConnsPerHost = cinemaserve.DefaultMaxInflight
+	dial := tr.DialContext
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		g.mDials.Inc()
+		return dial(ctx, network, addr)
+	}
+	return tr
 }
 
 // NodeState reports the named node's breaker state
@@ -484,8 +505,10 @@ func (g *Gateway) peerFetch(ctx context.Context, p *peerNode, rawURL string) (da
 	return data, status, header
 }
 
-// get reads one response whole. A body beyond maxBody is an error, not a
-// truncation: a cut-off frame must never reach a client or the cache.
+// get reads one response whole, into a buffer of exactly its size. A
+// body beyond maxBody is an error, not a truncation, and so is one shorter
+// than its declared length: a cut-off frame must never reach a client or
+// the cache.
 func (g *Gateway) get(ctx context.Context, rawURL string) ([]byte, int, http.Header, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawURL, nil)
 	if err != nil {
@@ -496,14 +519,39 @@ func (g *Gateway) get(ctx context.Context, rawURL string) ([]byte, int, http.Hea
 		return nil, 0, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, g.maxBody+1))
+	body, err := readBody(resp.Body, resp.ContentLength, g.maxBody)
 	if err != nil {
-		return nil, 0, nil, err
-	}
-	if int64(len(body)) > g.maxBody {
-		return nil, 0, nil, fmt.Errorf("cinemacluster: %s: body exceeds %d bytes", rawURL, g.maxBody)
+		return nil, 0, nil, fmt.Errorf("cinemacluster: %s: %w", rawURL, err)
 	}
 	return body, resp.StatusCode, resp.Header, nil
+}
+
+// readBody reads r whole, bounded by limit bytes. A declared length n
+// (n >= 0) is checked against the bound before any byte is read, then
+// filled by one read into a buffer of exactly n bytes, so a cached frame
+// holds no spare capacity; a body that ends early fails with
+// io.ErrUnexpectedEOF. A body of unknown length (n < 0: chunked /metrics
+// scrapes, a large index.json) is read growing, and one byte past the
+// bound fails it.
+func readBody(r io.Reader, n, limit int64) ([]byte, error) {
+	if n > limit {
+		return nil, fmt.Errorf("declared body of %d bytes exceeds %d", n, limit)
+	}
+	if n >= 0 {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(body)) > limit {
+		return nil, fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return body, nil
 }
 
 // writeFrame relays a frame to the client. node, when non-empty, names

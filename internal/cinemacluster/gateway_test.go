@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -65,6 +66,13 @@ type node struct {
 // registry under the "serve." namespace, exactly like cmd/cinemaserve.
 func newNode(t testing.TB, dir string, cfg cinemaserve.Config) *node {
 	t.Helper()
+	return startNode(t, dir, cfg, nil)
+}
+
+// startNode is newNode with connState, when non-nil, installed as the
+// HTTP server's ConnState hook before it starts accepting.
+func startNode(t testing.TB, dir string, cfg cinemaserve.Config, connState func(net.Conn, http.ConnState)) *node {
+	t.Helper()
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
@@ -82,7 +90,10 @@ func newNode(t testing.TB, dir string, cfg cinemaserve.Config) *node {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		_ = union.Snapshot().WriteText(w)
 	})
-	return &node{srv: srv, reg: cfg.Telemetry, http: httptest.NewServer(mux), st: st}
+	ts := httptest.NewUnstartedServer(mux)
+	ts.Config.ConnState = connState
+	ts.Start()
+	return &node{srv: srv, reg: cfg.Telemetry, http: ts, st: st}
 }
 
 // cluster is a gateway over n real serving nodes sharing one store dir.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -133,38 +134,63 @@ func TestGatewayClientCacheOnly(t *testing.T) {
 	assertNoStrikes(t, c)
 }
 
-// TestGatewayFailsOversizePeerBody: a peer body beyond the relay bound
-// fails the fetch; the truncated prefix is neither served nor cached.
+// TestGatewayFailsOversizePeerBody: a peer body beyond the relay bound,
+// or shorter than its declared length, fails the fetch; no prefix of it is
+// served or cached, and the node takes one strike. A declared length over
+// the bound fails before any of the body is read.
 func TestGatewayFailsOversizePeerBody(t *testing.T) {
 	defer leakcheck.Check(t)()
 	const bound = 1 << 10
-	fat := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("cacheonly") != "" {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		w.Header().Set("X-Cinema-File", "fat.png")
-		_, _ = w.Write(make([]byte, bound+1))
-	}))
-	defer fat.Close()
-	reg := telemetry.NewRegistry()
-	gw, err := NewGateway(Config{Peers: []string{fat.URL}, Replicas: 1, Telemetry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	gw.maxBody = bound
+	for _, tc := range []struct {
+		name string
+		body func(w http.ResponseWriter)
+	}{
+		// Small enough for the server to declare its length itself.
+		{"declared over the bound", func(w http.ResponseWriter) {
+			_, _ = w.Write(make([]byte, bound+1))
+		}},
+		// Flushed before the body, so sent chunked with no length.
+		{"chunked over the bound", func(w http.ResponseWriter) {
+			w.(http.Flusher).Flush()
+			for i := 0; i < 4; i++ {
+				_, _ = w.Write(make([]byte, bound/2))
+			}
+		}},
+		{"shorter than declared", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(bound/2))
+			_, _ = w.Write(make([]byte, bound/4))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Query().Get("cacheonly") != "" {
+					w.WriteHeader(http.StatusNoContent)
+					return
+				}
+				w.Header().Set("X-Cinema-File", "fat.png")
+				tc.body(w)
+			}))
+			defer peer.Close()
+			reg := telemetry.NewRegistry()
+			gw, err := NewGateway(Config{Peers: []string{peer.URL}, Replicas: 1, Telemetry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw.Close()
+			gw.maxBody = bound
 
-	w := httptest.NewRecorder()
-	gw.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/run/frame?var=var0&time=0", nil))
-	if w.Code != http.StatusBadGateway || strings.Contains(w.Body.String(), "\x00") {
-		t.Errorf("status = %d with %d body bytes, want 502 and no frame bytes", w.Code, w.Body.Len())
-	}
-	if n := gw.cache.Len(); n != 0 {
-		t.Errorf("gateway cached %d truncated frames", n)
-	}
-	if got := reg.Counter("node.node0.failures").Value(); got != 1 {
-		t.Errorf("node0 failures = %d, want 1", got)
+			w := httptest.NewRecorder()
+			gw.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/run/frame?var=var0&time=0", nil))
+			if w.Code != http.StatusBadGateway || strings.Contains(w.Body.String(), "\x00") {
+				t.Errorf("status = %d with %d body bytes, want 502 and no frame bytes", w.Code, w.Body.Len())
+			}
+			if n := gw.cache.Len(); n != 0 {
+				t.Errorf("gateway cached %d truncated frames", n)
+			}
+			if got := reg.Counter("node.node0.failures").Value(); got != 1 {
+				t.Errorf("node0 failures = %d, want 1", got)
+			}
+		})
 	}
 }
 

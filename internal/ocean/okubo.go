@@ -20,9 +20,7 @@ import (
 // OkuboWeissInto with a reused buffer instead.
 func (md *Model) OkuboWeiss(s *State) []float64 {
 	out := make([]float64, md.Mesh.NCells())
-	d := md.ensureDiag(true)
-	md.cellPass(s, d, nil)
-	md.okuboWeissFromDiagnostics(d, out)
+	md.okuboWeiss(s, out)
 	return out
 }
 
@@ -36,10 +34,18 @@ func (md *Model) OkuboWeissInto(s *State, out []float64) error {
 	if len(out) != md.Mesh.NCells() {
 		return fmt.Errorf("ocean: okubo-weiss output has %d cells, want %d", len(out), md.Mesh.NCells())
 	}
-	d := md.ensureDiag(true)
-	md.cellPass(s, d, nil)
-	md.okuboWeissFromDiagnostics(d, out)
+	md.okuboWeiss(s, out)
 	return nil
+}
+
+// okuboWeiss computes the Okubo-Weiss field of s into out from the
+// reconstructed cell velocities alone, which is all it reads of the
+// diagnostics: no divergence, kinetic energy or vertex vorticity.
+func (md *Model) okuboWeiss(s *State, out []float64) {
+	d := md.ensureDiag(true)
+	md.sc.loopS, md.sc.loopD = s, d
+	md.parallelFor(md.Mesh.NCells(), md.grainDiagCells, md.sc.owVelocity)
+	md.okuboWeissFromDiagnostics(d, out)
 }
 
 // OkuboWeissFrom computes the Okubo-Weiss field from already computed

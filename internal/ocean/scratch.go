@@ -67,6 +67,7 @@ type stepScratch struct {
 	diagCells   func(lo, hi int)
 	diagVerts   func(lo, hi int)
 	momentum    func(lo, hi int)
+	owVelocity  func(lo, hi int)
 	owProject   func(lo, hi int)
 	owGradient  func(lo, hi int)
 	stageCells  func(lo, hi int)
@@ -88,16 +89,15 @@ func (md *Model) ensureStages() {
 
 // ensureDiag returns the model's reusable diagnostics buffer, allocating it
 // on first use. A tendency evaluation writes only its vorticity (the cell
-// records take the cell fields' place), so the cell fields are allocated
-// only when cells is set, on the first Okubo-Weiss evaluation.
-func (md *Model) ensureDiag(cells bool) *Diagnostics {
+// records take the cell fields' place) and Okubo-Weiss only the cell
+// velocities, so those are allocated only when vel is set, on the first
+// Okubo-Weiss evaluation; the divergence and kinetic energy never are.
+func (md *Model) ensureDiag(vel bool) *Diagnostics {
 	m := md.Mesh
 	if md.sc.diag == nil {
 		md.sc.diag = &Diagnostics{Vorticity: make([]float64, m.NVertices())}
 	}
-	if d := md.sc.diag; cells && d.CellVelocity == nil {
-		d.Divergence = make([]float64, m.NCells())
-		d.KineticEnergy = make([]float64, m.NCells())
+	if d := md.sc.diag; vel && d.CellVelocity == nil {
 		d.CellVelocity = make([]mesh.Vec3, m.NCells())
 	}
 	return md.sc.diag
@@ -232,6 +232,27 @@ func (md *Model) initLoopBindings() {
 				tend += visc * lap
 			}
 			tendOut[ei] = tend
+		}
+	}
+
+	// Okubo-Weiss from a state: the cell pass's velocity reconstruction
+	// alone, each component accumulated in the same order, so the
+	// velocities are bit-identical to the diagnostics' CellVelocity.
+	md.sc.owVelocity = func(lo, hi int) {
+		cells, off, recon := md.Mesh.Cells, md.cellOff, md.recon
+		un, velOut := md.sc.loopS.NormalVelocity, md.sc.loopD.CellVelocity
+		for ci := lo; ci < hi; ci++ {
+			es := cells[ci].Edges
+			r := recon[off[ci]:off[ci+1]][:len(es)]
+			var vx, vy, vz float64
+			for k, ei := range es {
+				u := un[ei]
+				rk := &r[k]
+				vx += u * rk[0]
+				vy += u * rk[1]
+				vz += u * rk[2]
+			}
+			velOut[ci] = mesh.Vec3{vx, vy, vz}
 		}
 	}
 

@@ -71,6 +71,14 @@ echo "killed node1 (port 19002) mid-burst"
 wait "$burst"
 cat burst.log
 
+# The gateway keeps the peer connections it opened: through the whole
+# burst, the SIGKILL and its failed re-dials included, it dials at most
+# twice per load worker per node (3 nodes, 8 workers).
+curl -fsS $GW/metrics > cluster-metrics-burst.txt
+dials=$(metric cluster-metrics-burst.txt counter cluster.peer.dials)
+echo "cluster.peer.dials after the first burst: $dials"
+[ -n "$dials" ] && [ "$dials" -le $((2 * 3 * 8)) ] || die "cluster.peer.dials $dials > 48: the gateway re-dials its peers"
+
 # Whether a re-fetch is answered from the gateway's memory tier (no query
 # suffix busts it: the cache key is the parsed request) or re-routes
 # around the dead node, it must produce exactly the bytes snapshotted

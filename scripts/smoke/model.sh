@@ -6,7 +6,7 @@
 # anomaly, and the fitted alpha's interval must bracket the reference.
 source "$(dirname "$0")/lib.sh"
 
-build liverun modelfit
+build liverun modelfit ncinfo powerchar whatif
 
 model_run() {
   liverun -mode insitu -steps 64 -sample-every 8 -subdivisions 2 \
@@ -29,3 +29,14 @@ expect runA.txt 'model alpha contains-reference yes'
 
 modelfit -online > modelfit.txt
 expect modelfit.txt 'online matches offline to 1e-9: yes'
+
+# The paper-reproduction commands: the post-processing pipeline's raw
+# Okubo-Weiss dump read back, the Section V power characterisation and
+# the Section VII what-if table, each at its smallest size.
+small_run post -mode post > post-run.txt
+ncinfo -stats post/raw/*.nc > ncinfo.txt
+expect ncinfo.txt '^okuboWeiss +162 '
+powerchar -sweep-steps 2 > powerchar.txt
+expect powerchar.txt '^storage rack \(Lustre, 5 nodes\) +2\.27 kW +2\.30 kW'
+whatif -years 1 > whatif.txt
+expect whatif.txt '^post-processing: finest sampling under a 2\.00 TB budget = one output every '
