@@ -93,7 +93,7 @@ type peerNode struct {
 
 // Gateway routes Cinema requests across a fleet of cinemaserve nodes:
 // consistent-hash ownership with R-way replication, breaker-driven
-// ejection, and the tiered cache described in the package comment. Safe
+// ejection, and the tiered reads described in the package comment. Safe
 // for concurrent use.
 type Gateway struct {
 	cfg    Config
@@ -178,7 +178,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		mDials:       reg.Counter("peer.dials"),
 	}
 	g.client = &http.Client{Timeout: DefaultFetchTimeout, Transport: g.peerTransport()}
-	g.cache = cinemaserve.NewCache[frameID](cfg.CacheBytes, reg.Counter("cache.evictions"), reg.Gauge("cache.used.bytes"))
+	g.cache = cinemaserve.NewCache(cfg.CacheBytes, frameID.hash, reg.Counter("cache.evictions"), reg.Gauge("cache.used.bytes"))
 	reg.Gauge("replicas").Set(int64(cfg.Replicas))
 	reg.Gauge("nodes").Set(int64(len(cfg.Peers)))
 	for i, base := range cfg.Peers {
@@ -280,6 +280,17 @@ type frameID struct {
 	q     cinemaserve.FrameQuery // CacheOnly always false
 }
 
+// hash places the frame on the ring: HashKey of the store and axis point,
+// or HashFile for a by-file request. The gateway cache's admission sketch
+// counts requests by the same hash, so an exact and a nearest request for
+// one point share a counter.
+func (id frameID) hash() uint64 {
+	if id.q.File != "" {
+		return HashFile(id.store, id.q.File)
+	}
+	return HashKey(id.store, id.q.Key)
+}
+
 // repairTarget remembers a replica that reported a corrupt copy of a
 // frame during the failover walk, so good bytes found later in the same
 // walk can be written back over it.
@@ -288,16 +299,17 @@ type repairTarget struct {
 	file string
 }
 
-// fetchTiered serves one frame through the cache tiers: gateway memory,
-// owning peers' memory (cacheonly probes), then one full read on the
-// first healthy owner — or, all owners down, on any healthy node, which
-// shared storage makes safe. A node answering 500 + X-Cinema-Corrupt is
-// alive but holds a rotten replica: the walk continues (no breaker
-// strike — integrity is not availability), and once a healthy candidate
-// supplies verified bytes the corrupt replica is repaired in place. The
-// frame is routed, cached and forwarded as the parsed request, so every
-// spelling of one point shares owners, cache entry and peer URL. A
-// client's own cacheonly request ends after the memory tiers, in 204.
+// fetchTiered serves one frame: from gateway memory, else by one full
+// read on the first healthy owner — which answers from its own cache
+// before it touches disk — or, all owners down, on any healthy node,
+// which shared storage makes safe. A node answering 500 +
+// X-Cinema-Corrupt is alive but holds a rotten replica: the walk
+// continues (no breaker strike — integrity is not availability), and
+// once a healthy candidate supplies verified bytes the corrupt replica is
+// repaired in place. The frame is routed, cached and forwarded as the
+// parsed request, so every spelling of one point shares owners, cache
+// entry and peer URL. A client's own cacheonly request never reads: it
+// probes the owners' memory and ends in 204 (probeOwners).
 func (g *Gateway) fetchTiered(w http.ResponseWriter, r *http.Request, store string, q cinemaserve.FrameQuery) {
 	cacheOnly := q.CacheOnly
 	q.CacheOnly = false
@@ -309,42 +321,15 @@ func (g *Gateway) fetchTiered(w http.ResponseWriter, r *http.Request, store stri
 	}
 	g.mCacheMisses.Inc()
 
-	hash := HashKey(store, q.Key)
-	if q.File != "" {
-		hash = HashFile(store, q.File)
-	}
-	owners := g.ring.Owners(hash, g.cfg.Replicas, make([]string, 0, g.cfg.Replicas))
+	owners := g.ring.Owners(id.hash(), g.cfg.Replicas, make([]string, 0, g.cfg.Replicas))
 	storePath := "/cinema/" + url.PathEscape(store) + "/"
-
-	// Tier 2: probe the owning peers' caches. A probe never costs a
-	// peer a disk read, so trying every owner is cheap; the first
-	// resident copy wins. A cacheonly probe can never report corruption
-	// — only verified frames enter a node's cache.
-	probe := q
-	probe.CacheOnly = true
-	probeRoute := storePath + probe.Route()
-	for _, name := range owners {
-		p := g.byName[name]
-		if p == nil || !g.admit(p) {
-			continue
-		}
-		g.mPeerProbes.Inc()
-		data, status, header := g.peerFetch(r.Context(), p, p.base+probeRoute)
-		if status == http.StatusOK {
-			g.mPeerHits.Inc()
-			file := header.Get("X-Cinema-File")
-			g.cache.Put(id, data, file)
-			g.writeFrame(w, data, file, p.name)
-			return
-		}
-	}
 	if cacheOnly {
-		w.WriteHeader(http.StatusNoContent)
+		g.probeOwners(w, r, id, owners, storePath)
 		return
 	}
 
-	// Tier 3: a real read. Owners first (their cache fills where the
-	// hash says the frame lives), then everyone else as a last resort.
+	// Owners first (their cache fills where the hash says the frame
+	// lives), then everyone else as a last resort.
 	sawShed := false
 	var corrupt []repairTarget
 	readRoute := storePath + q.Route()
@@ -379,6 +364,33 @@ func (g *Gateway) fetchTiered(w http.ResponseWriter, r *http.Request, store stri
 		}
 	}
 	g.exhausted(w, sawShed)
+}
+
+// probeOwners answers a client's cacheonly request that missed gateway
+// memory: a cacheonly probe of each healthy owner's memory, first
+// resident copy wins, else 204. A probe never costs a peer a disk read
+// and can never report corruption — only verified frames enter a node's
+// cache. These probes are all that peer.probes and peer.hits count.
+func (g *Gateway) probeOwners(w http.ResponseWriter, r *http.Request, id frameID, owners []string, storePath string) {
+	probe := id.q
+	probe.CacheOnly = true
+	probeRoute := storePath + probe.Route()
+	for _, name := range owners {
+		p := g.byName[name]
+		if p == nil || !g.admit(p) {
+			continue
+		}
+		g.mPeerProbes.Inc()
+		data, status, header := g.peerFetch(r.Context(), p, p.base+probeRoute)
+		if status == http.StatusOK {
+			g.mPeerHits.Inc()
+			file := header.Get("X-Cinema-File")
+			g.cache.Put(id, data, file)
+			g.writeFrame(w, data, file, p.name)
+			return
+		}
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // repair rewrites every corrupt replica of file with the verified bytes

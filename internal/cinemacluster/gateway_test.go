@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -203,36 +204,55 @@ func TestGatewayMemoryTierServesRepeats(t *testing.T) {
 	}
 }
 
-// TestGatewayPeerCacheTier pins the middle tier: with the gateway's own
-// cache disabled, a frame resident in the owner's memory is served by a
-// cacheonly probe, and the owner pays no extra disk read for it.
-func TestGatewayPeerCacheTier(t *testing.T) {
+// TestGatewayMissCostsOneRoundTrip pins the miss path: with the gateway's
+// own cache disabled, each request for a frame costs its primary owner
+// exactly one request and no other node any — no cacheonly probe first —
+// and once the frame is in the owner's memory, that request costs no
+// disk read. With the probe tier the cold miss cost three requests: a
+// probe of each owner, then the read.
+func TestGatewayMissCostsOneRoundTrip(t *testing.T) {
 	defer leakcheck.Check(t)()
 	c := newCluster(t, 3, Config{CacheBytes: -1})
 	e := c.nodes[0].st.Entries()[0]
-
-	// Find the primary owner and warm its cache directly, as an earlier
-	// request through any gateway would have.
 	owner := c.gw.ring.Owners(HashKey("run", e.Key), 1, nil)[0]
 	idx, _ := strconv.Atoi(strings.TrimPrefix(owner, "node"))
-	if _, _, err := c.nodes[idx].srv.Frame("run", e.Key, false); err != nil {
+	want, err := c.nodes[idx].st.ReadFrame(e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	reads := c.nodes[idx].reg.Counter("store.reads").Value()
+	requests := func() (all []int64) {
+		for i := range c.nodes {
+			all = append(all, c.reg.Counter(fmt.Sprintf("node.node%d.requests", i)).Value())
+		}
+		return all
+	}
 
-	w, body := c.get(t, frameQuery(e))
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d", w.Code)
+	for _, round := range []struct {
+		name      string
+		diskReads int64
+	}{{"cold", 1}, {"resident in the owner's memory", 0}} {
+		before := requests()
+		reads := c.nodes[idx].reg.Counter("store.reads").Value()
+		w, body := c.get(t, frameQuery(e))
+		if w.Code != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("%s: status %d, right bytes %v", round.name, w.Code, bytes.Equal(body, want))
+		}
+		after := requests()
+		for i := range after {
+			wantReq := int64(0)
+			if i == idx {
+				wantReq = 1
+			}
+			if got := after[i] - before[i]; got != wantReq {
+				t.Errorf("%s: node%d took %d requests, want %d (owner %s)", round.name, i, got, wantReq, owner)
+			}
+		}
+		if got := c.nodes[idx].reg.Counter("store.reads").Value() - reads; got != round.diskReads {
+			t.Errorf("%s: the owner paid %d disk reads, want %d", round.name, got, round.diskReads)
+		}
 	}
-	want, _ := c.nodes[idx].st.ReadFrame(e)
-	if !bytes.Equal(body, want) {
-		t.Fatal("peer-cache tier served wrong bytes")
-	}
-	if got := c.reg.Counter("peer.hits").Value(); got != 1 {
-		t.Errorf("peer.hits = %d, want 1", got)
-	}
-	if got := c.nodes[idx].reg.Counter("store.reads").Value(); got != reads {
-		t.Errorf("owner paid %d extra disk reads for a cached frame", got-reads)
+	if got := c.reg.Counter("peer.probes").Value(); got != 0 {
+		t.Errorf("peer.probes = %d, want 0: only a client's cacheonly request probes", got)
 	}
 }
 
@@ -254,7 +274,7 @@ func TestGatewayFailoverOnDeadNode(t *testing.T) {
 	c.nodes[1].http.Close()
 	// A fresh gateway cache so every post-kill request re-routes instead
 	// of answering from gateway memory.
-	c.gw.cache = cinemaserve.NewCache[frameID](-1, c.reg.Counter("cache.evictions2"), c.reg.Gauge("cache.used.bytes2"))
+	c.gw.cache = cinemaserve.NewCache(-1, frameID.hash, c.reg.Counter("cache.evictions2"), c.reg.Gauge("cache.used.bytes2"))
 
 	for i, e := range entries {
 		w, body := c.get(t, frameQuery(e))
@@ -276,6 +296,56 @@ func TestGatewayFailoverOnDeadNode(t *testing.T) {
 	}
 	if got := c.reg.Counter("errors").Value(); got != 0 {
 		t.Errorf("cluster errors = %d, want 0", got)
+	}
+}
+
+// TestGatewayChaosIsDeterministic: one Zipf request sequence through a
+// gateway armed with -chaos seed=7,cluster, run twice on fresh clusters,
+// fires byte-identical fault logs, costs the nodes the same requests and
+// leaves the same frames in gateway memory, whose budget (4 of 16 frames)
+// makes every fill an admission decision. The breakers are disabled: their
+// cooldown is wall-clock time.
+func TestGatewayChaosIsDeterministic(t *testing.T) {
+	defer leakcheck.Check(t)()
+	plan, err := faults.ParseSpec("seed=7,cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (log string, nodeRequests int64, resident []int) {
+		inj, err := faults.New(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newCluster(t, 3, Config{Faults: inj, CacheBytes: 4 * 256, BreakerThreshold: -1})
+		entries := c.nodes[0].st.Entries()
+		zipf := rand.NewZipf(rand.New(rand.NewSource(5)), 1.1, 1, uint64(len(entries)-1))
+		for i := 0; i < 400; i++ {
+			if w, body := c.get(t, frameQuery(entries[zipf.Uint64()])); w.Code != http.StatusOK {
+				t.Fatalf("request %d: status %d: %s", i, w.Code, body)
+			}
+		}
+		var b strings.Builder
+		if err := inj.WriteLog(&b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.nodes {
+			nodeRequests += c.reg.Counter(fmt.Sprintf("node.node%d.requests", i)).Value()
+		}
+		for i, e := range entries {
+			if c.gw.cache.Contains(frameID{store: "run", q: cinemaserve.FrameQuery{Key: e.Key}}) {
+				resident = append(resident, i)
+			}
+		}
+		return b.String(), nodeRequests, resident
+	}
+	log1, req1, res1 := run()
+	log2, req2, res2 := run()
+	t.Logf("%d node requests, gateway holds %v", req1, res1)
+	if log1 != log2 || log1 == "" {
+		t.Errorf("fault logs differ or are empty:\n--- run 1\n%s--- run 2\n%s", log1, log2)
+	}
+	if req1 != req2 || !slices.Equal(res1, res2) {
+		t.Errorf("two runs differ: node requests %d vs %d, resident %v vs %v", req1, req2, res1, res2)
 	}
 }
 

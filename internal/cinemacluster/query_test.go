@@ -123,7 +123,7 @@ func TestGatewayClientCacheOnly(t *testing.T) {
 		if w.Code != http.StatusOK || !bytes.Equal(body, want) {
 			t.Errorf("warm cacheonly from %s memory: status %d, right bytes %v", tier, w.Code, bytes.Equal(body, want))
 		}
-		c.gw.cache = cinemaserve.NewCache[frameID](-1, nil, nil)
+		c.gw.cache = cinemaserve.NewCache(-1, frameID.hash, nil, nil)
 	}
 	if got := c.reg.Counter("peer.hits").Value(); got != 1 {
 		t.Errorf("peer.hits = %d, want 1", got)
@@ -229,6 +229,29 @@ func TestNodeAndGatewayRejectAlike(t *testing.T) {
 		}
 	}
 	assertNoStrikes(t, c)
+}
+
+// TestGatewayCacheHitAllocations: a gateway memory-tier lookup — hashing
+// the parsed request for the admission sketch, map lookup, promotion —
+// allocates nothing, as the node's hit path does.
+func TestGatewayCacheHitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	c := newCluster(t, 1, Config{Replicas: 1})
+	e := c.nodes[0].st.Entries()[0]
+	if w, _ := c.get(t, frameQuery(e)); w.Code != http.StatusOK {
+		t.Fatalf("warming fetch: status %d", w.Code)
+	}
+	id := frameID{store: "run", q: cinemaserve.FrameQuery{Key: e.Key}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok := c.gw.cache.Get(id); !ok {
+			t.Fatal("warmed frame not resident in the gateway cache")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("gateway cache hit allocates %.1f/op, want 0", allocs)
+	}
 }
 
 // BenchmarkGatewayMemoryHit is a repeat request answered from the

@@ -65,7 +65,7 @@ func TestGatewayRelayAllocatesFrameOnce(t *testing.T) {
 
 // TestGatewayReusesPeerConnections: concurrent relays to one node keep
 // the connections they opened. Five bursts of eight concurrent misses
-// (each a cacheonly probe, then a read) close none of them; the default
+// (each one read) close none of them; the default
 // transport kept two idle per host, closed the rest after every burst and
 // dialled 35. The first burst may dial a few more than eight: the
 // transport hands a returned connection to a request whose own dial is

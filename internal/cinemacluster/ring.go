@@ -1,7 +1,7 @@
 // Package cinemacluster scales the Cinema serving tier out: a
 // consistent-hash ring that assigns every frame of every store to R
 // owning nodes, and a gateway that routes browsing traffic across the
-// ring with replica failover and a tiered cache. One cinemaserve process
+// ring with replica failover and a memory tier. One cinemaserve process
 // was the ceiling before this package; behind a gateway, N nodes split
 // the cache working set (each frame hot on its R owners, not on
 // everyone), a dead node costs its share of cache warmth rather than
@@ -24,10 +24,13 @@
 //     a single live request probes it half-open. No separate health
 //     checker, no pings — the traffic itself is the health signal.
 //
-//   - Tiered reads. A gateway miss costs, in order: its own memory, the
-//     owning peers' memory (a cacheonly probe that never touches disk),
-//     and only then one disk read on one owner. Hot frames are served
-//     from RAM anywhere in the fleet.
+//   - Tiered reads, one round trip per miss. A request is answered from
+//     the gateway's own memory, else by one read on the first healthy
+//     owner, which answers from its memory before it touches disk. Both
+//     memories admit a new frame only if it is requested more often
+//     than what it would evict, so Zipf-like traffic keeps its hot
+//     frames in RAM. Only a client's own cacheonly request probes the
+//     owners' memory, and it never reads disk.
 //
 // Storage is shared (the nodes mount the same database directories, the
 // Lustre posture of the paper), so ownership concentrates cache locality

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
 	"insituviz/internal/cinemastore"
+	"insituviz/internal/faults"
 	"insituviz/internal/telemetry"
 )
 
@@ -18,15 +20,25 @@ func (c *Cache[K]) Bytes() int64 {
 	return c.used
 }
 
+// strHash and intHash are the tests' admission hashes: deterministic,
+// like the node's and the gateway's.
+func strHash(s string) uint64 { return faults.Mix64(faults.FNV64a(s)) }
+func intHash(k int) uint64    { return faults.Mix64(uint64(k)) }
+
 // TestCache drives the one frame cache directly, as a script of
 // operations per case, and checks residency in eviction order, the byte
-// accounting and the two telemetry handles after each script.
+// accounting and the two telemetry handles after each script. A get
+// counts a request whether it hits or misses, as a server's lookup does
+// before it reads and puts a frame; a put of a new key that needs room
+// is admitted only if its key was requested strictly more often than
+// every entry it would evict.
 func TestCache(t *testing.T) {
 	type op struct {
-		do   string // put | get | contains
-		key  string
-		size int
-		want bool // get / contains result
+		do    string // put | get | contains
+		key   string
+		size  int
+		want  bool // get / contains result
+		times int  // get: repeat count (0 means once)
 	}
 	frame := func(n int) []byte { return make([]byte, n) }
 	cases := []struct {
@@ -39,7 +51,10 @@ func TestCache(t *testing.T) {
 	}{
 		{
 			name: "budget is a hard ceiling", budget: 10,
-			ops:      []op{{do: "put", key: "a", size: 4}, {do: "put", key: "b", size: 4}, {do: "put", key: "c", size: 4}},
+			ops: []op{
+				{do: "put", key: "a", size: 4}, {do: "put", key: "b", size: 4},
+				{do: "get", key: "c"}, {do: "put", key: "c", size: 4},
+			},
 			wantKeys: "b c", wantBytes: 8, wantEvict: 1,
 		},
 		{
@@ -61,24 +76,32 @@ func TestCache(t *testing.T) {
 			wantKeys: "b a", wantBytes: 9,
 		},
 		{
+			// A resident key is not re-admitted: growing it evicts the
+			// others whatever their frequencies.
 			name: "re-put that grows past the budget evicts the others", budget: 10,
-			ops:      []op{{do: "put", key: "a", size: 4}, {do: "put", key: "b", size: 4}, {do: "put", key: "a", size: 8}},
+			ops: []op{
+				{do: "get", key: "b", times: 3},
+				{do: "put", key: "a", size: 4}, {do: "put", key: "b", size: 4}, {do: "put", key: "a", size: 8},
+			},
 			wantKeys: "a", wantBytes: 8, wantEvict: 1,
 		},
 		{
+			// Without the promotion a, requested as often as c, would be
+			// the victim and c would be turned away.
 			name: "get promotes", budget: 8,
 			ops: []op{
 				{do: "put", key: "a", size: 4}, {do: "put", key: "b", size: 4},
-				{do: "get", key: "a", want: true}, {do: "put", key: "c", size: 4},
+				{do: "get", key: "a", want: true}, {do: "get", key: "c"}, {do: "put", key: "c", size: 4},
 			},
 			wantKeys: "a c", wantBytes: 8, wantEvict: 1,
 		},
 		{
+			// Contains neither promotes a nor counts a request for it.
 			name: "contains does not promote", budget: 8,
 			ops: []op{
 				{do: "put", key: "a", size: 4}, {do: "put", key: "b", size: 4},
 				{do: "contains", key: "a", want: true}, {do: "contains", key: "x", want: false},
-				{do: "put", key: "c", size: 4},
+				{do: "get", key: "c"}, {do: "put", key: "c", size: 4},
 			},
 			wantKeys: "b c", wantBytes: 8, wantEvict: 1,
 		},
@@ -86,9 +109,35 @@ func TestCache(t *testing.T) {
 			name: "eviction runs from the least recently used end", budget: 12,
 			ops: []op{
 				{do: "put", key: "a", size: 4}, {do: "put", key: "b", size: 4}, {do: "put", key: "c", size: 4},
-				{do: "get", key: "a", want: true}, {do: "put", key: "d", size: 8},
+				{do: "get", key: "a", want: true}, {do: "get", key: "d"}, {do: "put", key: "d", size: 8},
 			},
 			wantKeys: "a d", wantBytes: 12, wantEvict: 2,
+		},
+		{
+			// Ties go to the resident: one request each, c is served but
+			// not cached, so asking again still misses.
+			name: "a frame requested no more often than its victim is not admitted", budget: 8,
+			ops: []op{
+				{do: "get", key: "a"}, {do: "put", key: "a", size: 4},
+				{do: "get", key: "b"}, {do: "put", key: "b", size: 4},
+				{do: "get", key: "c"}, {do: "put", key: "c", size: 4},
+				{do: "contains", key: "c", want: false},
+			},
+			wantKeys: "a b", wantBytes: 8,
+		},
+		{
+			// d needs two victims: it beats a at two requests but not b,
+			// and enters only once it beats both.
+			name: "admission must beat every entry it would evict", budget: 12,
+			ops: []op{
+				{do: "get", key: "a"}, {do: "put", key: "a", size: 4},
+				{do: "get", key: "b", times: 3}, {do: "put", key: "b", size: 4},
+				{do: "get", key: "c"}, {do: "put", key: "c", size: 4},
+				{do: "get", key: "d", times: 2}, {do: "put", key: "d", size: 8},
+				{do: "contains", key: "d", want: false},
+				{do: "get", key: "d", times: 2}, {do: "put", key: "d", size: 8},
+			},
+			wantKeys: "c d", wantBytes: 12, wantEvict: 2,
 		},
 		{
 			name: "negative budget disables", budget: -1,
@@ -101,7 +150,7 @@ func TestCache(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			evictions, used := reg.Counter("cache.evictions"), reg.Gauge("cache.used.bytes")
-			c := NewCache[string](tc.budget, evictions, used)
+			c := NewCache(tc.budget, strHash, evictions, used)
 			for i, o := range tc.ops {
 				switch o.do {
 				case "put":
@@ -110,12 +159,14 @@ func TestCache(t *testing.T) {
 						t.Fatalf("op %d: %d resident bytes exceed the budget %d", i, c.Bytes(), tc.budget)
 					}
 				case "get":
-					data, file, ok := c.Get(o.key)
-					if ok != o.want {
-						t.Fatalf("op %d: Get(%q) = %v, want %v", i, o.key, ok, o.want)
-					}
-					if ok && (file != o.key+".png" || len(data) == 0) {
-						t.Fatalf("op %d: Get(%q) = %d bytes, file %q", i, o.key, len(data), file)
+					for n := 0; n < max(o.times, 1); n++ {
+						data, file, ok := c.Get(o.key)
+						if ok != o.want {
+							t.Fatalf("op %d: Get(%q) = %v, want %v", i, o.key, ok, o.want)
+						}
+						if ok && (file != o.key+".png" || len(data) == 0) {
+							t.Fatalf("op %d: Get(%q) = %d bytes, file %q", i, o.key, len(data), file)
+						}
 					}
 				case "contains":
 					if got := c.Contains(o.key); got != o.want {
@@ -129,12 +180,7 @@ func TestCache(t *testing.T) {
 			if got := evictions.Value(); got != tc.wantEvict {
 				t.Errorf("evictions = %d, want %d", got, tc.wantEvict)
 			}
-			var keys []string
-			c.mu.Lock()
-			for e := c.tail; e != nil; e = e.prev {
-				keys = append(keys, e.key)
-			}
-			c.mu.Unlock()
+			keys := residentLRUFirst(c)
 			if got := strings.Join(keys, " "); got != tc.wantKeys {
 				t.Errorf("resident keys (LRU first) = %q, want %q", got, tc.wantKeys)
 			}
@@ -145,12 +191,62 @@ func TestCache(t *testing.T) {
 	}
 }
 
+// residentLRUFirst lists c's keys from the eviction end.
+func residentLRUFirst[K comparable](c *Cache[K]) []K {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var keys []K
+	for e := c.tail; e != nil; e = e.prev {
+		keys = append(keys, e.key)
+	}
+	return keys
+}
+
+// TestSketchCountsAndHalves pins the frequency sketch: it never
+// undercounts (and, for a few dozen keys over 4 096-wide rows, counts
+// exactly), saturates at 255, and halves every counter after sketchReset
+// recorded requests.
+func TestSketchCountsAndHalves(t *testing.T) {
+	var s sketch
+	const keys = 64
+	recorded := 0
+	for k := 0; k < keys; k++ {
+		for n := 0; n <= k; n++ {
+			s.add(intHash(k))
+			recorded++
+		}
+	}
+	for k := 0; k < keys; k++ {
+		if got := s.estimate(intHash(k)); int(got) != k+1 {
+			t.Fatalf("estimate(%d) = %d after %d requests", k, got, k+1)
+		}
+	}
+	filler := intHash(1 << 20)
+	for ; recorded < sketchReset-1; recorded++ {
+		s.add(filler)
+	}
+	if got := s.estimate(filler); got != 255 {
+		t.Fatalf("a counter past 255 requests reads %d, want 255 (saturated)", got)
+	}
+	s.add(filler) // the sketchReset-th request halves everything
+	if got := s.estimate(filler); got != 127 {
+		t.Errorf("saturated counter after the reset = %d, want 127", got)
+	}
+	for k := 0; k < keys; k++ {
+		if got := s.estimate(intHash(k)); int(got) != (k+1)/2 {
+			t.Fatalf("estimate(%d) after the reset = %d, want %d", k, got, (k+1)/2)
+		}
+	}
+}
+
 // refLRU is the reference model for TestCacheMatchesReferenceLRU: a
-// byte-budgeted LRU as a slice, least recently used first.
+// byte-budgeted LRU as a slice, least recently used first, with the
+// cache's admission rule over its own sketch fed the same requests.
 type refLRU struct {
 	budget, used, evictions int64
 	keys                    []int
 	sizes                   []int64
+	freq                    sketch
 }
 
 func (r *refLRU) find(k int) int {
@@ -170,11 +266,27 @@ func (r *refLRU) touch(i int) {
 }
 
 func (r *refLRU) get(k int) bool {
+	if r.budget > 0 {
+		r.freq.add(intHash(k))
+	}
 	i := r.find(k)
 	if i >= 0 {
 		r.touch(i)
 	}
 	return i >= 0
+}
+
+// admits applies the rule to a new key of n bytes: strictly more
+// requests than each entry, from the LRU end, whose eviction is needed.
+func (r *refLRU) admits(k int, n int64) bool {
+	f := r.freq.estimate(intHash(k))
+	for i, need := 0, r.used+n-r.budget; need > 0; i++ {
+		if r.freq.estimate(intHash(r.keys[i])) >= f {
+			return false
+		}
+		need -= r.sizes[i]
+	}
+	return true
 }
 
 func (r *refLRU) put(k int, n int64) {
@@ -185,7 +297,7 @@ func (r *refLRU) put(k int, n int64) {
 		r.used += n - r.sizes[i]
 		r.sizes[i] = n
 		r.touch(i)
-	} else {
+	} else if r.admits(k, n) {
 		r.keys, r.sizes, r.used = append(r.keys, k), append(r.sizes, n), r.used+n
 	}
 	for r.used > r.budget && len(r.keys) > 0 {
@@ -196,8 +308,9 @@ func (r *refLRU) put(k int, n int64) {
 
 // TestCacheMatchesReferenceLRU runs random Get/Put/Contains sequences over
 // budgets from disabled to roomy against refLRU and, after every
-// operation, checks the hit, residency, byte, eviction and gauge
-// accounting agree.
+// operation, checks the hit, residency, order, byte, eviction and gauge
+// accounting agree. Most puts follow a get of the same key, as a
+// server's miss does, so admission is exercised both ways.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ops := 4000
@@ -207,16 +320,24 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 	for _, budget := range []int64{-1, 0, 1, 7, 16, 64, 1000} {
 		reg := telemetry.NewRegistry()
 		evictions, used := reg.Counter("evictions"), reg.Gauge("used")
-		c := NewCache[int](budget, evictions, used)
+		c := NewCache(budget, intHash, evictions, used)
 		ref := &refLRU{budget: budget}
-		var hits, refHits int
+		var hits, refHits, admitted, rejected int
 		for i := 0; i < ops; i++ {
 			k := rng.Intn(12)
 			switch rng.Intn(3) {
 			case 0:
 				n := rng.Intn(20)
+				in := c.Contains(k)
 				c.Put(k, make([]byte, n), fmt.Sprintf("f%d-%d.png", k, n))
 				ref.put(k, int64(n))
+				switch {
+				case in || n == 0 || int64(n) > budget:
+				case c.Contains(k):
+					admitted++
+				default:
+					rejected++
+				}
 			case 1:
 				data, file, ok := c.Get(k)
 				if ok {
@@ -239,16 +360,44 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 					budget, i, hits, refHits, c.Len(), len(ref.keys), c.Bytes(), ref.used,
 					used.Value(), evictions.Value(), ref.evictions)
 			}
-			c.mu.Lock()
-			e := c.tail
-			for _, want := range ref.keys {
-				if e == nil || e.key != want {
-					t.Fatalf("budget %d op %d: LRU order differs from reference %v", budget, i, ref.keys)
-				}
-				e = e.prev
+			if got := residentLRUFirst(c); !slices.Equal(got, ref.keys) {
+				t.Fatalf("budget %d op %d: LRU order %v differs from reference %v", budget, i, got, ref.keys)
 			}
-			c.mu.Unlock()
 		}
+		t.Logf("budget %d: %d hits, %d admitted, %d turned away, %d evictions", budget, hits, admitted, rejected, evictions.Value())
+		if budget >= 7 && budget <= 64 && (admitted == 0 || rejected == 0) {
+			t.Errorf("budget %d: %d admitted, %d turned away — admission not exercised both ways", budget, admitted, rejected)
+		}
+	}
+}
+
+// TestCacheResistsScans: a hot set, each key requested three times,
+// survives one sweep over a thousand cold keys — which a plain LRU of the
+// same budget would have flushed entirely — and the sweep evicts nothing.
+func TestCacheResistsScans(t *testing.T) {
+	const hot, frame = 8, 16
+	evictions := telemetry.NewRegistry().Counter("evictions")
+	c := NewCache(hot*frame, intHash, evictions, nil)
+	request := func(k int) {
+		if _, _, ok := c.Get(k); !ok {
+			c.Put(k, make([]byte, frame), "")
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for k := 0; k < hot; k++ {
+			request(k)
+		}
+	}
+	for k := 1000; k < 2000; k++ {
+		request(k)
+	}
+	for k := 0; k < hot; k++ {
+		if !c.Contains(k) {
+			t.Errorf("hot key %d evicted by a scan", k)
+		}
+	}
+	if got := evictions.Value(); got != 0 {
+		t.Errorf("the scan evicted %d entries, want 0", got)
 	}
 }
 
@@ -270,5 +419,33 @@ func TestFrameQueryRouteRoundTrips(t *testing.T) {
 		if !ok || err != nil || got != q {
 			t.Errorf("%+v -> %q -> %+v (ok %v, err %v)", q, q.Route(), got, ok, err)
 		}
+	}
+}
+
+// TestCacheAdmissionReplays: one Zipf request sequence over 50 000 keys —
+// far more than a sketch row's 4 096 counters, so collisions decide many
+// admissions — run on two fresh caches leaves the same entries in the
+// same LRU order after the same hits. Nothing but the caller's hash
+// function seeds the sketch; a per-cache random seed fails this.
+func TestCacheAdmissionReplays(t *testing.T) {
+	run := func() ([]int, int) {
+		c := NewCache(512, intHash, nil, nil)
+		zipf := rand.NewZipf(rand.New(rand.NewSource(9)), 1.05, 1, 50000)
+		hits := 0
+		for i := 0; i < 100000; i++ {
+			k := int(zipf.Uint64())
+			if _, _, ok := c.Get(k); ok {
+				hits++
+			} else {
+				c.Put(k, []byte{1}, "")
+			}
+		}
+		return residentLRUFirst(c), hits
+	}
+	keys1, hits1 := run()
+	keys2, hits2 := run()
+	if hits1 != hits2 || !slices.Equal(keys1, keys2) {
+		t.Errorf("two runs of one sequence differ: %d vs %d hits, %d vs %d residents, same order %v",
+			hits1, hits2, len(keys1), len(keys2), slices.Equal(keys1, keys2))
 	}
 }

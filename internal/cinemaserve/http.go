@@ -32,7 +32,8 @@ import (
 //
 // Both frame routes accept &cacheonly=1: answer only from the in-memory
 // cache (200), or 204 No Content when the frame is not resident — the
-// probe the cluster gateway's peer-cache tier rides on.
+// probe a cluster gateway sends the owners for a client's own cacheonly
+// request.
 //
 // Every request passes admission control: when MaxInflight requests are
 // already in flight, the response is 503 with a Retry-After header — the

@@ -257,7 +257,7 @@ func NewServer(cfg Config) *Server {
 		hRespBytes:  reg.Histogram("response.bytes", ResponseSizeBuckets),
 	}
 	s.scrub.init(reg)
-	s.cache = NewCache[cacheKey](cfg.CacheBytes, reg.Counter("cache.evictions"), reg.Gauge("cache.used.bytes"))
+	s.cache = NewCache(cfg.CacheBytes, cacheKey.hash, reg.Counter("cache.evictions"), reg.Gauge("cache.used.bytes"))
 	reg.Gauge("cache.budget.bytes").Set(cfg.CacheBytes)
 	reg.Gauge("slots").Set(int64(cfg.MaxInflight))
 
@@ -345,9 +345,9 @@ type FrameQuery struct {
 	Nearest bool
 	// CacheOnly answers from the in-memory cache alone: the fetch never
 	// touches the store, never strikes the breaker, and never starts a
-	// flight. It is the peer-cache tier of cluster mode — a gateway
-	// probes the owning nodes' caches with it before paying a disk read
-	// anywhere — so a miss must stay cheap and side-effect free.
+	// flight. A cluster gateway forwards a client's cacheonly request to
+	// the owning nodes as such probes, so a miss must stay cheap and
+	// side-effect free.
 	CacheOnly bool
 }
 
@@ -464,7 +464,8 @@ func (s *Server) frameAt(ctx context.Context, m *mount, idx int, lane *trace.Lan
 	return s.flights.do(ctx, ck, func() ([]byte, error) {
 		// A concurrent flight may have filled the cache between our miss
 		// and this flight starting; re-check before touching the store.
-		if data, _, ok := s.cache.Get(ck); ok {
+		// The miss above already counted this request's frequency.
+		if data, _, ok := s.cache.get(ck, false); ok {
 			return data, nil
 		}
 		if !m.brk.Allow() {

@@ -2,11 +2,13 @@ package cinemaserve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"insituviz/internal/cinemastore"
+	"insituviz/internal/faults"
 	"insituviz/internal/leakcheck"
 	"insituviz/internal/telemetry"
 	"insituviz/internal/trace"
@@ -185,32 +188,140 @@ func TestSingleflightCoalescesConcurrentMisses(t *testing.T) {
 }
 
 func TestEvictionKeepsBudget(t *testing.T) {
-	const frame = 1 << 10
-	st := buildStore(t, 1, 8, nil, frame)
+	const frame, steps = 1 << 10, 8
+	st := buildStore(t, 1, steps, nil, frame)
 	s, reg := newTestServer(t, Config{CacheBytes: 2 * frame})
 	if err := s.Mount("run", st); err != nil {
 		t.Fatal(err)
 	}
-	for ts := 0; ts < 8; ts++ {
-		if _, _, err := s.Frame("run", cinemastore.Key{Time: float64(ts), Variable: "var0"}, false); err != nil {
-			t.Fatal(err)
+	// Frame ts is requested ts+1 times in a row, so every newer frame is
+	// hotter than the residents and must displace them once it has been
+	// asked for more often than they were.
+	for ts := 0; ts < steps; ts++ {
+		for n := 0; n <= ts; n++ {
+			if _, _, err := s.Frame("run", cinemastore.Key{Time: float64(ts), Variable: "var0"}, false); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.cache.Bytes(); got > 2*frame {
+				t.Fatalf("frame %d request %d: cache bytes %d exceed budget %d", ts, n, got, 2*frame)
+			}
 		}
 	}
-	if got := s.cache.Bytes(); got > 2*frame {
-		t.Errorf("cache bytes %d exceed budget %d", got, 2*frame)
+	if got := reg.Counter("cache.evictions").Value(); got != steps-2 {
+		t.Errorf("evictions = %d, want %d", got, steps-2)
 	}
-	if got := reg.Counter("cache.evictions").Value(); got != 6 {
-		t.Errorf("evictions = %d, want 6", got)
+	// The two hottest frames are resident, and no resident frame re-reads
+	// the store.
+	resident := residentEntries(s)
+	if want := []int{steps - 2, steps - 1}; !slices.Equal(resident, want) {
+		t.Errorf("resident entries %v, want %v", resident, want)
 	}
-	// The two most recent frames are resident: refetching them is free.
 	before := reg.Counter("store.reads").Value()
-	for ts := 6; ts < 8; ts++ {
-		if _, _, err := s.Frame("run", cinemastore.Key{Time: float64(ts), Variable: "var0"}, false); err != nil {
+	for _, idx := range resident {
+		if _, _, err := s.Frame("run", st.EntryAt(idx).Key, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := reg.Counter("store.reads").Value(); got != before {
 		t.Errorf("resident frames re-read the store: %d -> %d", before, got)
+	}
+}
+
+// residentEntries lists the entry indexes of mount 0 resident in s's
+// cache, in index order, without perturbing it.
+func residentEntries(s *Server) []int {
+	var idx []int
+	for i := 0; i < s.mounts[0].store.Len(); i++ {
+		if s.cache.Contains(cacheKey{mount: 0, entry: int32(i)}) {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
+// TestCacheAdmitsALiveTail: with the cache full of frames asked for twice
+// each, a frame new to the run is served but not cached until it has been
+// asked for more often than the frame it displaces; after three requests
+// it is resident and a fourth costs no store read.
+func TestCacheAdmitsALiveTail(t *testing.T) {
+	const frame = 1 << 10
+	st := buildStore(t, 1, 5, nil, frame)
+	s, reg := newTestServer(t, Config{CacheBytes: 4 * frame})
+	if err := s.Mount("run", st); err != nil {
+		t.Fatal(err)
+	}
+	get := func(ts int) {
+		t.Helper()
+		if _, _, err := s.Frame("run", cinemastore.Key{Time: float64(ts), Variable: "var0"}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for ts := 0; ts < 4; ts++ {
+			get(ts)
+		}
+	}
+	for n := 1; n <= 3; n++ {
+		get(4)
+		if in := s.cache.Contains(cacheKey{entry: 4}); in != (n == 3) {
+			t.Fatalf("after %d requests the new frame is resident: %v", n, in)
+		}
+	}
+	reads := reg.Counter("store.reads").Value()
+	get(4)
+	if got := reg.Counter("store.reads").Value(); got != reads {
+		t.Errorf("the admitted frame re-read the store")
+	}
+	if got := reg.Counter("cache.evictions").Value(); got != 1 {
+		t.Errorf("evictions = %d, want 1", got)
+	}
+}
+
+// TestCacheAdmissionIsDeterministic: one Zipf request sequence, run on two
+// fresh servers armed with -chaos seed=7,serve, leaves the same frames
+// resident, costs the same store reads and writes byte-identical fault
+// logs — admission depends on the requests alone, not on a per-process
+// hash seed. (The breaker is disabled: its cooldown is wall-clock time.)
+func TestCacheAdmissionIsDeterministic(t *testing.T) {
+	const frame, steps = 512, 64
+	st := buildStore(t, 1, steps, nil, frame)
+	plan, err := faults.ParseSpec("seed=7,serve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (resident []int, reads, hits int64, log string) {
+		inj, err := faults.New(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, reg := newTestServer(t, Config{CacheBytes: 8 * frame, BreakerThreshold: -1, Faults: inj})
+		if err := s.Mount("run", st); err != nil {
+			t.Fatal(err)
+		}
+		zipf := rand.NewZipf(rand.New(rand.NewSource(3)), 1.1, 1, steps-1)
+		for i := 0; i < 2000; i++ {
+			ts := zipf.Uint64()
+			_, _, err := s.Frame("run", cinemastore.Key{Time: float64(ts), Variable: "var0"}, false)
+			var injected *InjectedReadError
+			if err != nil && !errors.As(err, &injected) {
+				t.Fatal(err)
+			}
+		}
+		var b strings.Builder
+		if err := inj.WriteLog(&b); err != nil {
+			t.Fatal(err)
+		}
+		return residentEntries(s), reg.Counter("store.reads").Value(), reg.Counter("cache.hits").Value(), b.String()
+	}
+	res1, reads1, hits1, log1 := run()
+	res2, reads2, hits2, log2 := run()
+	t.Logf("resident %v, %d store reads, %d hits of 2000", res1, reads1, hits1)
+	if !slices.Equal(res1, res2) || reads1 != reads2 || hits1 != hits2 {
+		t.Errorf("two runs of one sequence differ: resident %v vs %v, store.reads %d vs %d, cache.hits %d vs %d",
+			res1, res2, reads1, reads2, hits1, hits2)
+	}
+	if log1 != log2 || log1 == "" {
+		t.Errorf("fault logs differ or are empty:\n--- run 1\n%s--- run 2\n%s", log1, log2)
 	}
 }
 

@@ -2,10 +2,13 @@ package cinemastore
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +109,74 @@ func TestScanCanonicalOrder(t *testing.T) {
 			t.Fatalf("time order broken at %d", i)
 		}
 	}
+}
+
+// TestIndexOrderIgnoresPutOrder: frames put in a shuffled order are
+// written to the index, decoded and opened in canonical order —
+// variable, then time, then phi, then theta — whatever order they came
+// in. Every other test puts frames in time order, so without this one
+// the sort could lose its time comparison unnoticed.
+func TestIndexOrderIgnoresPutOrder(t *testing.T) {
+	var want []Key
+	for _, v := range []string{"okubo_weiss", "vorticity"} {
+		for _, tm := range []float64{-3600, 0, 3600, 7200} {
+			for _, phi := range []float64{-1, 0.5} {
+				for _, theta := range []float64{0, 0.25, 1} {
+					want = append(want, Key{Time: tm, Phi: phi, Theta: theta, Variable: v})
+				}
+			}
+		}
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		put := append([]Key(nil), want...)
+		rand.New(rand.NewSource(seed)).Shuffle(len(put), func(i, j int) { put[i], put[j] = put[j], put[i] })
+		dir := t.TempDir()
+		w, err := Create(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range put {
+			if _, err := w.Put(k, frame(k, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, IndexFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc jsonIndex
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		written := make([]Key, len(doc.Images))
+		for i, je := range doc.Images {
+			written[i] = Key{Time: je.Time, Phi: je.Phi, Theta: je.Theta, Variable: je.Variable}
+		}
+		decoded, _, err := DecodeIndex(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string][]Key{"written": written, "decoded": keysOf(decoded), "opened": keysOf(s.Entries())} {
+			if !slices.Equal(got, want) {
+				t.Errorf("seed %d: %s index order differs from (variable, time, phi, theta):\n got %v\nwant %v", seed, name, got, want)
+			}
+		}
+	}
+}
+
+func keysOf(entries []Entry) []Key {
+	keys := make([]Key, len(entries))
+	for i, e := range entries {
+		keys[i] = e.Key
+	}
+	return keys
 }
 
 func TestNearestLookup(t *testing.T) {

@@ -79,6 +79,27 @@ dials=$(metric cluster-metrics-burst.txt counter cluster.peer.dials)
 echo "cluster.peer.dials after the first burst: $dials"
 [ -n "$dials" ] && [ "$dials" -le $((2 * 3 * 8)) ] || die "cluster.peer.dials $dials > 48: the gateway re-dials its peers"
 
+# A gateway miss costs one node request: no cacheonly probe before the
+# read (cinemaload sends none of its own). Every node request is that
+# read, a retry past a failed node (cluster.failover), or a relayed
+# non-frame request (index.json, here; the gateway's requests that were
+# neither a cache hit nor a miss, the one 400 above included).
+probes=$(metric cluster-metrics-burst.txt counter cluster.peer.probes)
+misses=$(metric cluster-metrics-burst.txt counter cluster.cache.misses)
+hits=$(metric cluster-metrics-burst.txt counter cluster.cache.hits)
+requests=$(metric cluster-metrics-burst.txt counter cluster.requests)
+failover=$(metric cluster-metrics-burst.txt counter cluster.failover)
+node_requests=0
+for i in 0 1 2; do
+  n=$(metric cluster-metrics-burst.txt counter cluster.node.node$i.requests)
+  node_requests=$((node_requests + n))
+done
+other=$((requests - hits - misses))
+echo "cluster.peer.probes $probes; $node_requests node requests for $misses gateway misses, $failover failovers, $other non-frame requests"
+[ "$probes" = 0 ] || die "cluster.peer.probes $probes: ordinary requests probed the owners' memory"
+[ "$node_requests" -le $((misses + failover + other)) ] ||
+  die "$node_requests node requests > $misses misses + $failover failovers + $other non-frame requests: more than one round trip per miss"
+
 # Whether a re-fetch is answered from the gateway's memory tier (no query
 # suffix busts it: the cache key is the parsed request) or re-routes
 # around the dead node, it must produce exactly the bytes snapshotted
