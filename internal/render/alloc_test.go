@@ -123,8 +123,9 @@ func TestPNGEncoderSteadyStateAllocs(t *testing.T) {
 	// guard is a small constant budget rather than zero. It holds on both
 	// sides of the format fork: a flat-shaded mesh frame goes out
 	// index-colour — where a palette rebuilt per frame would cost one
-	// allocation per entry inside image/png's PLTE writer — and a frame of
-	// more than 256 colours goes out truecolour as before.
+	// allocation per entry inside image/png's PLTE writer — a frame of more
+	// than 256 colours goes out truecolour as before, and an index-colour
+	// frame, as the sample renderer emits, is encoded as it comes.
 	m := testMesh(t)
 	r, err := NewRasterizer(m, 96, 48)
 	if err != nil {
@@ -135,16 +136,35 @@ func TestPNGEncoderSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sr, err := NewSampleRenderer(m, SampleConfig{Field: "w", Width: 96, Height: 48, Ranks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := sr.Derive(0, field)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indexed image.Image
+	if err := sr.Render(tables, 0, func(img image.Image, _, _, _ float64, _ string) error {
+		indexed = img
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := indexed.(*image.Paletted); !ok {
+		t.Fatalf("sample renderer emitted %T, want index-colour", indexed)
+	}
 	for _, tc := range []struct {
 		name     string
-		img      *image.RGBA
+		img      image.Image
 		paletted bool
 	}{
 		{"flat-shaded mesh frame", flat, true},
 		{"300 colours", colourFrame(96, 48, 300), false},
+		{"index-colour sample frame", indexed, true},
 	} {
-		if got := qualifies(tc.img); got != tc.paletted {
-			t.Fatalf("%s: qualifies for index-colour = %v, want %v", tc.name, got, tc.paletted)
+		if rgba, ok := tc.img.(*image.RGBA); ok && qualifies(rgba) != tc.paletted {
+			t.Fatalf("%s: qualifies for index-colour = %v, want %v", tc.name, !tc.paletted, tc.paletted)
 		}
 		var enc PNGEncoder
 		if _, err := enc.Encode(tc.img); err != nil { // warm up retained buffers

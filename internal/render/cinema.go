@@ -33,13 +33,16 @@ func EncodePNG(img image.Image) ([]byte, error) {
 // removing the dominant per-image allocations of a Cinema write loop. The
 // zero value is ready to use. Not safe for concurrent use.
 //
-// The frame format is chosen from the frame itself: an *image.RGBA whose
-// pixels are all opaque and take at most 256 distinct colours — every
-// flat-shaded frame of a mesh of up to 255 cells — is written as an 8-bit
-// (or narrower) index-colour PNG at png.BestSpeed: one byte per pixel and
-// no filter pass instead of three bytes through five filters. Anything else
-// takes the stdlib truecolour path at its default level, byte for byte what
-// png.Encoder{} writes. Both decode to the same pixels.
+// The frame format is chosen from the frame itself. An *image.Paletted —
+// what SampleRenderer emits for every frame whose colours qualify — is
+// written as an 8-bit (or narrower) index-colour PNG at png.BestSpeed: one
+// byte per pixel and no filter pass instead of three bytes through five
+// filters. So is an *image.RGBA whose pixels are all opaque and take at
+// most 256 distinct colours, palettized first with its palette in order of
+// first appearance; SampleRenderer orders its palettes the same way, so a
+// frame's bytes do not depend on which of the two it arrived as. Anything
+// else takes the stdlib truecolour path at its default level, byte for
+// byte what png.Encoder{} writes. Both decode to the same pixels.
 type PNGEncoder struct {
 	buf bytes.Buffer
 	rgb pngState // truecolour, default compression
@@ -80,9 +83,16 @@ func (e *PNGEncoder) encodeTo(w io.Writer, img image.Image) error {
 		return fmt.Errorf("render: nil image")
 	}
 	var err error
-	if rgba, ok := img.(*image.RGBA); ok && e.pal.palettize(rgba) {
-		err = e.idx.encode(w, &e.pal.img, png.BestSpeed)
-	} else {
+	switch img := img.(type) {
+	case *image.Paletted:
+		err = e.idx.encode(w, img, png.BestSpeed)
+	case *image.RGBA:
+		if e.pal.palettize(img) {
+			err = e.idx.encode(w, &e.pal.img, png.BestSpeed)
+		} else {
+			err = e.rgb.encode(w, img, png.DefaultCompression)
+		}
+	default:
 		err = e.rgb.encode(w, img, png.DefaultCompression)
 	}
 	if err != nil {
@@ -91,28 +101,83 @@ func (e *PNGEncoder) encodeTo(w io.Writer, img image.Image) error {
 	return nil
 }
 
-// maxBoxed bounds the palettizer's cache of boxed palette entries. A run's
+// maxBoxed bounds a colourIndex's cache of boxed palette entries. A run's
 // frames draw from one colormap LUT plus a background, a few hundred values;
 // the bound only stops an adversarial frame stream growing the cache.
 const maxBoxed = 4096
 
-// palettizer rewrites an opaque, at most 256-colour RGBA frame as an
-// image.Paletted in one pass. Palette order is first appearance in scan
-// order, so the output is a function of the frame's pixels alone.
-type palettizer struct {
-	img image.Paletted // Pix and Palette are reused frame to frame
-
+// colourIndex numbers a frame's distinct opaque colours in the order they
+// are first added: the palette of an index-colour frame.
+type colourIndex struct {
 	// Open-addressed colour → index table, four slots per possible colour.
-	// Keys are little-endian RGBA words; an opaque pixel's is never zero,
+	// Keys are little-endian RGBA words; an opaque colour's is never zero,
 	// which marks an empty slot.
-	keys [1024]uint32
-	slot [1024]uint8
+	keys    [1024]uint32
+	slot    [1024]uint8
+	colours [256]uint32
+	n       int
 
 	// image/png's PLTE writer passes every palette entry through
 	// color.NRGBAModel.Convert, which boxes a fresh value for anything but
 	// a color.NRGBA. Entries are therefore kept as already-boxed NRGBA
 	// values and reused across frames: zero allocations in steady state.
 	boxed map[uint32]color.Color
+}
+
+// reset forgets the colours of the previous frame.
+func (x *colourIndex) reset() {
+	clear(x.keys[:])
+	x.n = 0
+}
+
+// add returns the palette index of colour word k, numbering it when it is
+// new. It reports false for a colour that is not opaque or would be the
+// 257th.
+func (x *colourIndex) add(k uint32) (uint8, bool) {
+	if k>>24 != 0xff {
+		return 0, false
+	}
+	s := k * 0x9E3779B1 >> 22
+	for x.keys[s] != k {
+		if x.keys[s] == 0 {
+			if x.n == len(x.colours) {
+				return 0, false
+			}
+			x.keys[s], x.slot[s] = k, uint8(x.n)
+			x.colours[x.n] = k
+			x.n++
+			break
+		}
+		s = (s + 1) % uint32(len(x.keys))
+	}
+	return x.slot[s], true
+}
+
+// palette returns pal[:0] holding the colours added since the last reset,
+// in index order.
+func (x *colourIndex) palette(pal color.Palette) color.Palette {
+	if x.boxed == nil || len(x.boxed)+x.n > maxBoxed {
+		x.boxed = make(map[uint32]color.Color)
+	}
+	pal = pal[:0]
+	for _, k := range x.colours[:x.n] {
+		c, ok := x.boxed[k]
+		if !ok {
+			c = color.NRGBA{R: uint8(k), G: uint8(k >> 8), B: uint8(k >> 16), A: 0xff}
+			x.boxed[k] = c
+		}
+		pal = append(pal, c)
+	}
+	return pal
+}
+
+// palettizer rewrites an opaque, at most 256-colour RGBA frame as an
+// image.Paletted in one pass. Palette order is first appearance in scan
+// order, so the output is a function of the frame's pixels alone. Frames
+// the renderer emits are index-colour already; this serves RGBA callers.
+type palettizer struct {
+	img image.Paletted // Pix and Palette are reused frame to frame
+	ix  colourIndex
 }
 
 // palettize fills p.img from src and reports whether src qualified: every
@@ -126,10 +191,8 @@ func (p *palettizer) palettize(src *image.RGBA) bool {
 		p.img.Pix = make([]uint8, w*h)
 	}
 	p.img.Pix, p.img.Stride, p.img.Rect = p.img.Pix[:w*h], w, src.Rect
-	clear(p.keys[:])
+	p.ix.reset()
 
-	var colours [256]uint32
-	n := 0
 	var last uint32
 	var lastIdx uint8
 	for y := 0; y < h; y++ {
@@ -137,41 +200,17 @@ func (p *palettizer) palettize(src *image.RGBA) bool {
 		out := p.img.Pix[y*w:][:w]
 		for x := range out {
 			k := binary.LittleEndian.Uint32(row[4*x:])
-			if k != last || n == 0 {
-				if k>>24 != 0xff {
+			if k != last || p.ix.n == 0 {
+				i, ok := p.ix.add(k)
+				if !ok {
 					return false
 				}
-				s := k * 0x9E3779B1 >> 22
-				for p.keys[s] != k {
-					if p.keys[s] == 0 {
-						if n == len(colours) {
-							return false
-						}
-						p.keys[s], p.slot[s] = k, uint8(n)
-						colours[n] = k
-						n++
-						break
-					}
-					s = (s + 1) % uint32(len(p.keys))
-				}
-				last, lastIdx = k, p.slot[s]
+				last, lastIdx = k, i
 			}
 			out[x] = lastIdx
 		}
 	}
-
-	if p.boxed == nil || len(p.boxed)+n > maxBoxed {
-		p.boxed = make(map[uint32]color.Color)
-	}
-	p.img.Palette = p.img.Palette[:0]
-	for _, k := range colours[:n] {
-		c, ok := p.boxed[k]
-		if !ok {
-			c = color.NRGBA{R: uint8(k), G: uint8(k >> 8), B: uint8(k >> 16), A: 0xff}
-			p.boxed[k] = c
-		}
-		p.img.Palette = append(p.img.Palette, c)
-	}
+	p.img.Palette = p.ix.palette(p.img.Palette)
 	return true
 }
 

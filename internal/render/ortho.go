@@ -50,7 +50,13 @@ func NewOrthoRasterizer(m *mesh.Mesh, width, height int, view Camera) (*Rasteriz
 			return mesh.Vec3{}, false
 		}
 		z := math.Sqrt(1 - rr)
-		return east.Scale(px).Add(north.Scale(py)).Add(dir.Scale(z)), true
+		// east·px + north·py + dir·z, summed left to right per component:
+		// the order fixes the bits TestRasterMapGoldenHash pins.
+		return mesh.Vec3{
+			east[0]*px + north[0]*py + dir[0]*z,
+			east[1]*px + north[1]*py + dir[1]*z,
+			east[2]*px + north[2]*py + dir[2]*z,
+		}, true
 	})
 }
 
@@ -77,14 +83,6 @@ func NewImageSetRenderer(m *mesh.Mesh, width, height int, cameras []Camera) (*Im
 		out.rasters = append(out.rasters, r)
 	}
 	return out, nil
-}
-
-// SetWorkers caps every camera's render fan-out at n concurrent tiles (0
-// restores the GOMAXPROCS default).
-func (sr *ImageSetRenderer) SetWorkers(n int) {
-	for _, r := range sr.rasters {
-		r.SetWorkers(n)
-	}
 }
 
 // RenderFrames draws the field from every camera into the renderer's

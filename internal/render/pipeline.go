@@ -17,16 +17,18 @@ import (
 // the job, buffers and all, back to the free list. A job with ack set is a
 // flush barrier and carries nothing else.
 type pipeJob struct {
-	frame  *image.RGBA   // the staged copy, one of staged
-	staged []*image.RGBA // staging buffers, one per frame geometry seen
-	key    cinemastore.Key
-	png    bytes.Buffer
-	err    error
-	ack    chan Totals
+	frame image.Image       // the staged copy, one of rgba or pal
+	rgba  []*image.RGBA     // staging buffers, one per frame geometry seen
+	pal   []*image.Paletted // index-colour staging buffers, likewise
+	key   cinemastore.Key
+	png   bytes.Buffer
+	err   error
+	ack   chan Totals
 }
 
-// maxStaged bounds a job's staging buffers. A run's frames come in one or
-// two geometries (the equirectangular frames and the square ortho views).
+// maxStaged bounds a job's staging buffers of each kind. A run's frames
+// come in one or two geometries (the equirectangular frames and the square
+// ortho views).
 const maxStaged = 4
 
 // Totals is the accounting the putter hands back at a flush barrier.
@@ -154,47 +156,75 @@ func (w *PipelinedCinemaWriter) put() {
 	}
 }
 
-// stage copies src into the job's staging buffer of src's geometry,
-// allocating one the first time the job sees that geometry. Buffers are
-// kept per geometry, so a run that alternates equirectangular frames and
-// ortho views does not reallocate (and discard) a staging frame at every
-// switch: the steady state is one bulk copy with no allocation.
-func (j *pipeJob) stage(src *image.RGBA) {
-	j.frame = nil
-	for _, f := range j.staged {
-		if f.Rect == src.Rect {
-			j.frame = f
+// stage copies src into the job's staging buffer of src's kind and
+// geometry, allocating one the first time the job sees that pair. Buffers
+// are kept per geometry, so a run that alternates equirectangular frames
+// and ortho views does not reallocate (and discard) a staging frame at
+// every switch: the steady state is one bulk copy with no allocation. An
+// index-colour frame stages its one byte per pixel and its palette.
+func (j *pipeJob) stage(src image.Image) error {
+	switch src := src.(type) {
+	case *image.RGBA:
+		if src == nil {
 			break
 		}
-	}
-	if j.frame == nil {
-		if len(j.staged) == maxStaged {
-			j.staged = j.staged[1:]
+		var dst *image.RGBA
+		j.rgba, dst = stagingFrame(j.rgba, src.Rect, image.NewRGBA)
+		copyRows(dst.Pix, dst.Stride, src.Pix, src.Stride, 4*src.Rect.Dx(), src.Rect.Dy())
+		j.frame = dst
+		return nil
+	case *image.Paletted:
+		if src == nil {
+			break
 		}
-		j.frame = image.NewRGBA(src.Rect)
-		j.staged = append(j.staged, j.frame)
+		var dst *image.Paletted
+		j.pal, dst = stagingFrame(j.pal, src.Rect, newPaletted)
+		copyRows(dst.Pix, dst.Stride, src.Pix, src.Stride, src.Rect.Dx(), src.Rect.Dy())
+		dst.Palette = append(dst.Palette[:0], src.Palette...)
+		j.frame = dst
+		return nil
+	case nil:
+	default:
+		return fmt.Errorf("render: cannot stage a %T frame", src)
 	}
-	dst := j.frame
-	if dst.Stride == src.Stride && len(dst.Pix) == len(src.Pix) {
-		copy(dst.Pix, src.Pix)
+	return fmt.Errorf("render: nil image")
+}
+
+func newPaletted(r image.Rectangle) *image.Paletted { return image.NewPaletted(r, nil) }
+
+// stagingFrame returns the buffer of bufs with bounds r, making one with
+// fresh (and evicting the oldest past maxStaged) when there is none.
+func stagingFrame[F interface{ Bounds() image.Rectangle }](bufs []F, r image.Rectangle, fresh func(image.Rectangle) F) ([]F, F) {
+	for _, f := range bufs {
+		if f.Bounds() == r {
+			return bufs, f
+		}
+	}
+	if len(bufs) == maxStaged {
+		bufs = bufs[1:]
+	}
+	f := fresh(r)
+	return append(bufs, f), f
+}
+
+// copyRows copies rows rows of n bytes between pixel buffers of the given
+// strides: one bulk copy when they match, row by row for a sub-image.
+func copyRows(dst []byte, dstStride int, src []byte, srcStride, n, rows int) {
+	if dstStride == srcStride && len(dst) == len(src) {
+		copy(dst, src)
 		return
 	}
-	// Stride mismatch (src is a sub-image): copy the visible rows.
-	n := 4 * src.Rect.Dx()
-	for y := 0; y < src.Rect.Dy(); y++ {
-		copy(dst.Pix[y*dst.Stride:y*dst.Stride+n], src.Pix[y*src.Stride:y*src.Stride+n])
+	for y := 0; y < rows; y++ {
+		copy(dst[y*dstStride:y*dstStride+n], src[y*srcStride:y*srcStride+n])
 	}
 }
 
-// Submit stages img for encoding under the full Cinema axis tuple and
-// returns once the copy is queued — the caller may immediately rerender
-// into img. Blocks only when every job is in flight (the stages are behind
-// by depth+2 frames). Encode and write errors surface at the next
-// barrier, in submission order.
-func (w *PipelinedCinemaWriter) Submit(img *image.RGBA, simTime, phi, theta float64, field string) error {
-	if img == nil {
-		return fmt.Errorf("render: nil image")
-	}
+// Submit stages img — an *image.RGBA or an *image.Paletted — for encoding
+// under the full Cinema axis tuple and returns once the copy is queued:
+// the caller may immediately rerender into img. Blocks only when every job
+// is in flight (the stages are behind by depth+2 frames). Encode and write
+// errors surface at the next barrier, in submission order.
+func (w *PipelinedCinemaWriter) Submit(img image.Image, simTime, phi, theta float64, field string) error {
 	if field == "" {
 		return fmt.Errorf("render: empty field name")
 	}
@@ -202,7 +232,10 @@ func (w *PipelinedCinemaWriter) Submit(img *image.RGBA, simTime, phi, theta floa
 		return errWriterClosed
 	}
 	j := <-w.free
-	j.stage(img)
+	if err := j.stage(img); err != nil {
+		w.free <- j
+		return err
+	}
 	j.key = cinemastore.Key{Time: simTime, Phi: phi, Theta: theta, Variable: field}
 	w.jobs <- j
 	return nil

@@ -29,7 +29,8 @@ type Rasterizer struct {
 
 	workers int // fan-out budget; 0 = GOMAXPROCS
 
-	pixelCell []int // color-table index per pixel, row-major: the cell, or NCells off the globe
+	pixelCell []int32 // color-table index per pixel, row-major: the cell, or NCells off the globe
+	order     []int32 // the color-table indices pixelCell holds, in the order of their first pixel
 
 	colors   []color.RGBA // per-cell colors of the field entry points, reused across frames
 	lut      []uint32     // packed pixel per color-table index, plus Background at NCells; SampleRenderer fills it too
@@ -42,28 +43,35 @@ type Rasterizer struct {
 // size. Typical sizes are small — Cinema-style image databases trade
 // resolution for interactivity — so a few hundred pixels across is the norm.
 func NewRasterizer(m *mesh.Mesh, width, height int) (*Rasterizer, error) {
-	return newRasterizer(m, width, height, func(x, y int) (mesh.Vec3, bool) {
+	if err := checkRaster(m, width, height); err != nil {
+		return nil, err
+	}
+	// mesh.FromLatLon's products of the same sines and cosines, each
+	// evaluated once per row or column instead of once per pixel.
+	cosLat, sinLat := make([]float64, height), make([]float64, height)
+	for y := range cosLat {
 		lat := math.Pi/2 - (float64(y)+0.5)/float64(height)*math.Pi
+		cosLat[y], sinLat[y] = math.Cos(lat), math.Sin(lat)
+	}
+	cosLon, sinLon := make([]float64, width), make([]float64, width)
+	for x := range cosLon {
 		lon := -math.Pi + (float64(x)+0.5)/float64(width)*2*math.Pi
-		return mesh.FromLatLon(lat, lon), true
+		cosLon[x], sinLon[x] = math.Cos(lon), math.Sin(lon)
+	}
+	return newRasterizer(m, width, height, func(x, y int) (mesh.Vec3, bool) {
+		return mesh.Vec3{cosLat[y] * cosLon[x], cosLat[y] * sinLon[x], sinLat[y]}, true
 	})
 }
 
 // newRasterizer precomputes the pixel-to-cell mapping under project, which
 // returns the unit-sphere point a pixel shows, or false off the globe.
 func newRasterizer(m *mesh.Mesh, width, height int, project func(x, y int) (mesh.Vec3, bool)) (*Rasterizer, error) {
-	if m == nil || m.NCells() == 0 {
-		return nil, fmt.Errorf("render: nil or empty mesh")
-	}
-	if width < 2 || height < 2 {
-		return nil, fmt.Errorf("render: image size %dx%d too small", width, height)
-	}
-	if width*height > 64<<20 {
-		return nil, fmt.Errorf("render: image size %dx%d too large", width, height)
+	if err := checkRaster(m, width, height); err != nil {
+		return nil, err
 	}
 	r := &Rasterizer{Mesh: m, Width: width, Height: height}
-	r.pixelCell = make([]int, width*height)
-	offGlobe := m.NCells()
+	r.pixelCell = make([]int32, width*height)
+	offGlobe := int32(m.NCells())
 	r.colors = make([]color.RGBA, offGlobe)
 	r.lut = make([]uint32, offGlobe+1)
 	r.lut[offGlobe] = packPixel(Background)
@@ -81,10 +89,11 @@ func newRasterizer(m *mesh.Mesh, width, height int, project func(x, y int) (mesh
 					continue
 				}
 				last = m.NearestCell(p, last)
-				r.pixelCell[y*width+x] = last
+				r.pixelCell[y*width+x] = int32(last)
 			}
 		}
 	})
+	r.order = firstAppearance(r.pixelCell, m.NCells()+1)
 
 	// The bound row loop reads its operands from the rasterizer so frame
 	// renders allocate no closures (see the package's hot-path note).
@@ -93,7 +102,7 @@ func newRasterizer(m *mesh.Mesh, width, height int, project func(x, y int) (mesh
 		for y := y0; y < y1; y++ {
 			row := img.Pix[y*img.Stride : y*img.Stride+4*r.Width]
 			for x, ci := range r.pixelCell[y*r.Width : (y+1)*r.Width] {
-				if owned != nil && ci < len(owned) && !owned[ci] {
+				if owned != nil && int(ci) < len(owned) && !owned[ci] {
 					// Explicitly transparent, so reused frames carry no
 					// stale pixels from the previous mask. Off-globe pixels
 					// belong to no cell and stay Background under any mask.
@@ -105,6 +114,46 @@ func newRasterizer(m *mesh.Mesh, width, height int, project func(x, y int) (mesh
 		}
 	}
 	return r, nil
+}
+
+// checkRaster rejects a mesh or an image size no rasterizer can map.
+func checkRaster(m *mesh.Mesh, width, height int) error {
+	if m == nil || m.NCells() == 0 {
+		return fmt.Errorf("render: nil or empty mesh")
+	}
+	if width < 2 || height < 2 {
+		return fmt.Errorf("render: image size %dx%d too small", width, height)
+	}
+	if width*height > 64<<20 {
+		return fmt.Errorf("render: image size %dx%d too large", width, height)
+	}
+	return nil
+}
+
+// firstAppearance returns the distinct values of pixelCell, all below
+// entries, in the order of their first occurrence: a frame that draws table
+// entry e at every pixel showing e takes its colours in exactly this order,
+// which is the palette order PNGEncoder's palettizer would find scanning its
+// pixels.
+func firstAppearance(pixelCell []int32, entries int) []int32 {
+	// Counted first, so the list the rasterizer keeps is exactly sized.
+	seen := make([]bool, entries)
+	n := 0
+	for _, ci := range pixelCell {
+		if !seen[ci] {
+			seen[ci] = true
+			n++
+		}
+	}
+	clear(seen)
+	order := make([]int32, 0, n)
+	for _, ci := range pixelCell {
+		if !seen[ci] {
+			seen[ci] = true
+			order = append(order, ci)
+		}
+	}
+	return order
 }
 
 // SetWorkers caps the render fan-out at n concurrent tiles (0 restores the
@@ -149,7 +198,7 @@ func (r *Rasterizer) CellForPixel(x, y int) (int, error) {
 	if x < 0 || x >= r.Width || y < 0 || y >= r.Height {
 		return 0, fmt.Errorf("render: pixel (%d,%d) outside %dx%d", x, y, r.Width, r.Height)
 	}
-	if ci := r.pixelCell[y*r.Width+x]; ci < r.Mesh.NCells() {
+	if ci := int(r.pixelCell[y*r.Width+x]); ci < r.Mesh.NCells() {
 		return ci, nil
 	}
 	return -1, nil
@@ -198,9 +247,15 @@ func (r *Rasterizer) RenderColorsOwnedInto(img *image.RGBA, colors []color.RGBA,
 	for ci, c := range colors {
 		r.lut[ci] = packPixel(c)
 	}
+	r.raster(img, owned)
+	return nil
+}
+
+// raster draws the frame of the table as filled into img, a frame of the
+// rasterizer's geometry; owned as in RenderColorsOwnedInto.
+func (r *Rasterizer) raster(img *image.RGBA, owned []bool) {
 	r.envImg, r.envOwned = img, owned
 	workpool.Run(r.Height, tileChunks(r.Height, r.workers), r.rowLoop)
-	return nil
 }
 
 // renderOwnedInto is the field entry points' body: derive the colors, then

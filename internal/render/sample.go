@@ -90,15 +90,35 @@ func (d *SampleDeriver) Derive(simTime float64, values []float64) (SampleTables,
 	return t, nil
 }
 
-// EmitFunc receives one finished frame with its Cinema axis tuple. The
-// frame is reused by the next render, so an emitter that keeps it copies.
-type EmitFunc func(img *image.RGBA, simTime, phi, theta float64, name string) error
+// EmitFunc receives one finished frame with its Cinema axis tuple: an
+// *image.Paletted when every color the frame shows is opaque and there are
+// at most 256 of them, else an *image.RGBA. The frame is reused by the next
+// render, so an emitter that keeps it copies.
+type EmitFunc func(img image.Image, simTime, phi, theta float64, name string) error
+
+// FramesPerSample is how many frames a full sample emits — the composite,
+// the ortho views, and the core frame when enabled — i.e. what a dropped
+// sample costs.
+func (c SampleConfig) FramesPerSample() int {
+	n := 1 + min(max(c.OrthoViews, 0), len(DefaultCameraSet()))
+	if c.Cores {
+		n++
+	}
+	return n
+}
 
 // SampleRenderer is the one definition of a sample's image set: it owns
 // the rasterizer, the per-rank pixel footprints of the RCB blocks, the
 // composite and core frames and the ortho rig, and its sample path is two
 // operations — Derive a field's tables, Render tables into frames.
 // Steady-state rendering allocates nothing. Not safe for concurrent use.
+//
+// A frame is indexed at the cell level: each rasterizer knows which table
+// entries its pixels show, in the order of their first pixel, so a frame's
+// palette is those entries' colors in that order — the palette PNGEncoder
+// would find scanning the RGBA frame — and its pixels are written at one
+// byte each. A frame that shows a non-opaque color or more than 256 colors
+// is rastered as RGBA instead, into a frame allocated at first need.
 type SampleRenderer struct {
 	*SampleDeriver
 
@@ -110,14 +130,25 @@ type SampleRenderer struct {
 	footprints [][]pixelRun // per block, the row-major runs of pixels its cells cover
 	allRuns    []pixelRun   // every block's runs, block-major: the whole frame once
 	chunks     []int        // per block, the fan-out width of its footprint
-	composited *image.RGBA
-	coreFrame  *image.RGBA // allocated at the first core sample
 
-	envPix   []byte // operands of the bound run loop
+	composite image.Paletted
+	core      image.Paletted
+	rgbaComp  *image.RGBA // the RGBA fallbacks, allocated at first need
+	rgbaCore  *image.RGBA
+
+	ix  colourIndex
+	idx []uint8 // palette index per table entry of the frame being indexed
+
+	envPix   []byte // operands of the bound run loops
 	envRuns  []pixelRun
-	fillRuns func(lo, hi int)
+	envCells []int32
+	fillRuns func(lo, hi int) // 4 B/px from the rasterizer's table
+	fillIdx  func(lo, hi int) // 1 B/px from idx
 
-	views     *ImageSetRenderer // nil without ortho views
+	views     []*Rasterizer // the ortho rig, square frames of Height
+	viewRuns  []pixelRun    // a view's rows, one run each
+	viewPal   []image.Paletted
+	viewRGBA  []*image.RGBA
 	cams      []Camera
 	viewNames []string
 	coreName  string
@@ -143,7 +174,7 @@ func NewSampleRenderer(m *mesh.Mesh, cfg SampleConfig) (*SampleRenderer, error) 
 		cells:         make([][]int, cfg.Ranks),
 		lanes:         make([]*trace.Lane, cfg.Ranks),
 		rast:          rast,
-		composited:    rast.NewFrame(),
+		idx:           make([]uint8, m.NCells()+1),
 		coreName:      cfg.Field + "_cores",
 	}
 	for r := range sr.cells {
@@ -154,28 +185,28 @@ func NewSampleRenderer(m *mesh.Mesh, cfg SampleConfig) (*SampleRenderer, error) 
 	if err := sr.buildFootprints(cfg.Workers); err != nil {
 		return nil, err
 	}
-	sr.fillRuns = func(lo, hi int) {
-		pix, lut, cells := sr.envPix, sr.rast.lut, sr.rast.pixelCell
-		for _, run := range sr.envRuns[lo:hi] {
-			dst := pix[4*run.lo : 4*run.hi]
-			for i, ci := range cells[run.lo:run.hi] {
-				binary.LittleEndian.PutUint32(dst[4*i:], lut[ci])
-			}
-		}
-	}
+	sr.fillRuns, sr.fillIdx = sr.fillRGBA, sr.fillIndex
 	if cfg.OrthoViews > 0 {
 		rig := DefaultCameraSet()
 		if cfg.OrthoViews < len(rig) {
 			rig = rig[:cfg.OrthoViews]
 		}
 		sr.cams = rig
-		if sr.views, err = NewImageSetRenderer(m, cfg.Height, cfg.Height, rig); err != nil {
-			return nil, err
-		}
-		sr.views.SetWorkers(cfg.Workers)
-		for v := range rig {
+		for v, cam := range rig {
+			r, err := NewOrthoRasterizer(m, cfg.Height, cfg.Height, cam)
+			if err != nil {
+				return nil, err
+			}
+			r.SetWorkers(cfg.Workers)
+			sr.views = append(sr.views, r)
 			sr.viewNames = append(sr.viewNames, fmt.Sprintf("%s_view%d", cfg.Field, v))
 		}
+		sr.viewRuns = make([]pixelRun, cfg.Height)
+		for y := range sr.viewRuns {
+			sr.viewRuns[y] = pixelRun{int32(y * cfg.Height), int32((y + 1) * cfg.Height)}
+		}
+		sr.viewPal = make([]image.Paletted, len(rig))
+		sr.viewRGBA = make([]*image.RGBA, len(rig))
 	}
 	return sr, nil
 }
@@ -242,17 +273,6 @@ func (sr *SampleRenderer) buildFootprints(workers int) error {
 // Views returns the number of ortho views per sample.
 func (sr *SampleRenderer) Views() int { return len(sr.cams) }
 
-// FramesPerSample is how many frames a full sample emits — the composite,
-// the ortho views, and the core frame when enabled — i.e. what a dropped
-// sample costs.
-func (sr *SampleRenderer) FramesPerSample() int {
-	n := 1 + len(sr.cams)
-	if sr.cores {
-		n++
-	}
-	return n
-}
-
 // Cells returns the per-rank owned-cell lists of the render partition —
 // the in-transit tier's sharding map.
 func (sr *SampleRenderer) Cells() [][]int { return sr.cells }
@@ -273,9 +293,10 @@ func (sr *SampleRenderer) SetLane(block int, lane *trace.Lane) { sr.lanes[block]
 //
 // The composite is sort-last compositing of each rank's footprint: every
 // block writes only the pixels it owns, straight into the composite frame,
-// so a frame costs O(pixels) at any rank count. It is byte for byte what
-// CompositeInto makes of per-rank RenderColorsOwnedInto partials, and the
-// core frame what FillTransparent(Background) makes of a Core-masked one.
+// so a frame costs O(pixels) at any rank count. Its pixels are byte for
+// byte what CompositeInto makes of per-rank RenderColorsOwnedInto partials,
+// and the core frame's what FillTransparent(Background) makes of a
+// Core-masked one.
 func (sr *SampleRenderer) Render(t SampleTables, simTime float64, emit EmitFunc) error {
 	nCells := sr.rast.Mesh.NCells()
 	if len(t.Colors) != nCells {
@@ -284,33 +305,89 @@ func (sr *SampleRenderer) Render(t SampleTables, simTime float64, emit EmitFunc)
 	if t.Core != nil && len(t.Core) != nCells {
 		return fmt.Errorf("render: core selection has %d cells, want %d", len(t.Core), nCells)
 	}
-	if err := sr.composite(t.Colors); err != nil {
+	frame, err := sr.renderComposite(t.Colors)
+	if err != nil {
 		return err
 	}
-	if err := emit(sr.composited, simTime, 0, 0, sr.field); err != nil {
+	if err := emit(frame, simTime, 0, 0, sr.field); err != nil {
 		return err
 	}
-	if sr.views != nil {
-		frames, err := sr.views.RenderColorsFrames(t.Colors)
-		if err != nil {
+	for v := range sr.views {
+		if err := emit(sr.renderView(v, t.Colors), simTime, sr.cams[v].Lon, sr.cams[v].Lat, sr.viewNames[v]); err != nil {
 			return err
-		}
-		for v, img := range frames {
-			if err := emit(img, simTime, sr.cams[v].Lon, sr.cams[v].Lat, sr.viewNames[v]); err != nil {
-				return err
-			}
 		}
 	}
 	if t.Core == nil {
 		return nil
 	}
-	sr.renderCores(t)
-	return emit(sr.coreFrame, simTime, 0, 0, sr.coreName)
+	return emit(sr.renderCores(t), simTime, 0, 0, sr.coreName)
 }
 
-// composite has every block write its footprint of the composite frame,
-// each inside its own "render.rank" span, and refuses a frame with holes.
-func (sr *SampleRenderer) composite(colors []color.RGBA) error {
+// index prepares dst as the index-colour frame of r's pixels under r's
+// table as filled for this frame: it walks the entries r shows in the order
+// of their first pixel, numbering their colors into dst's palette and
+// sr.idx, and points fillIndex at dst and r's map. It reports false, and
+// stops, at the first entry whose color is not opaque or would be the
+// 257th; the frame then takes the RGBA path.
+func (sr *SampleRenderer) index(dst *image.Paletted, r *Rasterizer) bool {
+	sr.ix.reset()
+	for _, e := range r.order {
+		i, ok := sr.ix.add(r.lut[e])
+		if !ok {
+			return false
+		}
+		sr.idx[e] = i
+	}
+	if dst.Pix == nil {
+		*dst = *image.NewPaletted(image.Rect(0, 0, r.Width, r.Height), nil)
+	}
+	dst.Palette = sr.ix.palette(dst.Palette)
+	sr.envPix, sr.envCells = dst.Pix, r.pixelCell
+	return true
+}
+
+// fillRGBA writes runs [lo, hi) of envRuns at 4 B/px from the main
+// rasterizer's table; fillIndex writes them at 1 B/px from idx through
+// envCells. Both run on the pool through the bound fillRuns and fillIdx,
+// so a frame allocates no closure.
+func (sr *SampleRenderer) fillRGBA(lo, hi int) {
+	pix, lut, cells := sr.envPix, sr.rast.lut, sr.rast.pixelCell
+	for _, run := range sr.envRuns[lo:hi] {
+		dst := pix[4*run.lo : 4*run.hi]
+		for i, ci := range cells[run.lo:run.hi] {
+			binary.LittleEndian.PutUint32(dst[4*i:], lut[ci])
+		}
+	}
+}
+
+func (sr *SampleRenderer) fillIndex(lo, hi int) {
+	pix, idx, cells := sr.envPix, sr.idx, sr.envCells
+	for _, run := range sr.envRuns[lo:hi] {
+		dst := pix[run.lo:run.hi]
+		for i, ci := range cells[run.lo:run.hi] {
+			dst[i] = idx[ci]
+		}
+	}
+}
+
+// frameFor readies the main rasterizer's frame of its table as filled:
+// pal, indexed, when the frame qualifies, else *rgba, allocated at first
+// need. It returns the frame and the bound loop that fills its runs.
+func (sr *SampleRenderer) frameFor(pal *image.Paletted, rgba **image.RGBA) (image.Image, func(lo, hi int)) {
+	if sr.index(pal, sr.rast) {
+		return pal, sr.fillIdx
+	}
+	if *rgba == nil {
+		*rgba = sr.rast.NewFrame()
+	}
+	sr.envPix = (*rgba).Pix
+	return *rgba, sr.fillRuns
+}
+
+// renderComposite has every block write its footprint of the composite
+// frame, each inside its own "render.rank" span, and refuses a frame with
+// holes.
+func (sr *SampleRenderer) renderComposite(colors []color.RGBA) (image.Image, error) {
 	// The rasterizer's table, Background off the globe, holds this frame's
 	// pixels. A transparent color composites to a transparent pixel: no
 	// partial contributes there, and the holes check below refuses it.
@@ -321,26 +398,43 @@ func (sr *SampleRenderer) composite(colors []color.RGBA) error {
 			lut[ci] = packPixel(c)
 		}
 	}
-	sr.envPix = sr.composited.Pix
+	frame, fill := sr.frameFor(&sr.composite, &sr.rgbaComp)
 	for b, runs := range sr.footprints {
 		sr.lanes[b].Begin("render.rank")
 		sr.envRuns = runs
-		workpool.Run(len(runs), sr.chunks[b], sr.fillRuns)
+		workpool.Run(len(runs), sr.chunks[b], fill)
 		sr.lanes[b].End()
 	}
-	if !FullyOpaque(sr.composited) {
-		return fmt.Errorf("render: composited image has holes")
+	// An index-colour frame shows only opaque colors; an RGBA one is
+	// checked.
+	if rgba, ok := frame.(*image.RGBA); ok && !FullyOpaque(rgba) {
+		return nil, fmt.Errorf("render: composited image has holes")
 	}
-	return nil
+	return frame, nil
+}
+
+// renderView draws ortho view v of the color table.
+func (sr *SampleRenderer) renderView(v int, colors []color.RGBA) image.Image {
+	r := sr.views[v]
+	for ci, c := range colors {
+		r.lut[ci] = packPixel(c)
+	}
+	if sr.index(&sr.viewPal[v], r) {
+		sr.envRuns = sr.viewRuns
+		workpool.Run(len(sr.viewRuns), tileChunks(r.Height, r.workers), sr.fillIdx)
+		return &sr.viewPal[v]
+	}
+	if sr.viewRGBA[v] == nil {
+		sr.viewRGBA[v] = r.NewFrame()
+	}
+	r.raster(sr.viewRGBA[v], nil)
+	return sr.viewRGBA[v]
 }
 
 // renderCores draws the core frame in one pass: a core cell's color where
 // it is not transparent, Background everywhere else — what FillTransparent
 // makes of a core-masked raster.
-func (sr *SampleRenderer) renderCores(t SampleTables) {
-	if sr.coreFrame == nil {
-		sr.coreFrame = sr.rast.NewFrame()
-	}
+func (sr *SampleRenderer) renderCores(t SampleTables) image.Image {
 	lut, bg := sr.rast.lut, packPixel(Background)
 	for ci, c := range t.Colors {
 		lut[ci] = bg
@@ -348,6 +442,8 @@ func (sr *SampleRenderer) renderCores(t SampleTables) {
 			lut[ci] = packPixel(c)
 		}
 	}
-	sr.envPix, sr.envRuns = sr.coreFrame.Pix, sr.allRuns
-	workpool.Run(len(sr.allRuns), tileChunks(sr.rast.Height, sr.rast.workers), sr.fillRuns)
+	frame, fill := sr.frameFor(&sr.core, &sr.rgbaCore)
+	sr.envRuns = sr.allRuns
+	workpool.Run(len(sr.allRuns), tileChunks(sr.rast.Height, sr.rast.workers), fill)
+	return frame
 }

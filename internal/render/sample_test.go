@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
+	"image/draw"
 	"math"
 	"runtime"
 	"slices"
@@ -16,12 +17,20 @@ import (
 	"insituviz/internal/vizpipe"
 )
 
-// emitted is one frame a SampleRenderer handed to its emit callback, copied
-// because the renderer reuses the frame.
+// emitted is one frame a SampleRenderer handed to its emit callback, its
+// pixels decoded to RGBA bytes, because the renderer reuses the frame.
 type emitted struct {
 	name       string
 	phi, theta float64
 	pix        []byte
+}
+
+// rgbaPix returns img's pixels as the bytes of an RGBA frame: what an
+// index-colour frame decodes to, and a copy of an RGBA one.
+func rgbaPix(img image.Image) []byte {
+	out := image.NewRGBA(img.Bounds())
+	draw.Draw(out, out.Rect, img, img.Bounds().Min, draw.Src)
+	return out.Pix
 }
 
 // TestSampleRendererMatchesFieldPath pins the shared sample path against
@@ -47,14 +56,15 @@ func TestSampleRendererMatchesFieldPath(t *testing.T) {
 			name = fmt.Sprintf("%dx%d_%s", width, height, name)
 		}
 		t.Run(name, func(t *testing.T) {
-			sr, err := NewSampleRenderer(m, SampleConfig{
+			cfg := SampleConfig{
 				Field: "okubo_weiss", Width: width, Height: height,
 				Ranks: ranks, OrthoViews: views, Cores: true,
-			})
+			}
+			sr, err := NewSampleRenderer(m, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := sr.FramesPerSample(), 1+views+1; got != want {
+			if got, want := cfg.FramesPerSample(), 1+views+1; got != want {
 				t.Errorf("FramesPerSample = %d, want %d", got, want)
 			}
 			tables, err := sr.Derive(simTime, field)
@@ -62,11 +72,15 @@ func TestSampleRendererMatchesFieldPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got []emitted
-			err = sr.Render(tables, simTime, func(img *image.RGBA, at, phi, theta float64, name string) error {
+			err = sr.Render(tables, simTime, func(img image.Image, at, phi, theta float64, name string) error {
 				if at != simTime {
 					t.Errorf("%s emitted at time %g, want %g", name, at, simTime)
 				}
-				got = append(got, emitted{name, phi, theta, append([]byte(nil), img.Pix...)})
+				// 162 opaque cells and Background: every frame qualifies.
+				if _, ok := img.(*image.Paletted); !ok {
+					t.Errorf("%s emitted as %T, want index-colour", name, img)
+				}
+				got = append(got, emitted{name, phi, theta, rgbaPix(img)})
 				return nil
 			})
 			if err != nil {
@@ -152,6 +166,35 @@ func TestSampleRendererMatchesFieldPath(t *testing.T) {
 	}
 }
 
+// TestFramesPerSampleCountsEmittedFrames holds the configuration's frame
+// count, which the in-transit sim uses without building a renderer, to
+// what a renderer of that configuration emits, past the end of the camera
+// rig too.
+func TestFramesPerSampleCountsEmittedFrames(t *testing.T) {
+	m := testMesh(t)
+	field := testField(m)
+	for _, views := range []int{0, 1, 6, 9} {
+		for _, cores := range []bool{false, true} {
+			cfg := SampleConfig{Field: "w", Width: 24, Height: 12, Ranks: 2, OrthoViews: views, Cores: cores}
+			sr, err := NewSampleRenderer(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables, err := sr.Derive(0, field)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := 0
+			if err := sr.Render(tables, 0, func(image.Image, float64, float64, float64, string) error { frames++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if got := cfg.FramesPerSample(); got != frames {
+				t.Errorf("%d views, cores %v: FramesPerSample = %d, renderer emitted %d", views, cores, got, frames)
+			}
+		}
+	}
+}
+
 // TestSampleRendererTransparentColor hands the renderer a table in which
 // one visible core cell is fully transparent — something Derive never
 // makes — and requires both frames to match the masked reference path byte
@@ -204,14 +247,14 @@ func TestSampleRendererTransparentColor(t *testing.T) {
 		t.Fatal("reference composite has no hole")
 	}
 	emitted := 0
-	err = sr.Render(hand, 0, func(*image.RGBA, float64, float64, float64, string) error { emitted++; return nil })
+	err = sr.Render(hand, 0, func(image.Image, float64, float64, float64, string) error { emitted++; return nil })
 	if err == nil || !strings.Contains(err.Error(), "holes") {
 		t.Errorf("Render = %v, want the holes error", err)
 	}
 	if emitted != 0 {
 		t.Errorf("Render emitted %d frames of a refused sample", emitted)
 	}
-	if !bytes.Equal(sr.composited.Pix, composited.Pix) {
+	if !bytes.Equal(sr.rgbaComp.Pix, composited.Pix) {
 		t.Error("composite differs from the reference composite")
 	}
 
@@ -220,11 +263,16 @@ func TestSampleRendererTransparentColor(t *testing.T) {
 		t.Fatal(err)
 	}
 	FillTransparent(want, Background)
-	sr.renderCores(hand)
-	if !bytes.Equal(sr.coreFrame.Pix, want.Pix) {
+	// No core pixel shows the transparent color, so the core frame still
+	// qualifies for index colour.
+	frame := sr.renderCores(hand)
+	if _, ok := frame.(*image.Paletted); !ok {
+		t.Errorf("core frame emitted as %T, want index-colour", frame)
+	}
+	if !bytes.Equal(rgbaPix(frame), want.Pix) {
 		t.Error("core frame differs from masked raster + FillTransparent")
 	}
-	if got := sr.coreFrame.RGBAAt(width/2, height/2); got != Background {
+	if got := color.RGBAModel.Convert(frame.At(width/2, height/2)); got != Background {
 		t.Errorf("transparent core cell drawn as %v, want Background", got)
 	}
 }
@@ -264,9 +312,8 @@ func TestSampleRenderSteadyStateAllocs(t *testing.T) {
 	// allocates nothing once buffers exist; same budget and reason as
 	// TestRenderedFrameSteadyStateAllocs.
 	m := testMesh(t)
-	sr, err := NewSampleRenderer(m, SampleConfig{
-		Field: "okubo_weiss", Width: 96, Height: 48, Ranks: 3, OrthoViews: 2, Cores: true,
-	})
+	cfg := SampleConfig{Field: "okubo_weiss", Width: 96, Height: 48, Ranks: 3, OrthoViews: 2, Cores: true}
+	sr, err := NewSampleRenderer(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,15 +325,15 @@ func TestSampleRenderSteadyStateAllocs(t *testing.T) {
 		t.Fatal("test field selects no core cells")
 	}
 	frames := 0
-	emit := func(*image.RGBA, float64, float64, float64, string) error { frames++; return nil }
+	emit := func(image.Image, float64, float64, float64, string) error { frames++; return nil }
 	render := func() {
 		if err := sr.Render(tables, 0, emit); err != nil {
 			t.Fatal(err)
 		}
 	}
 	render() // warm up the lazily built frames and pool state
-	if frames != sr.FramesPerSample() {
-		t.Fatalf("emitted %d frames, want %d", frames, sr.FramesPerSample())
+	if frames != cfg.FramesPerSample() {
+		t.Fatalf("emitted %d frames, want %d", frames, cfg.FramesPerSample())
 	}
 	allocs := testing.AllocsPerRun(10, render)
 	if allocs > 2 {

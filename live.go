@@ -16,6 +16,7 @@ import (
 	"insituviz/internal/mesh"
 	"insituviz/internal/ncfile"
 	"insituviz/internal/ocean"
+	"insituviz/internal/partition"
 	"insituviz/internal/pio"
 	"insituviz/internal/power"
 	"insituviz/internal/provenance"
@@ -291,10 +292,11 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	}
 	dt := model.SuggestedTimestep(jet.MeanDepth)
 
-	// One sample renderer defines a sample's image set for either transport:
-	// in-process it rasterizes; in transit the workers hold its twin and
-	// this one supplies the sharding map and the frame count.
-	sr, err := render.NewSampleRenderer(msh, render.SampleConfig{
+	// One sample configuration defines a sample's image set for either
+	// transport. In process, the renderer built from it rasterizes and owns
+	// the render partition; in transit the workers hold that renderer, and
+	// the sim builds only the partition, for the sharding map.
+	sampleCfg := render.SampleConfig{
 		Field:      "okubo_weiss",
 		Width:      cfg.ImageWidth,
 		Height:     cfg.ImageHeight,
@@ -302,9 +304,30 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		OrthoViews: cfg.OrthoViews,
 		Cores:      cfg.EddyCoreImages,
 		Workers:    cfg.RenderWorkers,
-	})
-	if err != nil {
-		return nil, err
+	}
+	framesPerSample := sampleCfg.FramesPerSample()
+	var (
+		sr       *render.SampleRenderer
+		cells    [][]int
+		exchange partition.ExchangeStats
+	)
+	if cfg.Transport == "tcp" {
+		part, err := partition.New(msh, cfg.RenderRanks)
+		if err != nil {
+			return nil, err
+		}
+		exchange = part.Exchange()
+		cells = make([][]int, cfg.RenderRanks)
+		for r := range cells {
+			if cells[r], err = part.Cells(r); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		if sr, err = render.NewSampleRenderer(msh, sampleCfg); err != nil {
+			return nil, err
+		}
+		exchange = sr.Exchange()
 	}
 	db, err := render.NewCinemaDB(filepath.Join(cfg.OutputDir, "cinema"))
 	if err != nil {
@@ -319,7 +342,7 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	}
 
 	res := &LiveResult{OutputDir: cfg.OutputDir}
-	res.HaloBytesPerField = Bytes(sr.Exchange().BytesPerField)
+	res.HaloBytesPerField = Bytes(exchange.BytesPerField)
 	mCrashes := reg.Counter("render.rank.crashes")
 	mFailover := reg.Counter("render.failover")
 
@@ -370,7 +393,7 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 				Fields:           []string{"okubo_weiss"},
 			},
 			Mesh:      msh,
-			Cells:     sr.Cells(),
+			Cells:     cells,
 			Telemetry: reg,
 			Tracer:    cfg.Tracer,
 			Faults:    cfg.Faults,
@@ -427,9 +450,9 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 			drv.Begin("degraded")
 			drv.End()
 			mDroppedSamples.Inc()
-			mDroppedFrames.Add(int64(sr.FramesPerSample()))
+			mDroppedFrames.Add(int64(framesPerSample))
 			res.DroppedSamples++
-			res.DroppedFrames += sr.FramesPerSample()
+			res.DroppedFrames += framesPerSample
 			eddies = nil
 		} else {
 			res.CyclonicEddies += p.cyclonic

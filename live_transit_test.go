@@ -182,7 +182,8 @@ func TestLiveTransitByteIdentity(t *testing.T) {
 				}
 
 				inprocDir := t.TempDir()
-				if _, err := LiveRun(shape(inprocDir, telemetry.NewRegistry())); err != nil {
+				inproc, err := LiveRun(shape(inprocDir, telemetry.NewRegistry()))
+				if err != nil {
 					t.Fatalf("inproc run: %v", err)
 				}
 
@@ -202,6 +203,13 @@ func TestLiveTransitByteIdentity(t *testing.T) {
 				}
 				if res.DroppedSamples != 0 {
 					t.Fatalf("clean tcp run dropped %d samples", res.DroppedSamples)
+				}
+				// The tcp sim builds the partition alone, no renderer: its
+				// halo statistics and frame count must still be the
+				// renderer's.
+				if res.HaloBytesPerField != inproc.HaloBytesPerField || res.Images != inproc.Images {
+					t.Errorf("tcp run: %v halo bytes per field and %d images, inproc %v and %d",
+						res.HaloBytesPerField, res.Images, inproc.HaloBytesPerField, inproc.Images)
 				}
 
 				requireIdenticalStores(t, inprocDir, tcpDir)

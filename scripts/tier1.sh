@@ -60,10 +60,10 @@ echo "== GOMAXPROCS=8 go test -race -count=2 ./internal/cinemastore"
 GOMAXPROCS=8 go test -race -count=2 ./internal/cinemastore
 
 if grep -qw fma /proc/cpuinfo 2>/dev/null; then
-	echo "== GOAMD64=v3 go test (pinned mesh and solver bits)"
+	echo "== GOAMD64=v3 go test (pinned mesh, solver and raster-map bits)"
 	GOAMD64=v3 go test -count=1 \
-		-run '^(TestSolverGoldenHash|TestParallelMatchesSerialBitwise|TestKernelsMatchStructReadingReference|TestMeshGoldenHash)$' \
-		./internal/mesh ./internal/ocean
+		-run '^(TestSolverGoldenHash|TestParallelMatchesSerialBitwise|TestKernelsMatchStructReadingReference|TestMeshGoldenHash|TestRasterMapGoldenHash)$' \
+		./internal/mesh ./internal/ocean ./internal/render
 else
 	echo "== GOAMD64=v3 go test: skipped (no fma in /proc/cpuinfo)"
 fi
