@@ -259,7 +259,7 @@ func fetchIndex(client *http.Client, targets []string, store string) []cinemasto
 			lastErr = err
 			continue
 		}
-		entries, _, err := cinemastore.DecodeIndex(data)
+		entries, err := cinemastore.DecodeIndex(data)
 		if err != nil {
 			log.Fatal(err)
 		}

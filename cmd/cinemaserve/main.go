@@ -195,7 +195,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("mounted %s: %d frames, %d bytes (format %s) from %s\n",
-			name, st.Len(), st.TotalBytes(), st.Version(), dir)
+			name, st.Len(), st.TotalBytes(), cinemastore.IndexVersion, dir)
 	}
 	if *scrub > 0 {
 		stopScrub := srv.StartScrubber(*scrub, *scrubBudget)

@@ -17,14 +17,13 @@
 //	cinemaverify DIR [DIR...]
 //
 // Exit status is 0 when every store verifies, 1 on any divergence or
-// read failure, 2 on usage errors. Stores in the pre-digest index
-// formats (1.0/2.0) are checked by length only, with a warning: absence
-// of digests is visible, not silently "ok".
+// read failure, 2 on usage errors.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -49,7 +48,7 @@ func main() {
 
 	failed := false
 	for _, dir := range flag.Args() {
-		if !verifyStore(dir, *maxReport) {
+		if !verifyStore(os.Stdout, dir, *maxReport) {
 			failed = true
 		}
 	}
@@ -66,20 +65,16 @@ type frameFault struct {
 	err  error
 }
 
-func verifyStore(dir string, maxReport int) bool {
+// verifyStore audits the store in dir, writes its report to out, and
+// reports whether the store verifies.
+func verifyStore(out io.Writer, dir string, maxReport int) bool {
 	st, err := cinemastore.Open(dir)
 	if err != nil {
-		fmt.Printf("FAIL %s: %v\n", dir, err)
+		fmt.Fprintf(out, "FAIL %s: %v\n", dir, err)
 		return false
 	}
 
 	entries := st.Entries()
-	digests := 0
-	for _, e := range entries {
-		if e.Digest != "" {
-			digests++
-		}
-	}
 
 	// Frame pass: parallel full re-read of every frame, verified against
 	// the index. Faults are collected per entry so the report names the
@@ -108,68 +103,51 @@ func verifyStore(dir string, maxReport int) bool {
 	ok := true
 	if len(faults) > 0 {
 		ok = false
-		fmt.Printf("FAIL %s: %d of %d frames diverge; first is %s\n",
+		fmt.Fprintf(out, "FAIL %s: %d of %d frames diverge; first is %s\n",
 			dir, len(faults), len(entries), faults[0].file)
 		for i, f := range faults {
 			if i >= maxReport {
-				fmt.Printf("  ... and %d more\n", len(faults)-maxReport)
+				fmt.Fprintf(out, "  ... and %d more\n", len(faults)-maxReport)
 				break
 			}
-			fmt.Printf("  frame %d (%s): %v\n", f.idx, f.file, f.err)
+			fmt.Fprintf(out, "  frame %d (%s): %v\n", f.idx, f.file, f.err)
 		}
 	}
 
 	// Manifest pass: replay the hash chain and match its head against
-	// the live index. A store without a manifest (pre-ledger formats, or
-	// a worker shard that never committed) is reported, not failed — the
-	// manifest's absence is only suspicious when digests say the store
-	// was written by a ledger-bearing writer.
+	// the live index. Every committed store has a manifest: Commit
+	// appends the record pinning the index it writes.
 	manifest := filepath.Join(dir, provenance.ManifestFile)
 	recs, merr := provenance.ReadManifest(manifest)
 	switch {
 	case merr != nil && os.IsNotExist(merr):
-		if digests > 0 {
-			ok = false
-			fmt.Printf("FAIL %s: store has content digests but no %s manifest\n",
-				dir, provenance.ManifestFile)
-		} else {
-			fmt.Printf("note %s: no provenance manifest (format %s)\n", dir, st.Version())
-		}
+		ok = false
+		fmt.Fprintf(out, "FAIL %s: store has content digests but no %s manifest\n",
+			dir, provenance.ManifestFile)
 	case merr != nil:
 		ok = false
-		fmt.Printf("FAIL %s: %v\n", dir, merr)
+		fmt.Fprintf(out, "FAIL %s: %v\n", dir, merr)
 	case len(recs) == 0:
 		ok = false
-		fmt.Printf("FAIL %s: manifest %s is empty\n", dir, manifest)
+		fmt.Fprintf(out, "FAIL %s: manifest %s is empty\n", dir, manifest)
 	default:
 		head := recs[len(recs)-1]
-		root, rootOK := cinemastore.EntriesRoot(entries)
+		root := cinemastore.EntriesRoot(entries)
 		switch {
-		case !rootOK:
-			ok = false
-			fmt.Printf("FAIL %s: manifest present but index has no digests to root\n", dir)
 		case head.Root != root.Hex():
 			ok = false
-			fmt.Printf("FAIL %s: manifest head root %s != index root %s (record %d)\n",
+			fmt.Fprintf(out, "FAIL %s: manifest head root %s != index root %s (record %d)\n",
 				dir, short(head.Root), short(root.Hex()), head.Seq)
 		case head.Frames != len(entries) || head.Bytes != st.TotalBytes():
 			ok = false
-			fmt.Printf("FAIL %s: manifest head covers %d frames / %d bytes; index has %d / %d\n",
+			fmt.Fprintf(out, "FAIL %s: manifest head covers %d frames / %d bytes; index has %d / %d\n",
 				dir, head.Frames, head.Bytes, len(entries), st.TotalBytes())
 		}
 	}
 
 	if ok {
-		switch {
-		case digests == 0:
-			fmt.Printf("ok   %s: %d frames size-checked (format %s: no content digests)\n",
-				dir, len(entries), st.Version())
-		case len(recs) > 0:
-			fmt.Printf("ok   %s: %d frames verified, %d manifest records, root %s\n",
-				dir, len(entries), len(recs), short(recs[len(recs)-1].Root))
-		default:
-			fmt.Printf("ok   %s: %d frames verified\n", dir, len(entries))
-		}
+		fmt.Fprintf(out, "ok   %s: %d frames verified, %d manifest records, root %s\n",
+			dir, len(entries), len(recs), short(recs[len(recs)-1].Root))
 	}
 	return ok
 }

@@ -71,7 +71,7 @@ func TestFacadeHelpers(t *testing.T) {
 
 // TestLiveRunReleasesManifestDescriptor pins that a finished LiveRun holds
 // no descriptor on its provenance ledger: the first index commit opens
-// manifest.log, and only CinemaDB.Close releases it.
+// manifest.log, and only the store writer's CloseLedger releases it.
 func TestLiveRunReleasesManifestDescriptor(t *testing.T) {
 	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
 		t.Skip("no /proc/self/fd:", err)

@@ -417,7 +417,7 @@ func TestGatewayRelaysMetadataWithFailover(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("index status %d", w.Code)
 	}
-	entries, _, err := cinemastore.DecodeIndex(body)
+	entries, err := cinemastore.DecodeIndex(body)
 	if err != nil {
 		t.Fatalf("relayed index does not decode: %v", err)
 	}

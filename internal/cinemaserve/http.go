@@ -24,7 +24,7 @@ import (
 //
 //	/                      JSON listing of mounted stores
 //	/<store>/              JSON store info (version, axes, totals)
-//	/<store>/index.json    the store's version-2 index document
+//	/<store>/index.json    the store's index document
 //	/<store>/frame?var=V[&time=T&phi=P&theta=H][&nearest=1]
 //	                       one frame (image/png); nearest=1 snaps the
 //	                       requested axis point to the closest stored one
@@ -91,7 +91,7 @@ type storeInfo struct {
 
 func infoFor(name string, st *cinemastore.Store) storeInfo {
 	return storeInfo{
-		Name: name, Version: st.Version(),
+		Name: name, Version: cinemastore.IndexVersion,
 		Frames: st.Len(), Bytes: st.TotalBytes(),
 		Variables: st.Variables(),
 	}

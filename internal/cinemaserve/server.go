@@ -501,11 +501,11 @@ func (s *Server) frameAt(ctx context.Context, m *mount, idx int, lane *trace.Lan
 // fills and scrub sweeps alike: read entry idx of m (a "store.read" span
 // on lane), verify it, and keep the mount's quarantine in step. Length is
 // checked before the digest — a frame truncated mid-read must never be
-// cached, and the cheap check catches it even on pre-v3 entries that
-// carry no content address. A divergent frame is counted, quarantined
-// and returned as a *CorruptFrameError without its bytes; a clean one
-// clears any earlier quarantine. Any other error is the store's read
-// failure. read is the byte count the disk returned, verified or not.
+// cached, and the cheap check catches it without paying for a hash. A
+// divergent frame is counted, quarantined and returned as a
+// *CorruptFrameError without its bytes; a clean one clears any earlier
+// quarantine. Any other error is the store's read failure. read is the
+// byte count the disk returned, verified or not.
 func (s *Server) readVerified(m *mount, idx int, lane *trace.Lane) (data []byte, read int, err error) {
 	lane.Begin("store.read")
 	data, err = m.store.ReadFrameAt(idx)

@@ -436,10 +436,10 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("store info: %d %q", code, body)
 	}
 	code, body, _ := get("/cinema/run/index.json")
-	if code != 200 || !strings.Contains(body, cinemastore.TypeV2) {
+	if code != 200 || !strings.Contains(body, cinemastore.IndexType) {
 		t.Errorf("index: %d %q", code, body)
 	}
-	entries, _, err := cinemastore.DecodeIndex([]byte(body))
+	entries, err := cinemastore.DecodeIndex([]byte(body))
 	if err != nil || len(entries) != 3 {
 		t.Fatalf("served index does not round-trip: %v (%d entries)", err, len(entries))
 	}

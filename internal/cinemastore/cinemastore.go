@@ -1,16 +1,18 @@
 // Package cinemastore is the durable on-disk format of the Cinema image
 // databases the in-situ pipeline emits, and the read path over them: a
-// versioned JSON index of (time, camera-phi/theta, variable) axes plus a
-// directory of PNG frames, an opener, an axis-based query engine (exact
-// and nearest-parameter lookup), and an iterator for full-database scans.
+// content-addressed JSON index of (time, camera-phi/theta, variable) axes
+// plus a directory of PNG frames, a writer, an opener, an axis-based query
+// engine (exact and nearest-parameter lookup), and an iterator for
+// full-database scans.
 //
 // The paper's in-situ workflow exists precisely to produce these
 // databases: render many small views in situ, then let scientists browse
 // the image store interactively instead of re-rendering from raw dumps
 // (Ahrens et al., "An Image-based Approach to Extreme Scale In Situ
-// Visualization and Analysis"). This package owns the serving-side
-// contract the write path (render.CinemaDB) and the query server
-// (internal/cinemaserve) share.
+// Visualization and Analysis"). This package owns the one contract the
+// write path (Writer, fed by render.PipelinedCinemaWriter) and the query
+// server (internal/cinemaserve) share: every frame is immutable and named
+// by the SHA-256 of its bytes.
 //
 // Durability contract: every index and frame write goes to a temp file in
 // the destination directory and is renamed into place, so a reader
@@ -24,6 +26,7 @@ package cinemastore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -39,13 +42,11 @@ import (
 	"insituviz/internal/telemetry"
 )
 
-// Format identifiers. Version 3 indexes content-address every frame with
-// a SHA-256 digest ("sha256" per entry) and pair the index with a
-// hash-chained provenance manifest; version 2 carries the full axis
-// tuple per entry without digests; version 1 is the legacy layout (time
-// and variable only, the variable under the key "field"). Open reads all
-// three, so databases written before the store — or before content
-// addressing — stay servable.
+// Format identifiers. There is one index format: every entry carries the
+// full axis tuple and content-addresses its frame with a SHA-256 digest
+// ("sha256"), and the index is paired with a hash-chained provenance
+// manifest. An index of any other type or version, or with an entry
+// lacking a valid digest, does not decode.
 const (
 	IndexFile = "info.json"
 
@@ -60,12 +61,8 @@ const (
 	// digest — instead of deleting them.
 	QuarantineDir = "quarantine"
 
-	TypeV2    = "insituviz-cinema-store"
-	VersionV2 = "2.0"
-	VersionV3 = "3.0"
-
-	typeV1    = "simple-image-database"
-	versionV1 = "1.0"
+	IndexType    = "insituviz-cinema-store"
+	IndexVersion = "3.0"
 )
 
 // Key identifies one frame by its position on the database axes: the
@@ -110,29 +107,65 @@ func (k Key) Validate() error {
 }
 
 // Entry is one frame record: its key plus the stored file (a bare name,
-// always directly inside the database directory), its size, and — for
-// version-3 stores — the hex SHA-256 content address of its bytes.
+// always directly inside the database directory), its size, and the hex
+// SHA-256 content address of its bytes.
 type Entry struct {
 	Key
 	File  string `json:"file"`
 	Bytes int64  `json:"bytes"`
-	// Digest is the lowercase-hex SHA-256 of the frame bytes; empty for
-	// entries read from pre-v3 indexes.
-	Digest string `json:"sha256,omitempty"`
+	// Digest is the lowercase-hex SHA-256 of the frame bytes.
+	Digest string `json:"sha256"`
 }
 
-// jsonEntry is the on-disk entry layout, a superset of all versions:
-// version 3 adds "sha256", version 2 uses "variable", version 1 used
-// "field".
+// EntryError reports an entry — read from an index or handed to Adopt —
+// that no Writer could have recorded: a key off the axes, an unsafe file
+// name, a non-positive size, a missing or malformed content address, or a
+// key another entry of the same index already holds.
+type EntryError struct {
+	File string // the entry's file name, as given
+	Err  error
+}
+
+func (e *EntryError) Error() string { return fmt.Sprintf("cinemastore: entry %q: %v", e.File, e.Err) }
+func (e *EntryError) Unwrap() error { return e.Err }
+
+// validate checks everything about an entry that does not need its bytes:
+// a key on the axes, a bare file name inside the database directory, a
+// positive size, and a content address in the lowercase hex Put records.
+func (e Entry) validate() error {
+	var err error
+	switch {
+	case e.File == "" || filepath.Base(e.File) != e.File || e.File == "." || e.File == "..":
+		err = errors.New("unsafe file name")
+	case e.Bytes < 1:
+		err = fmt.Errorf("size %d", e.Bytes)
+	case !isDigest(e.Digest):
+		err = fmt.Errorf("sha256 %q is not a lowercase hex SHA-256", e.Digest)
+	default:
+		err = e.Key.Validate()
+	}
+	if err != nil {
+		return &EntryError{File: e.File, Err: err}
+	}
+	return nil
+}
+
+// isDigest reports whether s is a SHA-256 in lowercase hex, the only
+// spelling VerifyFrame's comparison matches.
+func isDigest(s string) bool {
+	d, err := provenance.ParseHex(s)
+	return err == nil && d.Hex() == s
+}
+
+// jsonEntry is the on-disk entry layout.
 type jsonEntry struct {
 	File     string  `json:"file"`
 	Time     float64 `json:"time"`
 	Phi      float64 `json:"phi,omitempty"`
 	Theta    float64 `json:"theta,omitempty"`
 	Variable string  `json:"variable,omitempty"`
-	Field    string  `json:"field,omitempty"`
 	Bytes    int64   `json:"bytes"`
-	Sha256   string  `json:"sha256,omitempty"`
+	Sha256   string  `json:"sha256"`
 }
 
 // jsonIndex is the on-disk index layout.
@@ -166,15 +199,11 @@ func (e *IntegrityError) Error() string {
 
 // VerifyFrame checks read frame bytes against the entry: length first
 // (catches truncation before paying for a hash), then the SHA-256
-// content address when the entry carries one. A nil return means the
-// bytes are exactly what was committed — or, for digest-less pre-v3
-// entries, at least the right length.
+// content address. A nil return means the bytes are exactly what was
+// committed.
 func (e Entry) VerifyFrame(data []byte) error {
 	if int64(len(data)) != e.Bytes {
 		return &IntegrityError{File: e.File, Reason: "truncated", WantBytes: e.Bytes, GotBytes: int64(len(data))}
-	}
-	if e.Digest == "" {
-		return nil
 	}
 	if got := provenance.Sum(data).Hex(); got != e.Digest {
 		return &IntegrityError{File: e.File, Reason: "digest mismatch", WantDigest: e.Digest, GotDigest: got}
@@ -184,20 +213,15 @@ func (e Entry) VerifyFrame(data []byte) error {
 
 // EntriesRoot computes the Merkle root over the entries' content
 // addresses in canonical sort order — the root a manifest record pins.
-// ok is false when any entry lacks a digest (a pre-v3 store), in which
-// case no meaningful root exists.
-func EntriesRoot(entries []Entry) (root provenance.Digest, ok bool) {
+// Every entry a Writer or DecodeIndex hands out carries a valid digest.
+func EntriesRoot(entries []Entry) provenance.Digest {
 	sorted := append([]Entry(nil), entries...)
 	sortEntries(sorted)
 	leaves := make([]provenance.Digest, len(sorted))
 	for i, e := range sorted {
-		d, err := provenance.ParseHex(e.Digest)
-		if err != nil {
-			return provenance.Digest{}, false
-		}
-		leaves[i] = d
+		leaves[i], _ = provenance.ParseHex(e.Digest)
 	}
-	return provenance.MerkleRoot(leaves), true
+	return provenance.MerkleRoot(leaves)
 }
 
 // sortEntries orders entries canonically: variable, then time, then phi,
@@ -227,10 +251,15 @@ func sortEntries(entries []Entry) {
 // over the destination, and the directory is fsynced so the rename itself
 // is durable.
 func WriteFileAtomic(dir, name string, data []byte) error {
-	if err := writeFile(osOps{}, dir, name, data, true); err != nil {
+	return writeFileAtomic(osOps{}, dir, name, data)
+}
+
+// writeFileAtomic is WriteFileAtomic over the fs seam.
+func writeFileAtomic(fs fileOps, dir, name string, data []byte) error {
+	if err := writeFile(fs, dir, name, data, true); err != nil {
 		return err
 	}
-	return osOps{}.syncDir(dir)
+	return fs.syncDir(dir)
 }
 
 // writeFile writes data to a temp file in dir and renames it over name.
@@ -268,10 +297,10 @@ func writeFile(fs fileOps, dir, name string, data []byte, sync bool) (err error)
 	return nil
 }
 
-// fileOps is the writer's file-system seam: the operations whose order
-// decides what a crash leaves behind. osOps passes straight to the os
-// package; the crash-point test records the calls and replays every
-// post-crash state they allow.
+// fileOps is the store's file-system seam: the operations of the writer
+// and of RepairOpen whose order decides what a crash leaves behind. osOps
+// passes straight to the os package; the crash-point test records the
+// calls and replays every post-crash state they allow.
 type fileOps interface {
 	createTemp(dir, pattern string) (tempFile, error)
 	rename(oldpath, newpath string) error
@@ -380,13 +409,27 @@ type Writer struct {
 	inj        *faults.Injector
 	commitSite *faults.Site
 
-	mSynced *telemetry.Counter // nil without SetTelemetry
+	// Metric handles (nil without SetTelemetry; nil handles are no-ops).
+	mSynced     *telemetry.Counter
+	mFrames     *telemetry.Counter
+	mBytes      *telemetry.Counter
+	mFrameBytes *telemetry.Histogram
 }
 
-// SetTelemetry registers cinema.commit.synced in reg: the frame files
-// Commit's sync pass has fsynced. A nil registry detaches it.
+// frameSizeBuckets are the upper bounds (bytes) of the render.frame.bytes
+// histogram: the paper's Cinema images are a few KB to a few hundred KB,
+// so the buckets are decade-ish steps across that range.
+var frameSizeBuckets = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
+
+// SetTelemetry registers the writer's metrics in reg: cinema.commit.synced
+// (the frame files Commit's sync pass has fsynced), and render.frames,
+// render.encoded.bytes and the render.frame.bytes size histogram, which
+// count every frame Put or Adopt records. A nil registry detaches them.
 func (w *Writer) SetTelemetry(reg *telemetry.Registry) {
 	w.mSynced = reg.Counter("cinema.commit.synced")
+	w.mFrames = reg.Counter("render.frames")
+	w.mBytes = reg.Counter("render.encoded.bytes")
+	w.mFrameBytes = reg.Histogram("render.frame.bytes", frameSizeBuckets)
 }
 
 // SetFaults arms the writer's "cinema.commit" fault site — an injected
@@ -493,58 +536,46 @@ func (w *Writer) Put(key Key, data []byte) (Entry, error) {
 		w.pending = append(w.pending, name)
 	}
 	e := Entry{Key: key, File: name, Bytes: int64(len(data)), Digest: provenance.Sum(data).Hex()}
-	w.byKey[key] = len(w.entries)
-	w.entries = append(w.entries, e)
-	w.files[name] = true
-	w.total += e.Bytes
+	w.record(e)
 	return e, nil
+}
+
+// record folds a written or adopted entry into the index and counts it.
+func (w *Writer) record(e Entry) {
+	w.byKey[e.Key] = len(w.entries)
+	w.entries = append(w.entries, e)
+	w.files[e.File] = true
+	w.total += e.Bytes
+	w.mFrames.Inc()
+	w.mBytes.Add(e.Bytes)
+	w.mFrameBytes.Observe(float64(e.Bytes))
 }
 
 // Adopt records an entry whose frame file was written into the database
 // directory by another process — the in-transit viz workers share the
 // sim's store directory and report back the entries they stored. The
-// adopting writer validates the entry, verifies the file on disk — a
-// size check always, a full SHA-256 re-hash when the entry carries a
-// content address (worker acks do) — and folds it into its index exactly
-// as if Put had written it, so Commit publishes one index over both
-// origins and the sim never vouches for bytes it has not verified. The
-// writing process need not have fsynced the file: Commit syncs adopted
-// files by name along with its own.
+// adopting writer validates the entry — an entry without a valid content
+// address is refused — re-hashes the file on disk against it, and folds it
+// into its index exactly as if Put had written it, so Commit publishes one
+// index over both origins and the sim never vouches for bytes it has not
+// verified. The writing process need not have fsynced the file: Commit
+// syncs adopted files by name along with its own.
 func (w *Writer) Adopt(e Entry) error {
-	if err := e.Key.Validate(); err != nil {
-		return err
-	}
-	if e.File == "" || filepath.Base(e.File) != e.File || e.File == "." || e.File == ".." {
-		return fmt.Errorf("cinemastore: adopt: unsafe file name %q", e.File)
+	if err := e.validate(); err != nil {
+		return fmt.Errorf("cinemastore: adopt: %w", err)
 	}
 	if i, ok := w.byKey[e.Key]; ok {
 		return fmt.Errorf("cinemastore: duplicate key %+v (already stored as %s)", e.Key, w.entries[i].File)
 	}
-	if e.Digest != "" {
-		if _, err := provenance.ParseHex(e.Digest); err != nil {
-			return fmt.Errorf("cinemastore: adopt %s: %w", e.File, err)
-		}
-		data, err := os.ReadFile(filepath.Join(w.dir, e.File))
-		if err != nil {
-			return fmt.Errorf("cinemastore: adopt %s: %w", e.File, err)
-		}
-		if err := e.VerifyFrame(data); err != nil {
-			return fmt.Errorf("cinemastore: adopt: %w", err)
-		}
-	} else {
-		fi, err := os.Stat(filepath.Join(w.dir, e.File))
-		if err != nil {
-			return fmt.Errorf("cinemastore: adopt %s: %w", e.File, err)
-		}
-		if fi.Size() != e.Bytes {
-			return fmt.Errorf("cinemastore: adopt %s: size %d on disk, entry says %d", e.File, fi.Size(), e.Bytes)
-		}
+	data, err := os.ReadFile(filepath.Join(w.dir, e.File))
+	if err != nil {
+		return fmt.Errorf("cinemastore: adopt %s: %w", e.File, err)
 	}
-	w.byKey[e.Key] = len(w.entries)
-	w.entries = append(w.entries, e)
-	w.files[e.File] = true
+	if err := e.VerifyFrame(data); err != nil {
+		return fmt.Errorf("cinemastore: adopt: %w", err)
+	}
+	w.record(e)
 	w.pending = append(w.pending, e.File)
-	w.total += e.Bytes
 	return nil
 }
 
@@ -590,7 +621,7 @@ func (w *Writer) Commit() (int64, error) {
 	// fallback before the new one replaces it. The backup rename is made
 	// durable by the same directory fsync that publishes the new index.
 	if prev, err := os.ReadFile(filepath.Join(w.dir, IndexFile)); err == nil {
-		if _, _, err := DecodeIndex(prev); err == nil {
+		if _, err := DecodeIndex(prev); err == nil {
 			if err := writeFile(w.fs, w.dir, BackupFile, prev, true); err != nil {
 				return 0, err
 			}
@@ -614,14 +645,13 @@ func (w *Writer) Commit() (int64, error) {
 	// Pin the committed state in the provenance chain. A retried Commit
 	// (after a torn manifest append) must not double-record the same
 	// state: the pending record from the failed attempt is reused.
-	if root, ok := EntriesRoot(entries); ok {
-		if w.ledger.Pending() == 0 || root.Hex() != w.lastRoot {
-			w.ledger.Append(root, len(entries), w.total)
-			w.lastRoot = root.Hex()
-		}
-		if err := w.ledger.Sync(); err != nil {
-			return 0, err
-		}
+	root := EntriesRoot(entries)
+	if w.ledger.Pending() == 0 || root.Hex() != w.lastRoot {
+		w.ledger.Append(root, len(entries), w.total)
+		w.lastRoot = root.Hex()
+	}
+	if err := w.ledger.Sync(); err != nil {
+		return 0, err
 	}
 	return int64(len(data)), nil
 }
@@ -630,12 +660,12 @@ func (w *Writer) Commit() (int64, error) {
 // writer is done committing; further Commits reopen nothing and fail.
 func (w *Writer) CloseLedger() error { return w.ledger.Close() }
 
-// EncodeIndex renders entries as a version-3 index document. The entries
+// EncodeIndex renders entries as an index document. The entries
 // are sorted canonically first, so equal databases encode byte-identically.
 func EncodeIndex(entries []Entry) ([]byte, error) {
 	sorted := append([]Entry(nil), entries...)
 	sortEntries(sorted)
-	idx := jsonIndex{Type: TypeV2, Version: VersionV3, Images: make([]jsonEntry, len(sorted))}
+	idx := jsonIndex{Type: IndexType, Version: IndexVersion, Images: make([]jsonEntry, len(sorted))}
 	for i, e := range sorted {
 		idx.Images[i] = jsonEntry{
 			File: e.File, Time: e.Time, Phi: e.Phi, Theta: e.Theta,
@@ -649,42 +679,45 @@ func EncodeIndex(entries []Entry) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// DecodeIndex parses an index document of any supported version into
-// entries (canonical order) and reports the version it found.
-func DecodeIndex(data []byte) ([]Entry, string, error) {
+// FormatError reports an index document of a type or version other than
+// IndexType and IndexVersion.
+type FormatError struct {
+	Type, Version string
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("cinemastore: unsupported index type %q version %q (want %q %q)", e.Type, e.Version, IndexType, IndexVersion)
+}
+
+// DecodeIndex parses an index document into entries (canonical order).
+// The document must be of IndexType and IndexVersion (else a
+// *FormatError), and every entry must be one a Writer could have
+// recorded (else an *EntryError).
+func DecodeIndex(data []byte) ([]Entry, error) {
 	var idx jsonIndex
 	if err := json.Unmarshal(data, &idx); err != nil {
-		return nil, "", fmt.Errorf("cinemastore: parse index: %w", err)
+		return nil, fmt.Errorf("cinemastore: parse index: %w", err)
 	}
-	switch {
-	case idx.Type == TypeV2 && (idx.Version == VersionV3 || idx.Version == VersionV2):
-	case idx.Type == typeV1 && idx.Version == versionV1:
-	default:
-		return nil, "", fmt.Errorf("cinemastore: unsupported index type %q version %q", idx.Type, idx.Version)
+	if idx.Type != IndexType || idx.Version != IndexVersion {
+		return nil, &FormatError{Type: idx.Type, Version: idx.Version}
 	}
 	entries := make([]Entry, len(idx.Images))
 	for i, je := range idx.Images {
-		variable := je.Variable
-		if variable == "" {
-			variable = je.Field // legacy version-1 key
-		}
 		e := Entry{
-			Key:  Key{Time: je.Time, Phi: je.Phi, Theta: je.Theta, Variable: variable},
+			Key:  Key{Time: je.Time, Phi: je.Phi, Theta: je.Theta, Variable: je.Variable},
 			File: je.File, Bytes: je.Bytes, Digest: je.Sha256,
 		}
-		if err := e.Validate(); err != nil {
-			return nil, "", fmt.Errorf("cinemastore: index entry %d: %w", i, err)
-		}
-		if e.Digest != "" {
-			if _, err := provenance.ParseHex(e.Digest); err != nil {
-				return nil, "", fmt.Errorf("cinemastore: index entry %d: %w", i, err)
-			}
-		}
-		if e.File == "" || filepath.Base(e.File) != e.File || e.File == "." || e.File == ".." {
-			return nil, "", fmt.Errorf("cinemastore: index entry %d: unsafe file name %q", i, je.File)
+		if err := e.validate(); err != nil {
+			return nil, fmt.Errorf("cinemastore: index entry %d: %w", i, err)
 		}
 		entries[i] = e
 	}
 	sortEntries(entries)
-	return entries, idx.Version, nil
+	// Equal keys sort next to each other.
+	for i := 1; i < len(entries); i++ {
+		if entries[i].Key == entries[i-1].Key {
+			return nil, &EntryError{File: entries[i].File, Err: fmt.Errorf("duplicate key %+v (also %s)", entries[i].Key, entries[i-1].File)}
+		}
+	}
+	return entries, nil
 }

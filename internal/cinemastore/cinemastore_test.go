@@ -3,6 +3,7 @@ package cinemastore
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"insituviz/internal/provenance"
 )
 
 // frame fabricates a distinguishable frame payload for a key.
@@ -55,9 +58,6 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Version() != VersionV3 {
-		t.Errorf("version = %q", s.Version())
 	}
 	if s.Len() != len(wrote) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(wrote))
@@ -155,7 +155,7 @@ func TestIndexOrderIgnoresPutOrder(t *testing.T) {
 		for i, je := range doc.Images {
 			written[i] = Key{Time: je.Time, Phi: je.Phi, Theta: je.Theta, Variable: je.Variable}
 		}
-		decoded, _, err := DecodeIndex(data)
+		decoded, err := DecodeIndex(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,43 +265,53 @@ func TestFileNameCollisionsGetSequenced(t *testing.T) {
 	}
 }
 
-func TestOpenLegacyV1Index(t *testing.T) {
-	dir := t.TempDir()
-	legacy := `{
-  "type": "simple-image-database",
-  "version": "1.0",
-  "images": [
-    {"file": "a.png", "time": 3600, "field": "okubo_weiss", "bytes": 3},
-    {"file": "b.png", "time": 7200, "field": "okubo_weiss", "bytes": 3}
-  ]
-}`
-	if err := os.WriteFile(filepath.Join(dir, IndexFile), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
+// digestOf is the content address of a fabricated frame payload.
+func digestOf(payload string) string { return provenance.Sum([]byte(payload)).Hex() }
+
+// The store has one format: an index of any other type or version, or a
+// current one with an entry that carries no content address, is refused
+// with a typed error naming what it found.
+func TestOpenRejectsLegacyIndexes(t *testing.T) {
+	cases := map[string]struct {
+		doc  string
+		want any
+	}{
+		"v1": {`{"type": "simple-image-database", "version": "1.0", "images": [
+			{"file": "a.png", "time": 3600, "field": "okubo_weiss", "bytes": 3}]}`, new(*FormatError)},
+		"v2": {`{"type": "insituviz-cinema-store", "version": "2.0", "images": [
+			{"file": "a.png", "time": 3600, "variable": "okubo_weiss", "bytes": 3}]}`, new(*FormatError)},
+		"v3 without digests": {`{"type": "insituviz-cinema-store", "version": "3.0", "images": [
+			{"file": "a.png", "time": 3600, "variable": "okubo_weiss", "bytes": 3}]}`, new(*EntryError)},
 	}
-	for _, f := range []string{"a.png", "b.png"} {
-		if err := os.WriteFile(filepath.Join(dir, f), []byte("png"), 0o644); err != nil {
+	for name, c := range cases {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, IndexFile), []byte(c.doc), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Version() != "1.0" || s.Len() != 2 {
-		t.Fatalf("version %q len %d", s.Version(), s.Len())
-	}
-	i, ok := s.LookupIndex(Key{Time: 7200, Variable: "okubo_weiss"})
-	if !ok || s.EntryAt(i).File != "b.png" {
-		t.Errorf("legacy lookup = %d ok=%v", i, ok)
+		if err := os.WriteFile(filepath.Join(dir, "a.png"), []byte("png"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir)
+		if !errors.As(err, c.want) {
+			t.Errorf("%s: Open error = %v, want %T", name, err, c.want)
+		}
+		var fe *FormatError
+		if errors.As(err, &fe) && !strings.Contains(err.Error(), fmt.Sprintf("%q version %q", fe.Type, fe.Version)) {
+			t.Errorf("%s: error %q does not name the type and version found", name, err)
+		}
 	}
 }
 
 func TestOpenRejectsBadIndexes(t *testing.T) {
+	d := digestOf("png")
 	cases := map[string]string{
 		"unsupported version": `{"type": "insituviz-cinema-store", "version": "9.9", "images": []}`,
-		"unsafe file path":    `{"type": "insituviz-cinema-store", "version": "2.0", "images": [{"file": "../escape.png", "time": 1, "variable": "v", "bytes": 1}]}`,
-		"empty variable":      `{"type": "insituviz-cinema-store", "version": "2.0", "images": [{"file": "a.png", "time": 1, "bytes": 1}]}`,
-		"duplicate key":       `{"type": "insituviz-cinema-store", "version": "2.0", "images": [{"file": "a.png", "time": 1, "variable": "v", "bytes": 1}, {"file": "b.png", "time": 1, "variable": "v", "bytes": 1}]}`,
+		"unsafe file path":    `{"type": "insituviz-cinema-store", "version": "3.0", "images": [{"file": "../escape.png", "time": 1, "variable": "v", "bytes": 3, "sha256": "` + d + `"}]}`,
+		"empty variable":      `{"type": "insituviz-cinema-store", "version": "3.0", "images": [{"file": "a.png", "time": 1, "bytes": 3, "sha256": "` + d + `"}]}`,
+		"duplicate key":       `{"type": "insituviz-cinema-store", "version": "3.0", "images": [{"file": "a.png", "time": 1, "variable": "v", "bytes": 3, "sha256": "` + d + `"}, {"file": "b.png", "time": 1, "variable": "v", "bytes": 3, "sha256": "` + d + `"}]}`,
+		"duplicate file":      `{"type": "insituviz-cinema-store", "version": "3.0", "images": [{"file": "a.png", "time": 1, "variable": "v", "bytes": 3, "sha256": "` + d + `"}, {"file": "a.png", "time": 2, "variable": "v", "bytes": 3, "sha256": "` + d + `"}]}`,
+		"upper-case digest":   `{"type": "insituviz-cinema-store", "version": "3.0", "images": [{"file": "a.png", "time": 1, "variable": "v", "bytes": 3, "sha256": "` + strings.ToUpper(d) + `"}]}`,
+		"empty frame":         `{"type": "insituviz-cinema-store", "version": "3.0", "images": [{"file": "a.png", "time": 1, "variable": "v", "bytes": 0, "sha256": "` + d + `"}]}`,
 		"torn json":           `{"type": "insituviz-cinema-store", "vers`,
 	}
 	for name, src := range cases {
@@ -315,6 +325,38 @@ func TestOpenRejectsBadIndexes(t *testing.T) {
 	}
 	if _, err := Open(t.TempDir()); err == nil {
 		t.Error("missing index opened without error")
+	}
+}
+
+// Adopt holds a worker's entry to the same contract as an index entry: one
+// without a content address is refused, even when its file is on disk at
+// the stated size.
+func TestAdoptRefusesEntryWithoutDigest(t *testing.T) {
+	dir := t.TempDir()
+	worker, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := Key{Time: 3600, Variable: "v"}
+	e, err := worker.Put(k, frame(k, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := e
+	bare.Digest = ""
+	var ee *EntryError
+	if err := sim.Adopt(bare); !errors.As(err, &ee) {
+		t.Fatalf("Adopt of an entry without a digest: err = %v, want *EntryError", err)
+	}
+	if len(sim.Entries()) != 0 {
+		t.Fatal("refused entry was recorded")
+	}
+	if err := sim.Adopt(e); err != nil {
+		t.Fatalf("Adopt of the same entry with its digest: %v", err)
 	}
 }
 
@@ -416,8 +458,8 @@ func TestWriteFileAtomicLeavesNoTempDebris(t *testing.T) {
 
 func TestEncodeIndexIsByteStable(t *testing.T) {
 	entries := []Entry{
-		{Key: Key{Time: 7200, Variable: "b"}, File: "2.png", Bytes: 2},
-		{Key: Key{Time: 3600, Variable: "a"}, File: "1.png", Bytes: 1},
+		{Key: Key{Time: 7200, Variable: "b"}, File: "2.png", Bytes: 2, Digest: digestOf("bb")},
+		{Key: Key{Time: 3600, Variable: "a"}, File: "1.png", Bytes: 1, Digest: digestOf("a")},
 	}
 	a, err := EncodeIndex(entries)
 	if err != nil {
@@ -431,9 +473,9 @@ func TestEncodeIndexIsByteStable(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("index encoding depends on entry order")
 	}
-	back, version, err := DecodeIndex(a)
-	if err != nil || version != VersionV3 {
-		t.Fatalf("decode: %v (version %q)", err, version)
+	back, err := DecodeIndex(a)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if len(back) != 2 || back[0].Variable != "a" || back[1].Variable != "b" {
 		t.Errorf("round-trip = %+v", back)

@@ -12,10 +12,11 @@ import (
 	"insituviz/internal/provenance"
 )
 
-// The crash-point suite runs a writer through a recording fileOps, then
-// rebuilds, for every prefix of the recorded operations, every directory a
-// crash at that point may leave behind, and requires RepairOpen to recover
-// a committed index whose every frame verifies.
+// The crash-point suite runs a writer — or RepairOpen itself — through a
+// recording fileOps, then rebuilds, for every prefix of the recorded
+// operations, every directory a crash at that point may leave behind, and
+// requires RepairOpen to recover a committed index whose every frame
+// verifies.
 //
 // The crash model: a file's bytes survive only up to its last fsync, and
 // any unsynced tail may be absent, empty, torn or whole; a rename survives
@@ -23,13 +24,16 @@ import (
 // not have happened, each independently. Temp files that were never
 // renamed are left behind as debris. The provenance ledger syncs its own
 // appends (outside the seam), so its file is taken as durable at the
-// Commit that appended it.
+// Commit that appended it. RepairOpen's quarantine renames move a file
+// into QuarantineDir; the model keeps one namespace, naming the moved file
+// "quarantine/<name>", and takes the database directory's fsync to cover
+// the move.
 
 type crashOp struct {
-	kind string // create, write, sync, close, rename, syncdir, manifest
+	kind string // exists, create, write, sync, close, rename, syncdir, manifest
 	name string // base name; a rename's source
-	to   string // a rename's destination
-	data []byte // a write's bytes; the manifest's durable content
+	to   string // a rename's destination, relative to the database directory
+	data []byte // a write's bytes; an existing file's or the manifest's durable content
 }
 
 // recorder performs each operation on the real directory and logs it.
@@ -57,7 +61,11 @@ func (r *recorder) rename(oldpath, newpath string) error {
 	if err := (osOps{}).rename(oldpath, newpath); err != nil {
 		return err
 	}
-	r.add(crashOp{kind: "rename", name: filepath.Base(oldpath), to: filepath.Base(newpath)})
+	to := filepath.Base(newpath)
+	if filepath.Base(filepath.Dir(newpath)) == QuarantineDir {
+		to = QuarantineDir + "/" + to
+	}
+	r.add(crashOp{kind: "rename", name: filepath.Base(oldpath), to: to})
 	return nil
 }
 
@@ -120,6 +128,9 @@ type crashRun struct {
 	dir     string
 	rec     *recorder
 	commits []commitRec
+	// from is the first crash point explored: the operations before it
+	// only describe the directory the run started from.
+	from int
 }
 
 func newCrashRun(t *testing.T) *crashRun {
@@ -196,6 +207,10 @@ func replay(ops []crashOp) *crashModel {
 	m := &crashModel{cur: map[string]int{}, dur: map[string]int{}}
 	for _, op := range ops {
 		switch op.kind {
+		case "exists":
+			m.inodes = append(m.inodes, &inode{data: op.data, synced: op.data})
+			m.cur[op.name] = len(m.inodes) - 1
+			m.dur[op.name] = len(m.inodes) - 1
 		case "create":
 			m.inodes = append(m.inodes, &inode{})
 			m.cur[op.name] = len(m.inodes) - 1
@@ -291,11 +306,7 @@ func (in *inode) variants() [][]byte {
 // check materialises every crash state at every operation index and
 // recovers each through RepairOpen.
 func (c *crashRun) check() {
-	t := c.t
-	root := t.TempDir()
-	var states, failures int
-	for point := 0; point <= len(c.rec.ops); point++ {
-		m := replay(c.rec.ops[:point])
+	c.explore(func(point int, dir string, files map[string][]byte) error {
 		// The committed indexes a crash here may recover: from the last one
 		// whose directory fsync is done through the last one begun.
 		lo, hi := -1, -1
@@ -307,6 +318,18 @@ func (c *crashRun) check() {
 				hi = j
 			}
 		}
+		return c.recoverState(dir, files, lo, hi)
+	})
+}
+
+// explore materialises every crash state at every operation index in a
+// directory of its own and calls verify on it.
+func (c *crashRun) explore(verify func(point int, dir string, files map[string][]byte) error) {
+	t := c.t
+	root := t.TempDir()
+	var states, failures int
+	for point := c.from; point <= len(c.rec.ops); point++ {
+		m := replay(c.rec.ops[:point])
 		m.states(func(files map[string][]byte) {
 			states++
 			dir := filepath.Join(root, fmt.Sprint(states))
@@ -315,6 +338,9 @@ func (c *crashRun) check() {
 			}
 			defer os.RemoveAll(dir)
 			for name, data := range files {
+				if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+					t.Fatal(err)
+				}
 				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -324,7 +350,7 @@ func (c *crashRun) check() {
 					t.Fatal(err)
 				}
 			}
-			if err := c.recoverState(dir, files, lo, hi); err != nil {
+			if err := verify(point, dir, files); err != nil {
 				failures++
 				if failures <= 3 {
 					t.Errorf("crash after op %d of %d (%s): %v\nstate: %s", point, len(c.rec.ops), c.opName(point), err, describe(files))
@@ -439,4 +465,132 @@ func TestCrashPointsRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.check()
+}
+
+// repairRun records RepairOpen over the database c.dir holds: each file in
+// it enters the log as durable, then RepairOpen runs through the recorder.
+// It returns the repaired index.
+func (c *crashRun) repairRun() []byte {
+	t := c.t
+	listing, err := os.ReadDir(c.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range listing {
+		data, err := os.ReadFile(filepath.Join(c.dir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := "exists"
+		if de.Name() == provenance.ManifestFile {
+			kind = "manifest"
+		}
+		c.rec.add(crashOp{kind: kind, name: de.Name(), data: data})
+	}
+	c.from = len(c.rec.ops)
+	if _, _, err := repairOpen(c.rec, c.dir); err != nil {
+		t.Fatal(err)
+	}
+	repaired, err := os.ReadFile(filepath.Join(c.dir, IndexFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return repaired
+}
+
+// checkRepair requires that a crash anywhere in the recorded RepairOpen
+// leaves a directory a second RepairOpen brings to the repaired index with
+// every frame verifying, and that once the recorded run has returned, a
+// crash leaves that second RepairOpen nothing to do.
+func (c *crashRun) checkRepair(repaired []byte) {
+	c.explore(func(point int, dir string, _ map[string][]byte) error {
+		st, rep, err := RepairOpen(dir)
+		if err != nil {
+			return fmt.Errorf("RepairOpen: %w", err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, IndexFile))
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, repaired) {
+			return fmt.Errorf("recovered index is not the repaired one:\n%s", got)
+		}
+		for i := 0; i < st.Len(); i++ {
+			data, err := st.ReadFrameAt(i)
+			if err == nil {
+				err = st.EntryAt(i).VerifyFrame(data)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		if point == len(c.rec.ops) && (rep.RecoveredBackup || len(rep.Quarantined)+len(rep.CorruptQuarantined) > 0) {
+			return fmt.Errorf("the returned repair did not last: %+v", rep)
+		}
+		return nil
+	})
+}
+
+// TestCrashPointsRepairOpen cuts RepairOpen itself at every operation, on
+// a torn commit (the backup index restored, the torn commit's frame and a
+// temp file quarantined) and on a bit-rotted frame (the index rewritten
+// without it, then the frame quarantined).
+func TestCrashPointsRepairOpen(t *testing.T) {
+	t.Run("torn commit", func(t *testing.T) {
+		c := newCrashRun(t)
+		w, err := Create(c.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.put(w, 0)
+		c.put(w, 1)
+		if _, err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		c.put(w, 2)
+		if _, err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.CloseLedger(); err != nil {
+			t.Fatal(err)
+		}
+		index := filepath.Join(c.dir, IndexFile)
+		data, err := os.ReadFile(index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(index, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(c.dir, ".info.json.tmp-1"), data[:7], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c.checkRepair(c.repairRun())
+	})
+	t.Run("bit rot", func(t *testing.T) {
+		c := newCrashRun(t)
+		w, err := Create(c.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.put(w, 0)
+		rotten := c.put(w, 1)
+		c.put(w, 2)
+		if _, err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.CloseLedger(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(c.dir, rotten.File)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x80
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c.checkRepair(c.repairRun())
+	})
 }

@@ -41,18 +41,25 @@ type Repair struct {
 // truncates a torn provenance-manifest tail, and finishes with a strict
 // Open over the repaired directory.
 //
+// A rewritten index is durable before the frames it drops are moved, so a
+// crash anywhere in RepairOpen leaves a directory a second RepairOpen
+// repairs to the same index, and once it returns a crash leaves nothing
+// to repair.
+//
 // RepairOpen is for crashed, torn, or corrupt databases only. It must
 // not run against a database a live writer is still appending to: frames
 // put since the last Commit are unreferenced by definition and would be
 // quarantined.
-func RepairOpen(dir string) (*Store, *Repair, error) {
+func RepairOpen(dir string) (*Store, *Repair, error) { return repairOpen(osOps{}, dir) }
+
+// repairOpen is RepairOpen over the fs seam.
+func repairOpen(fs fileOps, dir string) (*Store, *Repair, error) {
 	rep := &Repair{}
 	data, err := os.ReadFile(filepath.Join(dir, IndexFile))
-	entries, _, decodeErr := []Entry(nil), "", error(nil)
-	if err != nil {
-		decodeErr = err
-	} else {
-		entries, _, decodeErr = DecodeIndex(data)
+	var entries []Entry
+	decodeErr := err
+	if err == nil {
+		entries, decodeErr = DecodeIndex(data)
 	}
 	if decodeErr != nil {
 		// The live index is torn or missing: fall back to the last good
@@ -62,10 +69,10 @@ func RepairOpen(dir string) (*Store, *Repair, error) {
 		if berr != nil {
 			return nil, nil, fmt.Errorf("cinemastore: index unreadable (%v) and no backup: %w", decodeErr, berr)
 		}
-		if entries, _, err = DecodeIndex(backup); err != nil {
+		if entries, err = DecodeIndex(backup); err != nil {
 			return nil, nil, fmt.Errorf("cinemastore: backup index is also corrupt: %w", err)
 		}
-		if err := WriteFileAtomic(dir, IndexFile, backup); err != nil {
+		if err := writeFileAtomic(fs, dir, IndexFile, backup); err != nil {
 			return nil, nil, err
 		}
 		rep.RecoveredBackup = true
@@ -84,12 +91,10 @@ func RepairOpen(dir string) (*Store, *Repair, error) {
 		return nil, nil, fmt.Errorf("cinemastore: list database dir: %w", err)
 	}
 	quarantine := func(name string) error {
-		if len(rep.Quarantined)+len(rep.CorruptQuarantined) == 0 {
-			if err := os.MkdirAll(filepath.Join(dir, QuarantineDir), 0o755); err != nil {
-				return fmt.Errorf("cinemastore: create quarantine dir: %w", err)
-			}
+		if err := os.MkdirAll(filepath.Join(dir, QuarantineDir), 0o755); err != nil {
+			return fmt.Errorf("cinemastore: create quarantine dir: %w", err)
 		}
-		if err := os.Rename(filepath.Join(dir, name), filepath.Join(dir, QuarantineDir, name)); err != nil {
+		if err := fs.rename(filepath.Join(dir, name), filepath.Join(dir, QuarantineDir, name)); err != nil {
 			return fmt.Errorf("cinemastore: quarantine %s: %w", name, err)
 		}
 		return nil
@@ -105,20 +110,14 @@ func RepairOpen(dir string) (*Store, *Repair, error) {
 	}
 
 	// Integrity pass: every referenced frame must still match its entry.
-	// Divergent frames (bit-rot, truncation) are quarantined and dropped
-	// from the index; a missing file is left to the strict Open below to
-	// report, since dropping it silently would mask real data loss.
+	// Divergent frames (bit-rot, truncation) are dropped from the index
+	// and then quarantined — in that order, so no index a crash can leave
+	// names a frame already moved away. A missing file is kept: dropping
+	// it silently would mask real data loss.
 	kept := entries[:0]
 	for _, e := range entries {
 		frame, err := os.ReadFile(filepath.Join(dir, e.File))
-		if err != nil {
-			kept = append(kept, e)
-			continue
-		}
-		if err := e.VerifyFrame(frame); err != nil {
-			if qerr := quarantine(e.File); qerr != nil {
-				return nil, nil, qerr
-			}
+		if err == nil && e.VerifyFrame(frame) != nil {
 			rep.CorruptQuarantined = append(rep.CorruptQuarantined, e.File)
 			continue
 		}
@@ -129,8 +128,13 @@ func RepairOpen(dir string) (*Store, *Repair, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := WriteFileAtomic(dir, IndexFile, idx); err != nil {
+		if err := writeFileAtomic(fs, dir, IndexFile, idx); err != nil {
 			return nil, nil, err
+		}
+		for _, name := range rep.CorruptQuarantined {
+			if err := quarantine(name); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 
@@ -147,8 +151,10 @@ func RepairOpen(dir string) (*Store, *Repair, error) {
 		}
 	}
 
-	if len(rep.Quarantined)+len(rep.CorruptQuarantined) > 0 || rep.RecoveredBackup {
-		if err := (osOps{}).syncDir(dir); err != nil {
+	// The restored or rewritten index is already durable; the quarantine
+	// renames become durable here.
+	if len(rep.Quarantined)+len(rep.CorruptQuarantined) > 0 {
+		if err := fs.syncDir(dir); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -16,7 +16,6 @@ import (
 // concurrent use; frames are read from disk on demand.
 type Store struct {
 	dir     string
-	version string
 	entries []Entry // canonical order
 	total   int64
 
@@ -52,21 +51,18 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cinemastore: read index: %w", err)
 	}
-	entries, version, err := DecodeIndex(data)
+	entries, err := DecodeIndex(data)
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{
-		dir: dir, version: version, entries: entries,
+		dir: dir, entries: entries,
 		byKey:  make(map[Key]int, len(entries)),
 		byFile: make(map[string]int, len(entries)),
 		varIdx: map[string]*variableAxis{},
 	}
 	for i, e := range entries {
-		if _, ok := s.byKey[e.Key]; ok {
-			return nil, fmt.Errorf("cinemastore: duplicate key %+v in index", e.Key)
-		}
-		s.byKey[e.Key] = i
+		s.byKey[e.Key] = i // DecodeIndex refused duplicate keys
 		if _, ok := s.byFile[e.File]; ok {
 			return nil, fmt.Errorf("cinemastore: file %q indexed twice", e.File)
 		}
@@ -97,10 +93,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Version returns the index format version that was opened ("1.0"
-// legacy, "2.0", or the content-addressed "3.0").
-func (s *Store) Version() string { return s.version }
 
 // Len returns the number of indexed frames.
 func (s *Store) Len() int { return len(s.entries) }

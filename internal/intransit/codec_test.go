@@ -227,6 +227,33 @@ func TestShardDecoderRejections(t *testing.T) {
 	}
 }
 
+// A delta shard is XORed over the previous sample of its rank and field,
+// so one whose previous sample has another length — the rank's cell count
+// changed between samples — is refused, never XORed over mismatched
+// records.
+func TestShardDecoderRejectsDeltaOverOtherLength(t *testing.T) {
+	codec, _ := NewCodec("raw")
+	sd := newShardDecoder(codec)
+	short := gatherIdentity(100)
+	colors, _ := sampleTables(len(short), 0)
+	payload, flags, _ := newShardEncoder(codec).encode(0, 0, short, colors, nil)
+	if _, err := sd.decode(0, 0, flags, payload, len(short)); err != nil {
+		t.Fatal(err)
+	}
+
+	long := gatherIdentity(101)
+	colors, _ = sampleTables(len(long), 0)
+	se := newShardEncoder(codec)
+	se.encode(0, 0, long, colors, nil)
+	payload, flags, _ = se.encode(0, 0, long, colors, nil)
+	if flags&FlagDelta == 0 {
+		t.Fatal("second shard of a rank is not a delta")
+	}
+	if _, err := sd.decode(0, 0, flags, payload, len(long)); !errors.Is(err, ErrBadShard) {
+		t.Errorf("delta over a %d-cell previous sample for %d cells: err = %v, want ErrBadShard", len(short), len(long), err)
+	}
+}
+
 // TestCompressionSavings pins the acceptance criterion's bound: on a
 // run's worth of realistic render tables, the render-exact encoding plus
 // delta+flate must save at least 30% against the float64 field volume

@@ -166,11 +166,53 @@ func TestDecoderTruncation(t *testing.T) {
 	}
 }
 
-func TestEncodeRejectsOversize(t *testing.T) {
-	enc := NewEncoder(io.Discard)
-	err := enc.Encode(Frame{Type: FrameShard, Payload: make([]byte, MaxPayload+1)})
-	if !errors.Is(err, ErrOversize) {
-		t.Errorf("err = %v, want ErrOversize", err)
+// headerWriter keeps the header of the one frame an Encoder writes through
+// it and checks that the rest is want, without holding a second copy of a
+// large payload.
+type headerWriter struct {
+	header []byte
+	want   []byte
+	ok     bool
+}
+
+func (w *headerWriter) Write(p []byte) (int, error) {
+	w.header = append([]byte(nil), p[:HeaderSize]...)
+	w.ok = bytes.Equal(p[HeaderSize:], w.want)
+	return len(p), nil
+}
+
+// TestMaxPayloadBoundary: a payload of exactly MaxPayload bytes is a frame
+// like any other, and one byte more is refused by the encoder and by the
+// decoder alike.
+func TestMaxPayloadBoundary(t *testing.T) {
+	payload := make([]byte, MaxPayload)
+	payload[0], payload[MaxPayload-1] = 0x5a, 0xa5
+	w := &headerWriter{want: payload}
+	if raceEnabled {
+		t.Log("race detector: full-size round trip skipped")
+	} else {
+		if err := NewEncoder(w).Encode(Frame{Type: FrameShard, Rank: 2, Seq: 9, Payload: payload}); err != nil {
+			t.Fatalf("Encode of a MaxPayload frame: %v", err)
+		}
+		if !w.ok {
+			t.Fatal("encoded payload differs from the frame's")
+		}
+		got, err := NewDecoder(io.MultiReader(bytes.NewReader(w.header), bytes.NewReader(payload))).Decode()
+		if err != nil {
+			t.Fatalf("Decode of a MaxPayload frame: %v", err)
+		}
+		if got.Rank != 2 || got.Seq != 9 || !bytes.Equal(got.Payload, payload) {
+			t.Fatalf("MaxPayload frame decoded as rank %d seq %d with %d payload bytes", got.Rank, got.Seq, len(got.Payload))
+		}
+	}
+
+	if err := NewEncoder(io.Discard).Encode(Frame{Type: FrameShard, Payload: make([]byte, MaxPayload+1)}); !errors.Is(err, ErrOversize) {
+		t.Errorf("Encode of MaxPayload+1 bytes: err = %v, want ErrOversize", err)
+	}
+	h := encodeFrame(t, Frame{Type: FrameShard, Payload: []byte("x")})[:HeaderSize]
+	binary.BigEndian.PutUint32(h[24:28], MaxPayload+1)
+	if _, err := NewDecoder(bytes.NewReader(h)).Decode(); !errors.Is(err, ErrOversize) {
+		t.Errorf("Decode of a MaxPayload+1 header: err = %v, want ErrOversize", err)
 	}
 }
 

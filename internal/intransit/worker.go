@@ -206,7 +206,7 @@ type workerRun struct {
 	cfg    RunConfig
 	nCells int
 	sr     *render.SampleRenderer
-	db     *render.CinemaDB
+	db     *cinemastore.Writer
 	pw     *render.PipelinedCinemaWriter
 }
 
@@ -243,7 +243,7 @@ func newWorkerRun(rc RunConfig, wc WorkerConfig) (*workerRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	if run.db, err = render.NewCinemaDB(wc.OutDir); err != nil {
+	if run.db, err = cinemastore.Create(wc.OutDir); err != nil {
 		return nil, err
 	}
 	run.db.SetTelemetry(wc.Telemetry)

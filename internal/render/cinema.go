@@ -8,11 +8,6 @@ import (
 	"image/color"
 	"image/png"
 	"io"
-
-	"insituviz/internal/cinemastore"
-	"insituviz/internal/faults"
-	"insituviz/internal/telemetry"
-	"insituviz/internal/units"
 )
 
 // EncodePNG encodes img as PNG and returns the bytes. PNG is what Cinema
@@ -212,112 +207,4 @@ func (p *palettizer) palettize(src *image.RGBA) bool {
 	}
 	p.img.Palette = p.ix.palette(p.img.Palette)
 	return true
-}
-
-// CinemaDB is the write side of a ParaView-style Cinema image database: a
-// directory of small pre-rendered images plus a JSON index over the
-// (time, camera, field) axes (Ahrens et al., "An Image-based Approach to
-// Extreme Scale In Situ Visualization and Analysis"). The in-situ
-// pipeline writes one of these instead of raw netCDF dumps.
-//
-// Storage is delegated to the durable cinemastore format: every frame and
-// the committed index are written atomically (temp file, rename), and
-// WriteIndex fsyncs the frames written since the previous commit before
-// the index that names them, so a crash mid-run or a concurrent reader —
-// the query server tailing a live run — observes a committed database
-// whose frames verify, never a torn one. The
-// resulting directory opens directly with cinemastore.Open and serves
-// through cinemaserve. Frames reach it through a PipelinedCinemaWriter,
-// or by Adopt when another process wrote them.
-type CinemaDB struct {
-	w   *cinemastore.Writer
-	enc PNGEncoder // the pipelined writer's encode stage
-
-	// Metric handles (nil without SetTelemetry; nil handles are no-ops).
-	mFrames     *telemetry.Counter
-	mBytes      *telemetry.Counter
-	mFrameBytes *telemetry.Histogram
-}
-
-// FrameSizeBuckets are the upper bounds (bytes) of the
-// render.frame.bytes histogram: the paper's Cinema images are a few KB to
-// a few hundred KB, so the buckets are decade-ish steps across that range.
-var FrameSizeBuckets = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
-
-// SetTelemetry registers the database's metrics — render.frames,
-// render.encoded.bytes, the render.frame.bytes size histogram, and the
-// store's cinema.commit.synced — in reg. A nil registry detaches the
-// instrumentation.
-func (db *CinemaDB) SetTelemetry(reg *telemetry.Registry) {
-	db.w.SetTelemetry(reg)
-	db.mFrames = reg.Counter("render.frames")
-	db.mBytes = reg.Counter("render.encoded.bytes")
-	db.mFrameBytes = reg.Histogram("render.frame.bytes", FrameSizeBuckets)
-}
-
-// SetFaults arms the underlying store writer's "cinema.commit" fault
-// site: an injected torn fault makes WriteIndex leave a corrupt index
-// prefix on disk — returning *cinemastore.TornCommitError — instead of
-// committing. A nil injector disarms.
-func (db *CinemaDB) SetFaults(in *faults.Injector) { db.w.SetFaults(in) }
-
-// NewCinemaDB creates (or reuses) the database directory.
-func NewCinemaDB(dir string) (*CinemaDB, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("render: empty cinema directory")
-	}
-	w, err := cinemastore.Create(dir)
-	if err != nil {
-		return nil, fmt.Errorf("render: %w", err)
-	}
-	return &CinemaDB{w: w}, nil
-}
-
-// putFrame stores one encoded frame under its full axis tuple — the
-// simulated time, the camera direction (phi azimuth, theta elevation,
-// radians), and the field name — and counts it. The frame file lands
-// atomically; the entry becomes visible to readers at the next
-// WriteIndex. Duplicate axis tuples are rejected. It touches only the
-// store writer and the metric handles, never the encoder, so the
-// pipelined writer may run it beside an Encode of the next frame.
-func (db *CinemaDB) putFrame(key cinemastore.Key, data []byte) (cinemastore.Entry, error) {
-	e, err := db.w.Put(key, data)
-	if err != nil {
-		return cinemastore.Entry{}, fmt.Errorf("render: write image: %w", err)
-	}
-	db.mFrames.Inc()
-	db.mBytes.Add(e.Bytes)
-	db.mFrameBytes.Observe(float64(e.Bytes))
-	return e, nil
-}
-
-// Adopt folds a frame entry written by another process (an in-transit
-// viz worker sharing this database directory) into the index, counting
-// its bytes as if this writer had stored it.
-func (db *CinemaDB) Adopt(e cinemastore.Entry) error {
-	if err := db.w.Adopt(e); err != nil {
-		return fmt.Errorf("render: %w", err)
-	}
-	db.mFrames.Inc()
-	db.mBytes.Add(e.Bytes)
-	db.mFrameBytes.Observe(float64(e.Bytes))
-	return nil
-}
-
-// Close releases the provenance ledger's manifest.log descriptor, which the
-// first WriteIndex opened. Call it after the last WriteIndex; closing twice
-// is harmless.
-func (db *CinemaDB) Close() error { return db.w.CloseLedger() }
-
-// WriteIndex atomically commits the info.json database index and returns
-// its size, after fsyncing every frame put or adopted since the previous
-// commit: it is the frames' durability boundary. It may be called
-// repeatedly — a live run can republish after every sample, and a
-// concurrent reader always observes a committed index.
-func (db *CinemaDB) WriteIndex() (units.Bytes, error) {
-	n, err := db.w.Commit()
-	if err != nil {
-		return 0, fmt.Errorf("render: %w", err)
-	}
-	return units.Bytes(n), nil
 }

@@ -49,10 +49,10 @@ var errWriterClosed = errors.New("render: writer closed")
 // owned staging buffer and returns as soon as the copy is queued; an
 // encoder goroutine turns staged frames into PNG bytes in the job's own
 // buffer, and a putter goroutine behind it hashes and writes them through
-// the CinemaDB (the store fsyncs them later, at its commit). Each stage is
-// one goroutine joined to the next by a FIFO channel, so the store sees
-// exactly the sequential write pattern it would from a serial caller while
-// frame k+1 encodes during frame k's write.
+// the store's cinemastore.Writer (which fsyncs them later, at its Commit).
+// Each stage is one goroutine joined to the next by a FIFO channel, so the
+// store sees exactly the sequential write pattern it would from a serial
+// caller while frame k+1 encodes during frame k's write.
 //
 // Mark is the accounting barrier: it travels the same two queues, and the
 // channel it returns is answered once every earlier frame has been
@@ -62,17 +62,19 @@ var errWriterClosed = errors.New("render: writer closed")
 // Mark returns at once, so a caller can render the next sample while this
 // one drains and collect the totals later; several marks may be
 // outstanding and are answered in order. Flush is Mark followed by the
-// wait. The writer is CinemaDB's only frame-writing path: the in-process
-// run and the in-transit viz worker both store frames through it.
+// wait. The writer is the only path that encodes and puts frames: the
+// in-process run and the in-transit viz worker both store frames through
+// it.
 //
-// One goroutine may Submit and Mark at a time, and the underlying CinemaDB
-// must not be used directly between a Submit and the answer to the next
-// barrier — the stage goroutines own it in that window. Close releases
+// One goroutine may Submit and Mark at a time, and the underlying store
+// writer must not be used directly between a Submit and the answer to the
+// next barrier — the stage goroutines own it in that window. Close releases
 // the goroutines and is safe to call more than once, after errors and with
 // marks still unread; a final implicit barrier surfaces any error not yet
 // collected. Submit, Mark and Flush after Close return an error.
 type PipelinedCinemaWriter struct {
-	db      *CinemaDB
+	db      *cinemastore.Writer
+	enc     PNGEncoder    // owned by the encode stage
 	jobs    chan *pipeJob // Submit → encoder
 	encoded chan *pipeJob // encoder → putter
 	free    chan *pipeJob // putter → Submit
@@ -83,12 +85,12 @@ type PipelinedCinemaWriter struct {
 	closeErr  error
 }
 
-// NewPipelinedCinemaWriter wraps db with the asynchronous encode and put
-// stages. Up to depth+2 frames are in flight at once — depth queued, one
-// encoding, one being written (a non-positive depth selects a small
-// default) — and Submit blocks when all are. Memory cost is that many
+// NewPipelinedCinemaWriter puts frames into db through asynchronous encode
+// and put stages. Up to depth+2 frames are in flight at once — depth
+// queued, one encoding, one being written (a non-positive depth selects a
+// small default) — and Submit blocks when all are. Memory cost is that many
 // staging frames and PNG buffers, recycled for the writer's lifetime.
-func NewPipelinedCinemaWriter(db *CinemaDB, depth int) *PipelinedCinemaWriter {
+func NewPipelinedCinemaWriter(db *cinemastore.Writer, depth int) *PipelinedCinemaWriter {
 	if depth < 1 {
 		depth = 2
 	}
@@ -118,7 +120,7 @@ func (w *PipelinedCinemaWriter) encode() {
 	for j := range w.jobs {
 		if j.ack == nil {
 			j.png.Reset()
-			j.err = w.db.enc.encodeTo(&j.png, j.frame)
+			j.err = w.enc.encodeTo(&j.png, j.frame)
 		}
 		w.encoded <- j
 	}
@@ -144,9 +146,9 @@ func (w *PipelinedCinemaWriter) put() {
 			t.Err = j.err
 		}
 		if t.Err == nil {
-			e, err := w.db.putFrame(j.key, j.png.Bytes())
+			e, err := w.db.Put(j.key, j.png.Bytes())
 			if err != nil {
-				t.Err = err
+				t.Err = fmt.Errorf("render: write image: %w", err)
 			} else {
 				t.Entries = append(t.Entries, e)
 				t.Bytes += units.Bytes(e.Bytes)

@@ -17,7 +17,7 @@ import (
 // encode and put each frame in the caller's goroutine, stop writing at the
 // first error and keep reporting it, and hand back what a barrier covers.
 type serialWriter struct {
-	db      *CinemaDB
+	db      *cinemastore.Writer
 	enc     PNGEncoder
 	pending Totals
 }
@@ -31,9 +31,9 @@ func (s *serialWriter) submit(img image.Image, key cinemastore.Key) {
 		s.pending.Err = err
 		return
 	}
-	e, err := s.db.putFrame(key, data)
+	e, err := s.db.Put(key, data)
 	if err != nil {
-		s.pending.Err = err
+		s.pending.Err = fmt.Errorf("render: write image: %w", err)
 		return
 	}
 	s.pending.Entries = append(s.pending.Entries, e)
@@ -122,11 +122,11 @@ func TestPipelinedWriterMatchesSerialModel(t *testing.T) {
 	for seed := range uint64(40) {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, 0x5eed))
-			db, err := NewCinemaDB(t.TempDir())
+			db, err := cinemastore.Create(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			sdb, err := NewCinemaDB(t.TempDir())
+			sdb, err := cinemastore.Create(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +216,7 @@ func TestPipelinedWriterMatchesSerialModel(t *testing.T) {
 			if _, err := w.Mark(); !errors.Is(err, errWriterClosed) {
 				t.Fatalf("Mark after Close = %v", err)
 			}
-			if got, want := db.w.Entries(), sdb.w.Entries(); len(got) != len(want) {
+			if got, want := db.Entries(), sdb.Entries(); len(got) != len(want) {
 				t.Fatalf("store holds %d entries, the reference's %d", len(got), len(want))
 			}
 		})

@@ -20,7 +20,7 @@ func fillFrame(img *image.RGBA, v byte) {
 
 func TestPipelinedWriterRoundTrip(t *testing.T) {
 	defer leakcheck.Check(t)()
-	db, err := NewCinemaDB(t.TempDir())
+	db, err := cinemastore.Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,19 +31,20 @@ func TestPipelinedWriterRoundTrip(t *testing.T) {
 	// Submit, the way a reused render frame is.
 	frame := image.NewRGBA(image.Rect(0, 0, 32, 16))
 	serial := image.NewRGBA(image.Rect(0, 0, 32, 16))
-	sdb, err := NewCinemaDB(t.TempDir())
+	sdb, err := cinemastore.Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var enc PNGEncoder
 	const n = 8
 	for i := 0; i < n; i++ {
 		fillFrame(frame, byte(10*i+1))
 		fillFrame(serial, byte(10*i+1))
-		data, err := sdb.enc.Encode(serial)
+		data, err := enc.Encode(serial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sdb.putFrame(cinemastore.Key{Time: float64(i), Phi: 0.5, Theta: -0.25, Variable: "w"}, data); err != nil {
+		if _, err := sdb.Put(cinemastore.Key{Time: float64(i), Phi: 0.5, Theta: -0.25, Variable: "w"}, data); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Submit(frame, float64(i), 0.5, -0.25, "w"); err != nil {
@@ -56,8 +57,8 @@ func TestPipelinedWriterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flush returns the store's entries in submission order, and they are
-	// byte-for-byte what encode + putFrame produce serially.
-	got, want := db.w.Entries(), sdb.w.Entries()
+	// byte-for-byte what Encode + Put produce serially.
+	got, want := db.Entries(), sdb.Entries()
 	var total units.Bytes
 	for _, e := range got {
 		total += units.Bytes(e.Bytes)
@@ -93,7 +94,7 @@ func TestPipelinedWriterRoundTrip(t *testing.T) {
 
 func TestPipelinedWriterErrors(t *testing.T) {
 	defer leakcheck.Check(t)()
-	db, err := NewCinemaDB(t.TempDir())
+	db, err := cinemastore.Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestPipelinedWriterErrorOrder(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer leakcheck.Check(t)()
-			db, err := NewCinemaDB(t.TempDir())
+			db, err := cinemastore.Create(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,9 +174,9 @@ func TestPipelinedWriterErrorOrder(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Flush error = %v, want one containing %q", err, tc.want)
 			}
-			if len(flushed) != 1 || len(db.w.Entries()) != 1 {
+			if len(flushed) != 1 || len(db.Entries()) != 1 {
 				t.Fatalf("Flush returned %d entries and the store holds %d, want 1 and 1: frames after the error must be dropped",
-					len(flushed), len(db.w.Entries()))
+					len(flushed), len(db.Entries()))
 			}
 			// Sticky: a clean frame after the error is still dropped, and the
 			// same error comes back.
@@ -196,7 +197,7 @@ func TestPipelinedWriterErrorOrder(t *testing.T) {
 // Close does not wait for anyone to read a mark.
 func TestPipelinedWriterMarks(t *testing.T) {
 	defer leakcheck.Check(t)()
-	db, err := NewCinemaDB(t.TempDir())
+	db, err := cinemastore.Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestPipelinedWriterMarks(t *testing.T) {
 			t.Fatalf("mark %d after the error = %d entries, %v; want 0 and %v", i, len(after.Entries), after.Err, got.Err)
 		}
 	}
-	if n := len(db.w.Entries()); n != 4 {
+	if n := len(db.Entries()); n != 4 {
 		t.Fatalf("store holds %d entries, want 4", n)
 	}
 

@@ -329,11 +329,11 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		}
 		exchange = sr.Exchange()
 	}
-	db, err := render.NewCinemaDB(filepath.Join(cfg.OutputDir, "cinema"))
+	db, err := cinemastore.Create(filepath.Join(cfg.OutputDir, "cinema"))
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close() // error returns; the success path checks Close below
+	defer db.CloseLedger() // error returns; the success path checks it below
 	db.SetTelemetry(reg)
 	db.SetFaults(cfg.Faults)
 	tracker, err := eddy.NewTracker(msh.Radius, 2e6)
@@ -609,7 +609,7 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	const commitAttempts = 4
 	drv.Begin("io.commit")
 	for attempt := 1; ; attempt++ {
-		_, err := db.WriteIndex()
+		_, err := db.Commit()
 		if err == nil {
 			break
 		}
@@ -622,7 +622,7 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		mCommitRetries.Inc()
 	}
 	drv.End()
-	if err := db.Close(); err != nil {
+	if err := db.CloseLedger(); err != nil {
 		return nil, err
 	}
 	tracks := tracker.Finish()
@@ -726,7 +726,7 @@ type vizStep interface {
 // intransit.ErrUnavailable.
 type transitViz struct {
 	tc *intransit.Client
-	db *render.CinemaDB
+	db *cinemastore.Writer
 }
 
 func (v *transitViz) send(simTime float64, field []float64) error { return v.tc.Send(simTime, field) }

@@ -48,9 +48,6 @@ func TestLiveRunDatabaseServesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Version() != cinemastore.VersionV3 {
-		t.Errorf("store version = %s", st.Version())
-	}
 	if st.Len() != res.Images {
 		t.Errorf("store has %d frames, run wrote %d", st.Len(), res.Images)
 	}
@@ -99,7 +96,7 @@ func TestLiveRunDatabaseServesEndToEnd(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("index.json: %d", code)
 	}
-	entries, _, err := cinemastore.DecodeIndex(body)
+	entries, err := cinemastore.DecodeIndex(body)
 	if err != nil || len(entries) != res.Images {
 		t.Fatalf("served index: %v (%d entries, want %d)", err, len(entries), res.Images)
 	}
