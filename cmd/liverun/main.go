@@ -73,8 +73,6 @@ func main() {
 	transport := flag.String("transport", "inproc", "visualization transport: inproc renders in-process, tcp streams shards to -viz-workers")
 	vizWorkers := flag.String("viz-workers", "", "comma-separated vizworker addresses for -transport tcp")
 	transitCodec := flag.String("transit-codec", "", "on-wire codec for -transport tcp: flate (default) or raw")
-	workers := flag.Int("workers", 0, "solver worker count (0 = GOMAXPROCS, negative = serial)")
-	renderWorkers := flag.Int("render-workers", 0, "render fan-out budget in concurrent tiles per rasterizer (0 = GOMAXPROCS)")
 	out := flag.String("out", "", "output directory (default: temp dir)")
 	attribOut := flag.String("attrib", "", "write the per-phase energy attribution to this file (JSON, or CSV with a .csv suffix)")
 	serveFor := flag.Duration("serve", 0, "after the run, keep serving the produced Cinema database under /cinema/ for this long (requires -http)")
@@ -172,8 +170,6 @@ func main() {
 		RenderRanks:      *ranks,
 		OrthoViews:       *orthoViews,
 		EddyCoreImages:   *eddyCores,
-		Workers:          *workers,
-		RenderWorkers:    *renderWorkers,
 		Transport:        *transport,
 		VizWorkers:       splitAddrs(*vizWorkers),
 		TransitCodec:     *transitCodec,

@@ -34,7 +34,6 @@ func main() {
 
 	listen := flag.String("listen", ":9401", "TCP address to accept sim connections on (\":0\" picks a port)")
 	out := flag.String("out", "", "Cinema database directory to write frames into (required; shared with the sim)")
-	renderWorkers := flag.Int("render-workers", 0, "render fan-out budget in concurrent tiles per rasterizer (0 = GOMAXPROCS)")
 	httpAddr := flag.String("http", "", "serve /metrics and /trace on this address (e.g. :8080; \":0\" picks a port)")
 	flag.Parse()
 
@@ -62,10 +61,9 @@ func main() {
 		log.Fatal(err)
 	}
 	worker, err := intransit.NewWorker(ln, intransit.WorkerConfig{
-		OutDir:        *out,
-		RenderWorkers: *renderWorkers,
-		Telemetry:     reg,
-		Tracer:        tracer,
+		OutDir:    *out,
+		Telemetry: reg,
+		Tracer:    tracer,
 	})
 	if err != nil {
 		log.Fatal(err)

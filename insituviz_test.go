@@ -10,6 +10,7 @@ import (
 	"insituviz/internal/cinemastore"
 	"insituviz/internal/ncfile"
 	"insituviz/internal/provenance"
+	"insituviz/internal/render"
 )
 
 func TestReproduceStudy(t *testing.T) {
@@ -116,6 +117,18 @@ func TestLiveRunValidation(t *testing.T) {
 	}
 	if _, err := LiveRun(LiveConfig{OutputDir: t.TempDir(), Mode: Kind(9), Steps: 1, SampleEverySteps: 1, MeshSubdivisions: 1}); err == nil {
 		t.Error("unknown mode accepted")
+	}
+	// The rig has six cameras: a view count outside [0, 6] is an error
+	// naming it, not a silent clamp.
+	for _, n := range []int{-3, -1, len(render.DefaultCameraSet()) + 1, 9} {
+		dir := t.TempDir()
+		_, err := LiveRun(LiveConfig{OutputDir: dir, Steps: 1, SampleEverySteps: 1, MeshSubdivisions: 1, OrthoViews: n})
+		if err == nil || !strings.Contains(err.Error(), "OrthoViews") {
+			t.Errorf("OrthoViews %d: error %v, want one naming OrthoViews", n, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "cinema")); err == nil {
+			t.Errorf("OrthoViews %d: a refused run created a store", n)
+		}
 	}
 }
 

@@ -119,10 +119,15 @@ func (c *Cache[K]) get(k K, record bool) ([]byte, string, bool) {
 // not cached, nor is one larger than the whole budget (it would evict
 // everything and then be evicted by the next insert anyway), nor is a
 // new key the admission rule turns away. Re-putting an existing key
-// refreshes its position and bytes.
+// refreshes its position and bytes; re-putting it with a frame that is
+// not cached drops the older one, so a Get never returns bytes older than
+// the last Put for its key.
 func (c *Cache[K]) Put(k K, data []byte, file string) {
 	size := int64(len(data))
 	if size == 0 || size > c.budget {
+		if c.freq != nil {
+			c.drop(k)
+		}
 		return
 	}
 	h := c.hash(k)
@@ -156,6 +161,19 @@ func (c *Cache[K]) Contains(k K) bool {
 	_, ok := c.m[k]
 	c.mu.Unlock()
 	return ok
+}
+
+// drop removes k's entry, if resident, without counting an eviction: no
+// frame was displaced to make room.
+func (c *Cache[K]) drop(k K) {
+	c.mu.Lock()
+	if e, ok := c.m[k]; ok {
+		c.unlink(e)
+		delete(c.m, k)
+		c.used -= int64(len(e.data))
+		c.usedGauge.Set(c.used)
+	}
+	c.mu.Unlock()
 }
 
 // Len returns the resident entry count.

@@ -291,6 +291,12 @@ func (r *refLRU) admits(k int, n int64) bool {
 
 func (r *refLRU) put(k int, n int64) {
 	if n == 0 || n > r.budget {
+		// Not cached, and the key's older frame goes with it.
+		if i := r.find(k); i >= 0 {
+			r.used -= r.sizes[i]
+			r.keys = append(r.keys[:i:i], r.keys[i+1:]...)
+			r.sizes = append(r.sizes[:i:i], r.sizes[i+1:]...)
+		}
 		return
 	}
 	if i := r.find(k); i >= 0 {
@@ -367,6 +373,66 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 		t.Logf("budget %d: %d hits, %d admitted, %d turned away, %d evictions", budget, hits, admitted, rejected, evictions.Value())
 		if budget >= 7 && budget <= 64 && (admitted == 0 || rejected == 0) {
 			t.Errorf("budget %d: %d admitted, %d turned away — admission not exercised both ways", budget, admitted, rejected)
+		}
+	}
+}
+
+// TestCacheModel drives random Get/Put/Contains calls against a map of
+// the last Put per key and checks the three promises a server leans on:
+// the resident bytes never exceed the budget; a Get hit returns exactly
+// the bytes and file name of the last Put for that key (every Put carries
+// a file name no other Put has); and Contains moves nothing, so the key
+// evicted next — the whole LRU order — is what it was before the probe.
+// Sizes run from empty to past the budget, so re-puts that are not cached
+// are exercised too.
+func TestCacheModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	ops := 5000
+	if testing.Short() {
+		ops = 500
+	}
+	for _, budget := range []int64{-1, 0, 8, 40, 200} {
+		c := NewCache(budget, intHash, nil, nil)
+		type put struct {
+			data []byte
+			file string
+		}
+		last := map[int]put{}
+		hits := 0
+		for i := 0; i < ops; i++ {
+			k := rng.Intn(16)
+			switch rng.Intn(3) {
+			case 0:
+				p := put{data: make([]byte, rng.Intn(48)), file: fmt.Sprintf("put%d", i)}
+				rng.Read(p.data)
+				c.Put(k, p.data, p.file)
+				last[k] = p
+			case 1:
+				data, file, ok := c.Get(k)
+				if !ok {
+					break
+				}
+				hits++
+				if want := last[k]; file != want.file || !slices.Equal(data, want.data) {
+					t.Fatalf("budget %d op %d: Get(%d) = %q (%d bytes), last Put was %q (%d bytes)",
+						budget, i, k, file, len(data), want.file, len(want.data))
+				}
+			case 2:
+				before := residentLRUFirst(c)
+				in := c.Contains(k)
+				if after := residentLRUFirst(c); !slices.Equal(after, before) {
+					t.Fatalf("budget %d op %d: Contains(%d) reordered the LRU %v -> %v", budget, i, k, before, after)
+				}
+				if in != slices.Contains(before, k) {
+					t.Fatalf("budget %d op %d: Contains(%d) = %v, resident %v", budget, i, k, in, before)
+				}
+			}
+			if used := c.Bytes(); used > max(budget, 0) {
+				t.Fatalf("budget %d op %d: %d bytes resident", budget, i, used)
+			}
+		}
+		if budget >= 40 && hits == 0 {
+			t.Errorf("budget %d: no Get hit in %d operations", budget, ops)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package intransit
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"insituviz/internal/leakcheck"
 	"insituviz/internal/mesh"
 	"insituviz/internal/partition"
+	"insituviz/internal/render"
 	"insituviz/internal/telemetry"
 )
 
@@ -455,6 +457,54 @@ func TestLoopbackConfigConflict(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "conflicts") {
 		t.Errorf("error %q does not name the config conflict", err)
+	}
+}
+
+// TestOrthoViewsOutOfRange: a run config asking for fewer ortho views
+// than none, or more than the camera rig holds, is refused by the client's
+// Dial and by a worker's Hello alike, with an error naming the field, so
+// no side renders a clamped view count the sim did not ask for.
+func TestOrthoViewsOutOfRange(t *testing.T) {
+	defer leakcheck.Check(t)()
+	tr := newTestRun(t, 1)
+	defer tr.close()
+	rig := len(render.DefaultCameraSet())
+	for _, n := range []int{0, rig} {
+		ok := tr.cfg
+		ok.OrthoViews = n
+		if err := ok.validate(); err != nil {
+			t.Errorf("OrthoViews %d refused: %v", n, err)
+		}
+	}
+	for _, n := range []int{-3, -1, rig + 1, 9} {
+		bad := tr.cfg
+		bad.OrthoViews = n
+		_, err := Dial(Options{Workers: tr.addrs, Config: bad, Mesh: tr.msh, Cells: tr.cells, RetryBudget: 1})
+		if err == nil || !strings.Contains(err.Error(), "OrthoViews") {
+			t.Errorf("Dial with OrthoViews %d: error %v, want one naming OrthoViews", n, err)
+		}
+
+		// The worker checks a Hello on its own: a sim that skips the
+		// client-side check still gets an error frame back.
+		conn, err := net.Dial("tcp", tr.addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(helloMsg{Codec: "raw", Config: bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := NewEncoder(conn).Encode(Frame{Type: FrameHello, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewDecoder(conn).Decode()
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != FrameError || !strings.Contains(string(f.Payload), "OrthoViews") {
+			t.Errorf("worker answered a Hello with OrthoViews %d by %v %q, want an error naming OrthoViews", n, f.Type, f.Payload)
+		}
 	}
 }
 

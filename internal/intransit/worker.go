@@ -52,6 +52,9 @@ func (c RunConfig) validate() error {
 	if len(c.Fields) != 1 {
 		return fmt.Errorf("intransit: run config must ship exactly one field, got %v", c.Fields)
 	}
+	if rig := len(render.DefaultCameraSet()); c.OrthoViews < 0 || c.OrthoViews > rig {
+		return fmt.Errorf("intransit: run config OrthoViews %d outside [0, %d]", c.OrthoViews, rig)
+	}
 	return nil
 }
 
@@ -82,8 +85,6 @@ type WorkerConfig struct {
 	// the same directory the sim commits its index over, so the sim can
 	// adopt the worker's entries and publish one store.
 	OutDir string
-	// RenderWorkers caps the rasterizer fan-out (0 uses GOMAXPROCS).
-	RenderWorkers int
 	// Telemetry, when non-nil, receives the worker's transit.recv.*
 	// counters and the render.* counters of its store writer.
 	Telemetry *telemetry.Registry
@@ -238,7 +239,6 @@ func newWorkerRun(rc RunConfig, wc WorkerConfig) (*workerRun, error) {
 		Ranks:      rc.RenderRanks,
 		OrthoViews: rc.OrthoViews,
 		Cores:      rc.EddyCoreImages,
-		Workers:    wc.RenderWorkers,
 	})
 	if err != nil {
 		return nil, err

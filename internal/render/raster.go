@@ -27,8 +27,6 @@ type Rasterizer struct {
 	Width  int
 	Height int
 
-	workers int // fan-out budget; 0 = GOMAXPROCS
-
 	pixelCell []int32 // color-table index per pixel, row-major: the cell, or NCells off the globe
 	order     []int32 // the color-table indices pixelCell holds, in the order of their first pixel
 
@@ -79,7 +77,7 @@ func newRasterizer(m *mesh.Mesh, width, height int, project func(x, y int) (mesh
 	// Precompute the mapping in parallel row bands. Within a row the walk
 	// search starts from the previous pixel's cell, so lookups are O(1)
 	// amortized.
-	workpool.Run(height, tileChunks(height, 0), func(y0, y1 int) {
+	workpool.Run(height, tileChunks(height), func(y0, y1 int) {
 		last := 0
 		for y := y0; y < y1; y++ {
 			for x := 0; x < width; x++ {
@@ -156,27 +154,12 @@ func firstAppearance(pixelCell []int32, entries int) []int32 {
 	return order
 }
 
-// SetWorkers caps the render fan-out at n concurrent tiles (0 restores the
-// GOMAXPROCS default). Renderers embedded in a larger pipeline should be
-// handed the pipeline's per-component budget rather than assuming the whole
-// machine: the solver, other render ranks, and the encoder share the same
-// pool.
-func (r *Rasterizer) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.workers = n
-}
-
-// tileChunks returns the fan-out width for rendering height rows under a
-// worker budget (0 = GOMAXPROCS): a few tiles per worker so the pool's
-// in-order claims can balance rows of uneven cost, never more tiles than
-// rows.
-func tileChunks(height, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	c := 4 * workers
+// tileChunks returns the fan-out width for rendering height rows: a few
+// tiles per GOMAXPROCS so the pool's in-order claims can balance rows of
+// uneven cost, never more tiles than rows. The pool itself caps how many
+// of them run at once.
+func tileChunks(height int) int {
+	c := 4 * runtime.GOMAXPROCS(0)
 	if c > height {
 		c = height
 	}
@@ -255,7 +238,7 @@ func (r *Rasterizer) RenderColorsOwnedInto(img *image.RGBA, colors []color.RGBA,
 // rasterizer's geometry; owned as in RenderColorsOwnedInto.
 func (r *Rasterizer) raster(img *image.RGBA, owned []bool) {
 	r.envImg, r.envOwned = img, owned
-	workpool.Run(r.Height, tileChunks(r.Height, r.workers), r.rowLoop)
+	workpool.Run(r.Height, tileChunks(r.Height), r.rowLoop)
 }
 
 // renderOwnedInto is the field entry points' body: derive the colors, then

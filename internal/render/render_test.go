@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -196,12 +197,16 @@ func TestRenderValidation(t *testing.T) {
 	}
 }
 
-// TestRenderShortCutTiles renders a 48-row frame under an 8-worker tile
-// budget: 32 requested tiles of ceil(48/32) = 2 rows cut only 24, and the
-// fan-out must wait for exactly those 24. The render runs under a deadline
-// so a barrier that counts uncut tiles fails the test instead of hanging
-// the suite.
+// TestRenderShortCutTiles renders a 48-row frame at GOMAXPROCS 8, which
+// tiles it for 8 workers on any host: 32 requested tiles of ceil(48/32) =
+// 2 rows cut only 24, and the fan-out must wait for exactly those 24. The
+// render runs under a deadline so a barrier that counts uncut tiles fails
+// the test instead of hanging the suite.
 func TestRenderShortCutTiles(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	if c := tileChunks(48); c != 32 {
+		t.Fatalf("tileChunks(48) = %d at GOMAXPROCS 8, want 32", c)
+	}
 	m := testMesh(t)
 	colors := make([]color.RGBA, m.NCells())
 	for ci := range colors {
@@ -214,7 +219,6 @@ func TestRenderShortCutTiles(t *testing.T) {
 			done <- err
 			return
 		}
-		r.SetWorkers(8)
 		img := r.NewFrame()
 		if err := r.RenderColorsOwnedInto(img, colors, nil); err != nil {
 			done <- err

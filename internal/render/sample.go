@@ -25,7 +25,6 @@ type SampleConfig struct {
 	Ranks         int    // sort-last compositing width: one spatially compact RCB block per rank, as MPAS ranks own
 	OrthoViews    int    // also render from the first N cameras of DefaultCameraSet (0 disables)
 	Cores         bool   // add the frame of only the rotation-dominated cores (W below the Okubo-Weiss threshold)
-	Workers       int    // each rasterizer's fan-out cap (0 uses GOMAXPROCS)
 }
 
 // SampleTables are one sample's render-exact tables: everything a
@@ -163,7 +162,6 @@ func NewSampleRenderer(m *mesh.Mesh, cfg SampleConfig) (*SampleRenderer, error) 
 	if err != nil {
 		return nil, err
 	}
-	rast.SetWorkers(cfg.Workers)
 	part, err := partition.New(m, cfg.Ranks)
 	if err != nil {
 		return nil, err
@@ -182,7 +180,7 @@ func NewSampleRenderer(m *mesh.Mesh, cfg SampleConfig) (*SampleRenderer, error) 
 			return nil, err
 		}
 	}
-	if err := sr.buildFootprints(cfg.Workers); err != nil {
+	if err := sr.buildFootprints(); err != nil {
 		return nil, err
 	}
 	sr.fillRuns, sr.fillIdx = sr.fillRGBA, sr.fillIndex
@@ -197,7 +195,6 @@ func NewSampleRenderer(m *mesh.Mesh, cfg SampleConfig) (*SampleRenderer, error) 
 			if err != nil {
 				return nil, err
 			}
-			r.SetWorkers(cfg.Workers)
 			sr.views = append(sr.views, r)
 			sr.viewNames = append(sr.viewNames, fmt.Sprintf("%s_view%d", cfg.Field, v))
 		}
@@ -216,7 +213,7 @@ func NewSampleRenderer(m *mesh.Mesh, cfg SampleConfig) (*SampleRenderer, error) 
 // first partial, whose Background a sort-last composite keeps there. The
 // runs are counted first and then cut from one exactly sized array, and
 // the result is checked to cover every pixel exactly once.
-func (sr *SampleRenderer) buildFootprints(workers int) error {
+func (sr *SampleRenderer) buildFootprints() error {
 	nCells, w, h := sr.rast.Mesh.NCells(), sr.rast.Width, sr.rast.Height
 	owner := make([]int, nCells+1) // off the globe (index nCells) stays block 0
 	for b, cells := range sr.cells {
@@ -262,7 +259,7 @@ func (sr *SampleRenderer) buildFootprints(workers int) error {
 			}
 			pixels += int(run.hi - run.lo)
 		}
-		sr.chunks[b] = tileChunks((pixels+w-1)/w, workers)
+		sr.chunks[b] = tileChunks((pixels + w - 1) / w)
 	}
 	if p := slices.Index(seen, false); p >= 0 {
 		return fmt.Errorf("render: pixel %d is in no footprint", p)
@@ -421,7 +418,7 @@ func (sr *SampleRenderer) renderView(v int, colors []color.RGBA) image.Image {
 	}
 	if sr.index(&sr.viewPal[v], r) {
 		sr.envRuns = sr.viewRuns
-		workpool.Run(len(sr.viewRuns), tileChunks(r.Height, r.workers), sr.fillIdx)
+		workpool.Run(len(sr.viewRuns), tileChunks(r.Height), sr.fillIdx)
 		return &sr.viewPal[v]
 	}
 	if sr.viewRGBA[v] == nil {
@@ -444,6 +441,6 @@ func (sr *SampleRenderer) renderCores(t SampleTables) image.Image {
 	}
 	frame, fill := sr.frameFor(&sr.core, &sr.rgbaCore)
 	sr.envRuns = sr.allRuns
-	workpool.Run(len(sr.allRuns), tileChunks(sr.rast.Height, sr.rast.workers), fill)
+	workpool.Run(len(sr.allRuns), tileChunks(sr.rast.Height), fill)
 	return frame
 }

@@ -76,16 +76,6 @@ type LiveConfig struct {
 	// only the rotation-dominated cores (W below the -0.2 sigma
 	// threshold), produced through the vizpipe threshold filter.
 	EddyCoreImages bool
-	// Workers is the solver's shared-memory parallelism (ocean
-	// Config.Workers): 0 uses GOMAXPROCS, negative forces serial. Results
-	// are bit-identical at any worker count.
-	Workers int
-	// RenderWorkers caps each rasterizer's fan-out at this many concurrent
-	// tiles (0 uses GOMAXPROCS). The solver, render ranks, and encoder all
-	// share one worker pool, so a coupled run can budget the render share
-	// explicitly instead of letting every rasterizer assume the whole
-	// machine.
-	RenderWorkers int
 	// Telemetry, when non-nil, is used instead of a run-private registry,
 	// so an HTTP exposition handler holding the same registry can scrape
 	// the run while it executes. The final snapshot still lands on
@@ -253,6 +243,9 @@ type LiveResult struct {
 // shallow-water equations, derives Okubo-Weiss, renders PNGs in parallel
 // with sort-last compositing, writes genuine netCDF (post-processing) or a
 // Cinema database (in-situ), and detects and tracks eddies.
+//
+// Its stages are methods of liveRun (DESIGN.md §4), and all of them share
+// the one process-wide worker pool.
 func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	cfg.applyDefaults()
 	if cfg.OutputDir == "" {
@@ -260,6 +253,12 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	}
 	if cfg.Steps < 1 || cfg.SampleEverySteps < 1 {
 		return nil, fmt.Errorf("insituviz: invalid steps %d / sampling %d", cfg.Steps, cfg.SampleEverySteps)
+	}
+	if rig := len(render.DefaultCameraSet()); cfg.OrthoViews < 0 || cfg.OrthoViews > rig {
+		return nil, fmt.Errorf("insituviz: LiveConfig.OrthoViews %d outside [0, %d]", cfg.OrthoViews, rig)
+	}
+	if cfg.Mode != InSitu && cfg.Mode != PostProcessing {
+		return nil, fmt.Errorf("insituviz: unknown mode %v", cfg.Mode)
 	}
 	if err := os.MkdirAll(cfg.OutputDir, 0o755); err != nil {
 		return nil, fmt.Errorf("insituviz: %w", err)
@@ -276,148 +275,46 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		reg = telemetry.NewRegistry()
 	}
 	wp0 := workpool.Snapshot()
+	r := &liveRun{cfg: cfg, reg: reg, res: &LiveResult{OutputDir: cfg.OutputDir}}
 
-	msh, err := mesh.NewIcosphere(cfg.MeshSubdivisions, mesh.EarthRadius)
-	if err != nil {
+	var err error
+	if r.msh, err = mesh.NewIcosphere(cfg.MeshSubdivisions, mesh.EarthRadius); err != nil {
 		return nil, err
 	}
-	model, err := ocean.NewModel(msh, ocean.Config{Viscosity: liveViscosity, Workers: cfg.Workers, Telemetry: reg})
+	model, err := ocean.NewModel(r.msh, ocean.Config{Viscosity: liveViscosity, Telemetry: reg})
 	if err != nil {
 		return nil, err
 	}
 	jet := ocean.DefaultGalewsky()
-	state, err := ocean.UnstableJet(model, jet)
-	if err != nil {
+	if r.state, err = ocean.UnstableJet(model, jet); err != nil {
 		return nil, err
 	}
-	dt := model.SuggestedTimestep(jet.MeanDepth)
+	r.dt = model.SuggestedTimestep(jet.MeanDepth)
 
-	// One sample configuration defines a sample's image set for either
-	// transport. In process, the renderer built from it rasterizes and owns
-	// the render partition; in transit the workers hold that renderer, and
-	// the sim builds only the partition, for the sharding map.
-	sampleCfg := render.SampleConfig{
-		Field:      "okubo_weiss",
-		Width:      cfg.ImageWidth,
-		Height:     cfg.ImageHeight,
-		Ranks:      cfg.RenderRanks,
-		OrthoViews: cfg.OrthoViews,
-		Cores:      cfg.EddyCoreImages,
-		Workers:    cfg.RenderWorkers,
-	}
-	framesPerSample := sampleCfg.FramesPerSample()
-	var (
-		sr       *render.SampleRenderer
-		cells    [][]int
-		exchange partition.ExchangeStats
-	)
-	if cfg.Transport == "tcp" {
-		part, err := partition.New(msh, cfg.RenderRanks)
-		if err != nil {
-			return nil, err
-		}
-		exchange = part.Exchange()
-		cells = make([][]int, cfg.RenderRanks)
-		for r := range cells {
-			if cells[r], err = part.Cells(r); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if sr, err = render.NewSampleRenderer(msh, sampleCfg); err != nil {
-			return nil, err
-		}
-		exchange = sr.Exchange()
-	}
-	db, err := cinemastore.Create(filepath.Join(cfg.OutputDir, "cinema"))
-	if err != nil {
+	if r.db, err = cinemastore.Create(filepath.Join(cfg.OutputDir, "cinema")); err != nil {
 		return nil, err
 	}
-	defer db.CloseLedger() // error returns; the success path checks it below
-	db.SetTelemetry(reg)
-	db.SetFaults(cfg.Faults)
-	tracker, err := eddy.NewTracker(msh.Radius, 2e6)
-	if err != nil {
+	defer r.db.CloseLedger() // error returns; commit checks it on success
+	r.db.SetTelemetry(reg)
+	r.db.SetFaults(cfg.Faults)
+	if r.tracker, err = eddy.NewTracker(r.msh.Radius, 2e6); err != nil {
 		return nil, err
 	}
-
-	res := &LiveResult{OutputDir: cfg.OutputDir}
-	res.HaloBytesPerField = Bytes(exchange.BytesPerField)
-	mCrashes := reg.Counter("render.rank.crashes")
-	mFailover := reg.Counter("render.failover")
-
-	// The render step is picked once (see vizStep).
-	var viz vizStep
-	switch cfg.Transport {
-	case "", "inproc":
-		lv := &localViz{
-			sr: sr,
-			// The encode+store stage runs behind the renders: Submit stages
-			// a copy and the encoder goroutine drains in order, so each
-			// frame's PNG encode overlaps the next frame's rasterization.
-			pw:         render.NewPipelinedCinemaWriter(db, 4),
-			res:        res,
-			rankSite:   cfg.Faults.Site("render.rank"),
-			rankLanes:  make([]*trace.Lane, cfg.RenderRanks),
-			alive:      make([]bool, cfg.RenderRanks),
-			aliveCount: cfg.RenderRanks,
-			mCrashes:   mCrashes,
-			mFailover:  mFailover,
-		}
-		// Each rendering rank gets its own timeline lane (nil-safe: a nil
-		// tracer yields nil lanes, which no-op) so the Perfetto view shows
-		// the partial renders side by side.
-		for i := range lv.alive {
-			lv.rankLanes[i] = cfg.Tracer.Lane(fmt.Sprintf("render.rank%d", i))
-			lv.alive[i] = true
-		}
-		viz = lv
-	case "tcp":
-		// In-transit tier: each sample's tables are sharded by the same
-		// partition and shipped to the viz workers, which render and store
-		// the frames into this run's cinema directory; the sim adopts their
-		// entries and commits the one index over them.
-		if len(cfg.VizWorkers) == 0 {
-			return nil, fmt.Errorf("insituviz: transport tcp needs LiveConfig.VizWorkers")
-		}
-		tc, err := intransit.Dial(intransit.Options{
-			Workers: cfg.VizWorkers,
-			Codec:   cfg.TransitCodec,
-			Config: intransit.RunConfig{
-				MeshSubdivisions: cfg.MeshSubdivisions,
-				ImageWidth:       cfg.ImageWidth,
-				ImageHeight:      cfg.ImageHeight,
-				RenderRanks:      cfg.RenderRanks,
-				OrthoViews:       cfg.OrthoViews,
-				EddyCoreImages:   cfg.EddyCoreImages,
-				Fields:           []string{"okubo_weiss"},
-			},
-			Mesh:      msh,
-			Cells:     cells,
-			Telemetry: reg,
-			Tracer:    cfg.Tracer,
-			Faults:    cfg.Faults,
-		})
-		if err != nil {
-			return nil, err
-		}
-		viz = &transitViz{tc: tc, db: db}
-	default:
-		return nil, fmt.Errorf("insituviz: unknown transport %q (want inproc or tcp)", cfg.Transport)
+	if r.viz, err = newVizStep(cfg, r.msh, r.db, reg, r.res); err != nil {
+		return nil, err
 	}
-	defer viz.close()
+	defer r.viz.close()
 
-	sampleTime := reg.Histogram("live.sample.time", telemetry.LatencyBuckets)
-
+	r.sampleTime = reg.Histogram("live.sample.time", telemetry.LatencyBuckets)
 	// The driver lane carries the phase step function the attribution
-	// consumes.
-	drv := cfg.Tracer.Lane("driver")
+	// consumes; it registers after the render step's rank or transit lanes.
+	r.drv = cfg.Tracer.Lane("driver")
 
 	// Chaos state: a nil injector yields nil sites, so a fault-free run
 	// pays one pointer test per consult.
-	vizSite := cfg.Faults.Site("viz.sample")
-	mDroppedSamples := reg.Counter("live.samples.dropped")
-	mDroppedFrames := reg.Counter("live.frames.dropped")
+	r.vizSite = cfg.Faults.Site("viz.sample")
+	r.mDroppedSamples = reg.Counter("live.samples.dropped")
+	r.mDroppedFrames = reg.Counter("live.frames.dropped")
 	// Live-model wiring: the estimator publishes model.* metrics into
 	// this run's registry and announces anomalies as driver-lane Instant
 	// events. Observations are synthesized through the deterministic
@@ -427,216 +324,257 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	// /model and the anomaly log. Committed samples consult the
 	// "live.io" chaos site so injected I/O stalls land in the observed
 	// time (and trip the "io" detector) without touching modeled cost.
-	costRef := livemodel.NodeCostModel()
-	ioSite := cfg.Faults.Site("live.io")
-	lastModelSim := 0.0
+	r.ioSite = cfg.Faults.Site("live.io")
 	if cfg.Model != nil {
 		cfg.Model.SetTelemetry(reg)
 		cfg.Model.OnAnomaly(func(a livemodel.Anomaly) {
-			drv.Instant("model.anomaly." + a.Kind)
+			r.drv.Instant("model.anomaly." + a.Kind)
 		})
 	}
 
-	// settle is the tail every sample ends in — account, observe, track.
-	// A dropped sample (blown viz deadline, exhausted in-transit worker
-	// ring) degrades gracefully: its frames are accounted as dropped,
-	// recorded as a "degraded" phase on the driver lane, and the tracker
-	// advances empty; it commits nothing but still burns its simulated
-	// window plus any injected stall — the excess the viz-overload
-	// detector exists to catch.
-	settle := func(p pendingSample, c sampleCost, dropped bool) error {
-		eddies := p.eddies
-		if dropped {
-			drv.Begin("degraded")
-			drv.End()
-			mDroppedSamples.Inc()
-			mDroppedFrames.Add(int64(framesPerSample))
-			res.DroppedSamples++
-			res.DroppedFrames += framesPerSample
-			eddies = nil
-		} else {
-			res.CyclonicEddies += p.cyclonic
-			res.AnticyclonicEddies += p.anticyclonic
-		}
-		res.Images += c.frames
-		res.ImageBytes += Bytes(c.bytes)
-		res.EddiesPerSample = append(res.EddiesPerSample, len(eddies))
-		if cfg.Model != nil {
-			if !dropped {
-				if f, ok := ioSite.Next(); ok && f.Kind == faults.KindStall {
-					c.ioStall += float64(f.Stall)
-				}
-			}
-			obs := costRef.Observation(p.simTime-lastModelSim,
-				float64(c.sioBytes)/1e9, float64(c.frames), c.ioStall, c.vizStall)
-			obs.TS = float64(cfg.Tracer.Now()) / 1e9
-			lastModelSim = p.simTime
-			cfg.Model.Observe(obs)
-		}
-		return tracker.Advance(p.simTime, eddies)
+	if cfg.Mode == InSitu {
+		err = r.runLiveInSitu(model)
+	} else {
+		r.res.RawBytes, err = r.runLivePost(model)
 	}
-
-	// Samples settle in sequence order once their render step has
-	// reported, which in transit can be after later samples were sent.
-	// pending holds the samples sent (or dropped at their deadline) and not
-	// yet settled, oldest first. drain settles them; unless wait is set it
-	// stops at the first whose render step would make it wait.
-	var pending []pendingSample
-	drain := func(wait bool) error {
-		for len(pending) > 0 {
-			p := pending[0]
-			c, dropped := p.cost, p.dropped
-			if !dropped {
-				if !wait && !viz.ready() {
-					return nil
-				}
-				var err error
-				if c, err = viz.collect(); errors.Is(err, intransit.ErrUnavailable) {
-					dropped = true
-				} else if err != nil {
-					return err
-				}
-			}
-			pending = pending[1:]
-			if err := settle(p, c, dropped); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// detect runs the sim-side analysis of one sampled field into p: the
-	// Okubo-Weiss threshold, eddy detection, and the spin census (counted
-	// at settle, so a sample dropped after detection adds nothing).
-	// Detection and tracking stay on the sim even when rendering is remote,
-	// because the tracker's state must see every sample in order. cellVort,
-	// when non-nil, is the cell vorticity derived from the same diagnostics
-	// evaluation as the field and classifies eddy rotation sense.
-	detect := func(p *pendingSample, field, cellVort []float64) error {
-		th := ocean.OkuboWeissThreshold(field)
-		drv.Begin("viz.detect")
-		defer drv.End()
-		if th < 0 {
-			var err error
-			if p.eddies, err = eddy.Detect(msh, field, th, 2); err != nil {
-				return err
-			}
-		}
-		if cellVort != nil {
-			for i := range p.eddies {
-				spin, err := eddy.ClassifySpin(msh, p.eddies[i], cellVort)
-				if err != nil {
-					return err
-				}
-				switch spin {
-				case eddy.SpinCyclonic:
-					p.cyclonic++
-				case eddy.SpinAnticyclonic:
-					p.anticyclonic++
-				}
-			}
-		}
-		return nil
-	}
-
-	// visualize is the one sampling path: deadline, send, detect, then the
-	// settle tail of every sample whose render step has reported.
-	visualize := func(simTime float64, field, cellVort []float64) error {
-		if sampleTime != nil {
-			start := time.Now()
-			defer func() { sampleTime.Observe(float64(time.Since(start))) }()
-		}
-		p := pendingSample{simTime: simTime}
-		// Deadline check first: an injected stall at or beyond the budget
-		// means this sample's visualization would not finish in time, and
-		// it is dropped rather than stalling the solver behind it.
-		if f, ok := vizSite.Next(); ok && f.Kind == faults.KindStall &&
-			cfg.VizDeadline > 0 && f.Stall >= cfg.VizDeadline {
-			p.cost.vizStall, p.dropped = float64(f.Stall), true
-			pending = append(pending, p)
-			return drain(false)
-		}
-		drv.Begin("viz.sample")
-		defer drv.End()
-		drv.Begin("viz.render")
-		err := viz.send(simTime, field)
-		drv.End()
-		if err != nil {
-			return err
-		}
-		if err := detect(&p, field, cellVort); err != nil {
-			return err
-		}
-		pending = append(pending, p)
-		return drain(false)
-	}
-
-	switch cfg.Mode {
-	case InSitu:
-		if err := runLiveInSitu(cfg, model, state, dt, reg, visualize); err != nil {
-			return nil, err
-		}
-	case PostProcessing:
-		raw, err := runLivePost(cfg, msh, model, state, dt, reg, visualize)
-		if err != nil {
-			return nil, err
-		}
-		res.RawBytes = raw
-	default:
-		return nil, fmt.Errorf("insituviz: unknown mode %v", cfg.Mode)
+	if err != nil {
+		return nil, err
 	}
 
 	// Settle the samples still in flight, then release the render step
 	// before committing the index. The "viz.drain" span charges the last
 	// samples' encode and write to the visualization.
-	drv.Begin("viz.drain")
-	err = drain(true)
+	r.drv.Begin("viz.drain")
+	err = r.drain(true)
 	if err == nil {
-		err = viz.close()
+		err = r.viz.close()
 	}
-	drv.End()
+	r.drv.End()
 	if err != nil {
 		return nil, err
 	}
+	if err := r.commit(); err != nil {
+		return nil, err
+	}
+	return r.finish(wp0)
+}
 
-	// The index commit is the one write the whole run hinges on, so it
-	// retries through injected torn writes: a TornCommitError leaves a
-	// corrupt index prefix the next atomic commit simply overwrites, and
-	// a TornManifestError leaves a torn provenance-ledger tail the next
-	// commit truncates and rewrites. It is also where every frame of the
-	// run is fsynced, so its "io.commit" span carries that wait.
-	mCommitRetries := reg.Counter("cinema.commit.retries")
+// liveRun is one coupled run's state, shared by its stages. The solver's
+// model is not in it but handed to the solver loop, so that its scratch
+// (megabytes at 10 242 cells) is garbage once the loop is done: the
+// post-processing read-back, the drain and the commit run without it.
+type liveRun struct {
+	cfg LiveConfig
+	reg *telemetry.Registry
+	drv *trace.Lane // the phase step function the attribution consumes
+	res *LiveResult
+
+	msh   *mesh.Mesh
+	state *ocean.State
+	dt    float64
+
+	db      *cinemastore.Writer
+	viz     vizStep
+	tracker *eddy.Tracker
+	// pending holds the samples sent (or dropped at their deadline) and
+	// not yet settled, oldest first.
+	pending []pendingSample
+
+	sampleTime      *telemetry.Histogram
+	vizSite, ioSite *faults.Site
+	mDroppedSamples *telemetry.Counter
+	mDroppedFrames  *telemetry.Counter
+	lastModelSim    float64 // simulated time of the last model observation
+}
+
+// sampleConfig is one sample's image set for either transport. In process
+// the renderer built from it rasterizes; in transit the workers hold that
+// renderer.
+func sampleConfig(cfg LiveConfig) render.SampleConfig {
+	return render.SampleConfig{
+		Field:      "okubo_weiss",
+		Width:      cfg.ImageWidth,
+		Height:     cfg.ImageHeight,
+		Ranks:      cfg.RenderRanks,
+		OrthoViews: cfg.OrthoViews,
+		Cores:      cfg.EddyCoreImages,
+	}
+}
+
+// settle is the tail every sample ends in — account, observe, track.
+// A dropped sample (blown viz deadline, exhausted in-transit worker
+// ring) degrades gracefully: its frames are accounted as dropped,
+// recorded as a "degraded" phase on the driver lane, and the tracker
+// advances empty; it commits nothing but still burns its simulated
+// window plus any injected stall — the excess the viz-overload
+// detector exists to catch.
+func (r *liveRun) settle(p pendingSample, c sampleCost, dropped bool) error {
+	res := r.res
+	eddies := p.eddies
+	if dropped {
+		frames := sampleConfig(r.cfg).FramesPerSample()
+		r.drv.Begin("degraded")
+		r.drv.End()
+		r.mDroppedSamples.Inc()
+		r.mDroppedFrames.Add(int64(frames))
+		res.DroppedSamples++
+		res.DroppedFrames += frames
+		eddies = nil
+	} else {
+		res.CyclonicEddies += p.cyclonic
+		res.AnticyclonicEddies += p.anticyclonic
+	}
+	res.Images += c.frames
+	res.ImageBytes += Bytes(c.bytes)
+	res.EddiesPerSample = append(res.EddiesPerSample, len(eddies))
+	if m := r.cfg.Model; m != nil {
+		if !dropped {
+			if f, ok := r.ioSite.Next(); ok && f.Kind == faults.KindStall {
+				c.ioStall += float64(f.Stall)
+			}
+		}
+		obs := livemodel.NodeCostModel().Observation(p.simTime-r.lastModelSim,
+			float64(c.sioBytes)/1e9, float64(c.frames), c.ioStall, c.vizStall)
+		obs.TS = float64(r.cfg.Tracer.Now()) / 1e9
+		r.lastModelSim = p.simTime
+		m.Observe(obs)
+	}
+	return r.tracker.Advance(p.simTime, eddies)
+}
+
+// drain settles the pending samples in sequence order once their render
+// step has reported, which in transit can be after later samples were
+// sent. Unless wait is set it stops at the first whose render step would
+// make it wait.
+func (r *liveRun) drain(wait bool) error {
+	for len(r.pending) > 0 {
+		p := r.pending[0]
+		c, dropped := p.cost, p.dropped
+		if !dropped {
+			if !wait && !r.viz.ready() {
+				return nil
+			}
+			var err error
+			if c, err = r.viz.collect(); errors.Is(err, intransit.ErrUnavailable) {
+				dropped = true
+			} else if err != nil {
+				return err
+			}
+		}
+		r.pending = r.pending[1:]
+		if err := r.settle(p, c, dropped); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// detect runs the sim-side analysis of one sampled field: the Okubo-Weiss
+// threshold, eddy detection, and the spin census (counted at settle, so a
+// sample dropped after detection adds nothing). Detection and tracking
+// stay on the sim even when rendering is remote, because the tracker's
+// state must see every sample in order. cellVort, when non-nil, is the
+// cell vorticity derived from the same diagnostics evaluation as the field
+// and classifies eddy rotation sense.
+func detect(msh *mesh.Mesh, field, cellVort []float64) (eddies []eddy.Eddy, cyclonic, anticyclonic int, err error) {
+	if th := ocean.OkuboWeissThreshold(field); th < 0 {
+		if eddies, err = eddy.Detect(msh, field, th, 2); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	if cellVort == nil {
+		return eddies, 0, 0, nil
+	}
+	for i := range eddies {
+		spin, err := eddy.ClassifySpin(msh, eddies[i], cellVort)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		switch spin {
+		case eddy.SpinCyclonic:
+			cyclonic++
+		case eddy.SpinAnticyclonic:
+			anticyclonic++
+		}
+	}
+	return eddies, cyclonic, anticyclonic, nil
+}
+
+// visualize is the one sampling path: deadline, send, detect, then the
+// settle tail of every sample whose render step has reported.
+func (r *liveRun) visualize(simTime float64, field, cellVort []float64) error {
+	start := time.Now()
+	defer func() { r.sampleTime.Observe(float64(time.Since(start))) }()
+	p := pendingSample{simTime: simTime}
+	// Deadline check first: an injected stall at or beyond the budget
+	// means this sample's visualization would not finish in time, and
+	// it is dropped rather than stalling the solver behind it.
+	if f, ok := r.vizSite.Next(); ok && f.Kind == faults.KindStall &&
+		r.cfg.VizDeadline > 0 && f.Stall >= r.cfg.VizDeadline {
+		p.cost.vizStall, p.dropped = float64(f.Stall), true
+		r.pending = append(r.pending, p)
+		return r.drain(false)
+	}
+	r.drv.Begin("viz.sample")
+	defer r.drv.End()
+	r.drv.Begin("viz.render")
+	err := r.viz.send(simTime, field)
+	r.drv.End()
+	if err != nil {
+		return err
+	}
+	r.drv.Begin("viz.detect")
+	p.eddies, p.cyclonic, p.anticyclonic, err = detect(r.msh, field, cellVort)
+	r.drv.End()
+	if err != nil {
+		return err
+	}
+	r.pending = append(r.pending, p)
+	return r.drain(false)
+}
+
+// commit writes the index, the one write the whole run hinges on, so it
+// retries through injected torn writes: a TornCommitError leaves a corrupt
+// index prefix the next atomic commit simply overwrites, and a
+// TornManifestError leaves a torn provenance-ledger tail the next commit
+// truncates and rewrites. It is also where every frame of the run is
+// fsynced, so its "io.commit" span carries that wait.
+func (r *liveRun) commit() error {
 	const commitAttempts = 4
-	drv.Begin("io.commit")
+	mCommitRetries := r.reg.Counter("cinema.commit.retries")
+	r.drv.Begin("io.commit")
 	for attempt := 1; ; attempt++ {
-		_, err := db.Commit()
+		_, err := r.db.Commit()
 		if err == nil {
 			break
 		}
 		var torn *cinemastore.TornCommitError
 		var tornM *provenance.TornManifestError
 		if !(errors.As(err, &torn) || errors.As(err, &tornM)) || attempt >= commitAttempts {
-			drv.End()
-			return nil, err
+			r.drv.End()
+			return err
 		}
 		mCommitRetries.Inc()
 	}
-	drv.End()
-	if err := db.CloseLedger(); err != nil {
-		return nil, err
-	}
-	tracks := tracker.Finish()
+	r.drv.End()
+	return r.db.CloseLedger()
+}
+
+// finish fills the result's summary: the eddy tracks, this run's share of
+// the process-wide worker pool activity since wp0, the frozen registry,
+// and the power attribution.
+func (r *liveRun) finish(wp0 workpool.Stats) (*LiveResult, error) {
+	res, reg, cfg := r.res, r.reg, r.cfg
+	tracks := r.tracker.Finish()
 	res.Tracks = len(tracks)
 	res.LongestTrackLifetime = units.Seconds(eddy.LongestLifetime(tracks))
-	ts := eddy.SummarizeTracks(tracks, msh.Radius)
+	ts := eddy.SummarizeTracks(tracks, r.msh.Radius)
 	res.MeanTrackLifetime = units.Seconds(ts.MeanLifetime)
 	res.LongestTrackDistance = ts.LongestDistance
 	res.Steps = cfg.Steps
 	res.Samples = cfg.Steps / cfg.SampleEverySteps
-	res.MaxVelocity = state.MaxAbsVelocity()
+	res.MaxVelocity = r.state.MaxAbsVelocity()
 
-	// Fold in this run's share of the process-wide worker pool activity,
-	// then freeze the registry into the result.
 	wp := workpool.Snapshot().Sub(wp0)
 	reg.Counter("workpool.chunks.submitted").Add(wp.Submitted)
 	reg.Counter("workpool.chunks.inline").Add(wp.Inline)
@@ -717,6 +655,90 @@ type vizStep interface {
 	ready() bool
 	collect() (sampleCost, error)
 	close() error
+}
+
+// newVizStep builds the render step cfg.Transport names, with what it
+// renders through: in process the sample renderer, which owns the render
+// partition; in transit only the partition, for the sharding map, since
+// the workers hold the renderer. It records the partition's halo volume on
+// res. The rank-crash and failover counters are registered for either
+// transport, so a run's metric names do not depend on it.
+func newVizStep(cfg LiveConfig, msh *mesh.Mesh, db *cinemastore.Writer, reg *telemetry.Registry, res *LiveResult) (vizStep, error) {
+	mCrashes := reg.Counter("render.rank.crashes")
+	mFailover := reg.Counter("render.failover")
+	switch cfg.Transport {
+	case "", "inproc":
+		sr, err := render.NewSampleRenderer(msh, sampleConfig(cfg))
+		if err != nil {
+			return nil, err
+		}
+		res.HaloBytesPerField = Bytes(sr.Exchange().BytesPerField)
+		lv := &localViz{
+			sr: sr,
+			// The encode+store stage runs behind the renders: Submit stages
+			// a copy and the encoder goroutine drains in order, so each
+			// frame's PNG encode overlaps the next frame's rasterization.
+			pw:         render.NewPipelinedCinemaWriter(db, 4),
+			res:        res,
+			rankSite:   cfg.Faults.Site("render.rank"),
+			rankLanes:  make([]*trace.Lane, cfg.RenderRanks),
+			alive:      make([]bool, cfg.RenderRanks),
+			aliveCount: cfg.RenderRanks,
+			mCrashes:   mCrashes,
+			mFailover:  mFailover,
+		}
+		// Each rendering rank gets its own timeline lane (nil-safe: a nil
+		// tracer yields nil lanes, which no-op) so the Perfetto view shows
+		// the partial renders side by side.
+		for i := range lv.alive {
+			lv.rankLanes[i] = cfg.Tracer.Lane(fmt.Sprintf("render.rank%d", i))
+			lv.alive[i] = true
+		}
+		return lv, nil
+	case "tcp":
+		// In-transit tier: each sample's tables are sharded by the same
+		// partition and shipped to the viz workers, which render and store
+		// the frames into this run's cinema directory; the sim adopts their
+		// entries and commits the one index over them.
+		if len(cfg.VizWorkers) == 0 {
+			return nil, fmt.Errorf("insituviz: transport tcp needs LiveConfig.VizWorkers")
+		}
+		part, err := partition.New(msh, cfg.RenderRanks)
+		if err != nil {
+			return nil, err
+		}
+		res.HaloBytesPerField = Bytes(part.Exchange().BytesPerField)
+		cells := make([][]int, cfg.RenderRanks)
+		for r := range cells {
+			if cells[r], err = part.Cells(r); err != nil {
+				return nil, err
+			}
+		}
+		tc, err := intransit.Dial(intransit.Options{
+			Workers: cfg.VizWorkers,
+			Codec:   cfg.TransitCodec,
+			Config: intransit.RunConfig{
+				MeshSubdivisions: cfg.MeshSubdivisions,
+				ImageWidth:       cfg.ImageWidth,
+				ImageHeight:      cfg.ImageHeight,
+				RenderRanks:      cfg.RenderRanks,
+				OrthoViews:       cfg.OrthoViews,
+				EddyCoreImages:   cfg.EddyCoreImages,
+				Fields:           []string{"okubo_weiss"},
+			},
+			Mesh:      msh,
+			Cells:     cells,
+			Telemetry: reg,
+			Tracer:    cfg.Tracer,
+			Faults:    cfg.Faults,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &transitViz{tc: tc, db: db}, nil
+	default:
+		return nil, fmt.Errorf("insituviz: unknown transport %q (want inproc or tcp)", cfg.Transport)
+	}
 }
 
 // transitViz is the in-transit render step: the client ships each
@@ -853,14 +875,14 @@ func (lv *localViz) send(simTime float64, field []float64) error {
 
 // advanceStep integrates one solver step under the driver lane's
 // "sim.step" span and rejects a non-finite state.
-func advanceStep(drv *trace.Lane, model *ocean.Model, state *ocean.State, dt float64, step int) error {
-	drv.Begin("sim.step")
-	err := model.Step(state, dt)
-	drv.End()
+func (r *liveRun) advanceStep(model *ocean.Model, step int) error {
+	r.drv.Begin("sim.step")
+	err := model.Step(r.state, r.dt)
+	r.drv.End()
 	if err != nil {
 		return err
 	}
-	if err := state.CheckFinite(); err != nil {
+	if err := r.state.CheckFinite(); err != nil {
 		return fmt.Errorf("insituviz: step %d: %w", step, err)
 	}
 	return nil
@@ -871,8 +893,8 @@ func advanceStep(drv *trace.Lane, model *ocean.Model, state *ocean.State, dt flo
 // evaluation per sample for both the Okubo-Weiss field and the spin
 // census's cell vorticity, and writes into buffers held across the run, so
 // the steady-state loop does not allocate.
-func runLiveInSitu(cfg LiveConfig, model *ocean.Model, state *ocean.State, dt float64,
-	reg *telemetry.Registry, visualize func(simTime float64, field, cellVort []float64) error) error {
+func (r *liveRun) runLiveInSitu(model *ocean.Model) error {
+	cfg, drv := r.cfg, r.drv
 	adaptor, err := catalyst.NewAdaptor(cfg.SampleEverySteps)
 	if err != nil {
 		return err
@@ -880,25 +902,24 @@ func runLiveInSitu(cfg LiveConfig, model *ocean.Model, state *ocean.State, dt fl
 	// The live pipeline consumes each snapshot synchronously, so the
 	// adaptor can reuse its deep-copy buffer across invocations.
 	adaptor.SetReuse(true)
-	adaptor.SetTelemetry(reg)
+	adaptor.SetTelemetry(r.reg)
 	diag := model.NewDiagnostics()
 	owBuf := make([]float64, model.Mesh.NCells())
 	cvBuf := make([]float64, model.Mesh.NCells())
 	var cellVort []float64 // refreshed per sample alongside the snapshot
 	if err := adaptor.AddPipeline(catalyst.PipelineFunc(func(fd *catalyst.FieldData) error {
-		return visualize(fd.Time, fd.Values, cellVort)
+		return r.visualize(fd.Time, fd.Values, cellVort)
 	})); err != nil {
 		return err
 	}
-	drv := cfg.Tracer.Lane("driver")
 	for step := 1; step <= cfg.Steps; step++ {
-		if err := advanceStep(drv, model, state, dt, step); err != nil {
+		if err := r.advanceStep(model, step); err != nil {
 			return err
 		}
 		if adaptor.ShouldProcess(step) {
 			// One shared diagnostics evaluation feeds both derived fields.
 			drv.Begin("sim.derive")
-			err := model.ComputeDiagnosticsInto(state, diag)
+			err := model.ComputeDiagnosticsInto(r.state, diag)
 			if err == nil {
 				model.OkuboWeissFrom(diag, owBuf)
 				cellVort = model.CellVorticityFrom(diag, cvBuf)
@@ -907,7 +928,7 @@ func runLiveInSitu(cfg LiveConfig, model *ocean.Model, state *ocean.State, dt fl
 			if err != nil {
 				return err
 			}
-			if _, err := adaptor.CoProcess(step, float64(step)*dt, "okubo_weiss", owBuf); err != nil {
+			if _, err := adaptor.CoProcess(step, float64(step)*r.dt, "okubo_weiss", owBuf); err != nil {
 				return err
 			}
 		}
@@ -918,8 +939,8 @@ func runLiveInSitu(cfg LiveConfig, model *ocean.Model, state *ocean.State, dt fl
 // runLivePost advances the solver writing real netCDF dumps, then reads
 // them back and visualizes — the Fig. 1a workflow — returning the raw dump
 // volume.
-func runLivePost(cfg LiveConfig, msh *mesh.Mesh, model *ocean.Model, state *ocean.State, dt float64,
-	reg *telemetry.Registry, visualize func(simTime float64, field, cellVort []float64) error) (units.Bytes, error) {
+func (r *liveRun) runLivePost(model *ocean.Model) (units.Bytes, error) {
+	cfg, msh, reg, drv := r.cfg, r.msh, r.reg, r.drv
 	rawDir := filepath.Join(cfg.OutputDir, "raw")
 	if err := os.MkdirAll(rawDir, 0o755); err != nil {
 		return 0, fmt.Errorf("insituviz: %w", err)
@@ -956,17 +977,16 @@ func runLivePost(cfg LiveConfig, msh *mesh.Mesh, model *ocean.Model, state *ocea
 	var sizes []int64
 	var times []float64
 	ow := make([]float64, msh.NCells()) // reused across samples
-	drv := cfg.Tracer.Lane("driver")
 	for step := 1; step <= cfg.Steps; step++ {
-		if err := advanceStep(drv, model, state, dt, step); err != nil {
+		if err := r.advanceStep(model, step); err != nil {
 			return 0, err
 		}
 		if step%cfg.SampleEverySteps != 0 {
 			continue
 		}
-		simTime := float64(step) * dt
+		simTime := float64(step) * r.dt
 		drv.Begin("sim.derive")
-		err := model.OkuboWeissInto(state, ow)
+		err := model.OkuboWeissInto(r.state, ow)
 		drv.End()
 		if err != nil {
 			return 0, err
@@ -1016,7 +1036,7 @@ func runLivePost(cfg LiveConfig, msh *mesh.Mesh, model *ocean.Model, state *ocea
 		}
 		// Post-processing has only the dumped Okubo-Weiss field; there is
 		// no live state to derive a vorticity-based spin census from.
-		if err := visualize(times[i], field, nil); err != nil {
+		if err := r.visualize(times[i], field, nil); err != nil {
 			return 0, err
 		}
 	}

@@ -20,11 +20,12 @@
 #   - the Cinema store again under the race detector at GOMAXPROCS=8:
 #     Commit fsyncs the frames written since the last commit from a
 #     bounded set of concurrent goroutines
-#   - on a CPU with FMA, the pinned mesh and solver bits and the solver's
-#     differential kernel test again under GOAMD64=v3: the golden hashes
-#     promise amd64 bits at any micro-architecture level, and v3 lets the
-#     compiler select FMA and the other newer instructions, so a kernel
-#     whose bits depend on the level fails here
+#   - on a CPU with FMA, the pinned mesh and solver bits, the solver's
+#     differential kernel test and the live runs' golden stores again
+#     under GOAMD64=v3: the golden hashes promise amd64 bits at any
+#     micro-architecture level, and v3 lets the compiler select FMA and
+#     the other newer instructions, so a kernel whose bits depend on the
+#     level fails here, and so does a committed store that moves
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -60,10 +61,10 @@ echo "== GOMAXPROCS=8 go test -race -count=2 ./internal/cinemastore"
 GOMAXPROCS=8 go test -race -count=2 ./internal/cinemastore
 
 if grep -qw fma /proc/cpuinfo 2>/dev/null; then
-	echo "== GOAMD64=v3 go test (pinned mesh, solver and raster-map bits)"
+	echo "== GOAMD64=v3 go test (pinned mesh, solver, raster-map and store bits)"
 	GOAMD64=v3 go test -count=1 \
-		-run '^(TestSolverGoldenHash|TestParallelMatchesSerialBitwise|TestKernelsMatchStructReadingReference|TestMeshGoldenHash|TestRasterMapGoldenHash)$' \
-		./internal/mesh ./internal/ocean ./internal/render
+		-run '^(TestSolverGoldenHash|TestParallelMatchesSerialBitwise|TestKernelsMatchStructReadingReference|TestMeshGoldenHash|TestRasterMapGoldenHash|TestLiveGoldenStores)$' \
+		. ./internal/mesh ./internal/ocean ./internal/render
 else
 	echo "== GOAMD64=v3 go test: skipped (no fma in /proc/cpuinfo)"
 fi
